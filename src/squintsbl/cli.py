@@ -340,6 +340,8 @@ def _cmd_selftest(args) -> int:
 
 
 def build_parser() -> _Parser:
+    from .sbl import E_STEPS
+
     parser = _Parser(prog="squintsbl",
                      description="Wideband hybrid-array channel estimation toolkit")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -354,7 +356,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True, metavar="DIR", help="directory from gen-data")
     p.add_argument("--out", default="run", metavar="DIR", help="output directory")
     p.add_argument("--depth", type=int, required=True, help="unrolled iteration count (>= 2)")
-    p.add_argument("--e-step", choices=("amp", "exact"), default="amp")
+    p.add_argument("--e-step", choices=E_STEPS, default="amp")
     p.add_argument("--batch-size", type=int, default=128)
     p.add_argument("--learning-rate", type=float, default=1e-3)
     p.add_argument("--lr-decay", type=float, default=10.0)
@@ -378,7 +380,7 @@ def build_parser() -> _Parser:
     p.add_argument("--net", action="append", metavar="ALGO=PATH", help="checkpoint for a learned algorithm")
     p.add_argument("--iterations", type=int, default=None, help="depth for the classic algorithms")
     p.add_argument("--threads", type=int, default=None, help="sample-scoring workers (default: cores)")
-    p.add_argument("--out", metavar="CSV", help="also write algo,flops,nmse_db,iterations")
+    p.add_argument("--out", metavar="CSV", help="also write algo,flops,nmse_db,iterations,fail_rate")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("sweep", help="score estimators along an SNR or pilot-use axis")
@@ -405,6 +407,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    from .sbl import DivergenceError
+
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.command in ("train", "selftest") else logging.WARNING,
@@ -418,14 +422,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except RuntimeError as exc:
-        from .sbl import DivergenceError
-        from .training import TrainingDivergence
-
-        if isinstance(exc, (DivergenceError, TrainingDivergence)):
-            print(f"numerical failure: {exc}", file=sys.stderr)
-            return 2
-        raise
+    except DivergenceError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return 3

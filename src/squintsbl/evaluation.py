@@ -258,8 +258,9 @@ def score_algorithm(
 ) -> tuple[float, float]:
     """(average NMSE in dB, failure rate) of one algorithm over shared data.
 
-    A raised divergence or a non-finite result counts as a failure and
-    is excluded from the average; with zero survivors the NMSE is NaN.
+    A raised divergence (a non-finite or runaway E-step, or a failed
+    posterior solve) or a non-finite result counts as a failure and is
+    excluded from the average; with zero survivors the NMSE is NaN.
     Samples are independent, so ``n_workers`` threads may score them in
     parallel; the reduction is ordered, so results do not depend on the
     worker count.
@@ -346,9 +347,9 @@ def run_sweep(
     learned depths always come from the network's stage count.
 
     Raises ``ValueError``, before any operator is assembled, for an
-    unknown axis, an empty ``points``, ``n_samples < 1`` or an
-    algorithm the harness cannot run.  A learned algorithm with no
-    entry in ``nets`` raises ``ValueError`` at the first point.
+    unknown axis, an empty ``points``, ``n_samples < 1``, an algorithm
+    the harness cannot run, or a learned algorithm with no entry in
+    ``nets`` at some point.
     """
     axis = axis.lower()
     if axis not in SWEEP_AXES:
@@ -362,13 +363,14 @@ def run_sweep(
         if algo not in SWEEP_ALGOS:
             raise ValueError(f"cannot sweep {algo!r}; runnable: {sorted(SWEEP_ALGOS)}")
     nets = dict(nets or {})
+    point_nets = [{algo: _net_for(nets, algo, value) for algo in algos} for value in points]
     rows: list[SweepRow] = []
     for pi, value in enumerate(points):
         cfg_point = _point_config(cfg, axis, value)
         op = standard_operator(cfg_point)
         observations = draw_eval_observations(op, pi, n_samples)
         for algo in algos:
-            net = _net_for(nets, algo, value)
+            net = point_nets[pi][algo]
             n_iter = _iteration_count(algo, cfg_point, net, n_iterations)
             nmse_db, fail_rate = score_algorithm(algo, op, observations, n_iter, net, n_workers)
             row = SweepRow(
@@ -414,8 +416,9 @@ def run_tradeoff(
     on the complexity axis of a tradeoff plot.
 
     Raises ``ValueError``, before the operator is assembled, for
-    ``n_samples < 1`` and for a name that is neither runnable nor in
-    the complexity table.
+    ``n_samples < 1``, for a name that is neither runnable nor in the
+    complexity table, and for a learned algorithm with no entry in
+    ``nets``.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -423,15 +426,15 @@ def run_tradeoff(
         if algo not in SWEEP_ALGOS and algo not in DEFAULT_FLOPS_MODEL.per_iteration:
             raise ValueError(f"unknown algorithm {algo!r}")
     nets = dict(nets or {})
-    runnable = [a for a in algos if a in SWEEP_ALGOS]
+    algo_nets = {algo: _net_for(nets, algo, None) for algo in algos if algo in SWEEP_ALGOS}
     rows: list[TradeoffRow] = []
     observations: Sequence[Observation] = []
-    if runnable:
+    if algo_nets:
         op = standard_operator(cfg)
         observations = draw_eval_observations(op, 0, n_samples)
     for algo in algos:
         if algo in SWEEP_ALGOS:
-            net = _net_for(nets, algo, None)
+            net = algo_nets[algo]
             n_iter = _iteration_count(algo, cfg, net, n_iterations)
             nmse_db, fail_rate = score_algorithm(algo, op, observations, n_iter, net, n_workers)
             rows.append(TradeoffRow(algo, _total_flops(algo, cfg, n_iter), nmse_db, n_iter, fail_rate))
@@ -441,14 +444,16 @@ def run_tradeoff(
 
 
 def write_tradeoff_csv(rows: Sequence[TradeoffRow], path, cfg: SystemConfig) -> None:
+    """One row per algorithm; a reference-only row leaves nmse_db and fail_rate empty."""
     with open(path, "w", newline="") as fh:
         fh.write(f"# config_hash={cfg.config_hash()} seed={cfg.rng_seed}\n")
         writer = csv.writer(fh)
-        writer.writerow(["algo", "flops", "nmse_db", "iterations"])
+        writer.writerow(["algo", "flops", "nmse_db", "iterations", "fail_rate"])
         for row in rows:
             writer.writerow([
                 row.algo,
                 row.flops,
                 "" if math.isnan(row.nmse_db) else f"{row.nmse_db:.4f}",
                 row.iterations,
+                "" if math.isnan(row.fail_rate) else f"{row.fail_rate:.4f}",
             ])

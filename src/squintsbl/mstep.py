@@ -246,22 +246,6 @@ def mstep_forward(net: MStepNet, iteration: int, feats: np.ndarray, gamma_prev: 
     return image_to_vec(gamma_new)[:, 0]
 
 
-def mstep_backward(net: MStepNet, iteration: int, feats: np.ndarray, gamma_prev: np.ndarray,
-                   g_gamma_new: np.ndarray):
-    """Single-sample backprop mirror of :func:`mstep_forward`.
-
-    Returns (g_feats (G_A, G_D, 2), g_gamma_prev (G,), StageGrads).
-    """
-    ga, gd = feats.shape[0], feats.shape[1]
-    x = feats.transpose(2, 0, 1)[None]
-    gimg = vec_to_image(gamma_prev, ga, gd)
-    stage = net.stages[iteration - 1]
-    _, cache = stage_forward(stage, x, gimg)
-    g_img = vec_to_image(g_gamma_new, ga, gd)
-    g_feats, g_gprev, grads = stage_backward(stage, cache, g_img)
-    return g_feats[0].transpose(1, 2, 0), image_to_vec(g_gprev)[:, 0], grads
-
-
 # ---- persistence ------------------------------------------------------------
 
 _NET_KIND = "mstep-net"

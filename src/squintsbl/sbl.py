@@ -3,16 +3,20 @@
 Under the Gaussian prior x ~ CN(0, diag(gamma)) the posterior given
 y = Phi x + n is Gaussian; iterating posterior moments (E-step) and a
 per-coefficient variance update gamma = |mu|^2 + tau (M-step) is the
-classic evidence-maximization recursion.  Two E-steps are provided:
+classic evidence-maximization recursion.  Each E-step has one
+implementation, shared by inference and training:
 
 * ``exact_e_step`` solves the M x M whitened system directly and is the
   reference posterior at any operator.
 * ``amp_e_step`` is the low-cost message-passing recursion on the
   SVD-rotated system (r, A).  Its five update lines are kept exactly in
   their published order and form, including the use of gamma in the
-  final shrinkage denominators.  On structured operators the recursion
-  can blow up; all outputs are checked and a :class:`DivergenceError`
-  carrying the iteration index is raised instead of returning garbage.
+  final shrinkage denominators.
+
+Both take one vector or a (., B) batch and also return the cache their
+backward pass (``_exact_backward``, ``_amp_backward``) reads.  Both fail
+one way: non-finite values, a column whose norm runs away, or a failed
+Cholesky raise :class:`DivergenceError` with the iteration index.
 
 A learned convolutional variance update can replace the classic M-step
 through :class:`EstimatorSpec`; see the companion network module.
@@ -31,13 +35,13 @@ from .measurement import MeasurementOperator, unitary_transform
 E_STEPS = ("exact", "amp")
 M_STEPS = ("classic", "learned")
 
-# Estimates whose norm exceeds this many times the data norm are treated
-# as divergence even while still finite.
+# Estimate columns whose norm exceeds this many times the norm of their
+# data column are treated as divergence even while still finite.
 _MAGNITUDE_GUARD = 1e6
 
 
 class DivergenceError(RuntimeError):
-    """Message-passing recursion produced non-finite or runaway values."""
+    """Non-finite or runaway values, or a failed posterior solve, in an estimator or training pass."""
 
     def __init__(self, message: str, iteration: int, trace: list | None = None):
         super().__init__(message)
@@ -69,31 +73,74 @@ def init_state(cfg: SystemConfig) -> SblState:
     )
 
 
+def _check_step(it: int, data: np.ndarray, **arrays) -> None:
+    """Raise :class:`DivergenceError` if any of ``arrays`` is non-finite
+    or a column of ``arrays["mu"]`` runs away from its column of ``data``."""
+    for name, arr in arrays.items():
+        if not np.all(np.isfinite(arr)):
+            raise DivergenceError(f"non-finite {name} at iteration {it}", iteration=it)
+    mu = arrays["mu"]
+    limit = _MAGNITUDE_GUARD * np.maximum(np.linalg.norm(data, axis=0), 1e-300)
+    blown = np.linalg.norm(mu, axis=0) > limit
+    if np.any(blown):
+        where = f" in columns {np.flatnonzero(blown).tolist()}" if mu.ndim == 2 else ""
+        raise DivergenceError(f"estimate norm blew up at iteration {it}{where}", iteration=it)
+
+
 def exact_e_step(op: MeasurementOperator, y: np.ndarray, sigma2: float, state: SblState):
     """Posterior mean and marginal variances by direct solve.
 
     With C = diag(gamma) and S = Phi C Phi^H + sigma^2 I:
     mu = C Phi^H S^{-1} y and tau_i = gamma_i (1 - gamma_i d_i) with
     d = diag(Phi^H S^{-1} Phi).  Cost is one Cholesky of the M x M
-    matrix S; no explicit inverse is formed.
+    matrix S per column of ``y``; no explicit inverse is formed.
+    Returns (mu, tau, cache for :func:`_exact_backward`).
     """
+    it = state.iteration + 1
     phi = op.phi
+    m, g = phi.shape
+    ys, gammas = y.reshape(m, -1), state.gamma.reshape(g, -1)
+    u = np.empty(gammas.shape, dtype=complex)
+    d = np.empty(gammas.shape)
+    lows = []
+    for j in range(ys.shape[1]):
+        s_mat = (phi * gammas[:, j]) @ phi.conj().T
+        s_mat[np.diag_indices(m)] += sigma2
+        try:
+            low, _ = cho_factor(s_mat, lower=True)
+        except (np.linalg.LinAlgError, ValueError) as exc:
+            raise DivergenceError(f"posterior solve failed at iteration {it}: {exc}", iteration=it) from exc
+        u[:, j] = phi.conj().T @ cho_solve((low, True), ys[:, j])
+        b = solve_triangular(low, phi, lower=True)
+        d[:, j] = np.einsum("mg,mg->g", b.conj(), b, optimize=True).real
+        lows.append(low)
     gamma = state.gamma
-    m = phi.shape[0]
-    s_mat = (phi * gamma) @ phi.conj().T
-    s_mat[np.diag_indices(m)] += sigma2
-    try:
-        low, _ = cho_factor(s_mat, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"posterior solve failed at iteration {state.iteration}: {exc}"
-        ) from exc
-    z = cho_solve((low, True), y)
-    mu = gamma * (phi.conj().T @ z)
-    b = solve_triangular(low, phi, lower=True)
-    d = np.einsum("mg,mg->g", b.conj(), b, optimize=True).real
+    u, d = u.reshape(gamma.shape), d.reshape(gamma.shape)
+    mu = gamma * u
     tau = np.maximum(gamma * (1.0 - gamma * d), 0.0)
-    return mu, tau
+    _check_step(it, y, mu=mu, tau_x=tau)
+    return mu, tau, {"gamma": gamma, "u": u, "d": d, "lows": lows}
+
+
+def _exact_backward(op: MeasurementOperator, cache, g_mu, g_tau, end_to_end: bool) -> np.ndarray:
+    """d loss / d gamma through one exact E-step.
+
+    Per column, B = L^-1 Phi gives Phi^H S^-1 Phi = B^H B.  ``cho_factor``
+    leaves junk above the diagonal of L, so the solve must be triangular.
+    """
+    u, d, gamma = cache["u"], cache["d"], cache["gamma"]
+    g_gamma = np.real(np.conj(g_mu) * u) + g_tau * (1.0 - 2.0 * gamma * d)
+    if not end_to_end:
+        return g_gamma
+    g = len(u)
+    us, a_vecs, ws = (x.reshape(g, -1) for x in (u, gamma * g_mu, g_tau * gamma * gamma))
+    extra = np.empty(us.shape)
+    for j, low in enumerate(cache["lows"]):
+        b = solve_triangular(low, op.phi, lower=True)
+        ta = b.conj().T @ (b @ a_vecs[:, j])
+        k_w = (b * ws[:, j]) @ b.conj().T
+        extra[:, j] = np.real(np.sum(np.conj(b) * (k_w @ b), axis=0)) - np.real(us[:, j] * np.conj(ta))
+    return g_gamma + extra.reshape(g_gamma.shape)
 
 
 def amp_e_step(op: MeasurementOperator, r: np.ndarray, sigma2: float, state: SblState):
@@ -110,8 +157,8 @@ def amp_e_step(op: MeasurementOperator, r: np.ndarray, sigma2: float, state: Sbl
         mu'   = q / (1 + tau_q * gamma)
         tau'  = tau_q / (1 + tau_q * gamma)
 
-    Works on single vectors or on (.., batch) stacks.  Raises
-    :class:`DivergenceError` on non-finite values or runaway norms.
+    Works on single vectors or on (.., batch) stacks.  Returns
+    (mu', tau', s', cache for :func:`_amp_backward`).
     """
     a, abs2_a, abs2_a_t = op.a, op.abs2_a, op.abs2_a_t
     mu, tau_x, gamma, s = state.mu, state.tau_x, state.gamma, state.s
@@ -124,18 +171,45 @@ def amp_e_step(op: MeasurementOperator, r: np.ndarray, sigma2: float, state: Sbl
         tau_s = 1.0 / (tau_p + sigma2)
         s_new = tau_s * (r - p)
         tau_q = 1.0 / (abs2_a_t @ tau_s)
-        q = mu + tau_q * (a.conj().T @ s_new)
+        v = a.conj().T @ s_new
+        q = mu + tau_q * v
         denom = 1.0 + tau_q * gamma
         mu_new = q / denom
         tau_new = tau_q / denom
 
-    it = state.iteration + 1
-    for name, arr in (("p", p), ("s", s_new), ("q", q), ("mu", mu_new), ("tau_x", tau_new)):
-        if not np.all(np.isfinite(arr)):
-            raise DivergenceError(f"non-finite {name} at iteration {it}", iteration=it)
-    if np.linalg.norm(mu_new) > _MAGNITUDE_GUARD * max(np.linalg.norm(r), 1e-300):
-        raise DivergenceError(f"estimate norm blew up at iteration {it}", iteration=it)
-    return mu_new, tau_new, s_new
+    _check_step(state.iteration + 1, r, p=p, s=s_new, q=q, mu=mu_new, tau_x=tau_new)
+    cache = {"r": r, "s0": s, "gamma": gamma, "p": p, "tau_p": tau_p, "tau_s": tau_s,
+             "tau_q": tau_q, "v": v, "q": q, "denom": denom}
+    return mu_new, tau_new, s_new, cache
+
+
+def _amp_backward(op: MeasurementOperator, cache, g_mu1, g_tau1, g_s1, end_to_end: bool):
+    """Gradients of one AMP E-step; returns (g_mu0, g_tau0, g_s0, g_gamma).
+
+    Complex gradients follow the d/dRe + j d/dIm convention.
+    """
+    tau_q, q, gamma = cache["tau_q"], cache["q"], cache["gamma"]
+    c = 1.0 / cache["denom"]
+    c2 = c * c
+    rmu = np.real(np.conj(g_mu1) * q)
+    g_gamma = -tau_q * c2 * (rmu + tau_q * g_tau1)
+    if not end_to_end:
+        return None, None, None, g_gamma
+    a = op.a
+    g_q = g_mu1 * c
+    g_tau_q = c2 * (g_tau1 - gamma * rmu) + np.real(np.conj(g_q) * cache["v"])
+    g_mu0 = g_q.copy()
+    g_s1_tot = g_s1 + a @ (g_q * tau_q)
+    g_w = -g_tau_q * tau_q * tau_q
+    g_tau_s = op.abs2_a @ g_w
+    g_tau_s += np.real(np.conj(g_s1_tot) * (cache["r"] - cache["p"]))
+    g_p = -cache["tau_s"] * g_s1_tot
+    g_tau_p = -g_tau_s * cache["tau_s"] ** 2
+    g_mu0 += a.conj().T @ g_p
+    g_tau_p -= np.real(np.conj(g_p) * cache["s0"])
+    g_s0 = -cache["tau_p"] * g_p
+    g_tau0 = op.abs2_a_t @ g_tau_p
+    return g_mu0, g_tau0, g_s0, g_gamma
 
 
 def classic_m_step(mu: np.ndarray, tau_x: np.ndarray) -> np.ndarray:
@@ -202,9 +276,9 @@ def run_estimator(
     for it in range(1, spec.n_iterations + 1):
         try:
             if spec.e_step == "amp":
-                state.mu, state.tau_x, state.s = amp_e_step(op, r, sigma2, state)
+                state.mu, state.tau_x, state.s, _ = amp_e_step(op, r, sigma2, state)
             else:
-                state.mu, state.tau_x = exact_e_step(op, y, sigma2, state)
+                state.mu, state.tau_x, _ = exact_e_step(op, y, sigma2, state)
         except DivergenceError as err:
             err.trace = trace
             raise

@@ -27,7 +27,7 @@ from .dictionaries import (
 from .evaluation import flops_per_iteration, reconstruction_flops, standard_operator
 from .measurement import draw_combiner, operator_from_matrix, simulate_observation
 from .mstep import _PARAM_NAMES, init_stage, stage_backward, stage_forward
-from .sbl import SblState, amp_e_step, exact_e_step
+from .sbl import SblState, _amp_backward, amp_e_step, exact_e_step
 
 
 def _crandn(rng: np.random.Generator, shape) -> np.ndarray:
@@ -55,7 +55,7 @@ def check_exact_posterior() -> str:
         sigma2 = float(rng.uniform(0.05, 1.0))
         y = _crandn(rng, (m,))
         op = operator_from_matrix(phi)
-        mu, tau = exact_e_step(op, y, sigma2, _fresh_state(gamma, m))
+        mu, tau, _ = exact_e_step(op, y, sigma2, _fresh_state(gamma, m))
         cov = np.linalg.inv(phi.conj().T @ phi / sigma2 + np.diag(1.0 / gamma))
         mu_ref = cov @ (phi.conj().T @ y) / sigma2
         tau_ref = np.diag(cov).real
@@ -82,8 +82,8 @@ def check_amp_fixed_point() -> str:
         op = operator_from_matrix(phi)
         state = _fresh_state(gamma, m)
         for _ in range(60):
-            state.mu, state.tau_x, state.s = amp_e_step(op, y, sigma2, state)
-        mu_ref, _ = exact_e_step(op, y, sigma2, _fresh_state(gamma, m))
+            state.mu, state.tau_x, state.s, _ = amp_e_step(op, y, sigma2, state)
+        mu_ref, _, _ = exact_e_step(op, y, sigma2, _fresh_state(gamma, m))
         err = float(np.linalg.norm(state.mu - mu_ref) / np.linalg.norm(mu_ref))
         errs.append(err)
         passed += err < 1e-2
@@ -98,7 +98,7 @@ def check_hand_instance() -> str:
     op = operator_from_matrix(a)
     state = SblState(iteration=0, mu=np.zeros(3, dtype=complex), tau_x=np.ones(3),
                      gamma=np.array([1.0, 2.0, 4.0]), s=np.zeros(2, dtype=complex))
-    mu, tau, s = amp_e_step(op, r, 1.0, state)
+    mu, tau, s, _ = amp_e_step(op, r, 1.0, state)
     np.testing.assert_allclose(mu, [(1 + 1j) / 4, 2 / 15, 1 / 7], rtol=1e-14, atol=0)
     np.testing.assert_allclose(tau, [3 / 4, 2 / 5, 3 / 14], rtol=1e-14, atol=0)
     np.testing.assert_allclose(s, [(1 + 1j) / 3, 1 / 3], rtol=1e-14, atol=0)
@@ -188,8 +188,6 @@ def check_stage_gradients() -> str:
 
 def check_recursion_gradients() -> str:
     """Hand-derived backward of the five-line update against differences."""
-    from .training import _amp_backward, _amp_lines
-
     rng = np.random.default_rng(29)
     m, g, b, sigma2 = 6, 10, 2, 0.3
     phi = _crandn(rng, (m, g)) / math.sqrt(m)
@@ -204,12 +202,11 @@ def check_recursion_gradients() -> str:
     gs = _crandn(rng, (m, b))
 
     def scalar(mu_, tau_, s_, gamma_) -> float:
-        lines = _amp_lines(op, r, sigma2, mu_, tau_, s_, gamma_)
-        return float(np.sum(np.real(np.conj(gm) * lines["mu1"]))
-                     + np.sum(gt * lines["tau1"])
-                     + np.sum(np.real(np.conj(gs) * lines["s1"])))
+        mu1, tau1, s1, _ = amp_e_step(op, r, sigma2, SblState(0, mu_, tau_, gamma_, s_))
+        return float(np.sum(np.real(np.conj(gm) * mu1)) + np.sum(gt * tau1)
+                     + np.sum(np.real(np.conj(gs) * s1)))
 
-    cache = _amp_lines(op, r, sigma2, mu, tau, s, gamma)
+    _, _, _, cache = amp_e_step(op, r, sigma2, SblState(0, mu, tau, gamma, s))
     g_mu0, g_tau0, g_s0, g_gamma = _amp_backward(op, cache, gm, gt, gs, True)
     h = 1e-6
     worst = 0.0

@@ -1,11 +1,14 @@
 """Layer-wise training of the unfolded estimators.
 
 The unfolded network alternates an E-step (posterior statistics given the
-variance parameters) with a learned variance refiner.  Training grows the
-depth one iteration at a time: the new stage starts as a copy of the last
-one and the whole network is retrained after each append.  All gradients
-are hand-derived; complex gradients follow the d/dRe + j d/dIm convention
-used by the conv backward.
+variance parameters) with a learned variance refiner.  The E-steps and
+their backward passes are the solver module's, run on (., B) batches, so
+training differentiates through what inference evaluates and fails the
+same way, with :class:`DivergenceError` (here also ``TrainingDivergence``).
+Training grows the depth one iteration at a time: the new stage starts as
+a copy of the last one and the whole network is retrained after each
+append.  All gradients are hand-derived; complex gradients follow the
+d/dRe + j d/dIm convention used by the conv backward.
 """
 
 from __future__ import annotations
@@ -32,15 +35,15 @@ from .mstep import (
     stage_forward,
     vec_to_image,
 )
+from .sbl import E_STEPS, DivergenceError, SblState, _amp_backward, _exact_backward, amp_e_step, exact_e_step
 
 logger = logging.getLogger(__name__)
 
-E_STEPS = ("amp", "exact")
 LOSS_DOMAINS = ("channel", "coeff")
 
-
-class TrainingDivergence(RuntimeError):
-    """Non-finite values during a training forward pass or loss."""
+# Training and inference fail the same way; the second name is kept for
+# callers that catch training failures by it.
+TrainingDivergence = DivergenceError
 
 
 @dataclass
@@ -210,91 +213,6 @@ def _loss_and_grad(x_hat: np.ndarray, split: _Split, idx: np.ndarray,
 
 # ---- unrolled forward/backward ----------------------------------------------
 
-def _amp_lines(op: MeasurementOperator, r, sigma2, mu, tau_x, s, gamma):
-    """The five AMP updates, returning every intermediate for backprop."""
-    a = op.a
-    tau_p = op.abs2_a @ tau_x
-    p = a @ mu - tau_p * s
-    tau_s = 1.0 / (tau_p + sigma2)
-    s_new = tau_s * (r - p)
-    tau_q = 1.0 / (op.abs2_a_t @ tau_s)
-    v = a.conj().T @ s_new
-    q = mu + tau_q * v
-    c = 1.0 / (1.0 + tau_q * gamma)
-    return {
-        "mu0": mu, "tau0": tau_x, "s0": s, "gamma": gamma, "r": r, "p": p,
-        "tau_p": tau_p, "tau_s": tau_s, "s1": s_new, "tau_q": tau_q,
-        "v": v, "q": q, "c": c, "mu1": q * c, "tau1": tau_q * c,
-    }
-
-
-def _amp_backward(op: MeasurementOperator, cache, g_mu1, g_tau1, g_s1,
-                  end_to_end: bool):
-    """Gradients of one AMP E-step; returns (g_mu0, g_tau0, g_s0, g_gamma)."""
-    tau_q, c, q, gamma = cache["tau_q"], cache["c"], cache["q"], cache["gamma"]
-    c2 = c * c
-    rmu = np.real(np.conj(g_mu1) * q)
-    g_gamma = -tau_q * c2 * (rmu + tau_q * g_tau1)
-    if not end_to_end:
-        return None, None, None, g_gamma
-    a = op.a
-    g_q = g_mu1 * c
-    g_tau_q = c2 * (g_tau1 - gamma * rmu) + np.real(np.conj(g_q) * cache["v"])
-    g_mu0 = g_q.copy()
-    g_s1_tot = g_s1 + a @ (g_q * tau_q)
-    g_w = -g_tau_q * tau_q * tau_q
-    g_tau_s = op.abs2_a @ g_w
-    g_tau_s += np.real(np.conj(g_s1_tot) * (cache["r"] - cache["p"]))
-    g_p = -cache["tau_s"] * g_s1_tot
-    g_tau_p = -g_tau_s * cache["tau_s"] ** 2
-    g_mu0 += a.conj().T @ g_p
-    g_tau_p -= np.real(np.conj(g_p) * cache["s0"])
-    g_s0 = -cache["tau_p"] * g_p
-    g_tau0 = op.abs2_a_t @ g_tau_p
-    return g_mu0, g_tau0, g_s0, g_gamma
-
-
-def _whitened_solve(l_chol: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Stacked L^-1 Phi for (B, M, M) Cholesky factors."""
-    b, m, _ = l_chol.shape
-    return np.linalg.solve(l_chol, np.broadcast_to(phi, (b, m, phi.shape[1])))
-
-
-def _exact_batch(op: MeasurementOperator, y, sigma2, gamma):
-    """Batched posterior statistics; returns (mu, tau, cache)."""
-    phi = op.phi
-    m, g = phi.shape
-    v = phi[None, :, :] * np.sqrt(gamma.T)[:, None, :]
-    s_mat = v @ v.conj().transpose(0, 2, 1)
-    s_mat[:, np.arange(m), np.arange(m)] += sigma2
-    l_chol = np.linalg.cholesky(s_mat)
-    t1 = np.linalg.solve(l_chol, y.T[:, :, None])
-    z = np.linalg.solve(l_chol.conj().transpose(0, 2, 1), t1)[:, :, 0].T
-    b_mat = _whitened_solve(l_chol, phi)
-    d = np.sum(np.abs(b_mat) ** 2, axis=1).T
-    u = phi.conj().T @ z
-    mu = gamma * u
-    tau = np.maximum(gamma * (1.0 - gamma * d), 0.0)
-    return mu, tau, {"l_chol": l_chol, "u": u, "d": d, "gamma": gamma}
-
-
-def _exact_backward(op: MeasurementOperator, cache, g_mu, g_tau,
-                    end_to_end: bool) -> np.ndarray:
-    """d loss / d gamma through one exact E-step."""
-    u, d, gamma, l_chol = cache["u"], cache["d"], cache["gamma"], cache["l_chol"]
-    g_gamma = np.real(np.conj(g_mu) * u) + g_tau * (1.0 - 2.0 * gamma * d)
-    if not end_to_end:
-        return g_gamma
-    b_mat = _whitened_solve(l_chol, op.phi)
-    a_vec = (gamma * g_mu).T[:, :, None]
-    ta = (b_mat.conj().transpose(0, 2, 1) @ (b_mat @ a_vec))[:, :, 0].T
-    g_gamma -= np.real(u * np.conj(ta))
-    w = g_tau * gamma * gamma
-    k_w = (b_mat * w.T[:, None, :]) @ b_mat.conj().transpose(0, 2, 1)
-    g_gamma += np.real(np.sum(np.conj(b_mat) * (k_w @ b_mat), axis=1)).T
-    return g_gamma
-
-
 def unroll_forward(op: MeasurementOperator, obs: np.ndarray, sigma2: float,
                    net: MStepNet, depth: int, e_step: str,
                    gamma_floor: float = 0.0):
@@ -309,31 +227,28 @@ def unroll_forward(op: MeasurementOperator, obs: np.ndarray, sigma2: float,
     cfg = op.config
     ga, gd = cfg.grid_angular, cfg.grid_delay
     g, b = cfg.grid_total, obs.shape[1]
-    mu = np.zeros((g, b), dtype=complex)
-    tau_x = np.ones((g, b))
-    s = np.zeros((obs.shape[0], b), dtype=complex)
     gamma = np.ones((g, b))
+    state = SblState(iteration=0, mu=np.zeros((g, b), dtype=complex), tau_x=gamma.copy(),
+                     gamma=gamma, s=np.zeros((obs.shape[0], b), dtype=complex))
     caches = []
     for it in range(1, depth + 1):
         if e_step == "amp":
-            ec = _amp_lines(op, obs, sigma2, mu, tau_x, s, gamma)
-            mu, tau_x, s = ec["mu1"], ec["tau1"], ec["s1"]
+            state.mu, state.tau_x, state.s, ec = amp_e_step(op, obs, sigma2, state)
         else:
-            mu, tau_x, ec = _exact_batch(op, obs, sigma2, gamma)
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(tau_x))):
-            raise TrainingDivergence(f"non-finite posterior at iteration {it}")
-        step_cache = {"e": ec, "it": it}
+            state.mu, state.tau_x, ec = exact_e_step(op, obs, sigma2, state)
+        state.iteration = it
+        step_cache = {"e_step": e_step, "e": ec, "it": it}
         if it < depth:
-            feats = batch_features(mu, tau_x, ga, gd, net.feature_mode)
-            gamma_img = vec_to_image(gamma, ga, gd)
+            feats = batch_features(state.mu, state.tau_x, ga, gd, net.feature_mode)
+            gamma_img = vec_to_image(state.gamma, ga, gd)
             out_img, sc = stage_forward(net.stages[it - 1], feats, gamma_img)
             gamma_raw = image_to_vec(out_img)
-            step_cache["mu"] = mu
+            step_cache["mu"] = state.mu
             step_cache["stage"] = sc
             step_cache["gamma_raw"] = gamma_raw
-            gamma = np.maximum(gamma_raw, gamma_floor)
+            state.gamma = np.maximum(gamma_raw, gamma_floor)
         caches.append(step_cache)
-    return mu, caches
+    return state.mu, caches
 
 
 def unroll_backward(op: MeasurementOperator, caches, g_x: np.ndarray,
@@ -362,7 +277,7 @@ def unroll_backward(op: MeasurementOperator, caches, g_x: np.ndarray,
         else:
             g_gamma_res = 0.0
         ec = cache["e"]
-        if "c" in ec:
+        if cache["e_step"] == "amp":
             gm0, gt0, gs0, gg = _amp_backward(op, ec, g_mu, g_tau, g_s, end_to_end)
         else:
             gg = _exact_backward(op, ec, g_mu, g_tau, end_to_end)
@@ -478,8 +393,8 @@ def train_layerwise(train_cfg: TrainConfig, sys_cfg: SystemConfig,
                 loss, g_x = _loss_and_grad(x_hat, train, idx, op.dicts,
                                            train_cfg.loss_domain)
                 if not np.isfinite(loss):
-                    raise TrainingDivergence(
-                        f"non-finite loss at depth {depth}, epoch {epoch}, batch {bi}")
+                    raise DivergenceError(
+                        f"non-finite loss at depth {depth}, epoch {epoch}, batch {bi}", iteration=depth)
                 grads = unroll_backward(op, caches, g_x, net,
                                         train_cfg.gamma_floor, train_cfg.end_to_end)
                 step += 1

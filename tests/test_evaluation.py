@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from squintsbl import evaluation
 from squintsbl.config import default_config, desk_config, noise_var_from_snr_db
 from squintsbl.evaluation import (
     NMSE_FLOOR_DB,
@@ -177,6 +178,26 @@ def test_score_algorithm_counts_divergence(desk_cfg, desk_op):
     assert np.isfinite(db) or fail == 1.0
 
 
+def test_score_algorithm_counts_posterior_failure(desk_cfg, desk_op, monkeypatch):
+    """A failed Cholesky fails its sample only; the others are still scored."""
+    from squintsbl import sbl
+
+    obs = draw_eval_observations(desk_op, 0, 3)
+    expected, _ = score_algorithm("sbl", desk_op, [obs[0], obs[2]], 2)
+    original, calls = sbl.cho_factor, []
+
+    def fail_third_call(a, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:  # two iterations per sample: sample 1, iteration 1
+            raise np.linalg.LinAlgError("not positive definite")
+        return original(a, **kwargs)
+
+    monkeypatch.setattr(sbl, "cho_factor", fail_third_call)
+    db, fail = score_algorithm("sbl", desk_op, obs, 2)
+    assert fail == pytest.approx(1 / 3)
+    assert db == expected
+
+
 def test_phase_rotation_invariance(desk_cfg, desk_op):
     """Rotating truth and measurement together leaves the error ratio alone."""
     obs = draw_eval_observations(desk_op, 0, 1)[0]
@@ -234,6 +255,20 @@ def test_run_sweep_validation(desk_cfg):
         run_sweep("snr", [10.0], ["sbl"], desk_cfg, 0)
     with pytest.raises(ValueError):
         run_sweep("snr", [10.0], ["sbl-unfolding"], desk_cfg, 2)  # needs a net
+
+
+def test_missing_net_rejected_before_assembly(desk_cfg, monkeypatch):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("operator assembled before the network check")
+
+    monkeypatch.setattr(evaluation, "standard_operator", no_assembly)
+    net = MStepNet.create(2, np.random.default_rng(0))
+    # a net for the first point only: the second point's gap is found up front
+    with pytest.raises(ValueError, match="no trained network"):
+        run_sweep("snr", [10.0, 20.0], ["sbl", "sbl-unfolding"], desk_cfg, 2,
+                  nets={("sbl-unfolding", 10.0): net})
+    with pytest.raises(ValueError, match="no trained network"):
+        run_tradeoff(["sbl", "amp-sbl-unfolding"], desk_cfg, 2)
 
 
 def test_sweep_csv_schema(desk_cfg, tmp_path):
@@ -306,10 +341,14 @@ def test_tradeoff_learned_uses_net_stages(desk_cfg, desk_op):
 
 
 def test_tradeoff_csv(desk_cfg, tmp_path):
-    rows = [TradeoffRow(algo="sbl", flops=100, nmse_db=-3.0, iterations=5)]
+    rows = [TradeoffRow(algo="sbl", flops=100, nmse_db=-3.0, iterations=5, fail_rate=0.25),
+            TradeoffRow(algo="lista-reference", flops=7, nmse_db=math.nan, iterations=1)]
     out = tmp_path / "t.csv"
     write_tradeoff_csv(rows, out, desk_cfg)
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("# config_hash=")
-    assert lines[1] == "algo,flops,nmse_db,iterations"
+    assert lines[1] == "algo,flops,nmse_db,iterations,fail_rate"
     assert lines[2].startswith("sbl,100,")
+    assert lines[2].endswith(",0.2500")
+    # a reference-only row carries neither an NMSE nor a failure rate
+    assert lines[3] == "lista-reference,7,,1,"

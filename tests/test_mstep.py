@@ -14,7 +14,6 @@ from squintsbl.mstep import (
     image_to_vec,
     init_stage,
     load_checkpoint,
-    mstep_backward,
     mstep_forward,
     save_checkpoint,
     stage_backward,

@@ -11,6 +11,7 @@ from squintsbl.sbl import (
     SblState,
     amp_e_step,
     classic_m_step,
+    exact_e_step,
     init_state,
     run_estimator,
     write_trace_csv,
@@ -51,7 +52,7 @@ def test_exact_e_step_matches_dense_oracle(rng):
         gamma = np.exp(rng.uniform(-3, 2, g))
         sigma2 = float(np.exp(rng.uniform(-4, 0)))
         op = operator_from_matrix(phi)
-        mu, tau = exact_e_step(op, y, sigma2, _state_with(gamma))
+        mu, tau, _ = exact_e_step(op, y, sigma2, _state_with(gamma))
         mu0, tau0 = exact_posterior_oracle(phi, y, sigma2, gamma)
         denom = np.linalg.norm(np.concatenate([mu0, tau0]))
         err = np.linalg.norm(np.concatenate([mu - mu0, tau - tau0])) / denom
@@ -78,7 +79,7 @@ def test_exact_e_step_prior_collapse(rng):
     gamma = np.ones(16)
     gamma[3] = 1e-14
     op = operator_from_matrix(phi)
-    mu, tau = exact_e_step(op, y, 0.1, _state_with(gamma))
+    mu, tau, _ = exact_e_step(op, y, 0.1, _state_with(gamma))
     assert abs(mu[3]) < 1e-12
     assert tau[3] < 1e-12
 
@@ -95,7 +96,7 @@ def test_exact_posterior_variance_bounded_by_prior(seed):
     y = r.standard_normal(m) + 1j * r.standard_normal(m)
     gamma = np.exp(r.uniform(-2, 2, g))
     op = operator_from_matrix(phi)
-    _, tau = exact_e_step(op, y, 0.3, _state_with(gamma))
+    _, tau, _ = exact_e_step(op, y, 0.3, _state_with(gamma))
     assert np.all(tau >= 0)
     assert np.all(tau <= gamma + 1e-12)
 
@@ -113,7 +114,7 @@ def test_amp_e_step_hand_instance():
         gamma=gamma.copy(),
         s=np.zeros(2, dtype=complex),
     )
-    mu, tau, s = amp_e_step(op, r, 1.0, state)
+    mu, tau, s, _ = amp_e_step(op, r, 1.0, state)
     assert np.allclose(mu, [(1 + 1j) / 4, 2 / 15, 1 / 7], rtol=1e-14, atol=0)
     assert np.allclose(tau, [3 / 4, 2 / 5, 3 / 14], rtol=1e-14, atol=0)
     assert np.allclose(s, [(1 + 1j) / 3, 1 / 3], rtol=1e-14, atol=0)
@@ -138,6 +139,76 @@ def test_amp_e_step_magnitude_guard(rng):
     r = crandn(rng, 4) * 1e-6
     with pytest.raises(DivergenceError):
         amp_e_step(op, r, 0.1, state)
+
+
+def test_amp_e_step_norm_guard_per_column(rng):
+    """One runaway column trips the guard although the batch norm stays small."""
+    phi = crandn(rng, 4, 6) / 2
+    op = operator_from_matrix(phi)
+    mu = np.zeros((6, 2), dtype=complex)
+    mu[:, 0] = crandn(rng, 6)  # a unit-size estimate against near-zero data
+    r = crandn(rng, 4, 2)
+    r[:, 0] *= 1e-9
+    state = SblState(iteration=2, mu=mu, tau_x=np.ones((6, 2)), gamma=np.ones((6, 2)),
+                     s=np.zeros((4, 2), dtype=complex))
+    with pytest.raises(DivergenceError, match=r"columns \[0\]") as exc:
+        amp_e_step(op, r, 0.1, state)
+    assert exc.value.iteration == 3
+    # the same column alone fails, the other alone passes
+    one = SblState(iteration=2, mu=mu[:, 1], tau_x=np.ones(6), gamma=np.ones(6),
+                   s=np.zeros(4, dtype=complex))
+    amp_e_step(op, r[:, 1], 0.1, one)
+    one.mu = mu[:, 0]
+    with pytest.raises(DivergenceError):
+        amp_e_step(op, r[:, 0], 0.1, one)
+
+
+def _batch_and_column_states(rng, g, m, b):
+    mu = crandn(rng, g, b)
+    tau = rng.uniform(0.1, 1.0, (g, b))
+    gamma = rng.uniform(0.5, 2.0, (g, b))
+    s = crandn(rng, m, b)
+    batch = SblState(iteration=0, mu=mu, tau_x=tau, gamma=gamma, s=s)
+    cols = [SblState(iteration=0, mu=mu[:, i].copy(), tau_x=tau[:, i].copy(),
+                     gamma=gamma[:, i].copy(), s=s[:, i].copy()) for i in range(b)]
+    return batch, cols
+
+
+def test_amp_e_step_batch_matches_columns(tiny_cfg, tiny_op, rng):
+    """Column i of a batched AMP step is the single-vector step on column i."""
+    g, m = tiny_cfg.grid_total, tiny_cfg.n_measurements
+    batch, cols = _batch_and_column_states(rng, g, m, 3)
+    r = crandn(rng, m, 3)
+    mu_b, tau_b, s_b, _ = amp_e_step(tiny_op, r, 0.1, batch)
+    for i, state in enumerate(cols):
+        mu, tau, s, _ = amp_e_step(tiny_op, r[:, i], 0.1, state)
+        assert np.allclose(mu_b[:, i], mu, atol=1e-13)
+        assert np.allclose(tau_b[:, i], tau, atol=1e-13)
+        assert np.allclose(s_b[:, i], s, atol=1e-13)
+
+
+def test_exact_e_step_batch_matches_columns(tiny_cfg, tiny_op, rng):
+    """Column i of a batched exact step is the single-vector step on column i."""
+    g, m = tiny_cfg.grid_total, tiny_cfg.n_measurements
+    batch, cols = _batch_and_column_states(rng, g, m, 3)
+    y = crandn(rng, m, 3)
+    mu_b, tau_b, _ = exact_e_step(tiny_op, y, 0.1, batch)
+    for i, state in enumerate(cols):
+        mu, tau, _ = exact_e_step(tiny_op, y[:, i], 0.1, state)
+        assert np.allclose(mu_b[:, i], mu, atol=1e-10)
+        assert np.allclose(tau_b[:, i], tau, atol=1e-10)
+
+
+def test_exact_e_step_cholesky_failure_is_divergence(rng):
+    """A singular S (no noise, almost no prior mass) fails as a divergence."""
+    phi = crandn(rng, 8, 16) / np.sqrt(8)
+    gamma = np.zeros(16)
+    gamma[:2] = 1.0  # rank 2 < 8 with sigma2 = 0
+    state = _state_with(gamma)
+    state.iteration = 4
+    with pytest.raises(DivergenceError, match="posterior solve failed") as exc:
+        exact_e_step(operator_from_matrix(phi), crandn(rng, 8), 0.0, state)
+    assert exc.value.iteration == 5
 
 
 def test_classic_m_step(rng):

@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from squintsbl.mstep import MStepNet, StageGrads
-from squintsbl.sbl import EstimatorSpec, SblState, amp_e_step, exact_e_step, run_estimator
+from squintsbl.sbl import DivergenceError, EstimatorSpec, run_estimator
 from squintsbl.training import (
     TrainConfig,
     TrainingDivergence,
-    _amp_lines,
     _batch_obs,
-    _exact_batch,
     _loss_and_grad,
     _prepare_split,
     generate_splits,
@@ -36,39 +34,7 @@ def test_train_config_validation():
             TrainConfig(**bad)
 
 
-# ---- consistency locks: batched training path vs reference estimators -------
-
-def test_amp_lines_match_estimator_step(tiny_cfg, tiny_op, rng):
-    """The training-graph AMP lines reproduce the inference E-step exactly."""
-    g, m = tiny_cfg.grid_total, tiny_cfg.n_measurements
-    mu = crandn(rng, g)
-    tau = rng.uniform(0.1, 1.0, g)
-    gamma = rng.uniform(0.5, 2.0, g)
-    s = crandn(rng, m)
-    r = crandn(rng, m)
-    state = SblState(iteration=0, mu=mu.copy(), tau_x=tau.copy(),
-                     gamma=gamma.copy(), s=s.copy())
-    mu1, tau1, s1 = amp_e_step(tiny_op, r, 0.1, state)
-    cache = _amp_lines(tiny_op, r[:, None], 0.1, mu[:, None], tau[:, None],
-                       s[:, None], gamma[:, None])
-    assert np.allclose(cache["mu1"][:, 0], mu1, atol=1e-13)
-    assert np.allclose(cache["tau1"][:, 0], tau1, atol=1e-13)
-    assert np.allclose(cache["s1"][:, 0], s1, atol=1e-13)
-
-
-def test_exact_batch_matches_estimator_step(tiny_cfg, tiny_op, rng):
-    g, m = tiny_cfg.grid_total, tiny_cfg.n_measurements
-    y = crandn(rng, m, 3)
-    gamma = rng.uniform(0.2, 2.0, (g, 3))
-    mu_b, tau_b, _ = _exact_batch(tiny_op, y, 0.1, gamma)
-    for i in range(3):
-        state = SblState(iteration=0, mu=np.zeros(g, dtype=complex),
-                         tau_x=gamma[:, i].copy(), gamma=gamma[:, i].copy(),
-                         s=np.zeros(m, dtype=complex))
-        mu, tau = exact_e_step(tiny_op, y[:, i], 0.1, state)
-        assert np.allclose(mu_b[:, i], mu, atol=1e-10)
-        assert np.allclose(tau_b[:, i], tau, atol=1e-10)
-
+# ---- consistency lock: batched training path vs the inference estimator ----
 
 def test_unroll_matches_run_estimator(tiny_cfg, tiny_op, rng):
     """Training forward and inference path agree through a learned M-step."""
@@ -80,6 +46,18 @@ def test_unroll_matches_run_estimator(tiny_cfg, tiny_op, rng):
         spec = EstimatorSpec(e_step=e_step, m_step="learned", n_iterations=3, net=net)
         x_run, _ = run_estimator(spec, tiny_op, y, 0.1)
         assert np.allclose(x_unroll[:, 0], x_run, atol=1e-12), e_step
+
+
+def test_unroll_divergence_is_one_type(tiny_cfg, tiny_op, rng):
+    """Training fails with the inference error type, carrying the iteration."""
+    assert TrainingDivergence is DivergenceError
+    net = MStepNet.create(1, np.random.default_rng(0))
+    net.stages[0].w2[:] = 0.0
+    net.stages[0].b2[:] = -1e9  # the refiner zeroes every variance
+    obs = crandn(rng, tiny_cfg.n_measurements, 2)
+    with pytest.raises(TrainingDivergence, match="posterior solve failed") as exc:
+        unroll_forward(tiny_op, obs, 0.0, net, 2, "exact")
+    assert exc.value.iteration == 2
 
 
 def test_unroll_depth_needs_stages(tiny_cfg, tiny_op, rng):
