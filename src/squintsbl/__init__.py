@@ -14,7 +14,6 @@ from .channel import (
     Dataset,
     PathSet,
     build_channel,
-    channel_matrix_form,
     draw_paths,
     generate_dataset,
     load_dataset,
@@ -35,12 +34,9 @@ from .measurement import (
     PilotCombiner,
     assemble_operator,
     draw_combiner,
-    load_operator,
     observe_and_transform,
     operator_from_matrix,
-    save_operator,
     simulate_observation,
-    unitary_transform,
 )
 from .sbl import (
     DivergenceError,

@@ -6,11 +6,8 @@ the array response at tone frequency f uses the squinted argument
 (f / f_c) * sin(theta), so the spatial signature drifts across the
 band instead of staying fixed at the carrier value.
 
-Two independent constructions of the same channel are provided:
-``build_channel`` assembles each subcarrier column directly, and
-``channel_matrix_form`` assembles the full N x K matrix from an outer
-product per path with an explicit squint phase correction.  They agree
-to floating-point accuracy and cross-check each other.
+``build_channel`` assembles each subcarrier column directly; the tests
+cross-check it against an independent outer-product-per-path form.
 """
 
 from __future__ import annotations
@@ -113,30 +110,6 @@ def build_channel(cfg: SystemConfig, paths: PathSet) -> np.ndarray:
     return scale * np.einsum("pk,npk->nk", coeff, responses, optimize=True)
 
 
-def channel_matrix_form(cfg: SystemConfig, paths: PathSet) -> np.ndarray:
-    """Same channel as one outer product per path plus a squint phase mask.
-
-    H = sqrt(N / (N_c N_p)) * sum_p eq_gain_p
-        (a_N(sin theta_p) c_K(2 eta tau_p)^T) * squint(theta_p)
-
-    where c_K(z)_m = e^{-j pi m z} is the plain delay phase ramp (no
-    1/K scaling; the per-tone construction fixes the normalization) and
-    squint(theta)_{n,k} = e^{-j pi n sin(theta) (k - (K-1)/2) eta / f_c}.
-    """
-    n, k = cfg.n_antennas, cfg.n_subcarriers
-    eta = cfg.subcarrier_spacing
-    sin_t = np.sin(paths.angle)
-    ant = np.arange(n)[:, None]                                  # (N, 1)
-    tone = np.arange(k)[None, :] - (k - 1) / 2                   # (1, K)
-    h = np.zeros((n, k), dtype=complex)
-    for p in range(cfg.n_paths):
-        spatial = steering_vector(n, sin_t[p])                   # (N,)
-        delay_ramp = np.exp(-1j * np.pi * np.arange(k) * 2.0 * eta * paths.delay[p])
-        squint = np.exp(-1j * np.pi * ant * sin_t[p] * tone * eta / cfg.center_freq)
-        h += paths.eq_gain[p] * np.outer(spatial, delay_ramp) * squint
-    return np.sqrt(n / cfg.n_paths) * h
-
-
 @dataclass
 class ChannelRealization:
     paths: PathSet
@@ -153,10 +126,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.realizations)
-
-    def channels(self) -> np.ndarray:
-        """All H matrices stacked as (n_samples, N, K)."""
-        return np.stack([r.h for r in self.realizations])
 
 
 def generate_dataset(cfg: SystemConfig, n_samples: int, split: str = "train") -> Dataset:
@@ -230,18 +199,3 @@ def load_dataset(path, expect_config: SystemConfig | None = None) -> Dataset:
         realizations.append(ChannelRealization(paths=paths, h=arrays["h"][i]))
     return Dataset(split=meta["split"], realizations=realizations, config=cfg)
 
-
-def export_dataset_csv(ds: Dataset, path, max_samples: int | None = None) -> None:
-    """Flat CSV of H entries (sample, row, tone, re, im) for eyeballing."""
-    import csv
-
-    n = len(ds) if max_samples is None else min(len(ds), max_samples)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# config_hash={ds.config.config_hash()} seed={ds.config.rng_seed} split={ds.split}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["sample", "antenna", "tone", "re", "im"])
-        for i in range(n):
-            h = ds.realizations[i].h
-            for a in range(h.shape[0]):
-                for k in range(h.shape[1]):
-                    writer.writerow([i, a, k, repr(float(h[a, k].real)), repr(float(h[a, k].imag))])

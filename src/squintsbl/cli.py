@@ -13,6 +13,7 @@ outcome), 3 file errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -90,7 +91,7 @@ def _build_config(args):
             raise _UsageError(f"config file {args.config}: {exc}") from exc
         if not isinstance(file_vals, dict):
             raise _UsageError(f"config file {args.config} must hold a JSON object")
-        known = {f.name for f in __import__("dataclasses").fields(SystemConfig)}
+        known = {f.name for f in dataclasses.fields(SystemConfig)}
         unknown = set(file_vals) - known
         if unknown:
             raise _UsageError(f"unknown config keys in {args.config}: {sorted(unknown)}")
@@ -340,7 +341,12 @@ def _cmd_selftest(args) -> int:
 
 
 def build_parser() -> _Parser:
+    from .evaluation import SWEEP_AXES
+    from .mstep import FEATURE_MODES
     from .sbl import E_STEPS
+    from .training import LOSS_DOMAINS, TrainConfig
+
+    train_defaults = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
 
     parser = _Parser(prog="squintsbl",
                      description="Wideband hybrid-array channel estimation toolkit")
@@ -356,16 +362,16 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True, metavar="DIR", help="directory from gen-data")
     p.add_argument("--out", default="run", metavar="DIR", help="output directory")
     p.add_argument("--depth", type=int, required=True, help="unrolled iteration count (>= 2)")
-    p.add_argument("--e-step", choices=E_STEPS, default="amp")
-    p.add_argument("--batch-size", type=int, default=128)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--lr-decay", type=float, default=10.0)
-    p.add_argument("--lr-patience", type=int, default=4)
-    p.add_argument("--stop-patience", type=int, default=10)
-    p.add_argument("--max-epochs", type=int, default=200)
-    p.add_argument("--loss-domain", choices=("channel", "coeff"), default="channel")
-    p.add_argument("--feature-mode", choices=("abs2", "abs"), default="abs2")
-    p.add_argument("--gamma-floor", type=float, default=1e-12)
+    p.add_argument("--e-step", choices=E_STEPS, default=train_defaults["e_step"])
+    p.add_argument("--batch-size", type=int, default=train_defaults["batch_size"])
+    p.add_argument("--learning-rate", type=float, default=train_defaults["learning_rate"])
+    p.add_argument("--lr-decay", type=float, default=train_defaults["lr_decay"])
+    p.add_argument("--lr-patience", type=int, default=train_defaults["lr_patience"])
+    p.add_argument("--stop-patience", type=int, default=train_defaults["stop_patience"])
+    p.add_argument("--max-epochs", type=int, default=train_defaults["max_epochs"])
+    p.add_argument("--loss-domain", choices=LOSS_DOMAINS, default=train_defaults["loss_domain"])
+    p.add_argument("--feature-mode", choices=FEATURE_MODES, default=train_defaults["feature_mode"])
+    p.add_argument("--gamma-floor", type=float, default=train_defaults["gamma_floor"])
     p.add_argument("--truncated", action="store_true",
                    help="train with per-iteration gradients only (no state backpropagation)")
     p.add_argument("--resume", metavar="CKPT", help="existing checkpoint to append stages to")
@@ -385,7 +391,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="score estimators along an SNR or pilot-use axis")
     _add_config_flags(p)
-    p.add_argument("--axis", choices=("snr", "q"), required=True)
+    p.add_argument("--axis", choices=SWEEP_AXES, required=True)
     p.add_argument("--points", required=True, metavar="SPEC", help="comma list or start:stop:step")
     p.add_argument("--algos", metavar="LIST", help="comma list (default: sbl,amp-sbl plus any --net)")
     p.add_argument("--n-samples", type=int, default=50)

@@ -1,4 +1,4 @@
-"""Self-describing binary container for datasets, operators, and checkpoints.
+"""Self-describing binary container for datasets and checkpoints.
 
 Layout (little endian throughout):
 

@@ -73,11 +73,6 @@ def coeff_matrix(dicts: DictionarySet, x: np.ndarray) -> np.ndarray:
     return np.reshape(x, (dicts.config.grid_angular, dicts.config.grid_delay), order="F")
 
 
-def coeff_vector(x_mat: np.ndarray) -> np.ndarray:
-    """Stack a (G_A, G_D) image column by column."""
-    return np.reshape(x_mat, -1, order="F")
-
-
 def reconstruct_channel(dicts: DictionarySet, x: np.ndarray) -> np.ndarray:
     """Synthesize H (N x K) from angular-delay coefficients.
 

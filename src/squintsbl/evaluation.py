@@ -238,14 +238,10 @@ def _net_for(nets: Mapping, algo: str, value):
     raise ValueError(f"no trained network supplied for {algo!r} at point {value!r}")
 
 
-def _iteration_count(algo: str, cfg: SystemConfig, net, overrides) -> int:
+def _iteration_count(cfg: SystemConfig, net, n_iterations: int | None) -> int:
     if net is not None:
         return net.n_stages + 1
-    if isinstance(overrides, int):
-        return overrides
-    if overrides and algo in overrides:
-        return int(overrides[algo])
-    return cfg.n_iterations
+    return cfg.n_iterations if n_iterations is None else n_iterations
 
 
 def score_algorithm(
@@ -329,7 +325,7 @@ def run_sweep(
     cfg: SystemConfig,
     n_samples: int,
     nets: Mapping | None = None,
-    n_iterations=None,
+    n_iterations: int | None = None,
     n_workers: int = 1,
     progress: Callable[[SweepRow], None] | None = None,
 ) -> SweepResult:
@@ -343,7 +339,7 @@ def run_sweep(
 
     ``nets`` maps a learned algorithm name, or an ``(algo, value)``
     pair for per-point networks, to trained weights.  ``n_iterations``
-    is an int for all classic algorithms or a per-algorithm mapping;
+    is the depth of every classic algorithm (None: ``cfg.n_iterations``);
     learned depths always come from the network's stage count.
 
     Raises ``ValueError``, before any operator is assembled, for an
@@ -371,7 +367,7 @@ def run_sweep(
         observations = draw_eval_observations(op, pi, n_samples)
         for algo in algos:
             net = point_nets[pi][algo]
-            n_iter = _iteration_count(algo, cfg_point, net, n_iterations)
+            n_iter = _iteration_count(cfg_point, net, n_iterations)
             nmse_db, fail_rate = score_algorithm(algo, op, observations, n_iter, net, n_workers)
             row = SweepRow(
                 axis=axis,
@@ -405,7 +401,7 @@ def run_tradeoff(
     cfg: SystemConfig,
     n_samples: int,
     nets: Mapping | None = None,
-    n_iterations=None,
+    n_iterations: int | None = None,
     n_workers: int = 1,
 ) -> list[TradeoffRow]:
     """Total-cost versus accuracy points at the configured operating point.
@@ -435,7 +431,7 @@ def run_tradeoff(
     for algo in algos:
         if algo in SWEEP_ALGOS:
             net = algo_nets[algo]
-            n_iter = _iteration_count(algo, cfg, net, n_iterations)
+            n_iter = _iteration_count(cfg, net, n_iterations)
             nmse_db, fail_rate = score_algorithm(algo, op, observations, n_iter, net, n_workers)
             rows.append(TradeoffRow(algo, _total_flops(algo, cfg, n_iter), nmse_db, n_iter, fail_rate))
         else:

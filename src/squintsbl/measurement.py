@@ -10,7 +10,8 @@ The whitened sensing operator maps angular-delay coefficients to the
 stacked measurement vector.  Its row block for tone k is
 kron(delay_dict[k, :], W_bar @ angular_dicts[k]), which matches the
 column-stacked coefficient ordering.  A one-time SVD gives the rotated
-system (r, A) = (U^H y, U^H Phi) used by the message-passing posterior.
+matrix A = U^H Phi for the message-passing posterior, which rotates its
+own measurements r = U^H y.  Operators are rebuilt from the config.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from scipy.linalg import solve_triangular
 
 from .channel import ChannelRealization
 from .config import SystemConfig
-from .data_io import load_container, save_container
-from .dictionaries import DictionarySet, build_dictionaries
+from .dictionaries import DictionarySet
 
 
 @dataclass
@@ -46,17 +46,21 @@ class PilotCombiner:
         return self.w[q * n_rf : (q + 1) * n_rf]
 
 
-def draw_combiner(cfg: SystemConfig, rng: np.random.Generator, max_retries: int = 100) -> PilotCombiner:
+# Redraws allowed per pilot use before a combiner draw is a hard error.
+_MAX_REDRAWS = 100
+
+
+def draw_combiner(cfg: SystemConfig, rng: np.random.Generator) -> PilotCombiner:
     """Draw Q sign combiners and their whitening factor.
 
     A use whose Gram W_q W_q^H fails Cholesky (possible when rows
     coincide up to sign, certain when n_rf > N) is redrawn up to
-    ``max_retries`` times before a hard error.
+    ``_MAX_REDRAWS`` times before a hard error.
     """
     n, n_rf, q_uses = cfg.n_antennas, cfg.n_rf, cfg.n_uses
     blocks_w, blocks_d = [], []
     for _ in range(q_uses):
-        for attempt in range(max_retries + 1):
+        for _ in range(_MAX_REDRAWS + 1):
             w_q = (2.0 * rng.integers(0, 2, (n_rf, n)) - 1.0) / np.sqrt(n)
             gram = w_q @ w_q.T
             try:
@@ -69,7 +73,7 @@ def draw_combiner(cfg: SystemConfig, rng: np.random.Generator, max_retries: int 
             break
         else:
             raise np.linalg.LinAlgError(
-                f"combiner redraw failed {max_retries} times; n_rf={n_rf} may exceed n_antennas={n}"
+                f"combiner redraw failed {_MAX_REDRAWS} times; n_rf={n_rf} may exceed n_antennas={n}"
             )
         blocks_w.append(w_q)
         blocks_d.append(d_q)
@@ -103,7 +107,7 @@ class MeasurementOperator:
 
 
 def operator_from_matrix(phi: np.ndarray, rotate: bool = False) -> MeasurementOperator:
-    """Wrap a dense matrix as an operator; handy for small studies.
+    """Wrap a dense matrix as an operator; :func:`assemble_operator` builds on it.
 
     With ``rotate`` false the rotated system is the matrix itself
     (u = I); with true the usual SVD rotation is applied.
@@ -129,25 +133,9 @@ def assemble_operator(cfg: SystemConfig, comb: PilotCombiner, dicts: DictionaryS
         np.kron(dicts.delay_dict[k, :], comb.w_bar @ dicts.angular_dicts[k])
         for k in range(cfg.n_subcarriers)
     ]
-    phi = np.vstack(blocks)
-    u, _, _ = np.linalg.svd(phi, full_matrices=False)
-    a = u.conj().T @ phi
-    abs2 = np.abs(a) ** 2
-    return MeasurementOperator(
-        phi=phi,
-        u=u,
-        a=a,
-        abs2_a=abs2,
-        abs2_a_t=np.ascontiguousarray(abs2.T),
-        config=cfg,
-        combiner=comb,
-        dicts=dicts,
-    )
-
-
-def unitary_transform(op: MeasurementOperator, y: np.ndarray):
-    """Rotate measurements into the SVD basis: returns (r, A)."""
-    return op.u.conj().T @ y, op.a
+    op = operator_from_matrix(np.vstack(blocks), rotate=True)
+    op.config, op.combiner, op.dicts = cfg, comb, dicts
+    return op
 
 
 @dataclass
@@ -155,16 +143,12 @@ class Observation:
     """One simulated measurement of one channel."""
 
     y: np.ndarray                 # whitened stacked measurements, (M,)
-    y_per_tone: np.ndarray        # same data as (Q*n_rf, K)
     h: np.ndarray                 # the underlying channel (N, K)
-    r: np.ndarray | None = None   # rotated measurements, filled on demand
-    x: np.ndarray | None = None   # true coefficients when meaningful (on-grid setups)
 
 
 def simulate_observation(
     cfg: SystemConfig,
     comb: PilotCombiner,
-    dicts: DictionarySet,
     chan: ChannelRealization,
     rng: np.random.Generator,
 ) -> Observation:
@@ -174,60 +158,17 @@ def simulate_observation(
     the combined vector per tone is whitened by the block factor so its
     covariance is sigma^2 I exactly.
     """
-    n, n_rf, q_uses, k = cfg.n_antennas, cfg.n_rf, cfg.n_uses, cfg.n_subcarriers
+    n, q_uses, k = cfg.n_antennas, cfg.n_uses, cfg.n_subcarriers
     h = np.asarray(chan.h, dtype=complex)
     sigma = np.sqrt(cfg.noise_var / 2.0)
     noise = sigma * (rng.standard_normal((q_uses, n, k)) + 1j * rng.standard_normal((q_uses, n, k)))
     rows = [comb.block(q) @ (h + noise[q]) for q in range(q_uses)]
     y_tone = solve_triangular(comb.d, np.vstack(rows), lower=True)   # (Q*n_rf, K)
-    return Observation(y=y_tone.ravel(order="F"), y_per_tone=y_tone, h=h)
+    return Observation(y=y_tone.ravel(order="F"), h=h)
 
 
 def observe_and_transform(
     op: MeasurementOperator, chan: ChannelRealization, rng: np.random.Generator
 ) -> Observation:
-    """Convenience wrapper: simulate against an assembled operator and rotate."""
-    obs = simulate_observation(op.config, op.combiner, op.dicts, chan, rng)
-    obs.r, _ = unitary_transform(op, obs.y)
-    return obs
-
-
-# ---- persistence ------------------------------------------------------------
-
-_OPERATOR_KIND = "measurement-operator"
-
-
-def save_operator(op: MeasurementOperator, path) -> None:
-    if op.config is None or op.combiner is None or op.dicts is None:
-        raise ValueError("only fully assembled operators can be saved")
-    meta = {
-        "config": op.config.to_dict(),
-        "config_hash": op.config.config_hash(),
-        "mode": op.dicts.mode,
-    }
-    arrays = {"phi": op.phi, "u": op.u, "a": op.a, "w": op.combiner.w, "d": op.combiner.d}
-    save_container(path, _OPERATOR_KIND, meta, arrays)
-
-
-def load_operator(path, expect_config: SystemConfig | None = None) -> MeasurementOperator:
-    _, meta, arrays = load_container(path, expect_kind=_OPERATOR_KIND)
-    cfg = SystemConfig.from_dict(meta["config"])
-    if expect_config is not None and cfg != expect_config:
-        raise ValueError("operator config does not match expected config")
-    comb = PilotCombiner(
-        w=arrays["w"],
-        d=arrays["d"],
-        w_bar=solve_triangular(arrays["d"], arrays["w"], lower=True),
-        n_uses=cfg.n_uses,
-    )
-    abs2 = np.abs(arrays["a"]) ** 2
-    return MeasurementOperator(
-        phi=arrays["phi"],
-        u=arrays["u"],
-        a=arrays["a"],
-        abs2_a=abs2,
-        abs2_a_t=np.ascontiguousarray(abs2.T),
-        config=cfg,
-        combiner=comb,
-        dicts=build_dictionaries(cfg, meta["mode"]),
-    )
+    """Simulate one observation against an assembled operator's config and combiner."""
+    return simulate_observation(op.config, op.combiner, chan, rng)

@@ -24,13 +24,13 @@ through :class:`EstimatorSpec`; see the companion network module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .config import SystemConfig
-from .measurement import MeasurementOperator, unitary_transform
+from .measurement import MeasurementOperator
 
 E_STEPS = ("exact", "amp")
 M_STEPS = ("classic", "learned")
@@ -171,7 +171,8 @@ def amp_e_step(op: MeasurementOperator, r: np.ndarray, sigma2: float, state: Sbl
         tau_s = 1.0 / (tau_p + sigma2)
         s_new = tau_s * (r - p)
         tau_q = 1.0 / (abs2_a_t @ tau_s)
-        v = a.conj().T @ s_new
+        # A^H s' as conj(A^T conj(s')): a.conj() would copy all of A per call
+        v = (a.T @ s_new.conj()).conj()
         q = mu + tau_q * v
         denom = 1.0 + tau_q * gamma
         mu_new = q / denom
@@ -205,7 +206,7 @@ def _amp_backward(op: MeasurementOperator, cache, g_mu1, g_tau1, g_s1, end_to_en
     g_tau_s += np.real(np.conj(g_s1_tot) * (cache["r"] - cache["p"]))
     g_p = -cache["tau_s"] * g_s1_tot
     g_tau_p = -g_tau_s * cache["tau_s"] ** 2
-    g_mu0 += a.conj().T @ g_p
+    g_mu0 += (a.T @ g_p.conj()).conj()  # A^H g_p without copying A, as in the forward
     g_tau_p -= np.real(np.conj(g_p) * cache["s0"])
     g_s0 = -cache["tau_p"] * g_p
     g_tau0 = op.abs2_a_t @ g_tau_p
@@ -271,7 +272,7 @@ def run_estimator(
     if cfg is None:
         raise ValueError("run_estimator needs an operator assembled from a config")
     state = init_state(cfg)
-    r = unitary_transform(op, y)[0] if spec.e_step == "amp" else None
+    r = op.u.conj().T @ y if spec.e_step == "amp" else None
     trace: list[dict] = []
     for it in range(1, spec.n_iterations + 1):
         try:

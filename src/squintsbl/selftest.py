@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from .channel import ChannelRealization, build_channel, draw_paths, steering_vector
+from .channel import build_channel, draw_paths
 from .config import default_config, desk_config, spawn_rng
 from .dictionaries import (
     FREQUENCY_DEPENDENT,
@@ -25,7 +25,7 @@ from .dictionaries import (
     sparsity_score,
 )
 from .evaluation import flops_per_iteration, reconstruction_flops, standard_operator
-from .measurement import draw_combiner, operator_from_matrix, simulate_observation
+from .measurement import draw_combiner, operator_from_matrix
 from .mstep import _PARAM_NAMES, init_stage, stage_backward, stage_forward
 from .sbl import SblState, _amp_backward, amp_e_step, exact_e_step
 

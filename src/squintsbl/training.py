@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import Dataset, generate_dataset
-from .config import SystemConfig, spawn_rng
+from .config import SPLIT_IDS, SystemConfig, spawn_rng
 from .dictionaries import DictionarySet, ridge_project
 from .measurement import MeasurementOperator
 from .mstep import (
@@ -156,7 +156,7 @@ def _prepare_split(ds: Dataset, op: MeasurementOperator, fixed_noise: bool,
     noise = None
     if fixed_noise:
         # one draw per sample, reused every evaluation (paired comparisons)
-        split_id = {"train": 0, "val": 1, "test": 2}[ds.split]
+        split_id = SPLIT_IDS[ds.split]
         cols = []
         for i in range(h.shape[-1]):
             rng = spawn_rng(cfg.rng_seed, "eval-noise", split_id, i)

@@ -9,7 +9,6 @@ from squintsbl.dictionaries import (
     FREQUENCY_INDEPENDENT,
     build_dictionaries,
     coeff_matrix,
-    coeff_vector,
     grid_points,
     reconstruct_channel,
     ridge_project,
@@ -72,7 +71,7 @@ def test_coeff_matrix_vector_roundtrip(rng):
     x = crandn(rng, cfg.grid_total)
     m = coeff_matrix(d, x)
     assert m.shape == (cfg.grid_angular, cfg.grid_delay)
-    assert np.array_equal(coeff_vector(m), x)
+    assert np.array_equal(m.ravel(order="F"), x)
     # column-major layout: vector index i maps to (i % GA, i // GA)
     i = 3 + 2 * cfg.grid_angular
     assert m[3, 2] == x[i]
