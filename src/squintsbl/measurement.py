@@ -1,4 +1,4 @@
-"""Pilot combining, noise whitening, and the stacked sensing operator.
+"""Pilot combining, noise whitening, and the per-tone sensing operator.
 
 Each of Q pilot uses applies a random one-bit analog combiner W_q
 (n_rf x N, entries +-1/sqrt(N)) to every tone.  Combined noise has
@@ -6,12 +6,22 @@ per-use covariance sigma^2 W_q W_q^H, so measurements are pre-whitened
 with the block Cholesky factor D: after scaling by D^{-1} the noise is
 white again and every estimator can assume sigma^2 I.
 
-The whitened sensing operator maps angular-delay coefficients to the
+The whitened sensing operator Phi maps angular-delay coefficients to the
 stacked measurement vector.  Its row block for tone k is
-kron(delay_dict[k, :], W_bar @ angular_dicts[k]), which matches the
-column-stacked coefficient ordering.  A one-time SVD gives the rotated
-matrix A = U^H Phi for the message-passing posterior, which rotates its
-own measurements r = U^H y.  Operators are rebuilt from the config.
+kron(d_k, C_k), with d_k = delay_dict[k, :] and C_k = W_bar Psi_k, which
+matches the column-stacked coefficient ordering.  The message-passing
+posterior runs on the rotated system r = U^H y, A = U^H Phi, where U
+holds Phi's left singular vectors.  Row d_k samples a complex
+exponential of frequency k at G_D delays spaced evenly over one period,
+so d_k and d_k' are orthogonal unless G_D divides k - k'.  With
+G_D >= K every pair of tones is orthogonal, and Phi Phi^H is
+block-diagonal with blocks ||d_k||^2 C_k C_k^H.  Up to the order of its
+singular values, Phi's SVD therefore splits into K small SVDs C_k = U_k S_k V_k^H, U = blkdiag(U_k), and A keeps the
+per-tone form kron(d_k, U_k^H C_k).  The operator stores only those
+factors and applies A, A^H, |A|^2 and their transposes as one delay GEMM
+plus one batched per-tone product.  The dense Phi is kept for the exact
+posterior.  A layout with G_D < K is rejected.  Operators are rebuilt
+from the config.
 """
 
 from __future__ import annotations
@@ -87,53 +97,112 @@ def draw_combiner(cfg: SystemConfig, rng: np.random.Generator) -> PilotCombiner:
 
 @dataclass
 class MeasurementOperator:
-    """Whitened sensing matrix and its rotated form.
+    """Whitened sensing matrix and the factors of its per-tone rotation.
 
-    ``phi`` is (M, G) with M = K*Q*n_rf and G = G_A*G_D.  ``u`` holds the
-    left singular vectors (M x M); ``a = u^H phi`` is the rotated matrix
-    whose elementwise squared magnitudes are cached for the
-    message-passing recursion (``abs2_a_t`` is the transpose, stored
-    contiguous for fast products).
+    ``phi`` is (M, G) with M = K*m, m = Q*n_rf, and G = G_A*G_D; its
+    tone-k row block is kron(delay[k], C_k).  The rotation is
+    U = blkdiag(u[0], ..., u[K-1]) with each ``u[k]`` an m x m unitary,
+    and the rotated matrix A = U^H Phi has tone-k row block
+    kron(delay[k], a[k]) with a[k] = u[k]^H C_k.  Nothing of size M x M
+    or M x G besides ``phi`` is stored: :meth:`rotate`, :meth:`forward`,
+    :meth:`adjoint`, :meth:`forward_abs2` and :meth:`adjoint_abs2` apply
+    U^H, A, A^H, |A|^2 and (|A|^2)^T from the factors.  Each takes one
+    vector or a (., B) batch.  A dense matrix is the case K = 1 with one
+    delay bin, delay = [[1]].
     """
 
-    phi: np.ndarray
-    u: np.ndarray
-    a: np.ndarray
-    abs2_a: np.ndarray
-    abs2_a_t: np.ndarray
+    phi: np.ndarray          # (M, G) dense sensing matrix, read by the exact E-step
+    u: np.ndarray            # (K, m, m) per-tone left singular vectors
+    a: np.ndarray            # (K, m, G_A) rotated tone blocks u[k]^H C_k
+    a_h: np.ndarray          # (K, G_A, m) their conjugate transposes
+    abs2_a: np.ndarray       # (K, m, G_A) |a|^2
+    delay: np.ndarray        # (K, G_D) delay dictionary rows d_k
+    abs2_delay: np.ndarray   # (K, G_D) |d_k|^2
     config: SystemConfig | None = None
     combiner: PilotCombiner | None = None
     dicts: DictionarySet | None = None
 
+    def rotate(self, y: np.ndarray) -> np.ndarray:
+        """U^H y: whitened measurements into the rotated basis."""
+        k, m = self.u.shape[:2]
+        r = np.swapaxes(self.u, 1, 2).conj() @ y.reshape(k, m, -1)
+        return r.reshape(y.shape)
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """A x: coefficients (G, .) to rotated measurements (M, .)."""
+        return _synthesize(self.delay, self.a, x)
+
+    def adjoint(self, s: np.ndarray) -> np.ndarray:
+        """A^H s: rotated measurements (M, .) to coefficients (G, .)."""
+        return _analyze(self.delay.conj(), self.a_h, s)
+
+    def forward_abs2(self, t: np.ndarray) -> np.ndarray:
+        """|A|^2 t, elementwise squared magnitudes of A applied to t."""
+        return _synthesize(self.abs2_delay, self.abs2_a, t)
+
+    def adjoint_abs2(self, t: np.ndarray) -> np.ndarray:
+        """(|A|^2)^T t."""
+        return _analyze(self.abs2_delay, np.swapaxes(self.abs2_a, 1, 2), t)
+
+
+def _synthesize(delay: np.ndarray, blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Apply the rows kron(delay[k], blocks[k]), k = 0..K-1, to x (G,) or (G, B)."""
+    k, n_delay = delay.shape
+    t = delay @ x.reshape(n_delay, -1)                       # (K, G_A * B)
+    out = blocks @ t.reshape(k, blocks.shape[2], -1)         # (K, m, B)
+    return out.reshape((-1,) + x.shape[1:])
+
+
+def _analyze(delay: np.ndarray, blocks_t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Transpose of :func:`_synthesize`, given blocks_t[k] = blocks[k]^T."""
+    k = delay.shape[0]
+    z = blocks_t @ s.reshape(k, blocks_t.shape[2], -1)       # (K, G_A, B)
+    out = delay.T @ z.reshape(k, -1)                         # (G_D, G_A * B)
+    return out.reshape((-1,) + s.shape[1:])
+
+
+def _tone_operator(phi: np.ndarray, blocks: np.ndarray, delay: np.ndarray, u: np.ndarray) -> MeasurementOperator:
+    """Operator whose tone-k rows are kron(delay[k], blocks[k]), rotated tone by tone by u[k]."""
+    a = np.swapaxes(u, 1, 2).conj() @ blocks
+    return MeasurementOperator(
+        phi=phi, u=u, a=a,
+        a_h=np.ascontiguousarray(np.swapaxes(a, 1, 2).conj()),
+        abs2_a=np.abs(a) ** 2,
+        delay=delay,
+        abs2_delay=np.abs(delay) ** 2,
+    )
+
 
 def operator_from_matrix(phi: np.ndarray, rotate: bool = False) -> MeasurementOperator:
-    """Wrap a dense matrix as an operator; :func:`assemble_operator` builds on it.
+    """Wrap a dense matrix as an operator with one tone and one delay bin.
 
-    With ``rotate`` false the rotated system is the matrix itself
-    (u = I); with true the usual SVD rotation is applied.
+    With ``rotate`` false the rotation is the identity (A = phi); with
+    true U holds phi's left singular vectors, completed to a square
+    unitary when phi has more rows than columns.
     """
     phi = np.asarray(phi, dtype=complex)
-    if rotate:
-        u, _, _ = np.linalg.svd(phi, full_matrices=False)
-        a = u.conj().T @ phi
-    else:
-        u = np.eye(phi.shape[0], dtype=complex)
-        a = phi
-    abs2 = np.abs(a) ** 2
-    return MeasurementOperator(phi=phi, u=u, a=a, abs2_a=abs2, abs2_a_t=np.ascontiguousarray(abs2.T))
+    u = np.linalg.svd(phi)[0] if rotate else np.eye(phi.shape[0], dtype=complex)
+    return _tone_operator(phi, phi[None], np.ones((1, 1), dtype=complex), u[None])
 
 
 def assemble_operator(cfg: SystemConfig, comb: PilotCombiner, dicts: DictionarySet) -> MeasurementOperator:
-    """Build the whitened operator and its SVD rotation."""
+    """Build the whitened operator and its per-tone SVD rotation.
+
+    Raises ``ValueError`` when ``grid_delay < n_subcarriers``: the delay
+    rows are then not orthogonal and the per-tone SVD is not Phi's.
+    """
     if dicts.config.n_subcarriers != cfg.n_subcarriers or dicts.config.n_antennas != cfg.n_antennas:
         raise ValueError("dictionary geometry does not match the config")
     if comb.w.shape[1] != cfg.n_antennas:
         raise ValueError("combiner width does not match n_antennas")
-    blocks = [
-        np.kron(dicts.delay_dict[k, :], comb.w_bar @ dicts.angular_dicts[k])
-        for k in range(cfg.n_subcarriers)
-    ]
-    op = operator_from_matrix(np.vstack(blocks), rotate=True)
+    if cfg.grid_delay < cfg.n_subcarriers:
+        raise ValueError(
+            f"grid_delay={cfg.grid_delay} is below n_subcarriers={cfg.n_subcarriers}; the per-tone "
+            "rotation needs orthogonal delay rows, so grid_delay must be at least n_subcarriers"
+        )
+    tones = np.stack([comb.w_bar @ dicts.angular_dicts[k] for k in range(cfg.n_subcarriers)])
+    phi = np.vstack([np.kron(dicts.delay_dict[k, :], tones[k]) for k in range(cfg.n_subcarriers)])
+    op = _tone_operator(phi, tones, dicts.delay_dict, np.linalg.svd(tones)[0])
     op.config, op.combiner, op.dicts = cfg, comb, dicts
     return op
 

@@ -9,9 +9,10 @@ implementation, shared by inference and training:
 * ``exact_e_step`` solves the M x M whitened system directly and is the
   reference posterior at any operator.
 * ``amp_e_step`` is the low-cost message-passing recursion on the
-  SVD-rotated system (r, A).  Its five update lines are kept exactly in
-  their published order and form, including the use of gamma in the
-  final shrinkage denominators.
+  SVD-rotated system (r, A), with every product by A, A^H, |A|^2 or its
+  transpose taken from the operator's per-tone factors.  Its five update
+  lines are kept exactly in their published order and form, including
+  the use of gamma in the final shrinkage denominators.
 
 Both take one vector or a (., B) batch and also return the cache their
 backward pass (``_exact_backward``, ``_amp_backward``) reads.  Both fail
@@ -160,19 +161,17 @@ def amp_e_step(op: MeasurementOperator, r: np.ndarray, sigma2: float, state: Sbl
     Works on single vectors or on (.., batch) stacks.  Returns
     (mu', tau', s', cache for :func:`_amp_backward`).
     """
-    a, abs2_a, abs2_a_t = op.a, op.abs2_a, op.abs2_a_t
     mu, tau_x, gamma, s = state.mu, state.tau_x, state.gamma, state.s
 
     # non-finite intermediates become DivergenceError below, so let the
     # arithmetic produce them quietly instead of warning first
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        tau_p = abs2_a @ tau_x
-        p = a @ mu - tau_p * s
+        tau_p = op.forward_abs2(tau_x)
+        p = op.forward(mu) - tau_p * s
         tau_s = 1.0 / (tau_p + sigma2)
         s_new = tau_s * (r - p)
-        tau_q = 1.0 / (abs2_a_t @ tau_s)
-        # A^H s' as conj(A^T conj(s')): a.conj() would copy all of A per call
-        v = (a.T @ s_new.conj()).conj()
+        tau_q = 1.0 / op.adjoint_abs2(tau_s)
+        v = op.adjoint(s_new)
         q = mu + tau_q * v
         denom = 1.0 + tau_q * gamma
         mu_new = q / denom
@@ -196,20 +195,19 @@ def _amp_backward(op: MeasurementOperator, cache, g_mu1, g_tau1, g_s1, end_to_en
     g_gamma = -tau_q * c2 * (rmu + tau_q * g_tau1)
     if not end_to_end:
         return None, None, None, g_gamma
-    a = op.a
     g_q = g_mu1 * c
     g_tau_q = c2 * (g_tau1 - gamma * rmu) + np.real(np.conj(g_q) * cache["v"])
     g_mu0 = g_q.copy()
-    g_s1_tot = g_s1 + a @ (g_q * tau_q)
+    g_s1_tot = g_s1 + op.forward(g_q * tau_q)
     g_w = -g_tau_q * tau_q * tau_q
-    g_tau_s = op.abs2_a @ g_w
+    g_tau_s = op.forward_abs2(g_w)
     g_tau_s += np.real(np.conj(g_s1_tot) * (cache["r"] - cache["p"]))
     g_p = -cache["tau_s"] * g_s1_tot
     g_tau_p = -g_tau_s * cache["tau_s"] ** 2
-    g_mu0 += (a.T @ g_p.conj()).conj()  # A^H g_p without copying A, as in the forward
+    g_mu0 += op.adjoint(g_p)
     g_tau_p -= np.real(np.conj(g_p) * cache["s0"])
     g_s0 = -cache["tau_p"] * g_p
-    g_tau0 = op.abs2_a_t @ g_tau_p
+    g_tau0 = op.adjoint_abs2(g_tau_p)
     return g_mu0, g_tau0, g_s0, g_gamma
 
 
@@ -272,7 +270,7 @@ def run_estimator(
     if cfg is None:
         raise ValueError("run_estimator needs an operator assembled from a config")
     state = init_state(cfg)
-    r = op.u.conj().T @ y if spec.e_step == "amp" else None
+    r = op.rotate(y) if spec.e_step == "amp" else None
     trace: list[dict] = []
     for it in range(1, spec.n_iterations + 1):
         try:

@@ -14,6 +14,7 @@ import math
 import time
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .channel import build_channel, draw_paths
 from .config import default_config, desk_config, spawn_rng
@@ -24,10 +25,10 @@ from .dictionaries import (
     reconstruct_channel,
     sparsity_score,
 )
-from .evaluation import flops_per_iteration, reconstruction_flops, standard_operator
+from .evaluation import draw_eval_observations, flops_per_iteration, reconstruction_flops, standard_operator
 from .measurement import draw_combiner, operator_from_matrix
 from .mstep import _PARAM_NAMES, init_stage, stage_backward, stage_forward
-from .sbl import SblState, _amp_backward, amp_e_step, exact_e_step
+from .sbl import EstimatorSpec, SblState, _amp_backward, amp_e_step, exact_e_step, run_estimator
 
 
 def _crandn(rng: np.random.Generator, shape) -> np.ndarray:
@@ -119,6 +120,30 @@ def check_operator_assembly() -> str:
         worst = max(worst, float(np.linalg.norm(y_op - y_direct) / np.linalg.norm(y_direct)))
     assert worst < 1e-10, f"worst relative gap {worst:.2e}"
     return f"5 coefficient draws, worst relative gap {worst:.1e}"
+
+
+def check_per_tone_rotation() -> str:
+    """Per-tone SVD rotation against the dense SVD of the stacked operator."""
+    cfg = desk_config()
+    op = standard_operator(cfg)
+    u = block_diag(*op.u)
+    unitary_gap = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+    assert unitary_gap < 1e-12, f"blkdiag(U_k) off unitary by {unitary_gap:.2e}"
+    x = _crandn(np.random.default_rng(31), (cfg.grid_total, 3))
+    ref = u.conj().T @ (op.phi @ x)
+    fwd_gap = float(np.linalg.norm(op.forward(x) - ref) / np.linalg.norm(ref))
+    assert fwd_gap < 1e-12, f"forward off U^H Phi x by {fwd_gap:.2e}"
+    dense = operator_from_matrix(op.phi, rotate=True)
+    dense.config = cfg
+    spec = EstimatorSpec(e_step="amp", m_step="classic", n_iterations=10)
+    amp_gap = 0.0
+    for obs in draw_eval_observations(op, 0, 3):
+        mu, _ = run_estimator(spec, op, obs.y, cfg.noise_var)
+        mu_ref, _ = run_estimator(spec, dense, obs.y, cfg.noise_var)
+        amp_gap = max(amp_gap, float(np.linalg.norm(mu - mu_ref) / np.linalg.norm(mu_ref)))
+    assert amp_gap < 1e-10, f"AMP-SBL mean off the dense-SVD run by {amp_gap:.2e}"
+    return (f"unitary to {unitary_gap:.1e}, forward to {fwd_gap:.1e}, "
+            f"10-iteration AMP-SBL mean to {amp_gap:.1e} on 3 draws")
 
 
 def check_whitening() -> str:
@@ -264,6 +289,7 @@ CHECKS = (
     ("message-passing fixed point", check_amp_fixed_point),
     ("five-line update, hand instance", check_hand_instance),
     ("operator assembly vs per-tone pipeline", check_operator_assembly),
+    ("per-tone rotation vs dense SVD", check_per_tone_rotation),
     ("noise whitening", check_whitening),
     ("channel normalization", check_channel_normalization),
     ("refiner gradients", check_stage_gradients),

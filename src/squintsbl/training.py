@@ -260,7 +260,7 @@ def unroll_backward(op: MeasurementOperator, caches, g_x: np.ndarray,
     depth = len(caches)
     g_mu = g_x
     g_tau = np.zeros_like(g_x, dtype=float)
-    g_s = np.zeros(op.a.shape[:1] + g_x.shape[1:], dtype=complex)
+    g_s = np.zeros(op.phi.shape[:1] + g_x.shape[1:], dtype=complex)
     g_gamma = None
     grads: list[StageGrads | None] = [None] * (depth - 1)
     for it in range(depth, 0, -1):
@@ -303,7 +303,7 @@ def _batch_obs(op: MeasurementOperator, split: _Split, idx, sigma2, e_step,
         noise = split.noise[:, idx]
     y = y + noise
     if e_step == "amp":
-        return op.u.conj().T @ y
+        return op.rotate(y)
     return y
 
 

@@ -1,6 +1,7 @@
 """Independent constructions kept only to cross-check the library."""
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from squintsbl.channel import PathSet, steering_vector
 from squintsbl.config import SystemConfig
@@ -28,3 +29,15 @@ def channel_matrix_form(cfg: SystemConfig, paths: PathSet) -> np.ndarray:
         squint = np.exp(-1j * np.pi * ant * sin_t[p] * tone * eta / cfg.center_freq)
         h += paths.eq_gain[p] * np.outer(spatial, delay_ramp) * squint
     return np.sqrt(n / cfg.n_paths) * h
+
+
+def dense_rotation(op) -> tuple[np.ndarray, np.ndarray]:
+    """Expand an operator's per-tone factors into dense (U, A).
+
+    U = blkdiag(u[0], ..., u[K-1]) and A stacks the tone row blocks
+    kron(delay[k], a[k]).  A correct operator has U unitary and U A = phi,
+    so A = U^H phi.
+    """
+    u = block_diag(*op.u)
+    a = np.vstack([np.kron(op.delay[k], op.a[k]) for k in range(len(op.delay))])
+    return u, a

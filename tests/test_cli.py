@@ -35,6 +35,16 @@ def test_evaluate_zero_samples_names_n_samples(capsys):
     assert "n_samples" in capsys.readouterr().err
 
 
+def test_evaluate_short_delay_grid_is_an_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = main(["evaluate", "--scale", "desk", "--grid-delay", "4", "--algos", "amp-sbl"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "grid_delay=4" in err and "n_subcarriers=8" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _choices(command: str) -> dict:
     """Option dest -> choices of one subcommand's parser."""
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))

@@ -14,6 +14,7 @@ from squintsbl.measurement import (
 )
 
 from conftest import crandn
+from oracles import dense_rotation
 
 
 def _comb(cfg, idx=0):
@@ -70,19 +71,23 @@ def test_combiner_reproducible_per_stream():
 def test_operator_from_matrix_plain(rng):
     phi = crandn(rng, 6, 12)
     op = operator_from_matrix(phi)
+    u, a = dense_rotation(op)
     assert np.array_equal(op.phi, phi)
-    assert np.array_equal(op.a, phi)
-    assert np.allclose(op.u, np.eye(6))
-    assert np.allclose(op.abs2_a, np.abs(phi) ** 2)
-    assert np.allclose(op.abs2_a_t, (np.abs(phi) ** 2).T)
+    assert np.array_equal(a, phi)
+    assert np.allclose(u, np.eye(6))
+    t = rng.uniform(0.1, 1.0, 12)
+    assert np.allclose(op.forward_abs2(t), np.abs(phi) ** 2 @ t)
+    assert np.allclose(op.adjoint_abs2(t[:6]), (np.abs(phi) ** 2).T @ t[:6])
 
 
 def test_operator_from_matrix_rotated(rng):
-    phi = crandn(rng, 6, 12)
-    op = operator_from_matrix(phi, rotate=True)
-    # u unitary, u a == phi
-    assert np.allclose(op.u.conj().T @ op.u, np.eye(6), atol=1e-12)
-    assert np.allclose(op.u @ op.a, phi, atol=1e-12)
+    for shape in ((6, 12), (12, 6)):
+        phi = crandn(rng, *shape)
+        op = operator_from_matrix(phi, rotate=True)
+        u, a = dense_rotation(op)
+        # u unitary (square even for a tall phi), u a == phi
+        assert np.allclose(u.conj().T @ u, np.eye(shape[0]), atol=1e-12)
+        assert np.allclose(u @ a, phi, atol=1e-12)
 
 
 def test_assemble_operator_shape_and_blocks():
@@ -100,11 +105,79 @@ def test_assemble_operator_shape_and_blocks():
 
 
 def test_assemble_operator_is_rotated_matrix_operator(desk_op):
-    """Assembly builds its rotation exactly as operator_from_matrix does."""
+    """The per-tone rotation is an SVD rotation of phi, as operator_from_matrix's is."""
+    cfg = desk_op.config
+    k, m = cfg.n_subcarriers, cfg.n_uses * cfg.n_rf
+    # only per-tone factors: no M x M rotation, no M x G rotated matrix
+    assert desk_op.u.shape == (k, m, m)
+    assert desk_op.a.shape == desk_op.abs2_a.shape == (k, m, cfg.grid_angular)
+    u, a = dense_rotation(desk_op)
+    assert np.allclose(u.conj().T @ u, np.eye(k * m), atol=1e-12)
+    assert np.allclose(u @ a, desk_op.phi, atol=1e-12)
+    # rows of A = U^H phi are orthogonal with the squared singular values as norms
+    gram = a @ a.conj().T
+    sv2 = np.linalg.svd(desk_op.phi, compute_uv=False) ** 2
+    assert np.allclose(gram, np.diag(np.diag(gram)), atol=1e-12 * sv2[0])
+    assert np.allclose(np.sort(np.diag(gram).real)[::-1], sv2, rtol=1e-12)
     ref = operator_from_matrix(desk_op.phi, rotate=True)
-    for name in ("phi", "u", "a", "abs2_a", "abs2_a_t"):
-        assert np.array_equal(getattr(desk_op, name), getattr(ref, name)), name
-    assert desk_op.abs2_a_t.flags.c_contiguous
+    _, a_ref = dense_rotation(ref)
+    assert np.allclose(np.sort(np.sum(np.abs(a) ** 2, axis=1)),
+                       np.sort(np.sum(np.abs(a_ref) ** 2, axis=1)), rtol=1e-12)
+
+
+def _dense_products(op):
+    """The five products as dense matrices: U^H, A, A^H, |A|^2, |A|^2^T, with A = U^H phi."""
+    u, _ = dense_rotation(op)
+    a = u.conj().T @ op.phi
+    abs2 = np.abs(a) ** 2
+    return {"rotate": u.conj().T, "forward": a, "adjoint": a.conj().T,
+            "forward_abs2": abs2, "adjoint_abs2": abs2.T}
+
+
+@pytest.fixture(params=["desk", "plain", "rotated"])
+def any_op(request, desk_op):
+    if request.param == "desk":
+        return desk_op
+    phi = crandn(np.random.default_rng(13), 20, 36)
+    return operator_from_matrix(phi, rotate=request.param == "rotated")
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_products_match_dense_oracle(any_op, batch):
+    rng = np.random.default_rng(17)
+    m, g = any_op.phi.shape
+    for name, dense in _dense_products(any_op).items():
+        n_in = dense.shape[1]
+        if name.endswith("abs2"):
+            v = rng.uniform(0.1, 1.0, (n_in,) + batch)
+        else:
+            v = crandn(rng, n_in, *batch)
+        out = getattr(any_op, name)(v)
+        ref = dense @ v
+        assert out.shape == ref.shape, name
+        assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref), name
+
+
+def test_assemble_operator_rejects_short_delay_grid(monkeypatch):
+    """G_D < K breaks delay-row orthogonality; rejected before any SVD."""
+    cfg = desk_config(grid_delay=4)
+    comb = _comb(cfg)
+    dicts = build_dictionaries(cfg)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("SVD ran before the layout check")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    with pytest.raises(ValueError, match=r"grid_delay=4.*n_subcarriers=8"):
+        assemble_operator(cfg, comb, dicts)
+    monkeypatch.undo()
+    # the boundary G_D = K is accepted and still exact
+    edge = desk_config(grid_delay=8)
+    op = assemble_operator(edge, _comb(edge), build_dictionaries(edge))
+    u, a = dense_rotation(op)
+    assert np.allclose(u @ a, op.phi, atol=1e-12)
+    gram = a @ a.conj().T
+    assert np.allclose(gram, np.diag(np.diag(gram)), atol=1e-12 * np.max(np.abs(gram)))
 
 
 def test_assemble_operator_matches_channel_path(rng, desk_cfg, desk_op):
