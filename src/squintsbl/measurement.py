@@ -101,14 +101,15 @@ class MeasurementOperator:
 
     ``phi`` is (M, G) with M = K*m, m = Q*n_rf, and G = G_A*G_D; its
     tone-k row block is kron(delay[k], C_k).  The rotation is
-    U = blkdiag(u[0], ..., u[K-1]) with each ``u[k]`` an m x m unitary,
-    and the rotated matrix A = U^H Phi has tone-k row block
-    kron(delay[k], a[k]) with a[k] = u[k]^H C_k.  Nothing of size M x M
-    or M x G besides ``phi`` is stored: :meth:`rotate`, :meth:`forward`,
-    :meth:`adjoint`, :meth:`forward_abs2` and :meth:`adjoint_abs2` apply
-    U^H, A, A^H, |A|^2 and (|A|^2)^T from the factors.  Each takes one
-    vector or a (., B) batch.  A dense matrix is the case K = 1 with one
-    delay bin, delay = [[1]].
+    U = blkdiag(u[0], ..., u[K-1]), where an assembled operator's
+    ``u[k]`` are m x m unitaries, and the rotated matrix A = U^H Phi has
+    tone-k row block kron(delay[k], a[k]) with a[k] = u[k]^H C_k.
+    Nothing of size M x M or M x G besides ``phi`` is stored:
+    :meth:`rotate`, :meth:`forward`, :meth:`adjoint`,
+    :meth:`forward_abs2` and :meth:`adjoint_abs2` apply U^H, A, A^H,
+    |A|^2 and (|A|^2)^T from the factors.  Each takes one vector or a
+    (., B) batch.  A dense matrix is the case K = 1 with one delay bin,
+    delay = [[1]].
     """
 
     phi: np.ndarray          # (M, G) dense sensing matrix, read by the exact E-step
@@ -126,7 +127,7 @@ class MeasurementOperator:
         """U^H y: whitened measurements into the rotated basis."""
         k, m = self.u.shape[:2]
         r = np.swapaxes(self.u, 1, 2).conj() @ y.reshape(k, m, -1)
-        return r.reshape(y.shape)
+        return r.reshape((-1,) + y.shape[1:])
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """A x: coefficients (G, .) to rotated measurements (M, .)."""
@@ -177,11 +178,10 @@ def operator_from_matrix(phi: np.ndarray, rotate: bool = False) -> MeasurementOp
     """Wrap a dense matrix as an operator with one tone and one delay bin.
 
     With ``rotate`` false the rotation is the identity (A = phi); with
-    true U holds phi's left singular vectors, completed to a square
-    unitary when phi has more rows than columns.
+    true U holds the left singular vectors of phi's thin SVD.
     """
     phi = np.asarray(phi, dtype=complex)
-    u = np.linalg.svd(phi)[0] if rotate else np.eye(phi.shape[0], dtype=complex)
+    u = np.linalg.svd(phi, full_matrices=False)[0] if rotate else np.eye(phi.shape[0], dtype=complex)
     return _tone_operator(phi, phi[None], np.ones((1, 1), dtype=complex), u[None])
 
 
@@ -202,7 +202,8 @@ def assemble_operator(cfg: SystemConfig, comb: PilotCombiner, dicts: DictionaryS
         )
     tones = np.stack([comb.w_bar @ dicts.angular_dicts[k] for k in range(cfg.n_subcarriers)])
     phi = np.vstack([np.kron(dicts.delay_dict[k, :], tones[k]) for k in range(cfg.n_subcarriers)])
-    op = _tone_operator(phi, tones, dicts.delay_dict, np.linalg.svd(tones)[0])
+    # full U_k: square even when m > G_A, so the rotated system keeps all M rows
+    op = _tone_operator(phi, tones, dicts.delay_dict, np.linalg.svd(tones, full_matrices=True)[0])
     op.config, op.combiner, op.dicts = cfg, comb, dicts
     return op
 

@@ -35,8 +35,8 @@ def dense_rotation(op) -> tuple[np.ndarray, np.ndarray]:
     """Expand an operator's per-tone factors into dense (U, A).
 
     U = blkdiag(u[0], ..., u[K-1]) and A stacks the tone row blocks
-    kron(delay[k], a[k]).  A correct operator has U unitary and U A = phi,
-    so A = U^H phi.
+    kron(delay[k], a[k]).  A correct operator has orthonormal columns in
+    U and U A = phi, so A = U^H phi.
     """
     u = block_diag(*op.u)
     a = np.vstack([np.kron(op.delay[k], op.a[k]) for k in range(len(op.delay))])

@@ -81,13 +81,12 @@ def test_operator_from_matrix_plain(rng):
 
 
 def test_operator_from_matrix_rotated(rng):
-    for shape in ((6, 12), (12, 6)):
-        phi = crandn(rng, *shape)
-        op = operator_from_matrix(phi, rotate=True)
-        u, a = dense_rotation(op)
-        # u unitary (square even for a tall phi), u a == phi
-        assert np.allclose(u.conj().T @ u, np.eye(shape[0]), atol=1e-12)
-        assert np.allclose(u @ a, phi, atol=1e-12)
+    phi = crandn(rng, 6, 12)
+    op = operator_from_matrix(phi, rotate=True)
+    u, a = dense_rotation(op)
+    # u unitary, u a == phi
+    assert np.allclose(u.conj().T @ u, np.eye(6), atol=1e-12)
+    assert np.allclose(u @ a, phi, atol=1e-12)
 
 
 def test_assemble_operator_shape_and_blocks():
