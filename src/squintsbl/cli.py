@@ -320,7 +320,8 @@ def _cmd_flops(args) -> int:
     cfg = _build_config(args)
     d = FlopsDims.from_config(cfg)
     print(f"# config_hash={cfg.config_hash()} seed={cfg.rng_seed}")
-    print(f"per-iteration FLOPs at K={d.k}, M={d.m}, G={d.g}, G_A={d.g_a}, N={d.n}")
+    print(f"per-iteration FLOPs of the paper's dense-product model (not this implementation's cost) "
+          f"at K={d.k}, M={d.m}, G={d.g}, G_A={d.g_a}, N={d.n}")
     for algo in DEFAULT_FLOPS_MODEL.per_iteration:
         print(f"  {algo:<20} {flops_per_iteration(algo, cfg):>16,}")
     print(f"  {'amp-sbl (classic)':<20} {classic_amp_iteration_flops(cfg):>16,}")
@@ -386,7 +387,8 @@ def build_parser() -> _Parser:
     p.add_argument("--net", action="append", metavar="ALGO=PATH", help="checkpoint for a learned algorithm")
     p.add_argument("--iterations", type=int, default=None, help="depth for the classic algorithms")
     p.add_argument("--threads", type=int, default=None, help="sample-scoring workers (default: cores)")
-    p.add_argument("--out", metavar="CSV", help="also write algo,flops,nmse_db,iterations,fail_rate")
+    p.add_argument("--out", metavar="CSV", help="also write algo,flops,nmse_db,iterations,fail_rate; "
+                   "flops is the paper's dense-product model, not this implementation's cost")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("sweep", help="score estimators along an SNR or pilot-use axis")

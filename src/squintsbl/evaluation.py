@@ -109,6 +109,12 @@ class FlopsDims:
 # Real FLOPs for one estimator iteration.  The first three rows are the
 # implemented angular-delay estimators; the last two are reference
 # positions for the tradeoff plane (not implemented in this package).
+# This is the paper's dense-product complexity model, which multiplies
+# by the full M x G sensing matrix; it is not this implementation's cost.
+# The per-tone operator runs an exact E-step in about M^2 G_A + M^3 and
+# an AMP E-step in about 20 K G_A (G_D + m) per column (see the E-step
+# docstrings in the solver module).  The values stay as the paper's so
+# that tradeoff plots place every row on the same scale.
 PER_ITERATION_FLOPS: Mapping[str, Callable[[FlopsDims], int]] = {
     "sbl": lambda d: 16 * (d.k * d.m) ** 2 * d.g,
     "sbl-unfolding": lambda d: (16 * (d.k * d.m) ** 2 + 432) * d.g,

@@ -9,19 +9,20 @@ white again and every estimator can assume sigma^2 I.
 The whitened sensing operator Phi maps angular-delay coefficients to the
 stacked measurement vector.  Its row block for tone k is
 kron(d_k, C_k), with d_k = delay_dict[k, :] and C_k = W_bar Psi_k, which
-matches the column-stacked coefficient ordering.  The message-passing
-posterior runs on the rotated system r = U^H y, A = U^H Phi, where U
-holds Phi's left singular vectors.  Row d_k samples a complex
-exponential of frequency k at G_D delays spaced evenly over one period,
-so d_k and d_k' are orthogonal unless G_D divides k - k'.  With
-G_D >= K every pair of tones is orthogonal, and Phi Phi^H is
-block-diagonal with blocks ||d_k||^2 C_k C_k^H.  Up to the order of its
-singular values, Phi's SVD therefore splits into K small SVDs C_k = U_k S_k V_k^H, U = blkdiag(U_k), and A keeps the
-per-tone form kron(d_k, U_k^H C_k).  The operator stores only those
-factors and applies A, A^H, |A|^2 and their transposes as one delay GEMM
-plus one batched per-tone product.  The dense Phi is kept for the exact
-posterior.  A layout with G_D < K is rejected.  Operators are rebuilt
-from the config.
+matches the column-stacked coefficient ordering.  Both posteriors run on
+the rotated system r = U^H y, A = U^H Phi, where U holds Phi's left
+singular vectors.  Row d_k samples a complex exponential of frequency k
+at G_D delays spaced evenly over one period, so d_k and d_k' are
+orthogonal unless G_D divides k - k'.  With G_D >= K every pair of tones
+is orthogonal, and Phi Phi^H is block-diagonal with blocks
+||d_k||^2 C_k C_k^H.  Up to the order of its singular values, Phi's SVD
+therefore splits into K small SVDs C_k = U_k S_k V_k^H, U = blkdiag(U_k),
+and A keeps the per-tone form kron(d_k, U_k^H C_k).  The operator stores
+only those factors, never Phi or A themselves.  It applies A, A^H, |A|^2
+and their transposes as one delay GEMM plus one batched per-tone
+product, and forms the M x M Gram A diag(w) A^H and the diagonal of
+A^H X A block by block for the exact posterior.  A layout with G_D < K
+is rejected.  Operators are rebuilt from the config.
 """
 
 from __future__ import annotations
@@ -97,22 +98,22 @@ def draw_combiner(cfg: SystemConfig, rng: np.random.Generator) -> PilotCombiner:
 
 @dataclass
 class MeasurementOperator:
-    """Whitened sensing matrix and the factors of its per-tone rotation.
+    """Factors of the rotated sensing matrix A = U^H Phi, tone by tone.
 
-    ``phi`` is (M, G) with M = K*m, m = Q*n_rf, and G = G_A*G_D; its
-    tone-k row block is kron(delay[k], C_k).  The rotation is
+    Phi is (M, G) with M = K*m, m = Q*n_rf, and G = G_A*G_D; its tone-k
+    row block is kron(delay[k], C_k).  The rotation is
     U = blkdiag(u[0], ..., u[K-1]), where an assembled operator's
     ``u[k]`` are m x m unitaries, and the rotated matrix A = U^H Phi has
     tone-k row block kron(delay[k], a[k]) with a[k] = u[k]^H C_k.
-    Nothing of size M x M or M x G besides ``phi`` is stored:
-    :meth:`rotate`, :meth:`forward`, :meth:`adjoint`,
-    :meth:`forward_abs2` and :meth:`adjoint_abs2` apply U^H, A, A^H,
-    |A|^2 and (|A|^2)^T from the factors.  Each takes one vector or a
-    (., B) batch.  A dense matrix is the case K = 1 with one delay bin,
+    Nothing of size M x G is stored: :meth:`rotate`, :meth:`forward`,
+    :meth:`adjoint`, :meth:`forward_abs2` and :meth:`adjoint_abs2` apply
+    U^H, A, A^H, |A|^2 and (|A|^2)^T from the factors, and each takes one
+    vector or a (., B) batch.  :meth:`gram` and :meth:`diag_quad` are the
+    two products of the exact posterior, A diag(w) A^H and
+    diag(A^H X A).  A dense matrix is the case K = 1 with one delay bin,
     delay = [[1]].
     """
 
-    phi: np.ndarray          # (M, G) dense sensing matrix, read by the exact E-step
     u: np.ndarray            # (K, m, m) per-tone left singular vectors
     a: np.ndarray            # (K, m, G_A) rotated tone blocks u[k]^H C_k
     a_h: np.ndarray          # (K, G_A, m) their conjugate transposes
@@ -122,6 +123,12 @@ class MeasurementOperator:
     config: SystemConfig | None = None
     combiner: PilotCombiner | None = None
     dicts: DictionarySet | None = None
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(rows, columns) of A: rotated measurements by coefficients."""
+        k, m, g_a = self.a.shape
+        return k * m, self.delay.shape[1] * g_a
 
     def rotate(self, y: np.ndarray) -> np.ndarray:
         """U^H y: whitened measurements into the rotated basis."""
@@ -145,6 +152,47 @@ class MeasurementOperator:
         """(|A|^2)^T t."""
         return _analyze(self.abs2_delay, np.swapaxes(self.abs2_a, 1, 2), t)
 
+    def gram(self, w: np.ndarray) -> np.ndarray:
+        """A diag(w) A^H (M x M) for real weights w (G,), block by block.
+
+        Block (i, l) is a[i] diag(T[i, l]) a[l]^H, where
+        T[i, l, alpha] = sum_d delay[i, d] w[d, alpha] conj(delay[l, d])
+        mixes the delay bins of angle alpha.  Cost is M^2 G_A, not M^2 G.
+        """
+        k, m, g_a = self.a.shape
+        t = _delay_pairs(self.delay) @ w.reshape(-1, g_a)              # (K*K, G_A)
+        t = np.swapaxes(t.reshape(k, k, g_a), 1, 2)[..., None]         # (K, G_A, K, 1)
+        a_h = np.swapaxes(self.a_h, 0, 1)                              # (G_A, K, m)
+        out = np.empty((k * m, k * m), dtype=complex)
+        # block row i for l >= i in one GEMM; the blocks below mirror it, the result being Hermitian
+        for i in range(k):
+            rows = self.a[i] @ (t[i, :, i:] * a_h[:, i:]).reshape(g_a, -1)
+            out[i * m:(i + 1) * m, i * m:] = rows
+            out[(i + 1) * m:, i * m:(i + 1) * m] = rows[:, m:].conj().T
+        return out
+
+    def diag_quad(self, x: np.ndarray) -> np.ndarray:
+        """diag(A^H X A) (G,) for a Hermitian M x M matrix X, block by block.
+
+        Entry (d, alpha) is the sum over tone pairs (i, l) of
+        conj(delay[i, d]) delay[l, d] Q[i, l, alpha], with
+        Q[i, l, alpha] = a[i][:, alpha]^H X_il a[l][:, alpha].  A Hermitian
+        X has Q[l, i] = conj(Q[i, l]), so only the blocks l >= i are read
+        and the real part is returned.  Cost is M^2 G_A / 2.
+        """
+        k, m, g_a = self.a.shape
+        q = np.zeros((k, k, g_a), dtype=complex)
+        for i in range(k):
+            p = self.a_h[i] @ x[i * m:(i + 1) * m, i * m:]               # (G_A, (K - i) m)
+            q[i, i:] = np.einsum("alj,lja->la", p.reshape(g_a, k - i, m), self.a[i:])
+            q[i, i + 1:] *= 2.0
+        return (_delay_pairs(self.delay).conj().T @ q.reshape(k * k, g_a)).real.reshape(-1)
+
+
+def _delay_pairs(delay: np.ndarray) -> np.ndarray:
+    """(K*K, G_D) products delay[k, d] conj(delay[l, d]), row k*K + l."""
+    return (delay[:, None, :] * delay.conj()[None, :, :]).reshape(-1, delay.shape[1])
+
 
 def _synthesize(delay: np.ndarray, blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Apply the rows kron(delay[k], blocks[k]), k = 0..K-1, to x (G,) or (G, B)."""
@@ -162,11 +210,11 @@ def _analyze(delay: np.ndarray, blocks_t: np.ndarray, s: np.ndarray) -> np.ndarr
     return out.reshape((-1,) + s.shape[1:])
 
 
-def _tone_operator(phi: np.ndarray, blocks: np.ndarray, delay: np.ndarray, u: np.ndarray) -> MeasurementOperator:
+def _tone_operator(blocks: np.ndarray, delay: np.ndarray, u: np.ndarray) -> MeasurementOperator:
     """Operator whose tone-k rows are kron(delay[k], blocks[k]), rotated tone by tone by u[k]."""
     a = np.swapaxes(u, 1, 2).conj() @ blocks
     return MeasurementOperator(
-        phi=phi, u=u, a=a,
+        u=u, a=a,
         a_h=np.ascontiguousarray(np.swapaxes(a, 1, 2).conj()),
         abs2_a=np.abs(a) ** 2,
         delay=delay,
@@ -182,7 +230,7 @@ def operator_from_matrix(phi: np.ndarray, rotate: bool = False) -> MeasurementOp
     """
     phi = np.asarray(phi, dtype=complex)
     u = np.linalg.svd(phi, full_matrices=False)[0] if rotate else np.eye(phi.shape[0], dtype=complex)
-    return _tone_operator(phi, phi[None], np.ones((1, 1), dtype=complex), u[None])
+    return _tone_operator(phi[None], np.ones((1, 1), dtype=complex), u[None])
 
 
 def assemble_operator(cfg: SystemConfig, comb: PilotCombiner, dicts: DictionarySet) -> MeasurementOperator:
@@ -201,9 +249,8 @@ def assemble_operator(cfg: SystemConfig, comb: PilotCombiner, dicts: DictionaryS
             "rotation needs orthogonal delay rows, so grid_delay must be at least n_subcarriers"
         )
     tones = np.stack([comb.w_bar @ dicts.angular_dicts[k] for k in range(cfg.n_subcarriers)])
-    phi = np.vstack([np.kron(dicts.delay_dict[k, :], tones[k]) for k in range(cfg.n_subcarriers)])
     # full U_k: square even when m > G_A, so the rotated system keeps all M rows
-    op = _tone_operator(phi, tones, dicts.delay_dict, np.linalg.svd(tones, full_matrices=True)[0])
+    op = _tone_operator(tones, dicts.delay_dict, np.linalg.svd(tones, full_matrices=True)[0])
     op.config, op.combiner, op.dicts = cfg, comb, dicts
     return op
 

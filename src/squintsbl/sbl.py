@@ -6,11 +6,14 @@ per-coefficient variance update gamma = |mu|^2 + tau (M-step) is the
 classic evidence-maximization recursion.  Each E-step has one
 implementation, shared by inference and training:
 
-* ``exact_e_step`` solves the M x M whitened system directly and is the
-  reference posterior at any operator.
-* ``amp_e_step`` is the low-cost message-passing recursion on the
-  SVD-rotated system (r, A), with every product by A, A^H, |A|^2 or its
-  transpose taken from the operator's per-tone factors.  Its five update
+* ``exact_e_step`` factors the M x M covariance S = A Gamma A^H +
+  sigma^2 I of the SVD-rotated system (r, A), built block by block from
+  the operator's per-tone factors, and is the reference posterior at any
+  operator.  The rotation has orthonormal columns, so this is exactly
+  the posterior of the whitened system (y, Phi).
+* ``amp_e_step`` is the low-cost message-passing recursion on the same
+  rotated system, with every product by A, A^H, |A|^2 or its transpose
+  taken from the operator's per-tone factors.  Its five update
   lines are kept exactly in their published order and form, including
   the use of gamma in the final shrinkage denominators.
 
@@ -28,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs
 
 from .config import SystemConfig
 from .measurement import MeasurementOperator
@@ -88,46 +91,67 @@ def _check_step(it: int, data: np.ndarray, **arrays) -> None:
         raise DivergenceError(f"estimate norm blew up at iteration {it}{where}", iteration=it)
 
 
-def exact_e_step(op: MeasurementOperator, y: np.ndarray, sigma2: float, state: SblState):
-    """Posterior mean and marginal variances by direct solve.
+def exact_e_step(op: MeasurementOperator, r: np.ndarray, sigma2: float, state: SblState):
+    """Posterior mean and marginal variances by direct solve, in the rotated basis.
 
-    With C = diag(gamma) and S = Phi C Phi^H + sigma^2 I:
-    mu = C Phi^H S^{-1} y and tau_i = gamma_i (1 - gamma_i d_i) with
-    d = diag(Phi^H S^{-1} Phi).  Cost is one Cholesky of the M x M
-    matrix S per column of ``y``; no explicit inverse is formed.
+    With C = diag(gamma) and S = A C A^H + sigma^2 I on the rotated data
+    r = U^H y: mu = C A^H S^{-1} r and tau_i = gamma_i (1 - gamma_i d_i)
+    with d = diag(A^H S^{-1} A).  Because Phi = U A with orthonormal
+    columns in U, this is the posterior of y = Phi x + n exactly, for a
+    thin U too.  Per column of ``r`` and iteration the cost is about
+    M^2 G_A + M^3: M^2 G_A for S (:meth:`~MeasurementOperator.gram`) and
+    for d (:meth:`~MeasurementOperator.diag_quad`), M^3 for the Cholesky
+    factor of S and its explicit inverse.  No M x G matrix is formed.
     Returns (mu, tau, cache for :func:`_exact_backward`).
     """
     it = state.iteration + 1
-    phi = op.phi
-    m, g = phi.shape
-    ys, gammas = y.reshape(m, -1), state.gamma.reshape(g, -1)
+    m, g = op.shape
+    rs, gammas = r.reshape(m, -1), state.gamma.reshape(g, -1)
     u = np.empty(gammas.shape, dtype=complex)
     d = np.empty(gammas.shape)
-    lows = []
-    for j in range(ys.shape[1]):
-        s_mat = (phi * gammas[:, j]) @ phi.conj().T
+    s_invs = []
+    for j in range(rs.shape[1]):
+        s_mat = op.gram(gammas[:, j])
         s_mat[np.diag_indices(m)] += sigma2
         try:
-            low, _ = cho_factor(s_mat, lower=True)
+            factor = cho_factor(s_mat, lower=True)
         except (np.linalg.LinAlgError, ValueError) as exc:
-            raise DivergenceError(f"posterior solve failed at iteration {it}: {exc}", iteration=it) from exc
-        u[:, j] = phi.conj().T @ cho_solve((low, True), ys[:, j])
-        b = solve_triangular(low, phi, lower=True)
-        d[:, j] = np.einsum("mg,mg->g", b.conj(), b, optimize=True).real
-        lows.append(low)
+            where = f" in columns [{j}]" if r.ndim == 2 else ""
+            raise DivergenceError(f"posterior solve failed at iteration {it}{where}: {exc}", iteration=it) from exc
+        u[:, j] = op.adjoint(cho_solve(factor, rs[:, j]))
+        s_inv = _cho_inverse(factor[0])
+        d[:, j] = op.diag_quad(s_inv)
+        s_invs.append(s_inv)
     gamma = state.gamma
     u, d = u.reshape(gamma.shape), d.reshape(gamma.shape)
     mu = gamma * u
     tau = np.maximum(gamma * (1.0 - gamma * d), 0.0)
-    _check_step(it, y, mu=mu, tau_x=tau)
-    return mu, tau, {"gamma": gamma, "u": u, "d": d, "lows": lows}
+    _check_step(it, r, mu=mu, tau_x=tau)
+    return mu, tau, {"gamma": gamma, "u": u, "d": d, "s_invs": s_invs}
+
+
+def _cho_inverse(low: np.ndarray) -> np.ndarray:
+    """S^{-1} from the lower Cholesky factor that ``cho_factor`` returned.
+
+    LAPACK's potri fills only the lower triangle; the upper one is its
+    conjugate transpose.
+    """
+    potri, = get_lapack_funcs(("potri",), (low,))
+    inv, info = potri(low, lower=True)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"potri failed with info {info}")
+    inv = np.tril(inv)
+    return inv + np.tril(inv, -1).conj().T
 
 
 def _exact_backward(op: MeasurementOperator, cache, g_mu, g_tau, end_to_end: bool) -> np.ndarray:
     """d loss / d gamma through one exact E-step.
 
-    Per column, B = L^-1 Phi gives Phi^H S^-1 Phi = B^H B.  ``cho_factor``
-    leaves junk above the diagonal of L, so the solve must be triangular.
+    Per column, with K = A^H S^-1 A: the gradient reaches gamma through
+    K gamma g_mu (``ta`` = A^H S^-1 A (gamma g_mu)) and through
+    d = diag(K), whose derivative in direction w is
+    diag(A^H S^-1 (A diag(w) A^H) S^-1 A).  Both use the cached S^-1 and
+    the operator's block products, never an M x G matrix.
     """
     u, d, gamma = cache["u"], cache["d"], cache["gamma"]
     g_gamma = np.real(np.conj(g_mu) * u) + g_tau * (1.0 - 2.0 * gamma * d)
@@ -136,11 +160,10 @@ def _exact_backward(op: MeasurementOperator, cache, g_mu, g_tau, end_to_end: boo
     g = len(u)
     us, a_vecs, ws = (x.reshape(g, -1) for x in (u, gamma * g_mu, g_tau * gamma * gamma))
     extra = np.empty(us.shape)
-    for j, low in enumerate(cache["lows"]):
-        b = solve_triangular(low, op.phi, lower=True)
-        ta = b.conj().T @ (b @ a_vecs[:, j])
-        k_w = (b * ws[:, j]) @ b.conj().T
-        extra[:, j] = np.real(np.sum(np.conj(b) * (k_w @ b), axis=0)) - np.real(us[:, j] * np.conj(ta))
+    for j, s_inv in enumerate(cache["s_invs"]):
+        ta = op.adjoint(s_inv @ op.forward(a_vecs[:, j]))
+        k_w = s_inv @ op.gram(ws[:, j]) @ s_inv
+        extra[:, j] = op.diag_quad(k_w) - np.real(us[:, j] * np.conj(ta))
     return g_gamma + extra.reshape(g_gamma.shape)
 
 
@@ -158,8 +181,10 @@ def amp_e_step(op: MeasurementOperator, r: np.ndarray, sigma2: float, state: Sbl
         mu'   = q / (1 + tau_q * gamma)
         tau'  = tau_q / (1 + tau_q * gamma)
 
-    Works on single vectors or on (.., batch) stacks.  Returns
-    (mu', tau', s', cache for :func:`_amp_backward`).
+    Works on single vectors or on (.., batch) stacks.  The four products
+    by A, A^H, |A|^2 and (|A|^2)^T cost about 20 K G_A (G_D + m) real
+    FLOPs per column (m = M / K), the elementwise lines O(M + G).
+    Returns (mu', tau', s', cache for :func:`_amp_backward`).
     """
     mu, tau_x, gamma, s = state.mu, state.tau_x, state.gamma, state.s
 
@@ -256,8 +281,8 @@ def run_estimator(
 ):
     """Run the configured estimator; returns (x_hat, trace).
 
-    ``y`` is the whitened measurement vector; the rotated form for the
-    message-passing E-step is computed internally.  The trace has one
+    ``y`` is the whitened measurement vector; both E-steps run on its
+    rotated form ``op.rotate(y)``, computed once here.  The trace has one
     dict per iteration with the running estimate quality (NMSE in dB if
     ``h_true`` is given, else NaN) and the l1 norm of gamma.  The
     variance update runs between iterations only; the returned estimate
@@ -270,14 +295,14 @@ def run_estimator(
     if cfg is None:
         raise ValueError("run_estimator needs an operator assembled from a config")
     state = init_state(cfg)
-    r = op.rotate(y) if spec.e_step == "amp" else None
+    r = op.rotate(y)
     trace: list[dict] = []
     for it in range(1, spec.n_iterations + 1):
         try:
             if spec.e_step == "amp":
                 state.mu, state.tau_x, state.s, _ = amp_e_step(op, r, sigma2, state)
             else:
-                state.mu, state.tau_x, _ = exact_e_step(op, y, sigma2, state)
+                state.mu, state.tau_x, _ = exact_e_step(op, r, sigma2, state)
         except DivergenceError as err:
             err.trace = trace
             raise

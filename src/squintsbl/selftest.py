@@ -24,6 +24,7 @@ from .dictionaries import (
     build_dictionaries,
     reconstruct_channel,
     sparsity_score,
+    synthesis_matrix,
 )
 from .evaluation import draw_eval_observations, flops_per_iteration, reconstruction_flops, standard_operator
 from .measurement import draw_combiner, operator_from_matrix
@@ -41,11 +42,36 @@ def _fresh_state(gamma: np.ndarray, m: int) -> SblState:
                     gamma=gamma.copy(), s=np.zeros(m, dtype=complex))
 
 
+def _dense_phi(op) -> np.ndarray:
+    """Whitened sensing matrix of an assembled operator, built from its parts.
+
+    kron(I_K, W_bar) applied to the dense dictionary synthesis matrix;
+    nothing of the operator's factors is read.
+    """
+    return np.kron(np.eye(op.config.n_subcarriers), op.combiner.w_bar) @ synthesis_matrix(op.dicts)
+
+
+def _posterior_error(op, phi, y, sigma2, gamma) -> float:
+    """Worst relative error of the exact E-step on the rotated data
+    against the information-form posterior of y = phi x + n."""
+    mu, tau, _ = exact_e_step(op, op.rotate(y), sigma2, _fresh_state(gamma, op.shape[0]))
+    cov = np.linalg.inv(phi.conj().T @ phi / sigma2 + np.diag(1.0 / gamma))
+    mu_ref = cov @ (phi.conj().T @ y) / sigma2
+    tau_ref = np.diag(cov).real
+    return max(float(np.linalg.norm(mu - mu_ref) / np.linalg.norm(mu_ref)),
+               float(np.max(np.abs(tau - tau_ref)) / np.max(tau_ref)))
+
+
 # ---- checks -----------------------------------------------------------------
 
 
 def check_exact_posterior() -> str:
-    """Direct solve against the dense information-form posterior."""
+    """Direct solve against the dense information-form posterior.
+
+    The dense instances have one tone and one delay bin; the desk
+    operator's instances also exercise the cross-tone delay mixing of
+    the block-form covariance and the per-tone rotation of the data.
+    """
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(20):
@@ -54,19 +80,16 @@ def check_exact_posterior() -> str:
         phi = _crandn(rng, (m, g)) / math.sqrt(m)
         gamma = rng.uniform(0.05, 2.0, g)
         sigma2 = float(rng.uniform(0.05, 1.0))
-        y = _crandn(rng, (m,))
-        op = operator_from_matrix(phi)
-        mu, tau, _ = exact_e_step(op, y, sigma2, _fresh_state(gamma, m))
-        cov = np.linalg.inv(phi.conj().T @ phi / sigma2 + np.diag(1.0 / gamma))
-        mu_ref = cov @ (phi.conj().T @ y) / sigma2
-        tau_ref = np.diag(cov).real
-        worst = max(
-            worst,
-            float(np.linalg.norm(mu - mu_ref) / np.linalg.norm(mu_ref)),
-            float(np.max(np.abs(tau - tau_ref)) / np.max(tau_ref)),
-        )
+        worst = max(worst, _posterior_error(operator_from_matrix(phi), phi, _crandn(rng, (m,)), sigma2, gamma))
+    op = standard_operator(desk_config())
+    phi = _dense_phi(op)
+    m, g = phi.shape
+    for _ in range(5):
+        gamma = np.exp(rng.uniform(-3.0, 1.0, g))
+        sigma2 = float(rng.uniform(0.05, 1.0))
+        worst = max(worst, _posterior_error(op, phi, _crandn(rng, (m,)), sigma2, gamma))
     assert worst < 1e-10, f"worst relative error {worst:.2e}"
-    return f"20 instances, worst relative error {worst:.1e}"
+    return f"20 dense and 5 desk-operator instances, worst relative error {worst:.1e}"
 
 
 def check_amp_fixed_point() -> str:
@@ -107,17 +130,19 @@ def check_hand_instance() -> str:
 
 
 def check_operator_assembly() -> str:
-    """Stacked sensing matrix against the per-tone combine pipeline."""
+    """Stacked sensing matrix and the operator's U A against the per-tone combine pipeline."""
     cfg = desk_config()
     op = standard_operator(cfg)
+    phi = _dense_phi(op)
+    u = block_diag(*op.u)
     rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(5):
         x = _crandn(rng, (cfg.grid_total,))
         h = reconstruct_channel(op.dicts, x)
         y_direct = (op.combiner.w_bar @ h).ravel(order="F")
-        y_op = op.phi @ x
-        worst = max(worst, float(np.linalg.norm(y_op - y_direct) / np.linalg.norm(y_direct)))
+        for y_op in (phi @ x, u @ op.forward(x)):
+            worst = max(worst, float(np.linalg.norm(y_op - y_direct) / np.linalg.norm(y_direct)))
     assert worst < 1e-10, f"worst relative gap {worst:.2e}"
     return f"5 coefficient draws, worst relative gap {worst:.1e}"
 
@@ -129,11 +154,12 @@ def check_per_tone_rotation() -> str:
     u = block_diag(*op.u)
     unitary_gap = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
     assert unitary_gap < 1e-12, f"blkdiag(U_k) off unitary by {unitary_gap:.2e}"
+    phi = _dense_phi(op)
     x = _crandn(np.random.default_rng(31), (cfg.grid_total, 3))
-    ref = u.conj().T @ (op.phi @ x)
+    ref = u.conj().T @ (phi @ x)
     fwd_gap = float(np.linalg.norm(op.forward(x) - ref) / np.linalg.norm(ref))
     assert fwd_gap < 1e-12, f"forward off U^H Phi x by {fwd_gap:.2e}"
-    dense = operator_from_matrix(op.phi, rotate=True)
+    dense = operator_from_matrix(phi, rotate=True)
     dense.config = cfg
     spec = EstimatorSpec(e_step="amp", m_step="classic", n_iterations=10)
     amp_gap = 0.0

@@ -218,9 +218,9 @@ def unroll_forward(op: MeasurementOperator, obs: np.ndarray, sigma2: float,
                    gamma_floor: float = 0.0):
     """Run the depth-``depth`` unfolded estimator on a (·, B) batch.
 
-    ``obs`` is the rotated observation r for the AMP E-step and the raw
-    whitened observation y for the exact one.  Returns the final posterior
-    mean (G, B) and the cache list consumed by :func:`unroll_backward`.
+    ``obs`` is the rotated observation r = U^H y, which both E-steps take.
+    Returns the final posterior mean (G, B) and the cache list consumed
+    by :func:`unroll_backward`.
     """
     if net.n_stages < depth - 1:
         raise ValueError(f"net has {net.n_stages} stages; depth {depth} needs {depth - 1}")
@@ -260,7 +260,7 @@ def unroll_backward(op: MeasurementOperator, caches, g_x: np.ndarray,
     depth = len(caches)
     g_mu = g_x
     g_tau = np.zeros_like(g_x, dtype=float)
-    g_s = np.zeros(op.phi.shape[:1] + g_x.shape[1:], dtype=complex)
+    g_s = np.zeros(op.shape[:1] + g_x.shape[1:], dtype=complex)
     g_gamma = None
     grads: list[StageGrads | None] = [None] * (depth - 1)
     for it in range(depth, 0, -1):
@@ -294,17 +294,14 @@ def unroll_backward(op: MeasurementOperator, caches, g_x: np.ndarray,
 
 # ---- training loop ----------------------------------------------------------
 
-def _batch_obs(op: MeasurementOperator, split: _Split, idx, sigma2, e_step,
+def _batch_obs(op: MeasurementOperator, split: _Split, idx, sigma2,
                rng: np.random.Generator | None):
     y = split.y_clean[:, idx]
     if rng is not None:
         noise = _complex_noise(rng, y.size, sigma2).reshape(y.shape, order="F")
     else:
         noise = split.noise[:, idx]
-    y = y + noise
-    if e_step == "amp":
-        return op.rotate(y)
-    return y
+    return op.rotate(y + noise)
 
 
 def validate(net: MStepNet, split: _Split, op: MeasurementOperator,
@@ -314,7 +311,7 @@ def validate(net: MStepNet, split: _Split, op: MeasurementOperator,
     total = 0.0
     for lo in range(0, n, train_cfg.batch_size):
         idx = np.arange(lo, min(lo + train_cfg.batch_size, n))
-        obs = _batch_obs(op, split, idx, sigma2, train_cfg.e_step, None)
+        obs = _batch_obs(op, split, idx, sigma2, None)
         x_hat, _ = unroll_forward(op, obs, sigma2, net, depth,
                                   train_cfg.e_step, train_cfg.gamma_floor)
         loss, _ = _loss_and_grad(x_hat, split, idx, op.dicts, train_cfg.loss_domain)
@@ -329,7 +326,7 @@ def test_nmse_db(net: MStepNet, split: _Split, op: MeasurementOperator,
     ratios = []
     for lo in range(0, n, train_cfg.batch_size):
         idx = np.arange(lo, min(lo + train_cfg.batch_size, n))
-        obs = _batch_obs(op, split, idx, sigma2, train_cfg.e_step, None)
+        obs = _batch_obs(op, split, idx, sigma2, None)
         x_hat, _ = unroll_forward(op, obs, sigma2, net, depth,
                                   train_cfg.e_step, train_cfg.gamma_floor)
         h_hat = reconstruct_batch(op.dicts, x_hat)
@@ -387,7 +384,7 @@ def train_layerwise(train_cfg: TrainConfig, sys_cfg: SystemConfig,
             for bi, lo in enumerate(range(0, n_train, train_cfg.batch_size)):
                 idx = perm[lo:lo + train_cfg.batch_size]
                 noise_rng = spawn_rng(sys_cfg.rng_seed, "noise", depth, epoch, bi)
-                obs = _batch_obs(op, train, idx, sigma2, train_cfg.e_step, noise_rng)
+                obs = _batch_obs(op, train, idx, sigma2, noise_rng)
                 x_hat, caches = unroll_forward(op, obs, sigma2, net, depth,
                                                train_cfg.e_step, train_cfg.gamma_floor)
                 loss, g_x = _loss_and_grad(x_hat, train, idx, op.dicts,

@@ -5,6 +5,7 @@ from scipy.linalg import block_diag
 
 from squintsbl.channel import PathSet, steering_vector
 from squintsbl.config import SystemConfig
+from squintsbl.dictionaries import synthesis_matrix
 
 
 def channel_matrix_form(cfg: SystemConfig, paths: PathSet) -> np.ndarray:
@@ -36,8 +37,19 @@ def dense_rotation(op) -> tuple[np.ndarray, np.ndarray]:
 
     U = blkdiag(u[0], ..., u[K-1]) and A stacks the tone row blocks
     kron(delay[k], a[k]).  A correct operator has orthonormal columns in
-    U and U A = phi, so A = U^H phi.
+    U and U A = dense_phi(op), so A = U^H phi.
     """
     u = block_diag(*op.u)
     a = np.vstack([np.kron(op.delay[k], op.a[k]) for k in range(len(op.delay))])
     return u, a
+
+
+def dense_phi(op) -> np.ndarray:
+    """Whitened sensing matrix Phi (M x G) of an assembled operator.
+
+    Built from the operator's combiner and dictionaries alone, as
+    kron(I_K, W_bar) times the dense dictionary synthesis matrix, so it
+    shares nothing with the per-tone factors it is used to check.
+    """
+    k = op.config.n_subcarriers
+    return np.kron(np.eye(k), op.combiner.w_bar) @ synthesis_matrix(op.dicts)

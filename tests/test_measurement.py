@@ -14,7 +14,7 @@ from squintsbl.measurement import (
 )
 
 from conftest import crandn
-from oracles import dense_rotation
+from oracles import dense_phi, dense_rotation
 
 
 def _comb(cfg, idx=0):
@@ -72,7 +72,8 @@ def test_operator_from_matrix_plain(rng):
     phi = crandn(rng, 6, 12)
     op = operator_from_matrix(phi)
     u, a = dense_rotation(op)
-    assert np.array_equal(op.phi, phi)
+    assert op.shape == phi.shape
+    assert np.array_equal(u @ a, phi)
     assert np.array_equal(a, phi)
     assert np.allclose(u, np.eye(6))
     t = rng.uniform(0.1, 1.0, 12)
@@ -95,10 +96,12 @@ def test_assemble_operator_shape_and_blocks():
     dicts = build_dictionaries(cfg)
     op = assemble_operator(cfg, comb, dicts)
     m_tone = cfg.n_uses * cfg.n_rf
-    assert op.phi.shape == (m_tone * cfg.n_subcarriers, cfg.grid_total)
-    # row block k is kron(delay row k, whitened combiner times angular dict k)
+    assert op.shape == dense_phi(op).shape == (m_tone * cfg.n_subcarriers, cfg.grid_total)
+    # row block k of U A is kron(delay row k, whitened combiner times angular dict k)
+    u, a = dense_rotation(op)
+    phi = u @ a
     for k in (0, cfg.n_subcarriers - 1):
-        block = op.phi[k * m_tone:(k + 1) * m_tone, :]
+        block = phi[k * m_tone:(k + 1) * m_tone, :]
         expect = np.kron(dicts.delay_dict[k], comb.w_bar @ dicts.angular_dicts[k])
         assert np.allclose(block, expect, atol=1e-12)
 
@@ -111,46 +114,70 @@ def test_assemble_operator_is_rotated_matrix_operator(desk_op):
     assert desk_op.u.shape == (k, m, m)
     assert desk_op.a.shape == desk_op.abs2_a.shape == (k, m, cfg.grid_angular)
     u, a = dense_rotation(desk_op)
+    phi = dense_phi(desk_op)
     assert np.allclose(u.conj().T @ u, np.eye(k * m), atol=1e-12)
-    assert np.allclose(u @ a, desk_op.phi, atol=1e-12)
+    assert np.allclose(u @ a, phi, atol=1e-12)
     # rows of A = U^H phi are orthogonal with the squared singular values as norms
     gram = a @ a.conj().T
-    sv2 = np.linalg.svd(desk_op.phi, compute_uv=False) ** 2
+    sv2 = np.linalg.svd(phi, compute_uv=False) ** 2
     assert np.allclose(gram, np.diag(np.diag(gram)), atol=1e-12 * sv2[0])
     assert np.allclose(np.sort(np.diag(gram).real)[::-1], sv2, rtol=1e-12)
 
 
-def _dense_products(op):
+def _dense_products(op, phi):
     """The five products as dense matrices: U^H, A, A^H, |A|^2, |A|^2^T, with A = U^H phi."""
     u, _ = dense_rotation(op)
-    a = u.conj().T @ op.phi
+    a = u.conj().T @ phi
     abs2 = np.abs(a) ** 2
     return {"rotate": u.conj().T, "forward": a, "adjoint": a.conj().T,
             "forward_abs2": abs2, "adjoint_abs2": abs2.T}
 
 
-@pytest.fixture(params=["desk", "plain", "rotated"])
+@pytest.fixture(params=["desk", "plain", "rotated", "thin"])
 def any_op(request, desk_op):
+    """(operator, its dense Phi); "thin" is a rotated 20 x 12 matrix, so U is 20 x 12."""
     if request.param == "desk":
-        return desk_op
-    phi = crandn(np.random.default_rng(13), 20, 36)
-    return operator_from_matrix(phi, rotate=request.param == "rotated")
+        return desk_op, dense_phi(desk_op)
+    shape = (20, 12) if request.param == "thin" else (20, 36)
+    phi = crandn(np.random.default_rng(13), *shape)
+    return operator_from_matrix(phi, rotate=request.param != "plain"), phi
 
 
 @pytest.mark.parametrize("batch", [(), (3,)])
 def test_products_match_dense_oracle(any_op, batch):
     rng = np.random.default_rng(17)
-    m, g = any_op.phi.shape
-    for name, dense in _dense_products(any_op).items():
+    op, phi = any_op
+    for name, dense in _dense_products(op, phi).items():
         n_in = dense.shape[1]
         if name.endswith("abs2"):
             v = rng.uniform(0.1, 1.0, (n_in,) + batch)
         else:
             v = crandn(rng, n_in, *batch)
-        out = getattr(any_op, name)(v)
+        out = getattr(op, name)(v)
         ref = dense @ v
         assert out.shape == ref.shape, name
         assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref), name
+
+
+def test_gram_and_diag_quad_match_dense_oracle(any_op):
+    """A diag(w) A^H and diag(A^H X A) from the factors equal the dense products."""
+    rng = np.random.default_rng(19)
+    op, phi = any_op
+    u, _ = dense_rotation(op)
+    a = u.conj().T @ phi
+    m, g = a.shape
+    assert op.shape == (m, g)
+    w = rng.uniform(0.0, 2.0, g)
+    ref = (a * w) @ a.conj().T
+    out = op.gram(w)
+    assert out.shape == (m, m)
+    assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+    x = crandn(rng, m, m)
+    x = x + x.conj().T
+    ref = np.real(np.einsum("mg,mn,ng->g", a.conj(), x, a))
+    out = op.diag_quad(x)
+    assert out.shape == (g,) and out.dtype == float
+    assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_assemble_operator_rejects_short_delay_grid(monkeypatch):
@@ -170,20 +197,23 @@ def test_assemble_operator_rejects_short_delay_grid(monkeypatch):
     edge = desk_config(grid_delay=8)
     op = assemble_operator(edge, _comb(edge), build_dictionaries(edge))
     u, a = dense_rotation(op)
-    assert np.allclose(u @ a, op.phi, atol=1e-12)
+    assert np.allclose(u @ a, dense_phi(op), atol=1e-12)
     gram = a @ a.conj().T
     assert np.allclose(gram, np.diag(np.diag(gram)), atol=1e-12 * np.max(np.abs(gram)))
 
 
 def test_assemble_operator_matches_channel_path(rng, desk_cfg, desk_op):
-    """op.phi @ x equals combining the reconstructed channel tone by tone."""
+    """Phi x and U A x equal combining the reconstructed channel tone by tone."""
     op = desk_op
     cfg = desk_cfg
+    phi = dense_phi(op)
+    u, _ = dense_rotation(op)
     for _ in range(5):
         x = crandn(rng, cfg.grid_total)
         h = reconstruct_channel(op.dicts, x)
         direct = (op.combiner.w_bar @ h).ravel(order="F")
-        assert np.allclose(op.phi @ x, direct, atol=1e-10)
+        assert np.allclose(phi @ x, direct, atol=1e-10)
+        assert np.allclose(u @ op.forward(x), direct, atol=1e-10)
 
 
 def test_assemble_operator_config_mismatch():

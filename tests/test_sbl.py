@@ -22,6 +22,7 @@ from squintsbl.evaluation import draw_eval_observations
 from squintsbl.measurement import observe_and_transform, operator_from_matrix
 
 from conftest import crandn
+from oracles import dense_phi
 
 
 def exact_posterior_oracle(phi, y, sigma2, gamma):
@@ -58,6 +59,36 @@ def test_exact_e_step_matches_dense_oracle(rng):
         denom = np.linalg.norm(np.concatenate([mu0, tau0]))
         err = np.linalg.norm(np.concatenate([mu - mu0, tau - tau0])) / denom
         assert err < 1e-10
+
+
+def test_exact_e_step_desk_operator_matches_dense_oracle(desk_cfg, desk_op, rng):
+    """On the assembled operator, the block-form solve on r = U^H y is the
+    posterior of y = Phi x + n; the cross-tone delay mixing is exercised."""
+    phi = dense_phi(desk_op)
+    g = desk_cfg.grid_total
+    y = np.stack([o.y for o in draw_eval_observations(desk_op, 0, 2)], axis=1)
+    gamma = np.exp(rng.uniform(-3, 1, (g, 2)))
+    state = SblState(iteration=0, mu=np.zeros((g, 2), dtype=complex), tau_x=gamma.copy(),
+                     gamma=gamma, s=np.zeros_like(y))
+    mu, tau, _ = exact_e_step(desk_op, desk_op.rotate(y), desk_cfg.noise_var, state)
+    for j in range(2):
+        mu0, tau0 = exact_posterior_oracle(phi, y[:, j], desk_cfg.noise_var, gamma[:, j])
+        denom = np.linalg.norm(np.concatenate([mu0, tau0]))
+        err = np.linalg.norm(np.concatenate([mu[:, j] - mu0, tau[:, j] - tau0])) / denom
+        assert err < 1e-10
+
+
+def test_exact_e_step_thin_rotation_matches_dense_oracle(rng):
+    """With M > G the rotation U is M x G; the rotated solve is still exact."""
+    phi = crandn(rng, 20, 12) / np.sqrt(20)
+    y = crandn(rng, 20)
+    gamma = np.exp(rng.uniform(-3, 1, 12))
+    op = operator_from_matrix(phi, rotate=True)
+    assert op.shape == (12, 12)
+    mu, tau, _ = exact_e_step(op, op.rotate(y), 0.2, _state_with(gamma))
+    mu0, tau0 = exact_posterior_oracle(phi, y, 0.2, gamma)
+    assert np.linalg.norm(mu - mu0) <= 1e-10 * np.linalg.norm(mu0)
+    assert np.max(np.abs(tau - tau0)) <= 1e-10 * np.max(tau0)
 
 
 def _state_with(gamma, m=None):
@@ -212,6 +243,18 @@ def test_exact_e_step_cholesky_failure_is_divergence(rng):
     assert exc.value.iteration == 5
 
 
+def test_exact_e_step_cholesky_failure_names_column(rng):
+    """In a batch, the error names the one column whose S is singular."""
+    phi = crandn(rng, 8, 16) / np.sqrt(8)
+    gamma = np.ones((16, 3))
+    gamma[2:, 1] = 0.0  # column 1: rank 2 < 8 with sigma2 = 0
+    state = SblState(iteration=2, mu=np.zeros((16, 3), dtype=complex), tau_x=gamma.copy(),
+                     gamma=gamma, s=np.zeros((8, 3), dtype=complex))
+    with pytest.raises(DivergenceError, match=r"posterior solve failed at iteration 3 in columns \[1\]") as exc:
+        exact_e_step(operator_from_matrix(phi), crandn(rng, 8, 3), 0.0, state)
+    assert exc.value.iteration == 3
+
+
 def test_classic_m_step(rng):
     mu = crandn(rng, 9)
     tau = rng.uniform(0, 1, 9)
@@ -269,7 +312,7 @@ def test_run_estimator_amp_runs(desk_cfg, desk_op):
 
 def test_amp_sbl_per_tone_matches_dense_rotation(desk_cfg, desk_op):
     """Ten classic AMP-SBL iterations: per-tone factors against the dense-SVD operator."""
-    dense = operator_from_matrix(desk_op.phi, rotate=True)
+    dense = operator_from_matrix(dense_phi(desk_op), rotate=True)
     dense.config = desk_cfg
     spec = EstimatorSpec(e_step="amp", m_step="classic", n_iterations=10)
     for obs in draw_eval_observations(desk_op, 0, 3):

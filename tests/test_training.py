@@ -43,7 +43,7 @@ def test_unroll_matches_run_estimator(tiny_cfg, tiny_op, rng):
     y = crandn(rng, tiny_cfg.n_measurements)
     u, _ = dense_rotation(tiny_op)
     for e_step in ("amp", "exact"):
-        obs = (u.conj().T @ y if e_step == "amp" else y)[:, None]
+        obs = (u.conj().T @ y)[:, None]
         x_unroll, _ = unroll_forward(tiny_op, obs, 0.1, net, 3, e_step)
         spec = EstimatorSpec(e_step=e_step, m_step="learned", n_iterations=3, net=net)
         x_run, _ = run_estimator(spec, tiny_op, y, 0.1)
@@ -105,7 +105,7 @@ def test_unrolled_gradients_finite_difference(tiny_cfg, tiny_op, e_step, rng):
     net = MStepNet.create(depth - 1, np.random.default_rng(11))
     _, va, _ = generate_splits(tiny_cfg, (2, b, 2))
     split = _prepare_split(va, tiny_op, True, tiny_cfg.noise_var, False)
-    obs = _batch_obs(tiny_op, split, np.arange(b), tiny_cfg.noise_var, e_step, None)
+    obs = _batch_obs(tiny_op, split, np.arange(b), tiny_cfg.noise_var, None)
     t = _linear_loss_grad(np.random.default_rng(12), (tiny_cfg.grid_total, b))
 
     def loss():
@@ -189,16 +189,16 @@ def test_batch_obs_noise_modes(tiny_cfg, tiny_op):
     _, va, _ = generate_splits(tiny_cfg, (2, 4, 2))
     split = _prepare_split(va, tiny_op, True, tiny_cfg.noise_var, False)
     idx = np.arange(3)
-    fixed1 = _batch_obs(tiny_op, split, idx, tiny_cfg.noise_var, "exact", None)
-    fixed2 = _batch_obs(tiny_op, split, idx, tiny_cfg.noise_var, "exact", None)
+    fixed1 = _batch_obs(tiny_op, split, idx, tiny_cfg.noise_var, None)
+    fixed2 = _batch_obs(tiny_op, split, idx, tiny_cfg.noise_var, None)
     assert np.array_equal(fixed1, fixed2)
-    fresh = _batch_obs(tiny_op, split, idx, tiny_cfg.noise_var, "exact",
+    fresh = _batch_obs(tiny_op, split, idx, tiny_cfg.noise_var,
                        spawn_rng(tiny_cfg.rng_seed, "noise", 9, 9, 0))
     assert not np.array_equal(fixed1, fresh)
-    # amp mode rotates into the SVD basis
-    rot = _batch_obs(tiny_op, split, idx, tiny_cfg.noise_var, "amp", None)
+    # both E-steps take the data rotated into the SVD basis
     u, _ = dense_rotation(tiny_op)
-    assert np.allclose(rot, u.conj().T @ fixed1, atol=1e-12)
+    y = split.y_clean[:, idx] + split.noise[:, idx]
+    assert np.allclose(fixed1, u.conj().T @ y, atol=1e-12)
 
 
 def test_loss_and_grad_channel_domain(tiny_cfg, tiny_op, rng):
