@@ -115,11 +115,11 @@ def exact_e_step(op: MeasurementOperator, r: np.ndarray, sigma2: float, state: S
         s_mat[np.diag_indices(m)] += sigma2
         try:
             factor = cho_factor(s_mat, lower=True)
+            s_inv = _cho_inverse(factor[0])
         except (np.linalg.LinAlgError, ValueError) as exc:
             where = f" in columns [{j}]" if r.ndim == 2 else ""
             raise DivergenceError(f"posterior solve failed at iteration {it}{where}: {exc}", iteration=it) from exc
         u[:, j] = op.adjoint(cho_solve(factor, rs[:, j]))
-        s_inv = _cho_inverse(factor[0])
         d[:, j] = op.diag_quad(s_inv)
         s_invs.append(s_inv)
     gamma = state.gamma
