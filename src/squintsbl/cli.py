@@ -321,7 +321,7 @@ def _cmd_flops(args) -> int:
     d = FlopsDims.from_config(cfg)
     print(f"# config_hash={cfg.config_hash()} seed={cfg.rng_seed}")
     print(f"per-iteration FLOPs of the paper's dense-product model (not this implementation's cost) "
-          f"at K={d.k}, M={d.m}, G={d.g}, G_A={d.g_a}, N={d.n}")
+          f"at K={d.k}, m={d.m} per tone, G={d.g}, G_A={d.g_a}, N={d.n}")
     for algo in DEFAULT_FLOPS_MODEL.per_iteration:
         print(f"  {algo:<20} {flops_per_iteration(algo, cfg):>16,}")
     print(f"  {'amp-sbl (classic)':<20} {classic_amp_iteration_flops(cfg):>16,}")
