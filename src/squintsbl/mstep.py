@@ -9,7 +9,20 @@ added to the previous variance image before a final ReLU:
 
 Everything here is plain numpy with hand-derived backward passes, so
 gradients are exact up to floating point and verifiable by finite
-differences.  Convolutions use zero padding and keep the image size.
+differences.
+
+Convolutions use zero padding and keep the image size.  Each is one
+matrix product on the side of the layer with fewer channels.  When the
+input has no more channels than the output (C <= O, the 2->8 layer), the
+kh*kw shifted slices of the padded input are copied into a
+(C*kh*kw, H*W) array per image and multiplied by the (O, C*kh*kw)
+kernel.  Otherwise (the 8->1 layer) the (O*kh*kw, C) kernel multiplies
+the padded input, and the kh*kw shifted slices of that product are
+summed.  Either way a layer costs about O*C*kh*kw multiply-adds per
+pixel, and its one large temporary holds about min(C, O)*kh*kw values
+per pixel: 9x the smaller side's images for a 3x3 kernel.  The
+backward pass uses the same two forms, recomputing the slices instead
+of keeping them from the forward pass.
 """
 
 from __future__ import annotations
@@ -17,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import SystemConfig
 from .data_io import load_container, save_container
@@ -47,26 +59,80 @@ def image_to_vec(img: np.ndarray) -> np.ndarray:
 
 # ---- convolution with hand-written backward ---------------------------------
 
+def _check_conv_shapes(x: np.ndarray, w: np.ndarray) -> None:
+    if x.ndim != 4 or w.ndim != 4:
+        raise ValueError(f"need x (B, C, H, W) and w (O, C, kh, kw), got {x.shape} and {w.shape}")
+    if w.shape[2] % 2 == 0 or w.shape[3] % 2 == 0:
+        raise ValueError(f"same-size convolution needs an odd kernel, got {w.shape[2]}x{w.shape[3]}")
+    if x.shape[1] != w.shape[1]:
+        raise ValueError(f"input has {x.shape[1]} channels, the kernel expects {w.shape[1]}")
+
+
+def _pad(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    return np.pad(x, ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
+
+
+def _windows(xp: np.ndarray, kh: int, kw: int, h: int, w: int) -> np.ndarray:
+    """The kh*kw shifted h x w slices of padded images, as (B, C*kh*kw, h*w)."""
+    cols = np.empty(xp.shape[:2] + (kh, kw, h, w), dtype=xp.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i:i + h, j:j + w]
+    return cols.reshape(xp.shape[0], -1, h * w)
+
+
+def _correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Zero-padded same-size correlation without bias; x (B,C,H,W), w (O,C,kh,kw).
+
+    Works on the side with fewer channels: for C <= O one GEMM of the
+    (O, C*kh*kw) kernel with the shifted input slices, for C > O one GEMM
+    of the (O*kh*kw, C) kernel with the padded input, then a sum of the
+    shifted slices of that product.
+    """
+    n, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    xp = _pad(x, kh, kw)
+    if c <= o:
+        return (w.reshape(o, -1) @ _windows(xp, kh, kw, h, wd)).reshape(n, o, h, wd)
+    proj = w.transpose(0, 2, 3, 1).reshape(-1, c) @ xp.reshape(n, c, -1)
+    proj = proj.reshape(n, o, kh, kw, *xp.shape[2:])
+    out = np.zeros((n, o, h, wd), dtype=proj.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            out += proj[:, :, i, j, i:i + h, j:j + wd]
+    return out
+
+
 def conv2d_same(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Zero-padded same-size correlation; x (B,C,H,W), w (O,C,kh,kw)."""
-    kh, kw = w.shape[2], w.shape[3]
-    ph, pw = kh // 2, kw // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    return np.einsum("bchwij,ocij->bohw", win, w, optimize=True) + b[None, :, None, None]
+    """Zero-padded same-size correlation; x (B,C,H,W), w (O,C,kh,kw), odd kh and kw."""
+    _check_conv_shapes(x, w)
+    return _correlate(x, w) + b[None, :, None, None]
 
 
 def conv2d_same_backward(x: np.ndarray, w: np.ndarray, grad_out: np.ndarray):
-    """Gradients of a same-size correlation: returns (g_x, g_w, g_b)."""
-    kh, kw = w.shape[2], w.shape[3]
-    ph, pw = kh // 2, kw // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    grad_w = np.einsum("bchwij,bohw->ocij", win, grad_out, optimize=True)
+    """Gradients of a same-size correlation: returns (g_x, g_w, g_b).
+
+    g_x is the correlation of ``grad_out`` with the flipped, transposed
+    kernel.  g_w contracts ``grad_out`` with the input windows when
+    C <= O; when C > O it contracts the padded input with a padded canvas
+    holding ``grad_out`` at each of the kh*kw offsets.
+    """
+    _check_conv_shapes(x, w)
+    n, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    grad_x = _correlate(grad_out, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    xp = _pad(x, kh, kw)
+    if c <= o:
+        cols = _windows(xp, kh, kw, h, wd)
+        grad_w = (grad_out.reshape(n, o, -1) @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    else:
+        canvas = np.zeros((n, o, kh, kw) + xp.shape[2:], dtype=grad_out.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                canvas[:, :, i, j, i:i + h, j:j + wd] = grad_out
+        grad_w = (canvas.reshape(n, o * kh * kw, -1) @ xp.reshape(n, c, -1).transpose(0, 2, 1)).sum(axis=0)
+        grad_w = grad_w.reshape(o, kh, kw, c).transpose(0, 3, 1, 2)
     grad_b = grad_out.sum(axis=(0, 2, 3))
-    gp = np.pad(grad_out, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    gwin = sliding_window_view(gp, (kh, kw), axis=(2, 3))
-    grad_x = np.einsum("bohwij,ocij->bchw", gwin, w[:, :, ::-1, ::-1], optimize=True)
     return grad_x, grad_w, grad_b
 
 
@@ -218,15 +284,15 @@ def stage_forward(stage: ConvStage, feats: np.ndarray, gamma_img: np.ndarray):
     h1 = np.maximum(pre1, 0.0)
     update = conv2d_same(h1, stage.w2, stage.b2)[:, 0]
     pre2 = gamma_img + update
-    return np.maximum(pre2, 0.0), (feats, pre1, h1, pre2)
+    return np.maximum(pre2, 0.0), (feats, h1, pre2)
 
 
 def stage_backward(stage: ConvStage, cache, g_gamma_new: np.ndarray):
     """Backprop one stage; returns (g_feats, g_gamma_prev, StageGrads)."""
-    feats, pre1, h1, pre2 = cache
+    feats, h1, pre2 = cache
     g_pre2 = g_gamma_new * (pre2 > 0)
     g_h1, g_w2, g_b2 = conv2d_same_backward(h1, stage.w2, g_pre2[:, None])
-    g_pre1 = g_h1 * (pre1 > 0)
+    g_pre1 = g_h1 * (h1 > 0)
     g_feats, g_w1, g_b1 = conv2d_same_backward(feats, stage.w1, g_pre1)
     return g_feats, g_pre2, StageGrads(w1=g_w1, b1=g_b1, w2=g_w2, b2=g_b2)
 
@@ -267,6 +333,18 @@ def save_checkpoint(net: MStepNet, path, cfg: SystemConfig | None = None) -> Non
     save_container(path, _NET_KIND, meta, arrays)
 
 
+def _check_stage_shapes(i: int, params: dict) -> None:
+    """Each stage must be a (2 -> hidden -> 1) refiner with one odd square kernel size."""
+    w1 = params["w1"]
+    hidden, k = (w1.shape[0], w1.shape[2]) if w1.ndim == 4 else (HIDDEN_CHANNELS, KERNEL)
+    expected = {"w1": (hidden, 2, k, k), "b1": (hidden,), "w2": (1, hidden, k, k), "b2": (1,)}
+    for name, shape in expected.items():
+        if params[name].shape != shape:
+            raise ValueError(f"checkpoint stage {i}: {name} has shape {params[name].shape}, expected {shape}")
+    if k % 2 == 0:
+        raise ValueError(f"checkpoint stage {i}: kernel size {k} is even, the refiner needs an odd one")
+
+
 def load_checkpoint(path, expect_config: SystemConfig | None = None) -> MStepNet:
     _, meta, arrays = load_container(path, expect_kind=_NET_KIND)
     if expect_config is not None and meta["config_hash"] and meta["config_hash"] != expect_config.config_hash():
@@ -274,8 +352,9 @@ def load_checkpoint(path, expect_config: SystemConfig | None = None) -> MStepNet
             f"checkpoint config hash {meta['config_hash']} does not match "
             f"{expect_config.config_hash()}"
         )
-    stages = [
-        ConvStage(*(arrays[f"stage{i}/{name}"] for name in _PARAM_NAMES))
-        for i in range(meta["n_stages"])
-    ]
+    stages = []
+    for i in range(meta["n_stages"]):
+        params = {name: arrays[f"stage{i}/{name}"] for name in _PARAM_NAMES}
+        _check_stage_shapes(i, params)
+        stages.append(ConvStage(**params))
     return MStepNet(stages, meta["feature_mode"], meta["config_hash"], meta.get("meta", {}))

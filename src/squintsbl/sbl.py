@@ -20,7 +20,8 @@ implementation, shared by inference and training:
 Both take one vector or a (., B) batch and also return the cache their
 backward pass (``_exact_backward``, ``_amp_backward``) reads.  Both fail
 one way: non-finite values, a column whose norm runs away, or a failed
-Cholesky raise :class:`DivergenceError` with the iteration index.
+Cholesky raise :class:`DivergenceError` with the iteration index and,
+for a batch, the failing columns.
 
 A learned convolutional variance update can replace the classic M-step
 through :class:`EstimatorSpec`; see the companion network module.
@@ -47,10 +48,13 @@ _MAGNITUDE_GUARD = 1e6
 class DivergenceError(RuntimeError):
     """Non-finite or runaway values, or a failed posterior solve, in an estimator or training pass."""
 
-    def __init__(self, message: str, iteration: int, trace: list | None = None):
+    def __init__(self, message: str, iteration: int, trace: list | None = None,
+                 columns: list[int] | None = None):
         super().__init__(message)
         self.iteration = iteration
         self.trace = trace if trace is not None else []
+        # failing batch columns; [] for a single-vector run
+        self.columns = columns if columns is not None else []
 
 
 @dataclass
@@ -81,14 +85,24 @@ def _check_step(it: int, data: np.ndarray, **arrays) -> None:
     """Raise :class:`DivergenceError` if any of ``arrays`` is non-finite
     or a column of ``arrays["mu"]`` runs away from its column of ``data``."""
     for name, arr in arrays.items():
-        if not np.all(np.isfinite(arr)):
-            raise DivergenceError(f"non-finite {name} at iteration {it}", iteration=it)
+        bad = ~np.all(np.isfinite(arr), axis=0)
+        if np.any(bad):
+            columns, where = _columns(np.flatnonzero(bad), arr.ndim)
+            raise DivergenceError(f"non-finite {name} at iteration {it}{where}", iteration=it, columns=columns)
     mu = arrays["mu"]
     limit = _MAGNITUDE_GUARD * np.maximum(np.linalg.norm(data, axis=0), 1e-300)
     blown = np.linalg.norm(mu, axis=0) > limit
     if np.any(blown):
-        where = f" in columns {np.flatnonzero(blown).tolist()}" if mu.ndim == 2 else ""
-        raise DivergenceError(f"estimate norm blew up at iteration {it}{where}", iteration=it)
+        columns, where = _columns(np.flatnonzero(blown), mu.ndim)
+        raise DivergenceError(f"estimate norm blew up at iteration {it}{where}", iteration=it, columns=columns)
+
+
+def _columns(failed, ndim: int) -> tuple[list[int], str]:
+    """The failing column indices and the message suffix naming them; none for a vector."""
+    if ndim != 2:
+        return [], ""
+    columns = [int(j) for j in failed]
+    return columns, f" in columns {columns}"
 
 
 def exact_e_step(op: MeasurementOperator, r: np.ndarray, sigma2: float, state: SblState):
@@ -117,8 +131,9 @@ def exact_e_step(op: MeasurementOperator, r: np.ndarray, sigma2: float, state: S
             factor = cho_factor(s_mat, lower=True)
             s_inv = _cho_inverse(factor[0])
         except (np.linalg.LinAlgError, ValueError) as exc:
-            where = f" in columns [{j}]" if r.ndim == 2 else ""
-            raise DivergenceError(f"posterior solve failed at iteration {it}{where}: {exc}", iteration=it) from exc
+            columns, where = _columns([j], r.ndim)
+            raise DivergenceError(f"posterior solve failed at iteration {it}{where}: {exc}",
+                                  iteration=it, columns=columns) from exc
         u[:, j] = op.adjoint(cho_solve(factor, rs[:, j]))
         d[:, j] = op.diag_quad(s_inv)
         s_invs.append(s_inv)

@@ -67,11 +67,31 @@ def naive_conv2d_same(x, w, b):
     return out
 
 
-def test_conv2d_same_matches_naive(rng):
-    x = rng.standard_normal((2, 3, 5, 6))
-    w = rng.standard_normal((4, 3, 3, 3))
-    b = rng.standard_normal(4)
+# Both sides of the channel rule (C <= O gathers input windows, C > O
+# projects first), 3x3, 1x1 and non-square 5x3 kernels, a non-square image.
+conv_shapes = pytest.mark.parametrize("kernel", [(3, 3), (1, 1), (5, 3)], ids=["k3x3", "k1x1", "k5x3"])
+conv_batches = pytest.mark.parametrize("batch", [1, 3], ids=["b1", "b3"])
+conv_channels = pytest.mark.parametrize("cin,cout", [(2, 8), (8, 1), (3, 3)], ids=["2to8", "8to1", "3to3"])
+
+
+@conv_channels
+@conv_batches
+@conv_shapes
+def test_conv2d_same_matches_naive(rng, cin, cout, batch, kernel):
+    x = rng.standard_normal((batch, cin, 5, 7))
+    w = rng.standard_normal((cout, cin) + kernel)
+    b = rng.standard_normal(cout)
     assert np.allclose(conv2d_same(x, w, b), naive_conv2d_same(x, w, b), atol=1e-12)
+
+
+def test_conv2d_rejects_bad_shapes(rng):
+    x = rng.standard_normal((1, 2, 6, 6))
+    with pytest.raises(ValueError, match="odd kernel"):
+        conv2d_same(x, rng.standard_normal((3, 2, 2, 2)), np.zeros(3))
+    with pytest.raises(ValueError, match="odd kernel"):
+        conv2d_same(x, rng.standard_normal((3, 2, 3, 4)), np.zeros(3))
+    with pytest.raises(ValueError, match="channels"):
+        conv2d_same(x, rng.standard_normal((3, 4, 3, 3)), np.zeros(3))
 
 
 def test_conv2d_identity_kernel(rng):
@@ -92,11 +112,14 @@ def test_conv2d_shift_kernel_interior(rng):
     assert np.allclose(out[0, 0, 0, :], 0.0)
 
 
-def test_conv2d_backward_finite_difference(rng):
-    x = rng.standard_normal((2, 2, 6, 6))
-    w = rng.standard_normal((3, 2, 3, 3))
-    b = rng.standard_normal(3)
-    g_out = rng.standard_normal((2, 3, 6, 6))
+@conv_channels
+@conv_batches
+@conv_shapes
+def test_conv2d_backward_finite_difference(rng, cin, cout, batch, kernel):
+    x = rng.standard_normal((batch, cin, 5, 7))
+    w = rng.standard_normal((cout, cin) + kernel)
+    b = rng.standard_normal(cout)
+    g_out = rng.standard_normal((batch, cout, 5, 7))
     g_x, g_w, g_b = conv2d_same_backward(x, w, g_out)
     h = 1e-6
 
@@ -114,6 +137,18 @@ def test_conv2d_backward_finite_difference(rng):
             flat[t] = orig
             fd = (up - dn) / (2 * h)
             assert abs(fd - gflat[t]) < 1e-5 * max(1.0, abs(fd))
+
+
+@pytest.mark.parametrize("cin,cout", [(2, 8), (8, 1)], ids=["2to8", "8to1"])
+def test_conv2d_backward_is_exact_adjoint(rng, cin, cout):
+    """<conv(x, w, 0), g> = <x, g_x> = <w, g_w> at the default image size."""
+    x = rng.standard_normal((2, cin, 64, 64))
+    w = rng.standard_normal((cout, cin, 3, 3))
+    g_out = rng.standard_normal((2, cout, 64, 64))
+    g_x, g_w, _ = conv2d_same_backward(x, w, g_out)
+    forward = np.vdot(conv2d_same(x, w, np.zeros(cout)), g_out)
+    assert np.vdot(x, g_x) == pytest.approx(forward, rel=1e-12)
+    assert np.vdot(w, g_w) == pytest.approx(forward, rel=1e-12)
 
 
 # ---- stages and network -----------------------------------------------------
@@ -319,3 +354,28 @@ def test_checkpoint_roundtrip(tmp_path, rng):
         assert np.array_equal(a.b2, b.b2)
     with pytest.raises(ValueError):
         load_checkpoint(path, expect_config=cfg.replace(rng_seed=1))
+
+
+@pytest.mark.parametrize("name,shape,message", [
+    ("b1", (5,), r"stage 1: b1 has shape \(5,\), expected \(8,\)"),
+    ("w2", (2, 8, 3, 3), r"stage 1: w2 has shape"),
+    ("w1", (8, 3, 3, 3), r"stage 1: w1 has shape"),
+    ("b2", (2,), r"stage 1: b2 has shape"),
+], ids=["b1", "w2", "w1", "b2"])
+def test_checkpoint_rejects_bad_stage_shapes(tmp_path, rng, name, shape, message):
+    net = MStepNet.create(2, rng)
+    setattr(net.stages[1], name, np.zeros(shape))
+    path = tmp_path / "net.npz"
+    save_checkpoint(net, path)
+    with pytest.raises(ValueError, match=message):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_even_kernel(tmp_path, rng):
+    net = MStepNet.create(1, rng)
+    net.stages[0].w1 = np.zeros((8, 2, 4, 4))
+    net.stages[0].w2 = np.zeros((1, 8, 4, 4))
+    path = tmp_path / "net.npz"
+    save_checkpoint(net, path)
+    with pytest.raises(ValueError, match="stage 0: kernel size 4 is even"):
+        load_checkpoint(path)

@@ -161,6 +161,19 @@ def test_amp_e_step_nonfinite_guard(rng):
     with pytest.raises(DivergenceError) as exc:
         amp_e_step(op, crandn(rng, 4), 0.1, state)
     assert exc.value.iteration == 1
+    assert exc.value.columns == []
+
+
+def test_amp_e_step_nonfinite_guard_names_columns(rng):
+    """A NaN in one column's running estimate fails that column alone, by name."""
+    op = operator_from_matrix(crandn(rng, 4, 6) / 2)
+    mu = crandn(rng, 6, 3)
+    mu[4, 1] = np.nan
+    state = SblState(iteration=1, mu=mu, tau_x=np.ones((6, 3)), gamma=np.ones((6, 3)),
+                     s=np.zeros((4, 3), dtype=complex))
+    with pytest.raises(DivergenceError, match=r"non-finite \w+ at iteration 2 in columns \[1\]$") as exc:
+        amp_e_step(op, crandn(rng, 4, 3), 0.1, state)
+    assert exc.value.columns == [1]
 
 
 def test_amp_e_step_magnitude_guard(rng):
@@ -186,13 +199,15 @@ def test_amp_e_step_norm_guard_per_column(rng):
     with pytest.raises(DivergenceError, match=r"columns \[0\]") as exc:
         amp_e_step(op, r, 0.1, state)
     assert exc.value.iteration == 3
+    assert exc.value.columns == [0]
     # the same column alone fails, the other alone passes
     one = SblState(iteration=2, mu=mu[:, 1], tau_x=np.ones(6), gamma=np.ones(6),
                    s=np.zeros(4, dtype=complex))
     amp_e_step(op, r[:, 1], 0.1, one)
     one.mu = mu[:, 0]
-    with pytest.raises(DivergenceError):
+    with pytest.raises(DivergenceError, match="blew up") as exc:
         amp_e_step(op, r[:, 0], 0.1, one)
+    assert exc.value.columns == []
 
 
 def _batch_and_column_states(rng, g, m, b):
@@ -241,6 +256,7 @@ def test_exact_e_step_cholesky_failure_is_divergence(rng):
     with pytest.raises(DivergenceError, match="posterior solve failed") as exc:
         exact_e_step(operator_from_matrix(phi), crandn(rng, 8), 0.0, state)
     assert exc.value.iteration == 5
+    assert exc.value.columns == []
 
 
 def test_exact_e_step_cholesky_failure_names_column(rng):
@@ -253,6 +269,7 @@ def test_exact_e_step_cholesky_failure_names_column(rng):
     with pytest.raises(DivergenceError, match=r"posterior solve failed at iteration 3 in columns \[1\]") as exc:
         exact_e_step(operator_from_matrix(phi), crandn(rng, 8, 3), 0.0, state)
     assert exc.value.iteration == 3
+    assert exc.value.columns == [1]
 
 
 def test_classic_m_step(rng):
