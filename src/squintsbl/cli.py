@@ -243,10 +243,6 @@ def _cmd_train(args) -> int:
         lr_patience=args.lr_patience,
         stop_patience=args.stop_patience,
         max_epochs=args.max_epochs,
-        loss_domain=args.loss_domain,
-        end_to_end=not args.truncated,
-        gamma_floor=args.gamma_floor,
-        feature_mode=args.feature_mode,
     )
     initial = load_checkpoint(args.resume) if args.resume else None
     op = standard_operator(cfg)
@@ -343,9 +339,8 @@ def _cmd_selftest(args) -> int:
 
 def build_parser() -> _Parser:
     from .evaluation import SWEEP_AXES
-    from .mstep import FEATURE_MODES
     from .sbl import E_STEPS
-    from .training import LOSS_DOMAINS, TrainConfig
+    from .training import TrainConfig
 
     train_defaults = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
 
@@ -359,22 +354,21 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default="data", metavar="DIR", help="output directory")
     p.set_defaults(func=_cmd_gen_data)
 
-    p = sub.add_parser("train", help="layer-wise training of the learned variance update")
+    p = sub.add_parser("train", help="layer-wise training of the learned variance update",
+                       description="Grow the unfolded estimator from depth 2 to --depth, retraining "
+                       "the |mu|^2, tau -> gamma refiner end to end on the mean channel NMSE after "
+                       "each added stage.")
     p.add_argument("--data", required=True, metavar="DIR", help="directory from gen-data")
     p.add_argument("--out", default="run", metavar="DIR", help="output directory")
     p.add_argument("--depth", type=int, required=True, help="unrolled iteration count (>= 2)")
     p.add_argument("--e-step", choices=E_STEPS, default=train_defaults["e_step"])
     p.add_argument("--batch-size", type=int, default=train_defaults["batch_size"])
     p.add_argument("--learning-rate", type=float, default=train_defaults["learning_rate"])
-    p.add_argument("--lr-decay", type=float, default=train_defaults["lr_decay"])
+    p.add_argument("--lr-decay", type=float, default=train_defaults["lr_decay"],
+                   help="divide the learning rate by this (>= 1) after --lr-patience flat epochs")
     p.add_argument("--lr-patience", type=int, default=train_defaults["lr_patience"])
     p.add_argument("--stop-patience", type=int, default=train_defaults["stop_patience"])
     p.add_argument("--max-epochs", type=int, default=train_defaults["max_epochs"])
-    p.add_argument("--loss-domain", choices=LOSS_DOMAINS, default=train_defaults["loss_domain"])
-    p.add_argument("--feature-mode", choices=FEATURE_MODES, default=train_defaults["feature_mode"])
-    p.add_argument("--gamma-floor", type=float, default=train_defaults["gamma_floor"])
-    p.add_argument("--truncated", action="store_true",
-                   help="train with per-iteration gradients only (no state backpropagation)")
     p.add_argument("--resume", metavar="CKPT", help="existing checkpoint to append stages to")
     p.add_argument("--snr-db", type=float, default=None, help="override the dataset's noise level")
     p.add_argument("--noise-var", type=float, default=None, help="override the dataset's noise level")

@@ -1,9 +1,10 @@
 """Learned convolutional variance update for unfolded estimators.
 
 Each unfolded iteration owns a small residual refiner: the posterior
-statistics are reshaped to a two-channel angular-delay image, passed
-through conv(3x3, 2->8) + ReLU + conv(3x3, 8->1), and the result is
-added to the previous variance image before a final ReLU:
+statistics |mu|^2 and tau, the two terms of the classic update
+gamma = |mu|^2 + tau, are reshaped to a two-channel angular-delay
+image, passed through conv(3x3, 2->8) + ReLU + conv(3x3, 8->1), and the
+result is added to the previous variance image before a final ReLU:
 
     gamma_new = relu(gamma_prev + conv2(relu(conv1(features))))
 
@@ -36,7 +37,6 @@ from .data_io import load_container, save_container
 
 HIDDEN_CHANNELS = 8
 KERNEL = 3
-FEATURE_MODES = ("abs2", "abs")
 
 
 # ---- image/vector layout ----------------------------------------------------
@@ -178,12 +178,8 @@ class MStepNet:
     after the final iteration would never be consumed.
     """
 
-    def __init__(self, stages: list[ConvStage], feature_mode: str = "abs2",
-                 config_hash: str = "", meta: dict | None = None):
-        if feature_mode not in FEATURE_MODES:
-            raise ValueError(f"feature_mode must be one of {FEATURE_MODES}")
+    def __init__(self, stages: list[ConvStage], config_hash: str = "", meta: dict | None = None):
         self.stages = stages
-        self.feature_mode = feature_mode
         self.config_hash = config_hash
         self.meta = meta if meta is not None else {}
         self.reset_optimizer()
@@ -193,9 +189,8 @@ class MStepNet:
         return len(self.stages)
 
     @classmethod
-    def create(cls, n_stages: int, rng: np.random.Generator, feature_mode: str = "abs2",
-               config_hash: str = "") -> "MStepNet":
-        return cls([init_stage(rng) for _ in range(n_stages)], feature_mode, config_hash)
+    def create(cls, n_stages: int, rng: np.random.Generator, config_hash: str = "") -> "MStepNet":
+        return cls([init_stage(rng) for _ in range(n_stages)], config_hash)
 
     def append_stage(self) -> None:
         """Grow by one iteration, seeding it with the last stage's weights."""
@@ -234,28 +229,24 @@ def adam_update(net: MStepNet, grads: list[StageGrads], step: int, lr: float,
 
 # ---- features ---------------------------------------------------------------
 
-def build_features(mu: np.ndarray, tau_x: np.ndarray, cfg: SystemConfig, mode: str = "abs2") -> np.ndarray:
+def build_features(mu: np.ndarray, tau_x: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     """Single-sample feature tensor (G_A, G_D, 2).
 
-    Channel 0 is the posterior mean power (or magnitude under the
-    "abs" variant); channel 1 is the posterior variance.
+    Channel 0 is the posterior mean power |mu|^2 and channel 1 the
+    posterior variance tau: the two terms of the classic update.
     """
-    if mode not in FEATURE_MODES:
-        raise ValueError(f"unknown feature mode {mode!r}")
     ga, gd = cfg.grid_angular, cfg.grid_delay
-    m0 = np.abs(mu) ** 2 if mode == "abs2" else np.abs(mu)
-    f0 = vec_to_image(m0, ga, gd)[0]
+    f0 = vec_to_image(np.abs(mu) ** 2, ga, gd)[0]
     f1 = vec_to_image(tau_x, ga, gd)[0]
     return np.stack([f0, f1], axis=-1)
 
 
-def batch_features(mu: np.ndarray, tau_x: np.ndarray, ga: int, gd: int, mode: str = "abs2") -> np.ndarray:
+def batch_features(mu: np.ndarray, tau_x: np.ndarray, ga: int, gd: int) -> np.ndarray:
     """Batched features (B, 2, G_A, G_D) from (G, B) statistics."""
-    m0 = np.abs(mu) ** 2 if mode == "abs2" else np.abs(mu)
-    return np.stack([vec_to_image(m0, ga, gd), vec_to_image(tau_x, ga, gd)], axis=1)
+    return np.stack([vec_to_image(np.abs(mu) ** 2, ga, gd), vec_to_image(tau_x, ga, gd)], axis=1)
 
 
-def batch_features_backward(g_feats: np.ndarray, mu: np.ndarray, mode: str = "abs2"):
+def batch_features_backward(g_feats: np.ndarray, mu: np.ndarray):
     """Pull feature gradients back onto (mu, tau); returns (g_mu, g_tau).
 
     Complex gradients follow the d/dRe + j d/dIm convention.
@@ -265,12 +256,7 @@ def batch_features_backward(g_feats: np.ndarray, mu: np.ndarray, mode: str = "ab
     if mu.ndim == 1:
         g0 = g0[:, 0]
         g_tau = g_tau[:, 0]
-    if mode == "abs2":
-        g_mu = 2.0 * g0 * mu
-    else:
-        mag = np.abs(mu)
-        g_mu = np.where(mag > 0, g0 * mu / np.where(mag > 0, mag, 1.0), 0.0 + 0.0j)
-    return g_mu, g_tau
+    return 2.0 * g0 * mu, g_tau
 
 
 # ---- one refiner stage, forward and backward --------------------------------
@@ -320,7 +306,6 @@ _NET_KIND = "mstep-net"
 def save_checkpoint(net: MStepNet, path, cfg: SystemConfig | None = None) -> None:
     meta = {
         "n_stages": net.n_stages,
-        "feature_mode": net.feature_mode,
         "config_hash": net.config_hash,
         "meta": net.meta,
     }
@@ -347,6 +332,13 @@ def _check_stage_shapes(i: int, params: dict) -> None:
 
 def load_checkpoint(path, expect_config: SystemConfig | None = None) -> MStepNet:
     _, meta, arrays = load_container(path, expect_kind=_NET_KIND)
+    for key in ("n_stages", "config_hash"):
+        if key not in meta:
+            raise ValueError(f"{path}: checkpoint has no {key!r} entry")
+    # older files name their first feature channel; |mu|^2 is the only one served
+    if meta.get("feature_mode", "abs2") != "abs2":
+        raise ValueError(f"{path}: checkpoint was trained on {meta['feature_mode']!r} features; "
+                         "only 'abs2' (|mu|^2) is supported")
     if expect_config is not None and meta["config_hash"] and meta["config_hash"] != expect_config.config_hash():
         raise ValueError(
             f"checkpoint config hash {meta['config_hash']} does not match "
@@ -354,7 +346,10 @@ def load_checkpoint(path, expect_config: SystemConfig | None = None) -> MStepNet
         )
     stages = []
     for i in range(meta["n_stages"]):
+        missing = [f"stage{i}/{name}" for name in _PARAM_NAMES if f"stage{i}/{name}" not in arrays]
+        if missing:
+            raise ValueError(f"{path}: checkpoint has no {', '.join(missing)} array")
         params = {name: arrays[f"stage{i}/{name}"] for name in _PARAM_NAMES}
         _check_stage_shapes(i, params)
         stages.append(ConvStage(**params))
-    return MStepNet(stages, meta["feature_mode"], meta["config_hash"], meta.get("meta", {}))
+    return MStepNet(stages, meta["config_hash"], meta.get("meta", {}))

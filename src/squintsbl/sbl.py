@@ -159,7 +159,7 @@ def _cho_inverse(low: np.ndarray) -> np.ndarray:
     return inv + np.tril(inv, -1).conj().T
 
 
-def _exact_backward(op: MeasurementOperator, cache, g_mu, g_tau, end_to_end: bool) -> np.ndarray:
+def _exact_backward(op: MeasurementOperator, cache, g_mu, g_tau) -> np.ndarray:
     """d loss / d gamma through one exact E-step.
 
     Per column, with K = A^H S^-1 A: the gradient reaches gamma through
@@ -170,8 +170,6 @@ def _exact_backward(op: MeasurementOperator, cache, g_mu, g_tau, end_to_end: boo
     """
     u, d, gamma = cache["u"], cache["d"], cache["gamma"]
     g_gamma = np.real(np.conj(g_mu) * u) + g_tau * (1.0 - 2.0 * gamma * d)
-    if not end_to_end:
-        return g_gamma
     g = len(u)
     us, a_vecs, ws = (x.reshape(g, -1) for x in (u, gamma * g_mu, g_tau * gamma * gamma))
     extra = np.empty(us.shape)
@@ -223,7 +221,7 @@ def amp_e_step(op: MeasurementOperator, r: np.ndarray, sigma2: float, state: Sbl
     return mu_new, tau_new, s_new, cache
 
 
-def _amp_backward(op: MeasurementOperator, cache, g_mu1, g_tau1, g_s1, end_to_end: bool):
+def _amp_backward(op: MeasurementOperator, cache, g_mu1, g_tau1, g_s1):
     """Gradients of one AMP E-step; returns (g_mu0, g_tau0, g_s0, g_gamma).
 
     Complex gradients follow the d/dRe + j d/dIm convention.
@@ -233,8 +231,6 @@ def _amp_backward(op: MeasurementOperator, cache, g_mu1, g_tau1, g_s1, end_to_en
     c2 = c * c
     rmu = np.real(np.conj(g_mu1) * q)
     g_gamma = -tau_q * c2 * (rmu + tau_q * g_tau1)
-    if not end_to_end:
-        return None, None, None, g_gamma
     g_q = g_mu1 * c
     g_tau_q = c2 * (g_tau1 - gamma * rmu) + np.real(np.conj(g_q) * cache["v"])
     g_mu0 = g_q.copy()
@@ -326,7 +322,7 @@ def run_estimator(
             if spec.m_step == "classic":
                 state.gamma = classic_m_step(state.mu, state.tau_x)
             else:
-                feats = build_features(state.mu, state.tau_x, cfg, mode=spec.net.feature_mode)
+                feats = build_features(state.mu, state.tau_x, cfg)
                 state.gamma = mstep_forward(spec.net, it, feats, state.gamma)
         nmse_db = np.nan
         if h_true is not None and op.dicts is not None:
@@ -340,15 +336,3 @@ def run_estimator(
         )
     return state.mu, trace
 
-
-def write_trace_csv(trace: list[dict], path, cfg: SystemConfig | None = None) -> None:
-    """Per-iteration diagnostics as CSV (iteration, nmse_db, gamma_l1)."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        if cfg is not None:
-            fh.write(f"# config_hash={cfg.config_hash()} seed={cfg.rng_seed}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "nmse_db", "gamma_l1"])
-        for row in trace:
-            writer.writerow([row["iteration"], repr(row["nmse_db"]), repr(row["gamma_l1"])])

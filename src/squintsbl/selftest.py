@@ -258,7 +258,7 @@ def check_recursion_gradients() -> str:
                      + np.sum(np.real(np.conj(gs) * s1)))
 
     _, _, _, cache = amp_e_step(op, r, sigma2, SblState(0, mu, tau, gamma, s))
-    g_mu0, g_tau0, g_s0, g_gamma = _amp_backward(op, cache, gm, gt, gs, True)
+    g_mu0, g_tau0, g_s0, g_gamma = _amp_backward(op, cache, gm, gt, gs)
     h = 1e-6
     worst = 0.0
     probes = (

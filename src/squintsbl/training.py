@@ -1,13 +1,16 @@
 """Layer-wise training of the unfolded estimators.
 
 The unfolded network alternates an E-step (posterior statistics given the
-variance parameters) with a learned variance refiner.  The E-steps and
-their backward passes are the solver module's, run on (., B) batches, so
-training differentiates through what inference evaluates and fails the
+variance parameters) with a learned variance refiner fed |mu|^2 and tau.
+The E-steps and their backward passes are the solver module's, run on
+(., B) batches, and the refiner output becomes the next gamma unchanged,
+so training differentiates exactly what inference evaluates and fails the
 same way, with :class:`DivergenceError` (here also ``TrainingDivergence``).
-Training grows the depth one iteration at a time: the new stage starts as
-a copy of the last one and the whole network is retrained after each
-append.  All gradients are hand-derived; complex gradients follow the
+The loss is the mean per-sample channel error ||H_hat - H||^2 / ||H||^2,
+and its gradient runs back through the whole unrolled graph.  Training
+grows the depth one iteration at a time: the new stage starts as a copy
+of the last one and the whole network is retrained after each append.
+All gradients are hand-derived; complex gradients follow the
 d/dRe + j d/dIm convention used by the conv backward.
 """
 
@@ -21,10 +24,9 @@ import numpy as np
 
 from .channel import Dataset, generate_dataset
 from .config import SPLIT_IDS, SystemConfig, spawn_rng
-from .dictionaries import DictionarySet, ridge_project
+from .dictionaries import DictionarySet
 from .measurement import MeasurementOperator
 from .mstep import (
-    FEATURE_MODES,
     MStepNet,
     StageGrads,
     adam_update,
@@ -38,8 +40,6 @@ from .mstep import (
 from .sbl import E_STEPS, DivergenceError, SblState, _amp_backward, _exact_backward, amp_e_step, exact_e_step
 
 logger = logging.getLogger(__name__)
-
-LOSS_DOMAINS = ("channel", "coeff")
 
 # Training and inference fail the same way; the second name is kept for
 # callers that catch training failures by it.
@@ -56,18 +56,12 @@ class TrainConfig:
     lr_patience: int = 4
     stop_patience: int = 10
     max_epochs: int = 200
-    loss_domain: str = "channel"
-    end_to_end: bool = True
-    gamma_floor: float = 1e-12
-    feature_mode: str = "abs2"
 
     def __post_init__(self):
         if self.depth < 2:
             raise ValueError("depth must be at least 2")
         if self.e_step not in E_STEPS:
             raise ValueError(f"e_step must be one of {E_STEPS}")
-        if self.loss_domain not in LOSS_DOMAINS:
-            raise ValueError(f"loss_domain must be one of {LOSS_DOMAINS}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
         if self.lr_patience < 1 or self.stop_patience < 1:
@@ -76,8 +70,8 @@ class TrainConfig:
             raise ValueError("max_epochs must be positive")
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
-        if self.feature_mode not in FEATURE_MODES:
-            raise ValueError(f"feature_mode must be one of {FEATURE_MODES}")
+        if not self.lr_decay >= 1.0:
+            raise ValueError("lr_decay must be at least 1 (the learning rate is divided by it)")
 
 
 @dataclass
@@ -111,8 +105,7 @@ def write_report_csv(report: TrainReport, path, cfg: SystemConfig | None = None,
         if cfg is not None:
             f.write(f"# config_hash={cfg.config_hash()} seed={cfg.rng_seed}\n")
         if train_cfg is not None:
-            f.write(f"# e_step={train_cfg.e_step} depth={train_cfg.depth} "
-                    f"loss={train_cfg.loss_domain}\n")
+            f.write(f"# e_step={train_cfg.e_step} depth={train_cfg.depth}\n")
         f.write(f"# final_test_nmse_db={report.final_test_nmse_db:.6f}\n")
         f.write("depth,epoch,train_loss,val_loss,lr,event\n")
         for stage in report.stages:
@@ -136,17 +129,16 @@ def generate_splits(cfg: SystemConfig, sizes: tuple[int, int, int] = (8000, 1000
 
 @dataclass
 class _Split:
-    """Precomputed per-split arrays: channels, clean measurements, labels."""
+    """Precomputed per-split arrays: channels and clean measurements."""
 
     h: np.ndarray            # (N, K, B) complex128
     hnorm2: np.ndarray       # (B,)
     y_clean: np.ndarray      # (M, B)
     noise: np.ndarray | None  # fixed noise for val/test, None for train
-    x_label: np.ndarray | None = None  # (G, B), coeff-domain loss only
 
 
 def _prepare_split(ds: Dataset, op: MeasurementOperator, fixed_noise: bool,
-                   sigma2: float, want_labels: bool) -> _Split:
+                   sigma2: float) -> _Split:
     cfg = ds.config
     h = np.stack([r.h.astype(np.complex128) for r in ds.realizations], axis=-1)
     hnorm2 = np.sum(np.abs(h) ** 2, axis=(0, 1))
@@ -162,12 +154,7 @@ def _prepare_split(ds: Dataset, op: MeasurementOperator, fixed_noise: bool,
             rng = spawn_rng(cfg.rng_seed, "eval-noise", split_id, i)
             cols.append(_complex_noise(rng, y_clean.shape[0], sigma2))
         noise = np.stack(cols, axis=-1)
-    x_label = None
-    if want_labels:
-        x_label = np.stack(
-            [ridge_project(op.dicts, h[:, :, i]) for i in range(h.shape[-1])], axis=-1
-        )
-    return _Split(h=h, hnorm2=hnorm2, y_clean=y_clean, noise=noise, x_label=x_label)
+    return _Split(h=h, hnorm2=hnorm2, y_clean=y_clean, noise=noise)
 
 
 def _complex_noise(rng: np.random.Generator, n: int, sigma2: float) -> np.ndarray:
@@ -195,27 +182,18 @@ def reconstruct_adjoint(dicts: DictionarySet, r: np.ndarray) -> np.ndarray:
     return g_img.reshape(ga * gd, -1, order="F")
 
 
-def _loss_and_grad(x_hat: np.ndarray, split: _Split, idx: np.ndarray,
-                   dicts: DictionarySet, domain: str):
-    b = len(idx)
-    if domain == "channel":
-        h = split.h[:, :, idx]
-        h_hat = reconstruct_batch(dicts, x_hat)
-        resid = h_hat - h
-        per = np.sum(np.abs(resid) ** 2, axis=(0, 1)) / split.hnorm2[idx]
-        loss = float(np.mean(per))
-        g_h = resid * (2.0 / (b * split.hnorm2[idx]))[None, None, :]
-        return loss, reconstruct_adjoint(dicts, g_h)
-    resid = x_hat - split.x_label[:, idx]
-    loss = float(np.mean(np.sum(np.abs(resid) ** 2, axis=0)))
-    return loss, resid * (2.0 / b)
+def _loss_and_grad(x_hat: np.ndarray, split: _Split, idx: np.ndarray, dicts: DictionarySet):
+    """Mean of ||H_hat - H||^2 / ||H||^2 over the batch, and its gradient in x_hat."""
+    resid = reconstruct_batch(dicts, x_hat) - split.h[:, :, idx]
+    loss = float(np.mean(np.sum(np.abs(resid) ** 2, axis=(0, 1)) / split.hnorm2[idx]))
+    g_h = resid * (2.0 / (len(idx) * split.hnorm2[idx]))[None, None, :]
+    return loss, reconstruct_adjoint(dicts, g_h)
 
 
 # ---- unrolled forward/backward ----------------------------------------------
 
 def unroll_forward(op: MeasurementOperator, obs: np.ndarray, sigma2: float,
-                   net: MStepNet, depth: int, e_step: str,
-                   gamma_floor: float = 0.0):
+                   net: MStepNet, depth: int, e_step: str):
     """Run the depth-``depth`` unfolded estimator on a (·, B) batch.
 
     ``obs`` is the rotated observation r = U^H y, which both E-steps take.
@@ -239,22 +217,19 @@ def unroll_forward(op: MeasurementOperator, obs: np.ndarray, sigma2: float,
         state.iteration = it
         step_cache = {"e_step": e_step, "e": ec, "it": it}
         if it < depth:
-            feats = batch_features(state.mu, state.tau_x, ga, gd, net.feature_mode)
+            feats = batch_features(state.mu, state.tau_x, ga, gd)
             gamma_img = vec_to_image(state.gamma, ga, gd)
             out_img, sc = stage_forward(net.stages[it - 1], feats, gamma_img)
-            gamma_raw = image_to_vec(out_img)
             step_cache["mu"] = state.mu
             step_cache["stage"] = sc
-            step_cache["gamma_raw"] = gamma_raw
-            state.gamma = np.maximum(gamma_raw, gamma_floor)
+            state.gamma = image_to_vec(out_img)
         caches.append(step_cache)
     return state.mu, caches
 
 
 def unroll_backward(op: MeasurementOperator, caches, g_x: np.ndarray,
-                    net: MStepNet, gamma_floor: float = 0.0,
-                    end_to_end: bool = True) -> list[StageGrads]:
-    """Backprop the unrolled estimator; returns per-stage weight gradients."""
+                    net: MStepNet) -> list[StageGrads]:
+    """Backprop the whole unrolled estimator; returns per-stage weight gradients."""
     cfg = op.config
     ga, gd = cfg.grid_angular, cfg.grid_delay
     depth = len(caches)
@@ -266,11 +241,10 @@ def unroll_backward(op: MeasurementOperator, caches, g_x: np.ndarray,
     for it in range(depth, 0, -1):
         cache = caches[it - 1]
         if it < depth:
-            mask = cache["gamma_raw"] > gamma_floor
-            g_img = vec_to_image(g_gamma * mask, ga, gd)
+            g_img = vec_to_image(g_gamma, ga, gd)
             g_feats, g_prev_img, sg = stage_backward(net.stages[it - 1], cache["stage"], g_img)
             grads[it - 1] = sg
-            gm, gt = batch_features_backward(g_feats, cache["mu"], net.feature_mode)
+            gm, gt = batch_features_backward(g_feats, cache["mu"])
             g_mu = g_mu + gm
             g_tau = g_tau + gt
             g_gamma_res = image_to_vec(g_prev_img)
@@ -278,17 +252,14 @@ def unroll_backward(op: MeasurementOperator, caches, g_x: np.ndarray,
             g_gamma_res = 0.0
         ec = cache["e"]
         if cache["e_step"] == "amp":
-            gm0, gt0, gs0, gg = _amp_backward(op, ec, g_mu, g_tau, g_s, end_to_end)
+            g_mu, g_tau, g_s, gg = _amp_backward(op, ec, g_mu, g_tau, g_s)
         else:
-            gg = _exact_backward(op, ec, g_mu, g_tau, end_to_end)
-            gm0 = gt0 = gs0 = None
-        g_gamma = gg + g_gamma_res
-        if end_to_end and gm0 is not None:
-            g_mu, g_tau, g_s = gm0, gt0, gs0
-        else:
+            # the exact posterior depends on gamma alone, not on the previous mu, tau
+            gg = _exact_backward(op, ec, g_mu, g_tau)
             g_mu = np.zeros_like(g_mu)
             g_tau = np.zeros_like(g_tau)
             g_s = np.zeros_like(g_s)
+        g_gamma = gg + g_gamma_res
     return grads
 
 
@@ -304,35 +275,31 @@ def _batch_obs(op: MeasurementOperator, split: _Split, idx, sigma2,
     return op.rotate(y + noise)
 
 
-def validate(net: MStepNet, split: _Split, op: MeasurementOperator,
-             sigma2: float, train_cfg: TrainConfig, depth: int) -> float:
-    """Mean loss over a split with its fixed per-sample noise."""
-    n = split.h.shape[-1]
-    total = 0.0
-    for lo in range(0, n, train_cfg.batch_size):
-        idx = np.arange(lo, min(lo + train_cfg.batch_size, n))
-        obs = _batch_obs(op, split, idx, sigma2, None)
-        x_hat, _ = unroll_forward(op, obs, sigma2, net, depth,
-                                  train_cfg.e_step, train_cfg.gamma_floor)
-        loss, _ = _loss_and_grad(x_hat, split, idx, op.dicts, train_cfg.loss_domain)
-        total += loss * len(idx)
-    return total / n
-
-
-def test_nmse_db(net: MStepNet, split: _Split, op: MeasurementOperator,
-                 sigma2: float, train_cfg: TrainConfig, depth: int) -> float:
-    """Channel-domain NMSE (dB, mean over ratios) with fixed test noise."""
+def _eval_ratios(net: MStepNet, split: _Split, op: MeasurementOperator,
+                 sigma2: float, train_cfg: TrainConfig, depth: int) -> np.ndarray:
+    """Per-sample ||H_hat - H||^2 / ||H||^2 over a split with its fixed noise."""
     n = split.h.shape[-1]
     ratios = []
     for lo in range(0, n, train_cfg.batch_size):
         idx = np.arange(lo, min(lo + train_cfg.batch_size, n))
         obs = _batch_obs(op, split, idx, sigma2, None)
-        x_hat, _ = unroll_forward(op, obs, sigma2, net, depth,
-                                  train_cfg.e_step, train_cfg.gamma_floor)
+        x_hat, _ = unroll_forward(op, obs, sigma2, net, depth, train_cfg.e_step)
         h_hat = reconstruct_batch(op.dicts, x_hat)
         err = np.sum(np.abs(h_hat - split.h[:, :, idx]) ** 2, axis=(0, 1))
         ratios.append(err / split.hnorm2[idx])
-    return 10.0 * np.log10(np.mean(np.concatenate(ratios)))
+    return np.concatenate(ratios)
+
+
+def validate(net: MStepNet, split: _Split, op: MeasurementOperator,
+             sigma2: float, train_cfg: TrainConfig, depth: int) -> float:
+    """Mean channel NMSE (linear) over a split with its fixed per-sample noise."""
+    return float(np.mean(_eval_ratios(net, split, op, sigma2, train_cfg, depth)))
+
+
+def test_nmse_db(net: MStepNet, split: _Split, op: MeasurementOperator,
+                 sigma2: float, train_cfg: TrainConfig, depth: int) -> float:
+    """Channel NMSE in dB (of the mean ratio) with fixed test noise."""
+    return 10.0 * np.log10(np.mean(_eval_ratios(net, split, op, sigma2, train_cfg, depth)))
 
 
 def train_layerwise(train_cfg: TrainConfig, sys_cfg: SystemConfig,
@@ -346,22 +313,16 @@ def train_layerwise(train_cfg: TrainConfig, sys_cfg: SystemConfig,
     """
     t0 = time.time()
     sigma2 = sys_cfg.noise_var
-    want_labels = train_cfg.loss_domain == "coeff"
     train_ds, val_ds, test_ds = datasets
-    train = _prepare_split(train_ds, op, False, sigma2, want_labels)
-    val = _prepare_split(val_ds, op, True, sigma2, want_labels)
-    test = _prepare_split(test_ds, op, True, sigma2, want_labels)
+    train = _prepare_split(train_ds, op, False, sigma2)
+    val = _prepare_split(val_ds, op, True, sigma2)
+    test = _prepare_split(test_ds, op, True, sigma2)
 
     if initial_net is None:
-        net = MStepNet.create(1, spawn_rng(sys_cfg.rng_seed, "net-init", 0),
-                              train_cfg.feature_mode, sys_cfg.config_hash())
+        net = MStepNet.create(1, spawn_rng(sys_cfg.rng_seed, "net-init", 0), sys_cfg.config_hash())
         first_depth = 2
     else:
         net = initial_net
-        if net.feature_mode != train_cfg.feature_mode:
-            raise ValueError(
-                f"checkpoint feature mode {net.feature_mode!r} does not match configured {train_cfg.feature_mode!r}"
-            )
         first_depth = net.n_stages + 2
         if first_depth > train_cfg.depth:
             raise ValueError(
@@ -385,15 +346,12 @@ def train_layerwise(train_cfg: TrainConfig, sys_cfg: SystemConfig,
                 idx = perm[lo:lo + train_cfg.batch_size]
                 noise_rng = spawn_rng(sys_cfg.rng_seed, "noise", depth, epoch, bi)
                 obs = _batch_obs(op, train, idx, sigma2, noise_rng)
-                x_hat, caches = unroll_forward(op, obs, sigma2, net, depth,
-                                               train_cfg.e_step, train_cfg.gamma_floor)
-                loss, g_x = _loss_and_grad(x_hat, train, idx, op.dicts,
-                                           train_cfg.loss_domain)
+                x_hat, caches = unroll_forward(op, obs, sigma2, net, depth, train_cfg.e_step)
+                loss, g_x = _loss_and_grad(x_hat, train, idx, op.dicts)
                 if not np.isfinite(loss):
                     raise DivergenceError(
                         f"non-finite loss at depth {depth}, epoch {epoch}, batch {bi}", iteration=depth)
-                grads = unroll_backward(op, caches, g_x, net,
-                                        train_cfg.gamma_floor, train_cfg.end_to_end)
+                grads = unroll_backward(op, caches, g_x, net)
                 step += 1
                 adam_update(net, grads, step, lr)
                 train_loss += loss * len(idx)

@@ -5,9 +5,8 @@ import pytest
 
 from squintsbl.cli import _UsageError, _parse_points, build_parser, main
 from squintsbl.evaluation import SWEEP_AXES
-from squintsbl.mstep import FEATURE_MODES
 from squintsbl.sbl import E_STEPS
-from squintsbl.training import LOSS_DOMAINS, TrainConfig
+from squintsbl.training import TrainConfig
 
 
 def test_parse_points_range_and_list():
@@ -54,14 +53,10 @@ def _choices(command: str) -> dict:
 def test_parser_choices_and_defaults_come_from_the_library():
     train = _choices("train")
     assert tuple(train["e_step"]) == E_STEPS
-    assert tuple(train["loss_domain"]) == LOSS_DOMAINS
-    assert tuple(train["feature_mode"]) == FEATURE_MODES
     assert tuple(_choices("sweep")["axis"]) == SWEEP_AXES
     args = build_parser().parse_args(["train", "--data", "d", "--depth", "2"])
     for f in dataclasses.fields(TrainConfig):
-        if f.name == "end_to_end":
-            assert args.truncated is not f.default
-        elif f.name != "depth":
+        if f.name != "depth":
             assert getattr(args, f.name) == f.default, f.name
 
 

@@ -331,8 +331,7 @@ def test_run_tradeoff_validation(desk_cfg):
 
 
 def test_tradeoff_learned_uses_net_stages(desk_cfg, desk_op):
-    net = MStepNet.create(2, np.random.default_rng(0), "abs2",
-                          desk_cfg.config_hash())
+    net = MStepNet.create(2, np.random.default_rng(0), desk_cfg.config_hash())
     rows = run_tradeoff(["amp-sbl-unfolding"], desk_cfg, 2, nets={"amp-sbl-unfolding": net})
     assert rows[0].iterations == 3  # stages + 1
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from squintsbl.config import desk_config
+from squintsbl.data_io import load_container, save_container
 from squintsbl.mstep import (
     MStepNet,
     adam_update,
@@ -20,6 +21,7 @@ from squintsbl.mstep import (
     stage_forward,
     vec_to_image,
 )
+from squintsbl.sbl import classic_m_step
 
 from conftest import crandn
 
@@ -268,18 +270,16 @@ def test_adam_state_advances(rng):
 # ---- features ---------------------------------------------------------------
 
 def test_build_features_modes(rng):
+    """The two channels are the classic update's terms, |mu|^2 and tau."""
     cfg = desk_config()
     mu = crandn(rng, cfg.grid_total)
     tau = rng.uniform(0, 1, cfg.grid_total)
-    f2 = build_features(mu, tau, cfg, mode="abs2")
-    f1 = build_features(mu, tau, cfg, mode="abs")
+    f = build_features(mu, tau, cfg)
     ga, gd = cfg.grid_angular, cfg.grid_delay
-    assert f2.shape == (ga, gd, 2)  # single-sample layout is channels-last
-    assert np.allclose(f2[..., 0], vec_to_image(np.abs(mu) ** 2, ga, gd)[0])
-    assert np.allclose(f1[..., 0], vec_to_image(np.abs(mu), ga, gd)[0])
-    assert np.allclose(f2[..., 1], vec_to_image(tau, ga, gd)[0])
-    with pytest.raises(ValueError):
-        build_features(mu, tau, cfg, mode="cubed")
+    assert f.shape == (ga, gd, 2)  # single-sample layout is channels-last
+    assert np.allclose(f[..., 0], vec_to_image(np.abs(mu) ** 2, ga, gd)[0])
+    assert np.allclose(f[..., 1], vec_to_image(tau, ga, gd)[0])
+    assert np.allclose(image_to_vec(f.sum(axis=-1)[None])[:, 0], classic_m_step(mu, tau))
 
 
 def test_batch_features_matches_single(rng):
@@ -300,7 +300,7 @@ def test_batch_features_backward_finite_difference(rng):
     mu = crandn(rng, g, 2)
     tau = rng.uniform(0.1, 1.0, (g, 2))
     g_feats = np.random.default_rng(3).standard_normal((2, 2, ga, gd))
-    g_mu, g_tau = batch_features_backward(g_feats, mu, mode="abs2")
+    g_mu, g_tau = batch_features_backward(g_feats, mu)
     h = 1e-7
 
     def loss(m, t):
@@ -340,12 +340,11 @@ def test_mstep_forward_matches_stage(rng):
 
 def test_checkpoint_roundtrip(tmp_path, rng):
     cfg = desk_config()
-    net = MStepNet.create(3, rng, feature_mode="abs", config_hash=cfg.config_hash())
+    net = MStepNet.create(3, rng, config_hash=cfg.config_hash())
     path = tmp_path / "net.npz"
     save_checkpoint(net, path, cfg)
     back = load_checkpoint(path, expect_config=cfg)
     assert back.n_stages == 3
-    assert back.feature_mode == "abs"
     assert back.config_hash == cfg.config_hash()
     for a, b in zip(net.stages, back.stages):
         assert np.array_equal(a.w1, b.w1)
@@ -378,4 +377,42 @@ def test_checkpoint_rejects_even_kernel(tmp_path, rng):
     path = tmp_path / "net.npz"
     save_checkpoint(net, path)
     with pytest.raises(ValueError, match="stage 0: kernel size 4 is even"):
+        load_checkpoint(path)
+
+
+def _rewrite(path, edit_meta=None, drop=None):
+    """Re-save a checkpoint container with its metadata edited or an array dropped."""
+    kind, meta, arrays = load_container(path)
+    if edit_meta is not None:
+        edit_meta(meta)
+    arrays.pop(drop, None)
+    save_container(path, kind, meta, arrays)
+
+
+def test_checkpoint_feature_mode_key(tmp_path, rng):
+    """Files that name their features load only if those are |mu|^2 ("abs2")."""
+    net = MStepNet.create(2, rng)
+    path = tmp_path / "net.npz"
+    save_checkpoint(net, path)
+    _rewrite(path, edit_meta=lambda m: m.update(feature_mode="abs2"))
+    back = load_checkpoint(path)
+    assert all(np.array_equal(a.w1, b.w1) for a, b in zip(net.stages, back.stages))
+    _rewrite(path, edit_meta=lambda m: m.update(feature_mode="abs"))
+    with pytest.raises(ValueError, match="'abs' features"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_missing_array_is_a_value_error(tmp_path, rng):
+    path = tmp_path / "net.npz"
+    save_checkpoint(MStepNet.create(2, rng), path)
+    _rewrite(path, drop="stage1/b2")
+    with pytest.raises(ValueError, match="stage1/b2"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_missing_stage_count_is_a_value_error(tmp_path, rng):
+    path = tmp_path / "net.npz"
+    save_checkpoint(MStepNet.create(2, rng), path)
+    _rewrite(path, edit_meta=lambda m: m.pop("n_stages"))
+    with pytest.raises(ValueError, match="n_stages"):
         load_checkpoint(path)

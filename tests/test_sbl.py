@@ -14,7 +14,6 @@ from squintsbl.sbl import (
     exact_e_step,
     init_state,
     run_estimator,
-    write_trace_csv,
 )
 from squintsbl.channel import ChannelRealization, build_channel, draw_paths
 from squintsbl.config import spawn_rng
@@ -355,15 +354,3 @@ def test_divergence_carries_partial_trace(desk_cfg, desk_op):
     assert exc.value.iteration == 50
     assert len(exc.value.trace) == 49
 
-
-def test_write_trace_csv(tmp_path, desk_cfg, desk_op):
-    obs = _desk_obs(desk_cfg, desk_op, 3)
-    spec = EstimatorSpec(e_step="exact", m_step="classic", n_iterations=3)
-    _, trace = run_estimator(spec, desk_op, obs.y, desk_cfg.noise_var, h_true=obs.h)
-    out = tmp_path / "trace.csv"
-    write_trace_csv(trace, out, desk_cfg)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0].startswith("#") and "config_hash=" in lines[0]
-    header = lines[1].split(",")
-    assert "iteration" in header and "nmse_db" in header
-    assert len(lines) == 2 + 3

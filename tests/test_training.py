@@ -20,6 +20,8 @@ from squintsbl.training import (
     write_report_csv,
 )
 from squintsbl.config import spawn_rng
+from squintsbl.dictionaries import reconstruct_channel
+from squintsbl.evaluation import nmse
 
 from conftest import crandn
 from oracles import dense_rotation
@@ -27,10 +29,12 @@ from oracles import dense_rotation
 
 def test_train_config_validation():
     TrainConfig(depth=4)
+    TrainConfig(depth=4, lr_decay=1.0)
     for bad in (dict(depth=1), dict(depth=6, e_step="magic"),
-                dict(depth=6, loss_domain="l1"), dict(depth=6, batch_size=0),
-                dict(depth=6, feature_mode="cubed"), dict(depth=6, max_epochs=0),
-                dict(depth=6, learning_rate=0.0)):
+                dict(depth=6, batch_size=0), dict(depth=6, max_epochs=0),
+                dict(depth=6, learning_rate=0.0), dict(depth=6, lr_decay=0.0),
+                dict(depth=6, lr_decay=-2.0), dict(depth=6, lr_decay=0.5),
+                dict(depth=6, lr_decay=float("nan"))):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
 
@@ -104,7 +108,7 @@ def test_unrolled_gradients_finite_difference(tiny_cfg, tiny_op, e_step, rng):
     depth, b = 3, 2
     net = MStepNet.create(depth - 1, np.random.default_rng(11))
     _, va, _ = generate_splits(tiny_cfg, (2, b, 2))
-    split = _prepare_split(va, tiny_op, True, tiny_cfg.noise_var, False)
+    split = _prepare_split(va, tiny_op, True, tiny_cfg.noise_var)
     obs = _batch_obs(tiny_op, split, np.arange(b), tiny_cfg.noise_var, None)
     t = _linear_loss_grad(np.random.default_rng(12), (tiny_cfg.grid_total, b))
 
@@ -123,41 +127,6 @@ def test_unrolled_gradients_finite_difference(tiny_cfg, tiny_op, e_step, rng):
         assert abs(fd - an) < 2e-5 * max(1.0, abs(fd))
 
 
-def test_truncated_gradients_differ_but_finite(tiny_cfg, tiny_op, rng):
-    depth, b = 3, 2
-    net = MStepNet.create(depth - 1, np.random.default_rng(21))
-    obs = crandn(rng, tiny_cfg.n_measurements, b)
-    t = _linear_loss_grad(np.random.default_rng(22), (tiny_cfg.grid_total, b))
-    _, caches = unroll_forward(tiny_op, obs, 0.1, net, depth, "amp")
-    full = unroll_backward(tiny_op, caches, t, net, end_to_end=True)
-    trunc = unroll_backward(tiny_op, caches, t, net, end_to_end=False)
-    assert len(full) == len(trunc) == depth - 1
-    saw_diff = False
-    for f, tr in zip(full, trunc):
-        for name in ("w1", "b1", "w2", "b2"):
-            a, c = getattr(f, name), getattr(tr, name)
-            assert np.all(np.isfinite(a)) and np.all(np.isfinite(c))
-            if not np.allclose(a, c):
-                saw_diff = True
-    assert saw_diff
-
-
-def test_gamma_floor_masks_gradients(tiny_cfg, tiny_op, rng):
-    """With the floor above every raw output, stage gradients vanish."""
-    depth, b = 3, 2
-    net = MStepNet.create(depth - 1, np.random.default_rng(31))
-    obs = crandn(rng, tiny_cfg.n_measurements, b)
-    t = _linear_loss_grad(np.random.default_rng(32), (tiny_cfg.grid_total, b))
-    floor = 1e9
-    _, caches = unroll_forward(tiny_op, obs, 0.1, net, depth, "amp", gamma_floor=floor)
-    for c in caches[:-1]:
-        assert np.all(np.maximum(c["gamma_raw"], floor) == floor)
-    grads = unroll_backward(tiny_op, caches, t, net, gamma_floor=floor)
-    for sg in grads:
-        for name in ("w1", "b1", "w2", "b2"):
-            assert np.allclose(getattr(sg, name), 0.0)
-
-
 # ---- data preparation -------------------------------------------------------
 
 def test_generate_splits(tiny_cfg):
@@ -171,23 +140,21 @@ def test_generate_splits(tiny_cfg):
 
 def test_prepare_split_contents(tiny_cfg, tiny_op):
     _, va, _ = generate_splits(tiny_cfg, (2, 3, 2))
-    split = _prepare_split(va, tiny_op, True, tiny_cfg.noise_var, True)
+    split = _prepare_split(va, tiny_op, True, tiny_cfg.noise_var)
     assert split.h.shape[-1] == 3
     assert split.noise is not None and split.noise.shape == split.y_clean.shape
-    assert split.x_label is not None
     # clean measurements: whitened combiner applied per tone, stacked tone-major
     h0 = va.realizations[0].h
     direct = (tiny_op.combiner.w_bar @ h0).ravel(order="F")
     assert np.allclose(split.y_clean[:, 0], direct, atol=1e-12)
     # fixed noise is reproducible
-    split2 = _prepare_split(va, tiny_op, True, tiny_cfg.noise_var, False)
+    split2 = _prepare_split(va, tiny_op, True, tiny_cfg.noise_var)
     assert np.array_equal(split.noise, split2.noise)
-    assert split2.x_label is None
 
 
 def test_batch_obs_noise_modes(tiny_cfg, tiny_op):
     _, va, _ = generate_splits(tiny_cfg, (2, 4, 2))
-    split = _prepare_split(va, tiny_op, True, tiny_cfg.noise_var, False)
+    split = _prepare_split(va, tiny_op, True, tiny_cfg.noise_var)
     idx = np.arange(3)
     fixed1 = _batch_obs(tiny_op, split, idx, tiny_cfg.noise_var, None)
     fixed2 = _batch_obs(tiny_op, split, idx, tiny_cfg.noise_var, None)
@@ -203,10 +170,10 @@ def test_batch_obs_noise_modes(tiny_cfg, tiny_op):
 
 def test_loss_and_grad_channel_domain(tiny_cfg, tiny_op, rng):
     _, va, _ = generate_splits(tiny_cfg, (2, 3, 2))
-    split = _prepare_split(va, tiny_op, True, tiny_cfg.noise_var, False)
+    split = _prepare_split(va, tiny_op, True, tiny_cfg.noise_var)
     idx = np.arange(3)
     x = crandn(rng, tiny_cfg.grid_total, 3)
-    loss, g_x = _loss_and_grad(x, split, idx, tiny_op.dicts, "channel")
+    loss, g_x = _loss_and_grad(x, split, idx, tiny_op.dicts)
     # loss is the mean normalized channel error of the reconstruction
     h_hat = reconstruct_batch(tiny_op.dicts, x)
     per = np.sum(np.abs(h_hat - split.h[:, :, idx]) ** 2, axis=(0, 1)) / split.hnorm2[idx]
@@ -215,7 +182,7 @@ def test_loss_and_grad_channel_domain(tiny_cfg, tiny_op, rng):
     dr = np.random.default_rng(41)
 
     def f():
-        return _loss_and_grad(x, split, idx, tiny_op.dicts, "channel")[0]
+        return _loss_and_grad(x, split, idx, tiny_op.dicts)[0]
 
     for fd, an in _directional_fd(f, [(x, g_x)], dr, h=1e-7, n_probes=4):
         assert abs(fd - an) < 1e-6 * max(1.0, abs(fd))
@@ -266,28 +233,34 @@ def test_resume_appends_stages(tiny_cfg, tiny_op, tiny_training):
     with pytest.raises(ValueError):
         train_layerwise(tc, tiny_cfg, tiny_op, datasets, initial_net=net)
     tc4 = TrainConfig(depth=4, e_step="amp", batch_size=16, max_epochs=2)
-    resumed = MStepNet(stages=[s.copy() for s in net.stages],
-                       feature_mode=net.feature_mode, config_hash=net.config_hash)
+    resumed = MStepNet(stages=[s.copy() for s in net.stages], config_hash=net.config_hash)
     net4, report4 = train_layerwise(tc4, tiny_cfg, tiny_op, datasets, initial_net=resumed)
     assert net4.n_stages == 3
     assert [r.depth for r in report4.stages] == [4]
 
 
-def test_resume_feature_mode_mismatch(tiny_cfg, tiny_op, tiny_training):
-    datasets, _, net, _ = tiny_training
-    tc = TrainConfig(depth=4, e_step="amp", feature_mode="abs", batch_size=16, max_epochs=1)
-    with pytest.raises(ValueError):
-        train_layerwise(tc, tiny_cfg, tiny_op, datasets, initial_net=net)
-
-
 def test_validate_and_nmse_consistency(tiny_cfg, tiny_op, tiny_training):
     datasets, tc, net, report = tiny_training
-    test_split = _prepare_split(datasets[2], tiny_op, True, tiny_cfg.noise_var, False)
+    test_split = _prepare_split(datasets[2], tiny_op, True, tiny_cfg.noise_var)
     again = nmse_of_net(net, test_split, tiny_op, tiny_cfg.noise_var, tc, tc.depth)
     assert again == pytest.approx(report.final_test_nmse_db, abs=1e-9)
     v = validate(net, test_split, tiny_op, tiny_cfg.noise_var, tc, tc.depth)
     # channel-domain loss is the linear-scale mean ratio of the same quantity
     assert 10 * np.log10(v) == pytest.approx(report.final_test_nmse_db, abs=1e-6)
+
+
+def test_evaluator_matches_inference_path(tiny_cfg, tiny_op, tiny_training):
+    """Training's test score equals the per-sample path that `evaluate` scores."""
+    datasets, tc, net, _ = tiny_training
+    sigma2 = tiny_cfg.noise_var
+    split = _prepare_split(datasets[2], tiny_op, True, sigma2)
+    spec = EstimatorSpec(e_step=tc.e_step, m_step="learned", n_iterations=tc.depth, net=net)
+    ratios = []
+    for i in range(split.h.shape[-1]):
+        x, _ = run_estimator(spec, tiny_op, split.y_clean[:, i] + split.noise[:, i], sigma2)
+        ratios.append(nmse(split.h[:, :, i], reconstruct_channel(tiny_op.dicts, x))[0])
+    expected = 10 * np.log10(np.mean(ratios))
+    assert nmse_of_net(net, split, tiny_op, sigma2, tc, tc.depth) == pytest.approx(expected, abs=1e-9)
 
 
 def test_report_csv(tiny_cfg, tiny_training, tmp_path):
