@@ -12,7 +12,7 @@ cross-check it against an independent outer-product-per-path form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -154,24 +154,16 @@ _DATASET_KIND = "channel-dataset"
 
 
 def save_dataset(ds: Dataset, path) -> None:
-    """Write a dataset container; H as complex64, path scalars full width."""
+    """Write a dataset container; H as complex64, then each PathSet field at full width."""
     meta = {
         "config": ds.config.to_dict(),
         "config_hash": ds.config.config_hash(),
         "split": ds.split,
         "n_samples": len(ds),
     }
-    arrays = {
-        "h": np.stack([r.h for r in ds.realizations]).astype(np.complex64),
-        "gain": np.stack([r.paths.gain for r in ds.realizations]),
-        "eq_gain": np.stack([r.paths.eq_gain for r in ds.realizations]),
-        "delay": np.stack([r.paths.delay for r in ds.realizations]),
-        "angle": np.stack([r.paths.angle for r in ds.realizations]),
-        "mean_angle": np.stack([r.paths.mean_angle for r in ds.realizations]),
-        "mean_delay": np.stack([r.paths.mean_delay for r in ds.realizations]),
-        "delta_angle": np.stack([r.paths.delta_angle for r in ds.realizations]),
-        "delta_delay": np.stack([r.paths.delta_delay for r in ds.realizations]),
-    }
+    arrays = {"h": np.stack([r.h for r in ds.realizations]).astype(np.complex64)}
+    for f in fields(PathSet):
+        arrays[f.name] = np.stack([getattr(r.paths, f.name) for r in ds.realizations])
     save_container(path, _DATASET_KIND, meta, arrays)
 
 
@@ -186,16 +178,7 @@ def load_dataset(path, expect_config: SystemConfig | None = None) -> Dataset:
         )
     realizations = []
     for i in range(meta["n_samples"]):
-        paths = PathSet(
-            gain=arrays["gain"][i],
-            eq_gain=arrays["eq_gain"][i],
-            delay=arrays["delay"][i],
-            angle=arrays["angle"][i],
-            mean_angle=arrays["mean_angle"][i],
-            mean_delay=arrays["mean_delay"][i],
-            delta_angle=arrays["delta_angle"][i],
-            delta_delay=arrays["delta_delay"][i],
-        )
+        paths = PathSet(**{f.name: arrays[f.name][i] for f in fields(PathSet)})
         realizations.append(ChannelRealization(paths=paths, h=arrays["h"][i]))
     return Dataset(split=meta["split"], realizations=realizations, config=cfg)
 

@@ -19,17 +19,10 @@ import logging
 import math
 import os
 import sys
+import typing
 from pathlib import Path
 
-_INT_KEYS = (
-    "n_antennas", "n_rf", "n_uses", "n_subcarriers", "grid_angular",
-    "grid_delay", "n_clusters", "n_subpaths", "n_iterations", "rng_seed",
-)
-_FLOAT_KEYS = (
-    "center_freq", "bandwidth", "noise_var", "angle_spread",
-    "delay_spread", "max_mean_delay",
-)
-
+# one help line per SystemConfig field; each field becomes a flag of its name and type
 _KEY_HELP = {
     "n_antennas": "receive array size",
     "n_rf": "RF chains per use",
@@ -49,6 +42,12 @@ _KEY_HELP = {
     "max_mean_delay": "cluster mean delay bound, seconds",
 }
 
+# help lines of the TrainConfig fields that have one; each field becomes a train flag
+_TRAIN_HELP = {
+    "depth": "unrolled iteration count (>= 2)",
+    "lr_decay": "divide the learning rate by this (>= 1) after --lr-patience flat epochs",
+}
+
 
 class _UsageError(Exception):
     pass
@@ -64,16 +63,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    from .config import SystemConfig
+
     g = p.add_argument_group("system configuration (flag > file > default)")
     g.add_argument("--config", metavar="FILE", help="JSON file of config keys")
     g.add_argument("--scale", choices=("default", "desk"), default="default",
                    help="baseline geometry before overrides")
-    for name in _INT_KEYS:
-        g.add_argument(f"--{name.replace('_', '-')}", type=int, default=None,
-                       metavar="N", help=_KEY_HELP[name])
-    for name in _FLOAT_KEYS:
-        g.add_argument(f"--{name.replace('_', '-')}", type=float, default=None,
-                       metavar="X", help=_KEY_HELP[name])
+    for name, kind in typing.get_type_hints(SystemConfig).items():
+        g.add_argument(f"--{name.replace('_', '-')}", type=kind, default=None,
+                       metavar="N" if kind is int else "X", help=_KEY_HELP[name])
     g.add_argument("--snr-db", type=float, default=None, metavar="DB",
                    help="sets noise-var to 10^(-snr/10)")
     g.add_argument("--angle-spread-deg", type=float, default=None, metavar="DEG",
@@ -97,10 +95,10 @@ def _build_config(args):
             raise _UsageError(f"unknown config keys in {args.config}: {sorted(unknown)}")
         overrides.update(file_vals)
 
-    for name in _INT_KEYS + _FLOAT_KEYS:
-        value = getattr(args, name, None)
+    for f in dataclasses.fields(SystemConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            overrides[name] = value
+            overrides[f.name] = value
     if getattr(args, "snr_db", None) is not None:
         if getattr(args, "noise_var", None) is not None:
             raise _UsageError("--snr-db and --noise-var are two spellings of the same key; give one")
@@ -234,16 +232,7 @@ def _cmd_train(args) -> int:
         load_dataset(data_dir / manifest["splits"][split]["file"], expect_config=stored_cfg)
         for split in ("train", "val", "test")
     )
-    train_cfg = TrainConfig(
-        depth=args.depth,
-        e_step=args.e_step,
-        batch_size=args.batch_size,
-        learning_rate=args.learning_rate,
-        lr_decay=args.lr_decay,
-        lr_patience=args.lr_patience,
-        stop_patience=args.stop_patience,
-        max_epochs=args.max_epochs,
-    )
+    train_cfg = TrainConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)})
     initial = load_checkpoint(args.resume) if args.resume else None
     op = standard_operator(cfg)
     net, report = train_layerwise(train_cfg, cfg, op, datasets, initial_net=initial)
@@ -305,13 +294,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_flops(args) -> int:
-    from .evaluation import (
-        DEFAULT_FLOPS_MODEL,
-        FlopsDims,
-        classic_amp_iteration_flops,
-        flops_per_iteration,
-        reconstruction_flops,
-    )
+    from .evaluation import DEFAULT_FLOPS_MODEL, FlopsDims, flops_per_iteration, reconstruction_flops
 
     cfg = _build_config(args)
     d = FlopsDims.from_config(cfg)
@@ -320,7 +303,6 @@ def _cmd_flops(args) -> int:
           f"at K={d.k}, m={d.m} per tone, G={d.g}, G_A={d.g_a}, N={d.n}")
     for algo in DEFAULT_FLOPS_MODEL.per_iteration:
         print(f"  {algo:<20} {flops_per_iteration(algo, cfg):>16,}")
-    print(f"  {'amp-sbl (classic)':<20} {classic_amp_iteration_flops(cfg):>16,}")
     print("reconstruction FLOPs")
     for family in DEFAULT_FLOPS_MODEL.reconstruction:
         print(f"  {family:<20} {reconstruction_flops(family, cfg):>16,}")
@@ -342,8 +324,6 @@ def build_parser() -> _Parser:
     from .sbl import E_STEPS
     from .training import TrainConfig
 
-    train_defaults = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
-
     parser = _Parser(prog="squintsbl",
                      description="Wideband hybrid-array channel estimation toolkit")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -360,15 +340,12 @@ def build_parser() -> _Parser:
                        "each added stage.")
     p.add_argument("--data", required=True, metavar="DIR", help="directory from gen-data")
     p.add_argument("--out", default="run", metavar="DIR", help="output directory")
-    p.add_argument("--depth", type=int, required=True, help="unrolled iteration count (>= 2)")
-    p.add_argument("--e-step", choices=E_STEPS, default=train_defaults["e_step"])
-    p.add_argument("--batch-size", type=int, default=train_defaults["batch_size"])
-    p.add_argument("--learning-rate", type=float, default=train_defaults["learning_rate"])
-    p.add_argument("--lr-decay", type=float, default=train_defaults["lr_decay"],
-                   help="divide the learning rate by this (>= 1) after --lr-patience flat epochs")
-    p.add_argument("--lr-patience", type=int, default=train_defaults["lr_patience"])
-    p.add_argument("--stop-patience", type=int, default=train_defaults["stop_patience"])
-    p.add_argument("--max-epochs", type=int, default=train_defaults["max_epochs"])
+    train_types = typing.get_type_hints(TrainConfig)
+    for f in dataclasses.fields(TrainConfig):
+        required = f.default is dataclasses.MISSING
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=train_types[f.name], required=required,
+                       default=None if required else f.default,
+                       choices=E_STEPS if f.name == "e_step" else None, help=_TRAIN_HELP.get(f.name))
     p.add_argument("--resume", metavar="CKPT", help="existing checkpoint to append stages to")
     p.add_argument("--snr-db", type=float, default=None, help="override the dataset's noise level")
     p.add_argument("--noise-var", type=float, default=None, help="override the dataset's noise level")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .channel import ChannelRealization, build_channel, draw_paths
 from .config import SystemConfig, noise_var_from_snr_db, spawn_rng
-from .dictionaries import FREQUENCY_DEPENDENT, build_dictionaries, reconstruct_channel
+from .dictionaries import build_dictionaries, reconstruct_channel
 from .measurement import (
     MeasurementOperator,
     Observation,
@@ -106,9 +106,11 @@ class FlopsDims:
         )
 
 
-# Real FLOPs for one estimator iteration.  The first three rows are the
+# Real FLOPs for one estimator iteration.  The first four rows are the
 # implemented angular-delay estimators; the last two are reference
 # positions for the tradeoff plane (not implemented in this package).
+# Classic AMP-SBL's message-passing products cost 20 real FLOPs per
+# measurement-grid product, and its update |mu|^2 + tau four per grid point.
 # This is the paper's dense-product complexity model, which multiplies
 # by the full M x G sensing matrix; it is not this implementation's cost.
 # The per-tone operator runs an exact E-step in about M^2 G_A + M^3 and
@@ -118,6 +120,7 @@ class FlopsDims:
 PER_ITERATION_FLOPS: Mapping[str, Callable[[FlopsDims], int]] = {
     "sbl": lambda d: 16 * (d.k * d.m) ** 2 * d.g,
     "sbl-unfolding": lambda d: (16 * (d.k * d.m) ** 2 + 432) * d.g,
+    "amp-sbl": lambda d: (20 * d.k * d.m + 4) * d.g,
     "amp-sbl-unfolding": lambda d: (20 * d.k * d.m + 432) * d.g,
     "sbl-af": lambda d: 16 * d.k * d.m ** 2 * d.g_a,
     "lista-reference": lambda d: 4 * d.k * ((4 * d.m + 256) * d.n + 32768),
@@ -173,37 +176,22 @@ def reconstruction_flops(family: str, cfg: SystemConfig) -> int:
     return DEFAULT_FLOPS_MODEL.reconstruction_flops(family.upper(), FlopsDims.from_config(cfg))
 
 
-def classic_amp_iteration_flops(cfg: SystemConfig) -> int:
-    """One message-passing iteration with the closed-form variance update.
-
-    The five update lines cost 20 real FLOPs per measurement-grid
-    product, and |mu|^2 + tau adds four per grid point.  This variant
-    has no row in the reference table (it fails on the structured
-    operator), but sweep outputs still need its cost.
-    """
-    d = FlopsDims.from_config(cfg)
-    return 20 * d.k * d.m * d.g + 4 * d.g
-
-
 def _total_flops(algo: str, cfg: SystemConfig, n_iterations: int) -> int:
-    if algo == "amp-sbl":
-        per = classic_amp_iteration_flops(cfg)
-    else:
-        per = flops_per_iteration(algo, cfg)
-    return per * n_iterations + reconstruction_flops("AD", cfg)
+    return flops_per_iteration(algo, cfg) * n_iterations + reconstruction_flops("AD", cfg)
 
 
 # ---- sweep harness ----------------------------------------------------------
 
 
-def standard_operator(cfg: SystemConfig, mode: str = FREQUENCY_DEPENDENT) -> MeasurementOperator:
-    """Assemble the measurement operator the harnesses evaluate against.
+def standard_operator(cfg: SystemConfig) -> MeasurementOperator:
+    """Assemble the measurement operator the harnesses evaluate against,
+    on the frequency-dependent (squint-matched) dictionaries.
 
     The combiner stream is keyed by the use count, so every Q gets its
     own combiner draw while a fixed Q stays reproducible across runs.
     """
     comb = draw_combiner(cfg, spawn_rng(cfg.rng_seed, "pilot", cfg.n_uses))
-    dicts = build_dictionaries(cfg, mode=mode)
+    dicts = build_dictionaries(cfg)
     return assemble_operator(cfg, comb, dicts)
 
 

@@ -28,7 +28,7 @@ of keeping them from the forward pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -138,12 +138,9 @@ def conv2d_same_backward(x: np.ndarray, w: np.ndarray, grad_out: np.ndarray):
 
 # ---- network container ------------------------------------------------------
 
-_PARAM_NAMES = ("w1", "b1", "w2", "b2")
-
-
 @dataclass
 class ConvStage:
-    """Weights of one iteration's refiner."""
+    """Weights of one iteration's refiner, or their gradients."""
 
     w1: np.ndarray  # (hidden, 2, 3, 3)
     b1: np.ndarray  # (hidden,)
@@ -151,15 +148,10 @@ class ConvStage:
     b2: np.ndarray  # (1,)
 
     def copy(self) -> "ConvStage":
-        return ConvStage(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy())
+        return ConvStage(**{name: getattr(self, name).copy() for name in _PARAM_NAMES})
 
 
-@dataclass
-class StageGrads:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
+_PARAM_NAMES = tuple(f.name for f in fields(ConvStage))
 
 
 def init_stage(rng: np.random.Generator) -> ConvStage:
@@ -212,7 +204,7 @@ class MStepNet:
         self.stages = [s.copy() for s in stages]
 
 
-def adam_update(net: MStepNet, grads: list[StageGrads], step: int, lr: float,
+def adam_update(net: MStepNet, grads: list[ConvStage], step: int, lr: float,
                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
     """In-place Adam with bias correction; ``step`` starts at 1."""
     if len(grads) != net.n_stages:
@@ -274,13 +266,13 @@ def stage_forward(stage: ConvStage, feats: np.ndarray, gamma_img: np.ndarray):
 
 
 def stage_backward(stage: ConvStage, cache, g_gamma_new: np.ndarray):
-    """Backprop one stage; returns (g_feats, g_gamma_prev, StageGrads)."""
+    """Backprop one stage; returns (g_feats, g_gamma_prev, weight gradients as a ConvStage)."""
     feats, h1, pre2 = cache
     g_pre2 = g_gamma_new * (pre2 > 0)
     g_h1, g_w2, g_b2 = conv2d_same_backward(h1, stage.w2, g_pre2[:, None])
     g_pre1 = g_h1 * (h1 > 0)
     g_feats, g_w1, g_b1 = conv2d_same_backward(feats, stage.w1, g_pre1)
-    return g_feats, g_pre2, StageGrads(w1=g_w1, b1=g_b1, w2=g_w2, b2=g_b2)
+    return g_feats, g_pre2, ConvStage(w1=g_w1, b1=g_b1, w2=g_w2, b2=g_b2)
 
 
 def mstep_forward(net: MStepNet, iteration: int, feats: np.ndarray, gamma_prev: np.ndarray) -> np.ndarray:

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs
 
-from .config import SystemConfig
 from .measurement import MeasurementOperator
 
 E_STEPS = ("exact", "amp")
@@ -68,16 +67,15 @@ class SblState:
     s: np.ndarray       # measurement-domain residual message, (M,) or (M, batch)
 
 
-def init_state(cfg: SystemConfig) -> SblState:
-    """Flat unit prior, zero mean, zero residual; tau starts at gamma."""
-    g, m = cfg.grid_total, cfg.n_measurements
-    gamma = np.ones(g)
+def init_state(gamma: np.ndarray, n_meas: int) -> SblState:
+    """Start state under the prior ``gamma``, (G,) or (G, B): zero mean and
+    residual, tau at gamma, and an (n_meas,) or (n_meas, B) residual."""
     return SblState(
         iteration=0,
-        mu=np.zeros(g, dtype=complex),
+        mu=np.zeros(gamma.shape, dtype=complex),
         tau_x=gamma.copy(),
         gamma=gamma,
-        s=np.zeros(m, dtype=complex),
+        s=np.zeros((n_meas,) + gamma.shape[1:], dtype=complex),
     )
 
 
@@ -305,7 +303,7 @@ def run_estimator(
     cfg = op.config
     if cfg is None:
         raise ValueError("run_estimator needs an operator assembled from a config")
-    state = init_state(cfg)
+    state = init_state(np.ones(cfg.grid_total), cfg.n_measurements)
     r = op.rotate(y)
     trace: list[dict] = []
     for it in range(1, spec.n_iterations + 1):

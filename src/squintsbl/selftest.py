@@ -29,17 +29,11 @@ from .dictionaries import (
 from .evaluation import draw_eval_observations, flops_per_iteration, reconstruction_flops, standard_operator
 from .measurement import draw_combiner, operator_from_matrix
 from .mstep import _PARAM_NAMES, init_stage, stage_backward, stage_forward
-from .sbl import EstimatorSpec, SblState, _amp_backward, amp_e_step, exact_e_step, run_estimator
+from .sbl import EstimatorSpec, SblState, _amp_backward, amp_e_step, exact_e_step, init_state, run_estimator
 
 
 def _crandn(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
-
-
-def _fresh_state(gamma: np.ndarray, m: int) -> SblState:
-    g = gamma.shape[0]
-    return SblState(iteration=0, mu=np.zeros(g, dtype=complex), tau_x=gamma.copy(),
-                    gamma=gamma.copy(), s=np.zeros(m, dtype=complex))
 
 
 def _dense_phi(op) -> np.ndarray:
@@ -54,7 +48,7 @@ def _dense_phi(op) -> np.ndarray:
 def _posterior_error(op, phi, y, sigma2, gamma) -> float:
     """Worst relative error of the exact E-step on the rotated data
     against the information-form posterior of y = phi x + n."""
-    mu, tau, _ = exact_e_step(op, op.rotate(y), sigma2, _fresh_state(gamma, op.shape[0]))
+    mu, tau, _ = exact_e_step(op, op.rotate(y), sigma2, init_state(gamma, op.shape[0]))
     cov = np.linalg.inv(phi.conj().T @ phi / sigma2 + np.diag(1.0 / gamma))
     mu_ref = cov @ (phi.conj().T @ y) / sigma2
     tau_ref = np.diag(cov).real
@@ -104,10 +98,10 @@ def check_amp_fixed_point() -> str:
         x = _crandn(rng, (g,))
         y = phi @ x + math.sqrt(sigma2) * _crandn(rng, (m,))
         op = operator_from_matrix(phi)
-        state = _fresh_state(gamma, m)
+        state = init_state(gamma, m)
         for _ in range(60):
             state.mu, state.tau_x, state.s, _ = amp_e_step(op, y, sigma2, state)
-        mu_ref, _, _ = exact_e_step(op, y, sigma2, _fresh_state(gamma, m))
+        mu_ref, _, _ = exact_e_step(op, y, sigma2, init_state(gamma, m))
         err = float(np.linalg.norm(state.mu - mu_ref) / np.linalg.norm(mu_ref))
         errs.append(err)
         passed += err < 1e-2

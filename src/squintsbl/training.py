@@ -27,8 +27,8 @@ from .config import SPLIT_IDS, SystemConfig, spawn_rng
 from .dictionaries import DictionarySet
 from .measurement import MeasurementOperator
 from .mstep import (
+    ConvStage,
     MStepNet,
-    StageGrads,
     adam_update,
     batch_features,
     batch_features_backward,
@@ -37,7 +37,7 @@ from .mstep import (
     stage_forward,
     vec_to_image,
 )
-from .sbl import E_STEPS, DivergenceError, SblState, _amp_backward, _exact_backward, amp_e_step, exact_e_step
+from .sbl import E_STEPS, DivergenceError, _amp_backward, _exact_backward, amp_e_step, exact_e_step, init_state
 
 logger = logging.getLogger(__name__)
 
@@ -204,10 +204,7 @@ def unroll_forward(op: MeasurementOperator, obs: np.ndarray, sigma2: float,
         raise ValueError(f"net has {net.n_stages} stages; depth {depth} needs {depth - 1}")
     cfg = op.config
     ga, gd = cfg.grid_angular, cfg.grid_delay
-    g, b = cfg.grid_total, obs.shape[1]
-    gamma = np.ones((g, b))
-    state = SblState(iteration=0, mu=np.zeros((g, b), dtype=complex), tau_x=gamma.copy(),
-                     gamma=gamma, s=np.zeros((obs.shape[0], b), dtype=complex))
+    state = init_state(np.ones((cfg.grid_total, obs.shape[1])), obs.shape[0])
     caches = []
     for it in range(1, depth + 1):
         if e_step == "amp":
@@ -228,7 +225,7 @@ def unroll_forward(op: MeasurementOperator, obs: np.ndarray, sigma2: float,
 
 
 def unroll_backward(op: MeasurementOperator, caches, g_x: np.ndarray,
-                    net: MStepNet) -> list[StageGrads]:
+                    net: MStepNet) -> list[ConvStage]:
     """Backprop the whole unrolled estimator; returns per-stage weight gradients."""
     cfg = op.config
     ga, gd = cfg.grid_angular, cfg.grid_delay
@@ -237,7 +234,7 @@ def unroll_backward(op: MeasurementOperator, caches, g_x: np.ndarray,
     g_tau = np.zeros_like(g_x, dtype=float)
     g_s = np.zeros(op.shape[:1] + g_x.shape[1:], dtype=complex)
     g_gamma = None
-    grads: list[StageGrads | None] = [None] * (depth - 1)
+    grads: list[ConvStage | None] = [None] * (depth - 1)
     for it in range(depth, 0, -1):
         cache = caches[it - 1]
         if it < depth:

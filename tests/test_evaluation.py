@@ -15,7 +15,6 @@ from squintsbl.evaluation import (
     SweepResult,
     TradeoffRow,
     average_nmse_db,
-    classic_amp_iteration_flops,
     draw_eval_observations,
     flops_per_iteration,
     nmse,
@@ -124,7 +123,7 @@ def test_flops_worked_values_default_config():
 def test_classic_amp_iteration_flops():
     cfg = default_config()
     k, m, g = 32, 16, 4096
-    assert classic_amp_iteration_flops(cfg) == 20 * k * m * g + 4 * g
+    assert flops_per_iteration("amp-sbl", cfg) == 20 * k * m * g + 4 * g
 
 
 # ---- paired evaluation ------------------------------------------------------

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from squintsbl.config import desk_config
 from squintsbl.data_io import load_container, save_container
 from squintsbl.mstep import (
+    ConvStage,
     MStepNet,
     adam_update,
     batch_features,
@@ -234,10 +235,8 @@ def test_adam_first_step_closed_form(rng):
     net = MStepNet.create(1, rng)
     before = net.copy_weights()
     g = init_stage(rng)
-    from squintsbl.mstep import StageGrads
-
-    grads = [StageGrads(w1=g.w1.copy(), b1=np.ones_like(g.b1),
-                        w2=g.w2.copy(), b2=np.ones_like(g.b2))]
+    grads = [ConvStage(w1=g.w1.copy(), b1=np.ones_like(g.b1),
+                       w2=g.w2.copy(), b2=np.ones_like(g.b2))]
     lr, eps = 1e-3, 1e-8
     adam_update(net, grads, 1, lr, eps=eps)
     for name, gval in (("w1", grads[0].w1), ("b1", grads[0].b1),
@@ -251,9 +250,7 @@ def test_adam_first_step_closed_form(rng):
 def test_adam_state_advances(rng):
     net = MStepNet.create(1, rng)
     g = init_stage(rng)
-    from squintsbl.mstep import StageGrads
-
-    grads = [StageGrads(w1=g.w1, b1=g.b1 + 1, w2=g.w2, b2=g.b2 + 1)]
+    grads = [ConvStage(w1=g.w1, b1=g.b1 + 1, w2=g.w2, b2=g.b2 + 1)]
     adam_update(net, grads, 1, 1e-3)
     w_after_1 = net.stages[0].w1.copy()
     adam_update(net, grads, 2, 1e-3)

@@ -33,13 +33,15 @@ def exact_posterior_oracle(phi, y, sigma2, gamma):
 
 
 def test_init_state(desk_cfg):
-    st0 = init_state(desk_cfg)
-    g = desk_cfg.grid_total
-    assert st0.iteration == 0
-    assert st0.mu.shape == (g,) and np.all(st0.mu == 0)
-    assert np.all(st0.gamma == 1.0)
-    assert np.array_equal(st0.tau_x, st0.gamma)
-    assert np.all(st0.s == 0)
+    g, m = desk_cfg.grid_total, desk_cfg.n_measurements
+    for batch in ((), (3,)):
+        gamma = np.full((g,) + batch, 0.5)
+        st0 = init_state(gamma, m)
+        assert st0.iteration == 0
+        assert st0.mu.shape == (g,) + batch and st0.mu.dtype == complex and np.all(st0.mu == 0)
+        assert st0.gamma is gamma
+        assert np.array_equal(st0.tau_x, gamma) and st0.tau_x is not gamma
+        assert st0.s.shape == (m,) + batch and st0.s.dtype == complex and np.all(st0.s == 0)
 
 
 def test_exact_e_step_matches_dense_oracle(rng):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from squintsbl.mstep import MStepNet, StageGrads
+from squintsbl.mstep import MStepNet
 from squintsbl.sbl import DivergenceError, EstimatorSpec, run_estimator
 from squintsbl.training import (
     TrainConfig,
