@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,19 +74,17 @@ class SystemConfig:
     rng_seed: int = 2024
 
     def __post_init__(self):
-        counts = {
-            "n_antennas": self.n_antennas,
-            "n_rf": self.n_rf,
-            "n_uses": self.n_uses,
-            "n_subcarriers": self.n_subcarriers,
-            "grid_angular": self.grid_angular,
-            "grid_delay": self.grid_delay,
-            "n_clusters": self.n_clusters,
-            "n_subpaths": self.n_subpaths,
-        }
-        for name, value in counts.items():
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if kind is float and (isinstance(value, bool) or not isinstance(value, (int, float))
+                                  or not math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
+        for name in ("n_antennas", "n_rf", "n_uses", "n_subcarriers", "grid_angular",
+                     "grid_delay", "n_clusters", "n_subpaths"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be a positive integer, got {getattr(self, name)!r}")
         if self.bandwidth <= 0:
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth!r}")
         if self.center_freq <= self.bandwidth / 2:
@@ -143,6 +142,10 @@ class SystemConfig:
         from .data_io import canonical_json
 
         return hashlib.sha256(canonical_json(self.to_dict())).hexdigest()[:12]
+
+
+# every field is an int or a float; __post_init__ checks each value against its type
+_FIELD_TYPES = typing.get_type_hints(SystemConfig)
 
 
 def default_config(**overrides) -> SystemConfig:

@@ -216,6 +216,8 @@ def _point_config(cfg: SystemConfig, axis: str, value) -> SystemConfig:
     if axis == "snr":
         return cfg.replace(noise_var=noise_var_from_snr_db(float(value)))
     if axis == "q":
+        if not float(value).is_integer():
+            raise ValueError(f"pilot use count must be a whole number, got {value!r}")
         return cfg.replace(n_uses=int(value))
     raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
 
@@ -338,8 +340,9 @@ def run_sweep(
 
     Raises ``ValueError``, before any operator is assembled, for an
     unknown axis, an empty ``points``, ``n_samples < 1``, an algorithm
-    the harness cannot run, or a learned algorithm with no entry in
-    ``nets`` at some point.
+    the harness cannot run, a learned algorithm with no entry in
+    ``nets`` at some point, or a point whose config is invalid, such as
+    a use count that is not a whole number.
     """
     axis = axis.lower()
     if axis not in SWEEP_AXES:
@@ -354,9 +357,9 @@ def run_sweep(
             raise ValueError(f"cannot sweep {algo!r}; runnable: {sorted(SWEEP_ALGOS)}")
     nets = dict(nets or {})
     point_nets = [{algo: _net_for(nets, algo, value) for algo in algos} for value in points]
+    point_cfgs = [_point_config(cfg, axis, value) for value in points]
     rows: list[SweepRow] = []
-    for pi, value in enumerate(points):
-        cfg_point = _point_config(cfg, axis, value)
+    for pi, (value, cfg_point) in enumerate(zip(points, point_cfgs)):
         op = standard_operator(cfg_point)
         observations = draw_eval_observations(op, pi, n_samples)
         for algo in algos:

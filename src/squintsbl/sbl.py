@@ -13,9 +13,13 @@ implementation, shared by inference and training:
   the posterior of the whitened system (y, Phi).
 * ``amp_e_step`` is the low-cost message-passing recursion on the same
   rotated system, with every product by A, A^H, |A|^2 or its transpose
-  taken from the operator's per-tone factors.  Its five update
-  lines are kept exactly in their published order and form, including
-  the use of gamma in the final shrinkage denominators.
+  taken from the operator's per-tone factors.  Its final shrinkage
+  divides by 1 + tau_q * gamma, which treats gamma as a prior
+  *precision*.  Everywhere else here (``classic_m_step``,
+  ``exact_e_step``, ``init_state``) and in the learned refiner gamma is
+  a prior *variance*, whose shrinkage would be gamma * q / (gamma + tau_q).
+  The mismatch is a known defect, kept as is for now: fixing it moves
+  every stored AMP score.
 
 Both take one vector or a (., B) batch and also return the cache their
 backward pass (``_exact_backward``, ``_amp_backward``) reads.  Both fail
@@ -181,7 +185,7 @@ def _exact_backward(op: MeasurementOperator, cache, g_mu, g_tau) -> np.ndarray:
 def amp_e_step(op: MeasurementOperator, r: np.ndarray, sigma2: float, state: SblState):
     """One message-passing posterior update on the rotated system.
 
-    The five lines, in order, with elementwise products and divisions:
+    The eight lines, in order, with elementwise products and divisions:
 
         tau_p = |A|^2 tau_x
         p     = A mu - tau_p * s
@@ -191,6 +195,8 @@ def amp_e_step(op: MeasurementOperator, r: np.ndarray, sigma2: float, state: Sbl
         q     = mu + tau_q * (A^H s')
         mu'   = q / (1 + tau_q * gamma)
         tau'  = tau_q / (1 + tau_q * gamma)
+
+    The last two take gamma as a precision; see the module docstring.
 
     Works on single vectors or on (.., batch) stacks.  The four products
     by A, A^H, |A|^2 and (|A|^2)^T cost about 20 K G_A (G_D + m) real

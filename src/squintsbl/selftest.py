@@ -232,7 +232,7 @@ def check_stage_gradients() -> str:
 
 
 def check_recursion_gradients() -> str:
-    """Hand-derived backward of the five-line update against differences."""
+    """Hand-derived backward of the eight-line update against differences."""
     rng = np.random.default_rng(29)
     m, g, b, sigma2 = 6, 10, 2, 0.3
     phi = _crandn(rng, (m, g)) / math.sqrt(m)
@@ -307,7 +307,7 @@ def check_squint_dictionary() -> str:
 CHECKS = (
     ("exact posterior solve", check_exact_posterior),
     ("message-passing fixed point", check_amp_fixed_point),
-    ("five-line update, hand instance", check_hand_instance),
+    ("eight-line update, hand instance", check_hand_instance),
     ("operator assembly vs per-tone pipeline", check_operator_assembly),
     ("per-tone rotation vs dense SVD", check_per_tone_rotation),
     ("noise whitening", check_whitening),

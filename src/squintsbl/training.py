@@ -306,7 +306,8 @@ def train_layerwise(train_cfg: TrainConfig, sys_cfg: SystemConfig,
 
     Passing ``initial_net`` resumes from a checkpoint: its stages are
     kept as-is and training continues from the next depth, so a resumed
-    run only ever appends stages.
+    run only ever appends stages.  Every stage is retrained here, so the
+    returned net carries the hash of ``sys_cfg``.
     """
     t0 = time.time()
     sigma2 = sys_cfg.noise_var
@@ -325,6 +326,7 @@ def train_layerwise(train_cfg: TrainConfig, sys_cfg: SystemConfig,
             raise ValueError(
                 f"checkpoint already serves depth {net.n_stages + 1}; target depth {train_cfg.depth} adds no stages"
             )
+        net.config_hash = sys_cfg.config_hash()
     report = TrainReport()
     n_train = train.h.shape[-1]
     for depth in range(first_depth, train_cfg.depth + 1):

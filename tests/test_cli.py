@@ -1,10 +1,13 @@
 import argparse
 import dataclasses
+import json
 
 import pytest
 
-from squintsbl.cli import _UsageError, _parse_points, build_parser, main
-from squintsbl.evaluation import SWEEP_AXES
+from squintsbl.cli import _KEY_HELP, _UsageError, _parse_points, build_parser, main
+from squintsbl.config import SystemConfig, desk_config
+from squintsbl.data_io import load_container
+from squintsbl.evaluation import PER_ITERATION_FLOPS, SWEEP_ALGOS, SWEEP_AXES, flops_per_iteration
 from squintsbl.sbl import E_STEPS
 from squintsbl.training import TrainConfig
 
@@ -44,10 +47,45 @@ def test_evaluate_short_delay_grid_is_an_error(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_config_file_with_bad_value_is_an_error(tmp_path, capsys):
+    cfg_file = tmp_path / "f.json"
+    cfg_file.write_text(json.dumps({"bandwidth": "4e9"}))
+    assert main(["flops", "--config", str(cfg_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bandwidth" in err
+
+
+def _actions(command: str) -> dict:
+    """Option dest -> action of one subcommand's parser."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices[command]._actions}
+
+
 def _choices(command: str) -> dict:
     """Option dest -> choices of one subcommand's parser."""
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a.choices for a in sub.choices[command]._actions if a.choices is not None}
+    return {dest: a.choices for dest, a in _actions(command).items() if a.choices is not None}
+
+
+def test_every_config_field_has_a_flag():
+    fields = dataclasses.fields(SystemConfig)
+    assert set(_KEY_HELP) == {f.name for f in fields}
+    for command in ("gen-data", "evaluate", "sweep", "flops"):
+        actions = _actions(command)
+        for f in fields:
+            flag = actions[f.name]
+            assert flag.help == _KEY_HELP[f.name] and flag.default is None, (command, f.name)
+            assert flag.type is type(f.default), (command, f.name)
+
+
+def test_flops_prints_every_table_row_once(capsys):
+    assert set(SWEEP_ALGOS) <= set(PER_ITERATION_FLOPS)  # runnable algorithms have a cost row
+    assert main(["flops", "--scale", "desk"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("per-iteration")) + 1
+    rows = [line.split() for line in lines[start:lines.index("reconstruction FLOPs")]]
+    assert [row[0] for row in rows] == list(PER_ITERATION_FLOPS)
+    for algo, count in rows:
+        assert int(count.replace(",", "")) == flops_per_iteration(algo, desk_config())
 
 
 def test_parser_choices_and_defaults_come_from_the_library():
@@ -79,3 +117,17 @@ def test_desk_round_trip(tmp_path):
     assert "fail_rate" in _csv_header(eval_csv)
     assert "fail_rate" in _csv_header(sweep_csv)
     assert (run / "training_report.csv").is_file()
+
+
+def test_resume_records_the_hash_of_its_config(tmp_path):
+    """A resume under another noise level stores the hash of the config it stores."""
+    data, run, resumed = tmp_path / "data", tmp_path / "run", tmp_path / "resumed"
+    assert main(["gen-data", "--scale", "desk", "--sizes", "8,4,4", "--out", str(data)]) == 0
+    train = ["train", "--data", str(data), "--max-epochs", "1", "--batch-size", "4"]
+    assert main([*train, "--out", str(run), "--depth", "2"]) == 0
+    assert main([*train, "--out", str(resumed), "--depth", "3", "--noise-var", "0.5",
+                 "--resume", str(run / "checkpoint.npz")]) == 0
+    _, meta, _ = load_container(resumed / "checkpoint.npz")
+    cfg = SystemConfig.from_dict(meta["config"])
+    assert cfg.noise_var == 0.5 and meta["n_stages"] == 2
+    assert meta["config_hash"] == cfg.config_hash()

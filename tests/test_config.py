@@ -53,6 +53,13 @@ def test_overrides_and_replace():
     ("n_clusters", 0),
     ("grid_angular", 0),
     ("n_iterations", -2),
+    ("noise_var", math.nan),
+    ("noise_var", math.inf),
+    ("angle_spread", math.nan),
+    ("n_iterations", 2.5),
+    ("rng_seed", 1.5),
+    ("n_antennas", True),
+    ("bandwidth", "4e9"),
 ])
 def test_validation_rejects(field, value):
     with pytest.raises(ValueError):

@@ -251,6 +251,8 @@ def test_run_sweep_validation(desk_cfg):
         run_sweep("snr", [10.0], ["sbl"], desk_cfg, 0)
     with pytest.raises(ValueError):
         run_sweep("snr", [10.0], ["sbl-unfolding"], desk_cfg, 2)  # needs a net
+    with pytest.raises(ValueError, match="whole number"):
+        run_sweep("q", [2.0, 2.5], ["sbl"], desk_cfg, 2)  # 2.0 is fine, 2.5 is not
 
 
 def test_missing_net_rejected_before_assembly(desk_cfg, monkeypatch):

@@ -135,7 +135,7 @@ def test_exact_posterior_variance_bounded_by_prior(seed):
 
 
 def test_amp_e_step_hand_instance():
-    """Frozen 2x3 instance: all five update lines checked near machine epsilon."""
+    """Frozen 2x3 instance: all eight update lines checked near machine epsilon."""
     a = np.array([[1.0, 1.0, 0.0], [0.0, 1.0j, 2.0]])
     r = np.array([1.0 + 1.0j, 2.0])
     gamma = np.array([1.0, 2.0, 4.0])
