@@ -72,8 +72,8 @@ class SblState:
 
 
 def init_state(gamma: np.ndarray, n_meas: int) -> SblState:
-    """Start state under the prior ``gamma``, (G,) or (G, B): zero mean and
-    residual, tau at gamma, and an (n_meas,) or (n_meas, B) residual."""
+    """Start state under the prior ``gamma``, (G,) or (G, B): zero mean,
+    tau at gamma, and a zero (n_meas,) or (n_meas, B) residual."""
     return SblState(
         iteration=0,
         mu=np.zeros(gamma.shape, dtype=complex),
