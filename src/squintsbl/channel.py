@@ -168,8 +168,17 @@ def save_dataset(ds: Dataset, path) -> None:
 
 
 def load_dataset(path, expect_config: SystemConfig | None = None) -> Dataset:
-    """Read a dataset container; optionally insist on a matching config."""
+    """Read a dataset container; optionally insist on a matching config.
+
+    A missing meta key or array raises ``ValueError`` naming it.
+    """
     _, meta, arrays = load_container(path, expect_kind=_DATASET_KIND)
+    for key in ("n_samples", "config", "split"):
+        if key not in meta:
+            raise ValueError(f"{path}: dataset has no {key!r} entry")
+    missing = [name for name in ["h"] + [f.name for f in fields(PathSet)] if name not in arrays]
+    if missing:
+        raise ValueError(f"{path}: dataset has no {', '.join(map(repr, missing))} array")
     cfg = SystemConfig.from_dict(meta["config"])
     if expect_config is not None and cfg != expect_config:
         raise ValueError(

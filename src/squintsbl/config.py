@@ -81,6 +81,9 @@ class SystemConfig:
             if kind is float and (isinstance(value, bool) or not isinstance(value, (int, float))
                                   or not math.isfinite(value)):
                 raise ValueError(f"{name} must be a finite real number, got {value!r}")
+            if kind is float:
+                # an int given for a float field is stored as float, so it hashes as one
+                object.__setattr__(self, name, float(value))
         for name in ("n_antennas", "n_rf", "n_uses", "n_subcarriers", "grid_angular",
                      "grid_delay", "n_clusters", "n_subpaths"):
             if getattr(self, name) < 1:

@@ -20,14 +20,16 @@ therefore splits into K small SVDs C_k = U_k S_k V_k^H, U = blkdiag(U_k),
 and A keeps the per-tone form kron(d_k, U_k^H C_k).  The operator stores
 only those factors, never Phi or A themselves.  It applies A, A^H, |A|^2
 and their transposes as one delay GEMM plus one batched per-tone
-product, and forms the M x M Gram A diag(w) A^H and the diagonal of
-A^H X A block by block for the exact posterior.  A layout with G_D < K
-is rejected.  Operators are rebuilt from the config.
+product.  For the exact posterior it builds the lower triangle of the
+Hermitian M x M Gram A diag(w) A^H, and reads only the lower triangle of
+a Hermitian X for the diagonal of A^H X A, both block by block.  A
+layout with G_D < K is rejected.  Operators are rebuilt from the config.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -110,8 +112,11 @@ class MeasurementOperator:
     U^H, A, A^H, |A|^2 and (|A|^2)^T from the factors, and each takes one
     vector or a (., B) batch.  :meth:`gram` and :meth:`diag_quad` are the
     two products of the exact posterior, A diag(w) A^H and
-    diag(A^H X A).  A dense matrix is the case K = 1 with one delay bin,
-    delay = [[1]].
+    diag(A^H X A), on Hermitian M x M matrices stored as their lower
+    triangles: ``gram`` builds only the lower triangle, and ``diag_quad``
+    reads only the lower triangle of X.  Both take the delay rows to be
+    DFT rows, as the delay dictionary's are.  A dense matrix is the case
+    K = 1 with one delay bin, delay = [[1]].
     """
 
     u: np.ndarray            # (K, m, m) per-tone left singular vectors
@@ -152,46 +157,64 @@ class MeasurementOperator:
         """(|A|^2)^T t."""
         return _analyze(self.abs2_delay, np.swapaxes(self.abs2_a, 1, 2), t)
 
-    def gram(self, w: np.ndarray) -> np.ndarray:
-        """A diag(w) A^H (M x M) for real weights w (G,), block by block.
+    @cached_property
+    def _delay_shifts(self) -> np.ndarray:
+        """(K, G_D) row products delay[l, d] conj(delay[i, d]) by shift l - i >= 0.
 
-        Block (i, l) is a[i] diag(T[i, l]) a[l]^H, where
-        T[i, l, alpha] = sum_d delay[i, d] w[d, alpha] conj(delay[l, d])
-        mixes the delay bins of angle alpha.  Cost is M^2 G_A, not M^2 G.
+        Row k of ``delay`` samples exp(-j pi k z) at the G_D delay points, a
+        DFT row, so the product of rows l and i depends only on l - i and
+        equals delay[l - i] conj(delay[0]).  Built on first use.
+        """
+        return self.delay * self.delay[0].conj()
+
+    def gram(self, w: np.ndarray) -> np.ndarray:
+        """Lower triangle of A diag(w) A^H (M x M) for real weights w (G,).
+
+        Block (l, i) with l >= i is a[l] diag(T[l - i]) a[i]^H, where
+        T[l - i, alpha] = sum_d delay[l, d] w[d, alpha] conj(delay[i, d])
+        mixes the delay bins of angle alpha.  Each block column is one
+        GEMM written into a zeroed Fortran-ordered array, so the strict
+        upper triangle is exactly zero and LAPACK can factor the result in
+        place with ``lower=True``.  The Hermitian upper half is never
+        formed.  Cost is M^2 G_A / 2, not M^2 G.
         """
         k, m, g_a = self.a.shape
-        t = _delay_pairs(self.delay) @ w.reshape(-1, g_a)              # (K*K, G_A)
-        t = np.swapaxes(t.reshape(k, k, g_a), 1, 2)[..., None]         # (K, G_A, K, 1)
-        a_h = np.swapaxes(self.a_h, 0, 1)                              # (G_A, K, m)
-        out = np.empty((k * m, k * m), dtype=complex)
-        # block row i for l >= i in one GEMM; the blocks below mirror it, the result being Hermitian
+        t = self._delay_shifts @ w.reshape(-1, g_a)                    # (K, G_A)
+        out = np.zeros((k * m, k * m), dtype=complex, order="F")
+        upper = np.triu_indices(m, 1)
         for i in range(k):
-            rows = self.a[i] @ (t[i, :, i:] * a_h[:, i:]).reshape(g_a, -1)
-            out[i * m:(i + 1) * m, i * m:] = rows
-            out[(i + 1) * m:, i * m:(i + 1) * m] = rows[:, m:].conj().T
+            cols = slice(i * m, (i + 1) * m)
+            np.matmul((self.a[i:] * t[:k - i, None, :]).reshape(-1, g_a), self.a_h[i],
+                      out=out[i * m:, cols])
+            out[cols, cols][upper] = 0.0
         return out
 
     def diag_quad(self, x: np.ndarray) -> np.ndarray:
-        """diag(A^H X A) (G,) for a Hermitian M x M matrix X, block by block.
+        """diag(A^H X A) (G,) for a Hermitian M x M X given by its lower triangle.
 
-        Entry (d, alpha) is the sum over tone pairs (i, l) of
-        conj(delay[i, d]) delay[l, d] Q[i, l, alpha], with
+        Only the lower triangle of ``x`` is read; its strict upper triangle
+        may hold anything.  Entry (d, alpha) is the sum over tone pairs
+        (i, l) of conj(delay[i, d]) delay[l, d] Q[i, l, alpha], with
         Q[i, l, alpha] = a[i][:, alpha]^H X_il a[l][:, alpha].  A Hermitian
-        X has Q[l, i] = conj(Q[i, l]), so only the blocks l >= i are read
-        and the real part is returned.  Cost is M^2 G_A / 2.
+        X has Q[i, l] = conj(Q[l, i]), so the pairs l > i come from the lower
+        block column, conj(a[l]^H X_li a[i]), one GEMM per column.  The K
+        diagonal m x m blocks are copied and made Hermitian; ``x`` is not
+        written.  Cost is M^2 G_A / 2.
         """
         k, m, g_a = self.a.shape
-        q = np.zeros((k, k, g_a), dtype=complex)
-        for i in range(k):
-            p = self.a_h[i] @ x[i * m:(i + 1) * m, i * m:]               # (G_A, (K - i) m)
-            q[i, i:] = np.einsum("alj,lja->la", p.reshape(g_a, k - i, m), self.a[i:])
-            q[i, i + 1:] *= 2.0
-        return (_delay_pairs(self.delay).conj().T @ q.reshape(k * k, g_a)).real.reshape(-1)
-
-
-def _delay_pairs(delay: np.ndarray) -> np.ndarray:
-    """(K*K, G_D) products delay[k, d] conj(delay[l, d]), row k*K + l."""
-    return (delay[:, None, :] * delay.conj()[None, :, :]).reshape(-1, delay.shape[1])
+        a_c = self.a.conj()
+        tone = np.arange(k)[:, None] * m + np.arange(m)
+        blocks = np.tril(x[tone[:, :, None], tone[:, None, :]])         # (K, m, m)
+        blocks += np.swapaxes(np.tril(blocks, -1), 1, 2).conj()
+        # q[s] sums Q[l, l - s] over the tone pairs at shift s = l - i
+        q = np.zeros((k, g_a), dtype=complex)
+        q[0] = np.einsum("kja,kja->a", a_c, blocks @ self.a)
+        for i in range(k - 1):
+            y = (x[(i + 1) * m:, i * m:(i + 1) * m] @ self.a[i]).reshape(k - 1 - i, m, g_a)
+            y *= a_c[i + 1:]
+            q[1:k - i] += y.sum(axis=1)
+        q[1:] *= 2.0
+        return (self._delay_shifts.conj().T @ q).real.reshape(-1)
 
 
 def _synthesize(delay: np.ndarray, blocks: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -114,11 +114,16 @@ def exact_e_step(op: MeasurementOperator, r: np.ndarray, sigma2: float, state: S
     r = U^H y: mu = C A^H S^{-1} r and tau_i = gamma_i (1 - gamma_i d_i)
     with d = diag(A^H S^{-1} A).  Because Phi = U A with orthonormal
     columns in U, this is the posterior of y = Phi x + n exactly, for a
-    thin U too.  Per column of ``r`` and iteration the cost is about
-    M^2 G_A + M^3: M^2 G_A for S (:meth:`~MeasurementOperator.gram`) and
-    for d (:meth:`~MeasurementOperator.diag_quad`), M^3 for the Cholesky
-    factor of S and its explicit inverse.  No M x G matrix is formed.
-    Returns (mu, tau, cache for :func:`_exact_backward`).
+    thin U too.  S and S^{-1} are Hermitian, and only their lower
+    triangles are built, factored and read: :meth:`~MeasurementOperator.gram`
+    writes S's lower triangle into a Fortran-ordered buffer, the Cholesky
+    factor and :func:`_cho_inverse` overwrite that buffer in place, and
+    :meth:`~MeasurementOperator.diag_quad` reads the lower triangle of
+    S^{-1}.  No upper half is mirrored.  Per column of ``r`` and iteration
+    the cost is about M^2 G_A + M^3: M^2 G_A for S and for d, M^3 for the
+    Cholesky factor of S and its explicit inverse.  No M x G matrix is
+    formed.  Returns (mu, tau, cache for :func:`_exact_backward`); the
+    cached S^{-1} hold lower triangles only.
     """
     it = state.iteration + 1
     m, g = op.shape
@@ -130,13 +135,15 @@ def exact_e_step(op: MeasurementOperator, r: np.ndarray, sigma2: float, state: S
         s_mat = op.gram(gammas[:, j])
         s_mat[np.diag_indices(m)] += sigma2
         try:
-            factor = cho_factor(s_mat, lower=True)
+            factor = cho_factor(s_mat, lower=True, overwrite_a=True)
+            # solve before potri overwrites the factor; cho_factor checked finiteness
+            solved = cho_solve(factor, rs[:, j], check_finite=False)
             s_inv = _cho_inverse(factor[0])
         except (np.linalg.LinAlgError, ValueError) as exc:
             columns, where = _columns([j], r.ndim)
             raise DivergenceError(f"posterior solve failed at iteration {it}{where}: {exc}",
                                   iteration=it, columns=columns) from exc
-        u[:, j] = op.adjoint(cho_solve(factor, rs[:, j]))
+        u[:, j] = op.adjoint(solved)
         d[:, j] = op.diag_quad(s_inv)
         s_invs.append(s_inv)
     gamma = state.gamma
@@ -148,17 +155,23 @@ def exact_e_step(op: MeasurementOperator, r: np.ndarray, sigma2: float, state: S
 
 
 def _cho_inverse(low: np.ndarray) -> np.ndarray:
-    """S^{-1} from the lower Cholesky factor that ``cho_factor`` returned.
+    """Lower triangle of S^{-1} from the lower Cholesky factor of S.
 
-    LAPACK's potri fills only the lower triangle; the upper one is its
-    conjugate transpose.
+    LAPACK's potri fills only the lower triangle and leaves the strict
+    upper one as it found it; no mirror is built.  A Fortran-ordered
+    ``low``, as ``cho_factor`` returns for a Fortran-ordered S, is
+    overwritten in place.  Cost is about M^3.
     """
     potri, = get_lapack_funcs(("potri",), (low,))
-    inv, info = potri(low, lower=True)
+    inv, info = potri(low, lower=True, overwrite_c=True)
     if info != 0:
         raise np.linalg.LinAlgError(f"potri failed with info {info}")
-    inv = np.tril(inv)
-    return inv + np.tril(inv, -1).conj().T
+    return inv
+
+
+def _hermitian(low: np.ndarray) -> np.ndarray:
+    """The Hermitian matrix whose lower triangle is that of ``low``."""
+    return np.tril(low) + np.tril(low, -1).conj().T
 
 
 def _exact_backward(op: MeasurementOperator, cache, g_mu, g_tau) -> np.ndarray:
@@ -168,7 +181,9 @@ def _exact_backward(op: MeasurementOperator, cache, g_mu, g_tau) -> np.ndarray:
     K gamma g_mu (``ta`` = A^H S^-1 A (gamma g_mu)) and through
     d = diag(K), whose derivative in direction w is
     diag(A^H S^-1 (A diag(w) A^H) S^-1 A).  Both use the cached S^-1 and
-    the operator's block products, never an M x G matrix.
+    the operator's block products, never an M x G matrix.  The cached
+    S^-1 and the Gram are lower triangles; each is made Hermitian once
+    per column before the full products.
     """
     u, d, gamma = cache["u"], cache["d"], cache["gamma"]
     g_gamma = np.real(np.conj(g_mu) * u) + g_tau * (1.0 - 2.0 * gamma * d)
@@ -176,8 +191,9 @@ def _exact_backward(op: MeasurementOperator, cache, g_mu, g_tau) -> np.ndarray:
     us, a_vecs, ws = (x.reshape(g, -1) for x in (u, gamma * g_mu, g_tau * gamma * gamma))
     extra = np.empty(us.shape)
     for j, s_inv in enumerate(cache["s_invs"]):
+        s_inv = _hermitian(s_inv)
         ta = op.adjoint(s_inv @ op.forward(a_vecs[:, j]))
-        k_w = s_inv @ op.gram(ws[:, j]) @ s_inv
+        k_w = s_inv @ _hermitian(op.gram(ws[:, j])) @ s_inv
         extra[:, j] = op.diag_quad(k_w) - np.real(us[:, j] * np.conj(ta))
     return g_gamma + extra.reshape(g_gamma.shape)
 

@@ -13,7 +13,7 @@ from squintsbl.channel import (
     steering_vector,
 )
 from squintsbl.config import default_config, desk_config, spawn_rng, subcarrier_freqs
-from squintsbl.data_io import ContainerError
+from squintsbl.data_io import ContainerError, load_container, save_container
 from squintsbl.mstep import load_checkpoint
 
 from oracles import channel_matrix_form
@@ -197,4 +197,17 @@ def test_dataset_roundtrip(tmp_path):
         load_dataset(path, expect_config=cfg.replace(n_antennas=8))
     with pytest.raises(ContainerError):
         load_checkpoint(path)  # wrong container kind
+
+
+@pytest.mark.parametrize("key", ["delay", "h", "n_samples", "config", "split"])
+def test_load_dataset_names_missing_key(tmp_path, key):
+    """A dataset without one of its arrays or meta keys is a ValueError naming it."""
+    path = tmp_path / "val.npz"
+    save_dataset(generate_dataset(desk_config(), 2, "val"), path)
+    kind, meta, arrays = load_container(path)
+    meta.pop(key, None)
+    arrays.pop(key, None)
+    save_container(path, kind, meta, arrays)
+    with pytest.raises(ValueError, match=f"no '{key}'"):
+        load_dataset(path)
 

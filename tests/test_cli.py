@@ -6,7 +6,7 @@ import pytest
 
 from squintsbl.cli import _KEY_HELP, _UsageError, _parse_points, build_parser, main
 from squintsbl.config import SystemConfig, desk_config
-from squintsbl.data_io import load_container
+from squintsbl.data_io import load_container, save_container
 from squintsbl.evaluation import PER_ITERATION_FLOPS, SWEEP_ALGOS, SWEEP_AXES, flops_per_iteration
 from squintsbl.sbl import E_STEPS
 from squintsbl.training import TrainConfig
@@ -131,3 +131,17 @@ def test_resume_records_the_hash_of_its_config(tmp_path):
     cfg = SystemConfig.from_dict(meta["config"])
     assert cfg.noise_var == 0.5 and meta["n_stages"] == 2
     assert meta["config_hash"] == cfg.config_hash()
+
+
+def test_train_on_dataset_missing_an_array_is_an_error(tmp_path, capsys):
+    """A split file with no delay array ends train in error: and exit 1, not a traceback."""
+    data = tmp_path / "data"
+    assert main(["gen-data", "--scale", "desk", "--sizes", "4,2,2", "--out", str(data)]) == 0
+    kind, meta, arrays = load_container(data / "val.npz")
+    del arrays["delay"]
+    save_container(data / "val.npz", kind, meta, arrays)
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"), "--depth", "2",
+                 "--max-epochs", "1", "--batch-size", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "'delay'" in err

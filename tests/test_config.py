@@ -91,6 +91,17 @@ def test_config_hash_stability_and_sensitivity():
         seen.add(h)
 
 
+def test_int_for_float_field_hashes_as_float():
+    """noise_var=1 and noise_var=1.0 are one experiment with one hash."""
+    a, b = default_config(noise_var=1), default_config(noise_var=1.0)
+    assert a == b and a.config_hash() == b.config_hash()
+    assert type(a.noise_var) is float and type(a.n_antennas) is int
+    # the default hashes stay what they were before the conversion
+    assert (default_config().config_hash(), desk_config().config_hash()) == ("1e669bf995cb", "7a19bd566d9b")
+    from_file = SystemConfig.from_dict({**default_config().to_dict(), "bandwidth": 4_000_000_000})
+    assert from_file.config_hash() == default_config().config_hash()
+
+
 def test_snr_noise_var_inverse():
     assert noise_var_from_snr_db(10.0) == pytest.approx(0.1)
     assert noise_var_from_snr_db(0.0) == pytest.approx(1.0)

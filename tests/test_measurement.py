@@ -160,7 +160,11 @@ def test_products_match_dense_oracle(any_op, batch):
 
 
 def test_gram_and_diag_quad_match_dense_oracle(any_op):
-    """A diag(w) A^H and diag(A^H X A) from the factors equal the dense products."""
+    """A diag(w) A^H and diag(A^H X A) from the factors equal the dense products.
+
+    ``gram`` builds the lower triangle only, and its strict upper triangle
+    is exactly zero, so LAPACK can factor it in place with ``lower=True``.
+    """
     rng = np.random.default_rng(19)
     op, phi = any_op
     u, _ = dense_rotation(op)
@@ -168,16 +172,32 @@ def test_gram_and_diag_quad_match_dense_oracle(any_op):
     m, g = a.shape
     assert op.shape == (m, g)
     w = rng.uniform(0.0, 2.0, g)
-    ref = (a * w) @ a.conj().T
+    ref = np.tril((a * w) @ a.conj().T)
     out = op.gram(w)
-    assert out.shape == (m, m)
-    assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert out.shape == (m, m) and out.flags.f_contiguous
+    assert np.linalg.norm(np.tril(out) - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert np.all(np.triu(out, 1) == 0)
     x = crandn(rng, m, m)
     x = x + x.conj().T
     ref = np.real(np.einsum("mg,mn,ng->g", a.conj(), x, a))
     out = op.diag_quad(x)
     assert out.shape == (g,) and out.dtype == float
     assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_diag_quad_reads_lower_triangle_only(any_op):
+    """NaN above the diagonal of X changes nothing, and X is left as given."""
+    rng = np.random.default_rng(23)
+    op, _ = any_op
+    m = op.shape[0]
+    x = crandn(rng, m, m)
+    x = x + x.conj().T
+    ref = op.diag_quad(x)
+    x[np.triu_indices(m, 1)] = np.nan
+    given = x.copy()
+    out = op.diag_quad(x)
+    assert np.array_equal(out, ref)
+    assert np.array_equal(x, given, equal_nan=True)
 
 
 def test_assemble_operator_rejects_short_delay_grid(monkeypatch):

@@ -247,6 +247,21 @@ def test_exact_e_step_batch_matches_columns(tiny_cfg, tiny_op, rng):
         assert np.allclose(tau_b[:, i], tau, atol=1e-10)
 
 
+@pytest.mark.parametrize("batch", [None, 3])
+def test_exact_e_step_leaves_inputs_alone(tiny_cfg, tiny_op, rng, batch):
+    """The in-place Cholesky and inverse write to buffers of their own, never to r, gamma or mu."""
+    g, m = tiny_cfg.grid_total, tiny_cfg.n_measurements
+    state, _ = _batch_and_column_states(rng, g, m, batch or 1)
+    r = crandn(rng, m, batch or 1)
+    if batch is None:
+        r, state.mu, state.gamma = r[:, 0], state.mu[:, 0], state.gamma[:, 0]
+    given = [r.copy(), state.gamma.copy(), state.mu.copy()]
+    mu, _, cache = exact_e_step(tiny_op, r, 0.1, state)
+    for before, after in zip(given, (r, state.gamma, state.mu)):
+        assert np.array_equal(before, after)
+    assert not any(np.shares_memory(s_inv, x) for s_inv in cache["s_invs"] for x in (r, mu))
+
+
 def test_exact_e_step_cholesky_failure_is_divergence(rng):
     """A singular S (no noise, almost no prior mass) fails as a divergence."""
     phi = crandn(rng, 8, 16) / np.sqrt(8)
