@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs
+from scipy.linalg import cho_factor, cho_solve, get_blas_funcs, get_lapack_funcs
 
 from .measurement import MeasurementOperator
 
@@ -170,8 +170,16 @@ def _cho_inverse(low: np.ndarray) -> np.ndarray:
 
 
 def _hermitian(low: np.ndarray) -> np.ndarray:
-    """The Hermitian matrix whose lower triangle is that of ``low``."""
-    return np.tril(low) + np.tril(low, -1).conj().T
+    """The Hermitian matrix whose lower triangle is ``low``'s.
+
+    The strict upper triangle of ``low`` must be zero, as ``gram`` leaves
+    it, so that adding the conjugate transpose fills it.
+    """
+    full = low.conj().T.copy()
+    full += low
+    diagonal = np.diag_indices(len(low))
+    full[diagonal] = low[diagonal]
+    return full
 
 
 def _exact_backward(op: MeasurementOperator, cache, g_mu, g_tau) -> np.ndarray:
@@ -182,8 +190,9 @@ def _exact_backward(op: MeasurementOperator, cache, g_mu, g_tau) -> np.ndarray:
     d = diag(K), whose derivative in direction w is
     diag(A^H S^-1 (A diag(w) A^H) S^-1 A).  Both use the cached S^-1 and
     the operator's block products, never an M x G matrix.  The cached
-    S^-1 and the Gram are lower triangles; each is made Hermitian once
-    per column before the full products.
+    S^-1 is a lower triangle, which BLAS hemv and hemm read as the
+    Hermitian matrix it stands for; only the Gram is completed, once per
+    column, to be their general operand.
     """
     u, d, gamma = cache["u"], cache["d"], cache["gamma"]
     g_gamma = np.real(np.conj(g_mu) * u) + g_tau * (1.0 - 2.0 * gamma * d)
@@ -191,9 +200,10 @@ def _exact_backward(op: MeasurementOperator, cache, g_mu, g_tau) -> np.ndarray:
     us, a_vecs, ws = (x.reshape(g, -1) for x in (u, gamma * g_mu, g_tau * gamma * gamma))
     extra = np.empty(us.shape)
     for j, s_inv in enumerate(cache["s_invs"]):
-        s_inv = _hermitian(s_inv)
-        ta = op.adjoint(s_inv @ op.forward(a_vecs[:, j]))
-        k_w = s_inv @ _hermitian(op.gram(ws[:, j])) @ s_inv
+        hemv, hemm = get_blas_funcs(("hemv", "hemm"), (s_inv,))
+        ta = op.adjoint(hemv(1.0, s_inv, op.forward(a_vecs[:, j]), lower=True))
+        s_gram = hemm(1.0, s_inv, _hermitian(op.gram(ws[:, j])), lower=True)
+        k_w = hemm(1.0, s_inv, s_gram, side=1, lower=True)
         extra[:, j] = op.diag_quad(k_w) - np.real(us[:, j] * np.conj(ta))
     return g_gamma + extra.reshape(g_gamma.shape)
 

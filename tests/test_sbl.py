@@ -275,6 +275,14 @@ def test_exact_e_step_cholesky_failure_is_divergence(rng):
     assert exc.value.columns == []
 
 
+def test_exact_e_step_nonfinite_data_is_divergence(rng):
+    """NaN data reaches mu and fails as a divergence, not as an error from the solver."""
+    r = crandn(rng, 8)
+    r[2] = np.nan
+    with pytest.raises(DivergenceError, match="non-finite mu at iteration 1"):
+        exact_e_step(operator_from_matrix(crandn(rng, 8, 16)), r, 0.1, _state_with(np.ones(16)))
+
+
 def test_exact_e_step_cholesky_failure_names_column(rng):
     """In a batch, the error names the one column whose S is singular."""
     phi = crandn(rng, 8, 16) / np.sqrt(8)
