@@ -196,10 +196,10 @@ class MeasurementOperator:
         may hold anything.  Entry (d, alpha) is the sum over tone pairs
         (i, l) of conj(delay[i, d]) delay[l, d] Q[i, l, alpha], with
         Q[i, l, alpha] = a[i][:, alpha]^H X_il a[l][:, alpha].  A Hermitian
-        X has Q[i, l] = conj(Q[l, i]), so the pairs l > i come from the lower
-        block column, conj(a[l]^H X_li a[i]), one GEMM per column.  The K
-        diagonal m x m blocks are copied and made Hermitian; ``x`` is not
-        written.  Cost is M^2 G_A / 2.
+        X has Q[i, l] = conj(Q[l, i]), so each pair l > i is taken from the
+        lower block column i as Q[l, i] = a[l]^H X_li a[i], one GEMM per
+        column.  The K diagonal m x m blocks are copied and made Hermitian;
+        ``x`` is not written.  Cost is M^2 G_A / 2.
         """
         k, m, g_a = self.a.shape
         a_c = self.a.conj()
