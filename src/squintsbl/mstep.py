@@ -20,10 +20,15 @@ kh*kw shifted slices of the padded input are copied into a
 kernel.  Otherwise (the 8->1 layer) the (O*kh*kw, C) kernel multiplies
 the padded input, and the kh*kw shifted slices of that product are
 summed.  Either way a layer costs about O*C*kh*kw multiply-adds per
-pixel, and its one large temporary holds about min(C, O)*kh*kw values
-per pixel: 9x the smaller side's images for a 3x3 kernel.  The
-backward pass uses the same two forms, recomputing the slices instead
-of keeping them from the forward pass.
+pixel.  The batch is taken in blocks of images: as many as keep the
+call's temporaries (the zero-bordered input plus the windows,
+projection or canvas) within ``_BLOCK_BYTES`` (1 MiB), and at least
+one; at 64x64 with 8 channels that is one image.  Each call allocates
+these buffers once at block size and reuses them for every block, so
+its memory beyond the arrays it returns does not grow with the batch,
+and calls from different threads share nothing.  The backward
+pass uses the same two forms, recomputing the slices instead of
+keeping them from the forward pass.
 """
 
 from __future__ import annotations
@@ -68,17 +73,37 @@ def _check_conv_shapes(x: np.ndarray, w: np.ndarray) -> None:
         raise ValueError(f"input has {x.shape[1]} channels, the kernel expects {w.shape[1]}")
 
 
-def _pad(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    return np.pad(x, ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
+# Budget for the block-sized temporaries of one convolution call.  A block
+# is as many images as fit in it, at least one: at 64x64 with 8 channels,
+# one image.  The buffers are allocated per call, never kept here, because
+# evaluation runs refiners from several threads at once.
+_BLOCK_BYTES = 1 << 20
 
 
-def _windows(xp: np.ndarray, kh: int, kw: int, h: int, w: int) -> np.ndarray:
-    """The kh*kw shifted h x w slices of padded images, as (B, C*kh*kw, h*w)."""
-    cols = np.empty(xp.shape[:2] + (kh, kw, h, w), dtype=xp.dtype)
+def _block_images(n: int, per_image: int) -> int:
+    """Images per block, out of ``n``, when each needs ``per_image`` bytes of temporaries."""
+    return max(1, min(n, _BLOCK_BYTES // per_image))
+
+
+def _pad_into(xp: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Write images x into the interior of the zero-bordered buffer xp; return xp[:len(x)]."""
+    m, _, h, wd = x.shape
+    ph, pw = (xp.shape[2] - h) // 2, (xp.shape[3] - wd) // 2
+    xp[:m, :, ph:ph + h, pw:pw + wd] = x
+    return xp[:m]
+
+
+def _windows_into(cols: np.ndarray, xp: np.ndarray) -> np.ndarray:
+    """Copy the kh*kw shifted h x w slices of padded images xp into cols (nb, C, kh, kw, h, w).
+
+    Returns the first len(xp) images as (m, C*kh*kw, h*w).
+    """
+    m = xp.shape[0]
+    kh, kw, h, wd = cols.shape[2:]
     for i in range(kh):
         for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i:i + h, j:j + w]
-    return cols.reshape(xp.shape[0], -1, h * w)
+            cols[:m, :, i, j] = xp[:, :, i:i + h, j:j + wd]
+    return cols[:m].reshape(m, -1, h * wd)
 
 
 def _correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -87,26 +112,48 @@ def _correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     Works on the side with fewer channels: for C <= O one GEMM of the
     (O, C*kh*kw) kernel with the shifted input slices, for C > O one GEMM
     of the (O*kh*kw, C) kernel with the padded input, then a sum of the
-    shifted slices of that product.
+    shifted slices of that product.  The batch is taken in blocks of as
+    many images as keep the padded buffer plus the windows (C <= O) or
+    projection (C > O) buffer within ``_BLOCK_BYTES``.  Both are allocated
+    once per call at block size and reused for every block: only the
+    padded buffer's interior is rewritten, so its border stays zero.
+    Each block's GEMM writes straight into its slice of the output.
     """
     n, c, h, wd = x.shape
     o, _, kh, kw = w.shape
-    xp = _pad(x, kh, kw)
+    hp, wp = h + kh - 1, wd + kw - 1
+    dtype = np.result_type(x, w)
+    work = c * kh * kw * h * wd if c <= o else o * kh * kw * hp * wp
+    nb = _block_images(n, dtype.itemsize * (c * hp * wp + work))
+    xp = np.zeros((nb, c, hp, wp), dtype=dtype)
     if c <= o:
-        return (w.reshape(o, -1) @ _windows(xp, kh, kw, h, wd)).reshape(n, o, h, wd)
-    proj = w.transpose(0, 2, 3, 1).reshape(-1, c) @ xp.reshape(n, c, -1)
-    proj = proj.reshape(n, o, kh, kw, *xp.shape[2:])
-    out = np.zeros((n, o, h, wd), dtype=proj.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            out += proj[:, :, i, j, i:i + h, j:j + wd]
+        kernel = w.reshape(o, -1)
+        cols = np.empty((nb, c, kh, kw, h, wd), dtype=dtype)
+        out = np.empty((n, o, h, wd), dtype=dtype)
+    else:
+        kernel = w.transpose(0, 2, 3, 1).reshape(-1, c)
+        proj = np.empty((nb, o * kh * kw, hp * wp), dtype=dtype)
+        out = np.zeros((n, o, h, wd), dtype=dtype)
+    for lo in range(0, n, nb):
+        xb = _pad_into(xp, x[lo:lo + nb])
+        m = xb.shape[0]
+        ob = out[lo:lo + m]
+        if c <= o:
+            np.matmul(kernel, _windows_into(cols, xb), out=ob.reshape(m, o, -1))
+        else:
+            pb = np.matmul(kernel, xb.reshape(m, c, -1), out=proj[:m]).reshape(m, o, kh, kw, hp, wp)
+            for i in range(kh):
+                for j in range(kw):
+                    ob += pb[:, :, i, j, i:i + h, j:j + wd]
     return out
 
 
 def conv2d_same(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Zero-padded same-size correlation; x (B,C,H,W), w (O,C,kh,kw), odd kh and kw."""
     _check_conv_shapes(x, w)
-    return _correlate(x, w) + b[None, :, None, None]
+    out = _correlate(x, w)
+    out += b[:, None, None]
+    return out
 
 
 def conv2d_same_backward(x: np.ndarray, w: np.ndarray, grad_out: np.ndarray):
@@ -115,22 +162,47 @@ def conv2d_same_backward(x: np.ndarray, w: np.ndarray, grad_out: np.ndarray):
     g_x is the correlation of ``grad_out`` with the flipped, transposed
     kernel.  g_w contracts ``grad_out`` with the input windows when
     C <= O; when C > O it contracts the padded input with a padded canvas
-    holding ``grad_out`` at each of the kh*kw offsets.
+    holding ``grad_out`` at each of the kh*kw offsets.  Like the forward
+    pass, g_w works through the batch in blocks of images, sized so that
+    the padded input, the windows (C <= O) or canvas (C > O) and the
+    per-image products stay within ``_BLOCK_BYTES``.  These buffers are
+    allocated once per call and reused for every block, and the
+    per-image products are added to g_w one image at a time, in batch
+    order.
     """
     _check_conv_shapes(x, w)
     n, c, h, wd = x.shape
     o, _, kh, kw = w.shape
+    hp, wp = h + kh - 1, wd + kw - 1
     grad_x = _correlate(grad_out, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-    xp = _pad(x, kh, kw)
+    dtype = np.result_type(x, grad_out)
+    work = c * kh * kw * h * wd if c <= o else o * kh * kw * hp * wp
+    nb = _block_images(n, dtype.itemsize * (c * hp * wp + work + o * c * kh * kw))
+    xp = np.zeros((nb, c, hp, wp), dtype=dtype)
     if c <= o:
-        cols = _windows(xp, kh, kw, h, wd)
-        grad_w = (grad_out.reshape(n, o, -1) @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+        cols = np.empty((nb, c, kh, kw, h, wd), dtype=dtype)
+        prod = np.empty((nb, o, c * kh * kw), dtype=dtype)
     else:
-        canvas = np.zeros((n, o, kh, kw) + xp.shape[2:], dtype=grad_out.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                canvas[:, :, i, j, i:i + h, j:j + wd] = grad_out
-        grad_w = (canvas.reshape(n, o * kh * kw, -1) @ xp.reshape(n, c, -1).transpose(0, 2, 1)).sum(axis=0)
+        canvas = np.zeros((nb, o, kh, kw, hp, wp), dtype=dtype)
+        prod = np.empty((nb, o * kh * kw, c), dtype=dtype)
+    grad_w = np.zeros(prod.shape[1:], dtype=dtype)
+    for lo in range(0, n, nb):
+        xb = _pad_into(xp, x[lo:lo + nb])
+        m = xb.shape[0]
+        gb = grad_out[lo:lo + m]
+        if c <= o:
+            np.matmul(gb.reshape(m, o, -1), _windows_into(cols, xb).transpose(0, 2, 1), out=prod[:m])
+        else:
+            for i in range(kh):
+                for j in range(kw):
+                    canvas[:m, :, i, j, i:i + h, j:j + wd] = gb
+            np.matmul(canvas[:m].reshape(m, o * kh * kw, -1), xb.reshape(m, c, -1).transpose(0, 2, 1),
+                      out=prod[:m])
+        for k in range(m):
+            grad_w += prod[k]
+    if c <= o:
+        grad_w = grad_w.reshape(w.shape)
+    else:
         grad_w = grad_w.reshape(o, kh, kw, c).transpose(0, 3, 1, 2)
     grad_b = grad_out.sum(axis=(0, 2, 3))
     return grad_x, grad_w, grad_b
@@ -256,12 +328,14 @@ def batch_features_backward(g_feats: np.ndarray, mu: np.ndarray):
 def stage_forward(stage: ConvStage, feats: np.ndarray, gamma_img: np.ndarray):
     """Apply one stage to (B, 2, G_A, G_D) features and (B, G_A, G_D) gamma.
 
-    Returns the new gamma image and the cache needed for backprop.
+    Returns the new gamma image and the cache needed for backprop.  The
+    ReLU and the residual are applied in place on the conv outputs,
+    whose pre-activation values are never read again.
     """
-    pre1 = conv2d_same(feats, stage.w1, stage.b1)
-    h1 = np.maximum(pre1, 0.0)
-    update = conv2d_same(h1, stage.w2, stage.b2)[:, 0]
-    pre2 = gamma_img + update
+    h1 = conv2d_same(feats, stage.w1, stage.b1)
+    np.maximum(h1, 0.0, out=h1)
+    pre2 = conv2d_same(h1, stage.w2, stage.b2)[:, 0]
+    pre2 += gamma_img
     return np.maximum(pre2, 0.0), (feats, h1, pre2)
 
 

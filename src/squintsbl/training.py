@@ -81,6 +81,8 @@ class EpochRecord:
     train_loss: float
     val_loss: float
     lr: float
+    train_s: float  # wall time of the epoch's training steps
+    val_s: float    # wall time of its validation pass
     event: str = ""
 
 
@@ -107,11 +109,11 @@ def write_report_csv(report: TrainReport, path, cfg: SystemConfig | None = None,
         if train_cfg is not None:
             f.write(f"# e_step={train_cfg.e_step} depth={train_cfg.depth}\n")
         f.write(f"# final_test_nmse_db={report.final_test_nmse_db:.6f}\n")
-        f.write("depth,epoch,train_loss,val_loss,lr,event\n")
+        f.write("depth,epoch,train_loss,val_loss,lr,event,train_s,val_s\n")
         for stage in report.stages:
             for r in stage.epochs:
                 f.write(f"{r.depth},{r.epoch},{r.train_loss:.10e},"
-                        f"{r.val_loss:.10e},{r.lr:.3e},{r.event}\n")
+                        f"{r.val_loss:.10e},{r.lr:.3e},{r.event},{r.train_s:.4f},{r.val_s:.4f}\n")
 
 
 # ---- dataset plumbing -------------------------------------------------------
@@ -309,7 +311,7 @@ def train_layerwise(train_cfg: TrainConfig, sys_cfg: SystemConfig,
     run only ever appends stages.  Every stage is retrained here, so the
     returned net carries the hash of ``sys_cfg``.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     sigma2 = sys_cfg.noise_var
     train_ds, val_ds, test_ds = datasets
     train = _prepare_split(train_ds, op, False, sigma2)
@@ -339,6 +341,7 @@ def train_layerwise(train_cfg: TrainConfig, sys_cfg: SystemConfig,
         bad_lr = bad_stop = 0
         step = 0
         for epoch in range(1, train_cfg.max_epochs + 1):
+            t_epoch = time.perf_counter()
             perm = spawn_rng(sys_cfg.rng_seed, "shuffle", depth, epoch).permutation(n_train)
             train_loss = 0.0
             for bi, lo in enumerate(range(0, n_train, train_cfg.batch_size)):
@@ -355,7 +358,9 @@ def train_layerwise(train_cfg: TrainConfig, sys_cfg: SystemConfig,
                 adam_update(net, grads, step, lr)
                 train_loss += loss * len(idx)
             train_loss /= n_train
+            t_val = time.perf_counter()
             val_loss = validate(net, val, op, sigma2, train_cfg, depth)
+            train_s, val_s = t_val - t_epoch, time.perf_counter() - t_val
             event = ""
             if val_loss < record.best_val:
                 record.best_val = val_loss
@@ -372,14 +377,14 @@ def train_layerwise(train_cfg: TrainConfig, sys_cfg: SystemConfig,
                     lr /= train_cfg.lr_decay
                     bad_lr = 0
                     event = "lr-decay"
-            record.epochs.append(EpochRecord(depth, epoch, train_loss, val_loss, lr, event))
-            logger.info("depth %d epoch %d train %.4e val %.4e lr %.1e %s",
-                        depth, epoch, train_loss, val_loss, lr, event)
+            record.epochs.append(EpochRecord(depth, epoch, train_loss, val_loss, lr, train_s, val_s, event))
+            logger.info("depth %d epoch %d train %.4e val %.4e lr %.1e time %.2f s train + %.2f s val %s",
+                        depth, epoch, train_loss, val_loss, lr, train_s, val_s, event)
             if event == "early-stop":
                 break
         net.set_weights(best_weights)
         report.stages.append(record)
     report.final_test_nmse_db = test_nmse_db(net, test, op, sigma2, train_cfg,
                                              train_cfg.depth)
-    report.wall_time_s = time.time() - t0
+    report.wall_time_s = time.perf_counter() - t0
     return net, report

@@ -1,8 +1,12 @@
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from squintsbl.config import desk_config
+from squintsbl import mstep
 from squintsbl.data_io import load_container, save_container
 from squintsbl.mstep import (
     ConvStage,
@@ -152,6 +156,81 @@ def test_conv2d_backward_is_exact_adjoint(rng, cin, cout):
     forward = np.vdot(conv2d_same(x, w, np.zeros(cout)), g_out)
     assert np.vdot(x, g_x) == pytest.approx(forward, rel=1e-12)
     assert np.vdot(w, g_w) == pytest.approx(forward, rel=1e-12)
+
+
+# ---- blocks of images -------------------------------------------------------
+
+def _conv_all(x, w, b, g_out):
+    """Forward output and the three backward gradients."""
+    return (conv2d_same(x, w, b),) + conv2d_same_backward(x, w, g_out)
+
+
+@pytest.mark.parametrize("cin,cout", [(2, 8), (8, 1)], ids=["2to8", "8to1"])
+@pytest.mark.parametrize("kernel", [(3, 3), (5, 3)], ids=["k3x3", "k5x3"])
+def test_conv2d_blocks_match_one_block(rng, monkeypatch, cin, cout, kernel):
+    """Five images split over several blocks, the last one ragged, give the one-block result exactly."""
+    x = rng.standard_normal((5, cin, 6, 7))
+    w = rng.standard_normal((cout, cin) + kernel)
+    b = rng.standard_normal(cout)
+    g_out = rng.standard_normal((5, cout, 6, 7))
+    monkeypatch.setattr(mstep, "_BLOCK_BYTES", 1 << 40)
+    whole = _conv_all(x, w, b, g_out)
+    sizes = []
+    block_images = mstep._block_images
+
+    def spy(n, per_image):
+        sizes.append(block_images(n, per_image))
+        return sizes[-1]
+
+    monkeypatch.setattr(mstep, "_block_images", spy)
+    for budget in (1, 40_000):
+        sizes.clear()
+        monkeypatch.setattr(mstep, "_BLOCK_BYTES", budget)
+        blocked = _conv_all(x, w, b, g_out)
+        for got, want in zip(blocked, whole):
+            assert np.array_equal(got, want)
+        assert np.allclose(blocked[0], naive_conv2d_same(x, w, b), atol=1e-12)
+        if budget == 1:
+            assert sizes == [1, 1, 1]  # one image per block: five blocks per call
+        else:
+            assert any(1 < size < 5 for size in sizes), sizes  # a ragged last block
+
+
+@pytest.mark.parametrize("cin,cout", [(2, 8), (8, 1)], ids=["2to8", "8to1"])
+def test_conv2d_temporaries_stay_small(rng, cin, cout):
+    """At B = 32 on 64x64 images the traced peak exceeds the returned arrays by under 4 MB."""
+    x = rng.standard_normal((32, cin, 64, 64))
+    w = rng.standard_normal((cout, cin, 3, 3))
+    b = rng.standard_normal(cout)
+    g_out = rng.standard_normal((32, cout, 64, 64))
+    for run in (lambda: (conv2d_same(x, w, b),), lambda: conv2d_same_backward(x, w, g_out)):
+        tracemalloc.start()
+        try:
+            outputs = run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - sum(a.nbytes for a in outputs) < 4 << 20
+
+
+def test_stage_threads_match_serial(rng):
+    """Stages run from two threads at once, on different inputs, equal the serial results bit for bit."""
+    stages = [init_stage(np.random.default_rng(seed)) for seed in (1, 2)]
+    inputs = [(rng.standard_normal((6, 2, 64, 64)), rng.uniform(0.1, 1.0, (6, 64, 64)),
+               rng.standard_normal((6, 64, 64))) for _ in stages]
+
+    def run(k):
+        feats, gamma, g_out = inputs[k]
+        out, cache = stage_forward(stages[k], feats, gamma)
+        g_feats, g_gamma, grads = stage_backward(stages[k], cache, g_out)
+        return [out, g_feats, g_gamma, grads.w1, grads.b1, grads.w2, grads.b2]
+
+    serial = [run(0), run(1)]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        threaded = list(pool.map(run, [0, 1] * 3))
+    for k, result in zip([0, 1] * 3, threaded):
+        for got, want in zip(result, serial[k]):
+            assert np.array_equal(got, want)
 
 
 # ---- stages and network -----------------------------------------------------

@@ -273,10 +273,16 @@ def test_report_csv(tiny_cfg, tiny_training, tmp_path):
     assert any("final_test_nmse_db=" in c for c in comments)
     rows = [l for l in lines if not l.startswith("#")]
     header = rows[0].split(",")
-    for col in ("depth", "epoch", "train_loss", "val_loss", "lr", "event"):
+    for col in ("depth", "epoch", "train_loss", "val_loss", "lr", "event", "train_s", "val_s"):
         assert col in header
     n_epochs = sum(len(r.epochs) for r in report.stages)
     assert len(rows) == 1 + n_epochs
+    for row in rows[1:]:
+        cells = dict(zip(header, row.split(",")))
+        assert float(cells["train_s"]) >= 0.0 and float(cells["val_s"]) >= 0.0
+    records = [r for stage in report.stages for r in stage.epochs]
+    assert all(r.train_s >= 0.0 and r.val_s >= 0.0 for r in records)
+    assert sum(r.train_s + r.val_s for r in records) <= report.wall_time_s
 
 
 def test_lr_decay_and_early_stop_bookkeeping(tiny_cfg, tiny_op):
