@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from squintsbl.config import desk_config
 from squintsbl import mstep
+from squintsbl.config import desk_config
 from squintsbl.data_io import load_container, save_container
 from squintsbl.mstep import (
     ConvStage,
