@@ -328,24 +328,34 @@ def batch_features_backward(g_feats: np.ndarray, mu: np.ndarray):
 def stage_forward(stage: ConvStage, feats: np.ndarray, gamma_img: np.ndarray):
     """Apply one stage to (B, 2, G_A, G_D) features and (B, G_A, G_D) gamma.
 
-    Returns the new gamma image and the cache needed for backprop.  The
-    ReLU and the residual are applied in place on the conv outputs,
-    whose pre-activation values are never read again.
+    Returns the new gamma image and the cache needed for backprop:
+    (feats, h1, gamma_new), with h1 the hidden layer after its ReLU.  Both
+    ReLUs and the residual are applied in place on the conv outputs,
+    whose pre-activation values are never read again: the backward takes
+    each ReLU's mask from its output, since relu(z) > 0 exactly where
+    z > 0.  The cached gamma_new is the returned array itself, so the
+    cache holds no extra copy of it; callers must not write into it.
     """
     h1 = conv2d_same(feats, stage.w1, stage.b1)
     np.maximum(h1, 0.0, out=h1)
-    pre2 = conv2d_same(h1, stage.w2, stage.b2)[:, 0]
-    pre2 += gamma_img
-    return np.maximum(pre2, 0.0), (feats, h1, pre2)
+    out = conv2d_same(h1, stage.w2, stage.b2)[:, 0]
+    out += gamma_img
+    np.maximum(out, 0.0, out=out)
+    return out, (feats, h1, out)
 
 
 def stage_backward(stage: ConvStage, cache, g_gamma_new: np.ndarray):
-    """Backprop one stage; returns (g_feats, g_gamma_prev, weight gradients as a ConvStage)."""
-    feats, h1, pre2 = cache
-    g_pre2 = g_gamma_new * (pre2 > 0)
+    """Backprop one stage; returns (g_feats, g_gamma_prev, weight gradients as a ConvStage).
+
+    ``g_gamma_new`` is not written to.  The hidden gradient is masked in
+    place, so the only batch-sized arrays made here are the gradients
+    themselves.
+    """
+    feats, h1, out = cache
+    g_pre2 = g_gamma_new * (out > 0)
     g_h1, g_w2, g_b2 = conv2d_same_backward(h1, stage.w2, g_pre2[:, None])
-    g_pre1 = g_h1 * (h1 > 0)
-    g_feats, g_w1, g_b1 = conv2d_same_backward(feats, stage.w1, g_pre1)
+    g_h1 *= h1 > 0
+    g_feats, g_w1, g_b1 = conv2d_same_backward(feats, stage.w1, g_h1)
     return g_feats, g_pre2, ConvStage(w1=g_w1, b1=g_b1, w2=g_w2, b2=g_b2)
 
 

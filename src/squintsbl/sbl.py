@@ -85,12 +85,22 @@ def init_state(gamma: np.ndarray, n_meas: int) -> SblState:
 
 def _check_step(it: int, data: np.ndarray, **arrays) -> None:
     """Raise :class:`DivergenceError` if any of ``arrays`` is non-finite
-    or a column of ``arrays["mu"]`` runs away from its column of ``data``."""
-    for name, arr in arrays.items():
-        bad = ~np.all(np.isfinite(arr), axis=0)
-        if np.any(bad):
-            columns, where = _columns(np.flatnonzero(bad), arr.ndim)
-            raise DivergenceError(f"non-finite {name} at iteration {it}{where}", iteration=it, columns=columns)
+    or a column of ``arrays["mu"]`` runs away from its column of ``data``.
+
+    A sum is finite only if every entry is, so each array is first summed
+    in one pass; the per-column scan that names the failing columns runs
+    only when a sum is not finite, which finite entries whose sum
+    overflows can also cause.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, arr in arrays.items():
+            if np.isfinite(arr.sum()):
+                continue
+            bad = ~np.all(np.isfinite(arr), axis=0)
+            if np.any(bad):
+                columns, where = _columns(np.flatnonzero(bad), arr.ndim)
+                raise DivergenceError(f"non-finite {name} at iteration {it}{where}", iteration=it,
+                                      columns=columns)
     mu = arrays["mu"]
     limit = _MAGNITUDE_GUARD * np.maximum(np.linalg.norm(data, axis=0), 1e-300)
     blown = np.linalg.norm(mu, axis=0) > limit
@@ -254,22 +264,46 @@ def amp_e_step(op: MeasurementOperator, r: np.ndarray, sigma2: float, state: Sbl
 def _amp_backward(op: MeasurementOperator, cache, g_mu1, g_tau1, g_s1):
     """Gradients of one AMP E-step; returns (g_mu0, g_tau0, g_s0, g_gamma).
 
-    Complex gradients follow the d/dRe + j d/dIm convention.
+    Complex gradients follow the d/dRe + j d/dIm convention.  The
+    G-sized work is done in place in a few buffers, each freed as soon as
+    it is read for the last time, in the same operation order as the
+    plain expressions noted beside it, so the results are the same bits.
+    The incoming gradients and the cache are not written to.
     """
     tau_q, q, gamma = cache["tau_q"], cache["q"], cache["gamma"]
     c = 1.0 / cache["denom"]
     c2 = c * c
-    rmu = np.real(np.conj(g_mu1) * q)
-    g_gamma = -tau_q * c2 * (rmu + tau_q * g_tau1)
+    prod = np.conj(g_mu1)
+    prod *= q
+    rmu = prod.real                                     # Re(conj(g_mu1) q)
+    g_gamma = tau_q * c2
+    np.negative(g_gamma, out=g_gamma)
+    work = tau_q * g_tau1
+    work += rmu
+    g_gamma *= work                                     # -tau_q c2 (rmu + tau_q g_tau1)
+    np.multiply(gamma, rmu, out=work)
+    np.subtract(g_tau1, work, out=work)
+    work *= c2
+    del c2
     g_q = g_mu1 * c
-    g_tau_q = c2 * (g_tau1 - gamma * rmu) + np.real(np.conj(g_q) * cache["v"])
-    g_mu0 = g_q.copy()
-    g_s1_tot = g_s1 + op.forward(g_q * tau_q)
-    g_w = -g_tau_q * tau_q * tau_q
+    del c
+    np.conjugate(g_q, out=prod)
+    prod *= cache["v"]
+    g_tau_q = work
+    g_tau_q += prod.real                                # c2 (g_tau1 - gamma rmu) + Re(conj(g_q) v)
+    np.multiply(g_q, tau_q, out=prod)
+    g_s1_tot = g_s1 + op.forward(prod)
+    del prod
+    g_w = g_tau_q
+    np.negative(g_w, out=g_w)
+    g_w *= tau_q
+    g_w *= tau_q                                        # -g_tau_q tau_q tau_q
     g_tau_s = op.forward_abs2(g_w)
+    del g_w, g_tau_q, work
     g_tau_s += np.real(np.conj(g_s1_tot) * (cache["r"] - cache["p"]))
     g_p = -cache["tau_s"] * g_s1_tot
     g_tau_p = -g_tau_s * cache["tau_s"] ** 2
+    g_mu0 = g_q
     g_mu0 += op.adjoint(g_p)
     g_tau_p -= np.real(np.conj(g_p) * cache["s0"])
     g_s0 = -cache["tau_p"] * g_p

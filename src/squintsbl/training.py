@@ -194,41 +194,76 @@ def _loss_and_grad(x_hat: np.ndarray, split: _Split, idx: np.ndarray, dicts: Dic
 
 # ---- unrolled forward/backward ----------------------------------------------
 
+def _start_state(op: MeasurementOperator, obs: np.ndarray, net: MStepNet, depth: int):
+    """The flat-prior start state of a depth-``depth`` unrolled run on a (·, B) batch."""
+    if net.n_stages < depth - 1:
+        raise ValueError(f"net has {net.n_stages} stages; depth {depth} needs {depth - 1}")
+    return init_state(np.ones((op.config.grid_total, obs.shape[1])), obs.shape[0])
+
+
+def _forward_iteration(op: MeasurementOperator, obs: np.ndarray, sigma2: float, net: MStepNet,
+                       state, it: int, depth: int, e_step: str) -> dict:
+    """Advance ``state`` by unrolled iteration ``it``; return that iteration's backward cache.
+
+    Only the returned cache holds the iteration's intermediates, so a
+    caller that drops it frees them at once.
+    """
+    cfg = op.config
+    ga, gd = cfg.grid_angular, cfg.grid_delay
+    if e_step == "amp":
+        state.mu, state.tau_x, state.s, ec = amp_e_step(op, obs, sigma2, state)
+    else:
+        state.mu, state.tau_x, ec = exact_e_step(op, obs, sigma2, state)
+    state.iteration = it
+    step_cache = {"e_step": e_step, "e": ec, "it": it}
+    if it < depth:
+        feats = batch_features(state.mu, state.tau_x, ga, gd)
+        gamma_img = vec_to_image(state.gamma, ga, gd)
+        out_img, sc = stage_forward(net.stages[it - 1], feats, gamma_img)
+        step_cache["mu"] = state.mu
+        step_cache["stage"] = sc
+        state.gamma = image_to_vec(out_img)
+    return step_cache
+
+
 def unroll_forward(op: MeasurementOperator, obs: np.ndarray, sigma2: float,
                    net: MStepNet, depth: int, e_step: str):
     """Run the depth-``depth`` unfolded estimator on a (·, B) batch.
 
     ``obs`` is the rotated observation r = U^H y, which both E-steps take.
-    Returns the final posterior mean (G, B) and the cache list consumed
-    by :func:`unroll_backward`.
+    Returns the final posterior mean (G, B) and the list of per-iteration
+    caches that :func:`unroll_backward` consumes.  Cache ``it - 1`` is a
+    dict holding:
+
+    * ``"e_step"`` and ``"it"``: which E-step ran, and the 1-based iteration;
+    * ``"e"``: the E-step's own cache.  For AMP that is the input residual
+      ``s0``, the data ``r``, the prior ``gamma``, and ``p``, ``tau_p``,
+      ``tau_s``, ``tau_q``, ``v = A^H s'``, ``q`` and ``denom``, the
+      intermediates its backward reads; for the exact E-step ``gamma``,
+      ``u = A^H S^-1 r``, ``d = diag(A^H S^-1 A)`` and one lower-triangular
+      M x M S^-1 per column;
+    * for ``it < depth`` only, ``"mu"``, the posterior mean the features
+      were built from, and ``"stage"``, the refiner's cache (features,
+      hidden layer after its ReLU, and output gamma image).
+
+    At the default size and B = 128 an AMP iteration with a refiner stage
+    holds about 84 MB; an exact one holds B S^-1 of 4 MB each on top.
     """
-    if net.n_stages < depth - 1:
-        raise ValueError(f"net has {net.n_stages} stages; depth {depth} needs {depth - 1}")
-    cfg = op.config
-    ga, gd = cfg.grid_angular, cfg.grid_delay
-    state = init_state(np.ones((cfg.grid_total, obs.shape[1])), obs.shape[0])
-    caches = []
-    for it in range(1, depth + 1):
-        if e_step == "amp":
-            state.mu, state.tau_x, state.s, ec = amp_e_step(op, obs, sigma2, state)
-        else:
-            state.mu, state.tau_x, ec = exact_e_step(op, obs, sigma2, state)
-        state.iteration = it
-        step_cache = {"e_step": e_step, "e": ec, "it": it}
-        if it < depth:
-            feats = batch_features(state.mu, state.tau_x, ga, gd)
-            gamma_img = vec_to_image(state.gamma, ga, gd)
-            out_img, sc = stage_forward(net.stages[it - 1], feats, gamma_img)
-            step_cache["mu"] = state.mu
-            step_cache["stage"] = sc
-            state.gamma = image_to_vec(out_img)
-        caches.append(step_cache)
+    state = _start_state(op, obs, net, depth)
+    caches = [_forward_iteration(op, obs, sigma2, net, state, it, depth, e_step)
+              for it in range(1, depth + 1)]
     return state.mu, caches
 
 
-def unroll_backward(op: MeasurementOperator, caches, g_x: np.ndarray,
+def unroll_backward(op: MeasurementOperator, caches: list, g_x: np.ndarray,
                     net: MStepNet) -> list[ConvStage]:
-    """Backprop the whole unrolled estimator; returns per-stage weight gradients."""
+    """Backprop the whole unrolled estimator; returns per-stage weight gradients.
+
+    ``caches`` is the list from :func:`unroll_forward`.  It is consumed:
+    each iteration's cache is popped before its backward runs and freed
+    once that backward is done, so the list is empty on return and the
+    graph shrinks as the backward proceeds.  ``g_x`` is not written to.
+    """
     cfg = op.config
     ga, gd = cfg.grid_angular, cfg.grid_delay
     depth = len(caches)
@@ -237,20 +272,23 @@ def unroll_backward(op: MeasurementOperator, caches, g_x: np.ndarray,
     g_s = np.zeros(op.shape[:1] + g_x.shape[1:], dtype=complex)
     g_gamma = None
     grads: list[ConvStage | None] = [None] * (depth - 1)
-    for it in range(depth, 0, -1):
-        cache = caches[it - 1]
+    while caches:
+        cache = caches.pop()
+        it = cache["it"]
         if it < depth:
             g_img = vec_to_image(g_gamma, ga, gd)
             g_feats, g_prev_img, sg = stage_backward(net.stages[it - 1], cache["stage"], g_img)
             grads[it - 1] = sg
             gm, gt = batch_features_backward(g_feats, cache["mu"])
-            g_mu = g_mu + gm
-            g_tau = g_tau + gt
+            # after the last E-step's backward, g_mu and g_tau are this loop's own arrays
+            g_mu += gm
+            g_tau += gt
             g_gamma_res = image_to_vec(g_prev_img)
         else:
             g_gamma_res = 0.0
-        ec = cache["e"]
-        if cache["e_step"] == "amp":
+        amp, ec = cache["e_step"] == "amp", cache["e"]
+        del cache  # the stage's part of the graph is freed here, before the E-step backward
+        if amp:
             g_mu, g_tau, g_s, gg = _amp_backward(op, ec, g_mu, g_tau, g_s)
         else:
             # the exact posterior depends on gamma alone, not on the previous mu, tau
@@ -258,6 +296,7 @@ def unroll_backward(op: MeasurementOperator, caches, g_x: np.ndarray,
             g_mu = np.zeros_like(g_mu)
             g_tau = np.zeros_like(g_tau)
             g_s = np.zeros_like(g_s)
+        del ec
         g_gamma = gg + g_gamma_res
     return grads
 
@@ -276,14 +315,20 @@ def _batch_obs(op: MeasurementOperator, split: _Split, idx, sigma2,
 
 def _eval_ratios(net: MStepNet, split: _Split, op: MeasurementOperator,
                  sigma2: float, train_cfg: TrainConfig, depth: int) -> np.ndarray:
-    """Per-sample ||H_hat - H||^2 / ||H||^2 over a split with its fixed noise."""
+    """Per-sample ||H_hat - H||^2 / ||H||^2 over a split with its fixed noise.
+
+    Runs the iterations of :func:`unroll_forward` but drops each one's
+    backward cache at once, since no backward follows.
+    """
     n = split.h.shape[-1]
     ratios = []
     for lo in range(0, n, train_cfg.batch_size):
         idx = np.arange(lo, min(lo + train_cfg.batch_size, n))
         obs = _batch_obs(op, split, idx, sigma2, None)
-        x_hat, _ = unroll_forward(op, obs, sigma2, net, depth, train_cfg.e_step)
-        h_hat = reconstruct_batch(op.dicts, x_hat)
+        state = _start_state(op, obs, net, depth)
+        for it in range(1, depth + 1):
+            _forward_iteration(op, obs, sigma2, net, state, it, depth, train_cfg.e_step)
+        h_hat = reconstruct_batch(op.dicts, state.mu)
         err = np.sum(np.abs(h_hat - split.h[:, :, idx]) ** 2, axis=(0, 1))
         ratios.append(err / split.hnorm2[idx])
     return np.concatenate(ratios)
@@ -299,6 +344,23 @@ def test_nmse_db(net: MStepNet, split: _Split, op: MeasurementOperator,
                  sigma2: float, train_cfg: TrainConfig, depth: int) -> float:
     """Channel NMSE in dB (of the mean ratio) with fixed test noise."""
     return 10.0 * np.log10(np.mean(_eval_ratios(net, split, op, sigma2, train_cfg, depth)))
+
+
+def _batch_gradients(net: MStepNet, split: _Split, idx: np.ndarray, op: MeasurementOperator,
+                     sigma2: float, rng: np.random.Generator, depth: int, e_step: str):
+    """Loss and per-stage weight gradients of one training batch with fresh noise.
+
+    The gradients are None when the loss is not finite.  No array of the
+    batch's graph outlives this call: the backward consumes the caches,
+    and the rest dies with this frame.
+    """
+    obs = _batch_obs(op, split, idx, sigma2, rng)
+    x_hat, caches = unroll_forward(op, obs, sigma2, net, depth, e_step)
+    loss, g_x = _loss_and_grad(x_hat, split, idx, op.dicts)
+    del x_hat
+    if not np.isfinite(loss):
+        return loss, None
+    return loss, unroll_backward(op, caches, g_x, net)
 
 
 def train_layerwise(train_cfg: TrainConfig, sys_cfg: SystemConfig,
@@ -347,13 +409,11 @@ def train_layerwise(train_cfg: TrainConfig, sys_cfg: SystemConfig,
             for bi, lo in enumerate(range(0, n_train, train_cfg.batch_size)):
                 idx = perm[lo:lo + train_cfg.batch_size]
                 noise_rng = spawn_rng(sys_cfg.rng_seed, "noise", depth, epoch, bi)
-                obs = _batch_obs(op, train, idx, sigma2, noise_rng)
-                x_hat, caches = unroll_forward(op, obs, sigma2, net, depth, train_cfg.e_step)
-                loss, g_x = _loss_and_grad(x_hat, train, idx, op.dicts)
-                if not np.isfinite(loss):
+                loss, grads = _batch_gradients(net, train, idx, op, sigma2, noise_rng, depth,
+                                               train_cfg.e_step)
+                if grads is None:
                     raise DivergenceError(
                         f"non-finite loss at depth {depth}, epoch {epoch}, batch {bi}", iteration=depth)
-                grads = unroll_backward(op, caches, g_x, net)
                 step += 1
                 adam_update(net, grads, step, lr)
                 train_loss += loss * len(idx)

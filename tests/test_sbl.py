@@ -9,6 +9,7 @@ from squintsbl.sbl import (
     DivergenceError,
     EstimatorSpec,
     SblState,
+    _check_step,
     amp_e_step,
     classic_m_step,
     exact_e_step,
@@ -209,6 +210,50 @@ def test_amp_e_step_norm_guard_per_column(rng):
     with pytest.raises(DivergenceError, match="blew up") as exc:
         amp_e_step(op, r[:, 0], 0.1, one)
     assert exc.value.columns == []
+
+
+_CHECKED = ("p", "s", "q", "mu", "tau_x")
+
+
+def _checked_arrays(rng, b):
+    """Finite, well-scaled (5, b) arrays under the names the AMP E-step checks."""
+    arrays = {name: crandn(rng, 5, b) for name in _CHECKED}
+    arrays["tau_x"] = rng.uniform(0.1, 1.0, (5, b))
+    return arrays
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", _CHECKED)
+def test_check_step_names_nonfinite_array_and_columns(rng, name, bad):
+    """A non-finite entry fails with the array's name and every failing column."""
+    data = crandn(rng, 5, 4)
+    arrays = _checked_arrays(rng, 4)
+    arrays[name][2, 3] = bad
+    arrays[name][0, 1] = bad
+    with pytest.raises(DivergenceError) as exc:
+        _check_step(7, data, **arrays)
+    assert str(exc.value) == f"non-finite {name} at iteration 7 in columns [1, 3]"
+    assert exc.value.columns == [1, 3] and exc.value.iteration == 7
+    # a vector names no columns
+    vec = {k: v[:, 0].copy() for k, v in _checked_arrays(rng, 4).items()}
+    vec[name][4] = bad
+    with pytest.raises(DivergenceError) as exc:
+        _check_step(2, data[:, 0], **vec)
+    assert str(exc.value) == f"non-finite {name} at iteration 2"
+    assert exc.value.columns == []
+
+
+def test_check_step_passes_finite_entries_whose_sum_overflows(rng):
+    """Finite entries can sum to inf; the per-column scan then finds nothing and the step passes."""
+    data = crandn(rng, 5, 2)
+    arrays = _checked_arrays(rng, 2)
+    arrays["p"][:] = 0.0
+    arrays["p"][0, 0] = arrays["p"][1, 0] = 1e308
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(arrays["p"].sum())
+    _check_step(1, data, **arrays)
+    arrays["p"][3:, 1] = -1e308  # the sum is inf - inf = nan, still from finite entries
+    _check_step(1, data, **arrays)
 
 
 def _batch_and_column_states(rng, g, m, b):

@@ -1,6 +1,10 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
+from squintsbl import training
 from squintsbl.mstep import MStepNet
 from squintsbl.sbl import DivergenceError, EstimatorSpec, run_estimator
 from squintsbl.training import (
@@ -125,6 +129,85 @@ def test_unrolled_gradients_finite_difference(tiny_cfg, tiny_op, e_step, rng):
         pairs += [(st.w1, sg.w1), (st.b1, sg.b1), (st.w2, sg.w2), (st.b2, sg.b2)]
     for fd, an in _directional_fd(loss, pairs, dr, n_probes=3):
         assert abs(fd - an) < 2e-5 * max(1.0, abs(fd))
+
+
+def _array_refs(obj) -> list:
+    """Weak references to every array reachable through dicts, lists and tuples of ``obj``."""
+    if isinstance(obj, np.ndarray):
+        return [weakref.ref(obj)]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return [ref for item in obj for ref in _array_refs(item)]
+    return []
+
+
+@pytest.mark.parametrize("e_step", ["amp", "exact"])
+def test_unroll_backward_consumes_caches(tiny_cfg, tiny_op, rng, e_step):
+    """The backward empties the cache list and frees every cached array by the time it returns."""
+    net = MStepNet.create(2, np.random.default_rng(3))
+    obs = crandn(rng, tiny_cfg.n_measurements, 3)
+    x, caches = unroll_forward(tiny_op, obs, 0.1, net, 3, e_step)
+    assert len(caches) == 3
+    refs = _array_refs(caches)
+    g_x = crandn(rng, *x.shape)
+    g_x_before = g_x.copy()
+    del x, obs
+    grads = unroll_backward(tiny_op, caches, g_x, net)
+    assert caches == []
+    assert len(grads) == 2
+    assert not [r for r in refs if r() is not None]
+    assert np.array_equal(g_x, g_x_before)
+
+
+def test_training_holds_one_graph(tiny_cfg, tiny_op, monkeypatch):
+    """No array of a batch's caches is alive when the next unrolled forward starts."""
+    real = training.unroll_forward
+    previous: list = []
+    calls = []
+
+    def watched(*args, **kwargs):
+        alive = [r for r in previous if r() is not None]
+        calls.append(len(alive))
+        x_hat, caches = real(*args, **kwargs)
+        previous[:] = _array_refs(caches)
+        return x_hat, caches
+
+    monkeypatch.setattr(training, "unroll_forward", watched)
+    datasets = generate_splits(tiny_cfg, (24, 8, 8))
+    tc = TrainConfig(depth=3, e_step="amp", batch_size=8, max_epochs=2)
+    train_layerwise(tc, tiny_cfg, tiny_op, datasets)
+    assert len(calls) >= 2 * 2 * 3  # two depths, two epochs, three batches
+    assert calls == [0] * len(calls)
+
+
+def test_validate_keeps_no_exact_caches(desk_cfg, desk_op):
+    """Validation drops each iteration's S^-1 at once, so its peak does not grow with depth.
+
+    At desk size one column's S^-1 is only as large as one hidden image of
+    the refiner, so the depth is chosen where the bound says something:
+    keeping all iterations' caches, as a backward would need, peaks near
+    three times it.
+    """
+    b = 64
+    _, va, _ = generate_splits(desk_cfg, (1, b, 1))
+    split = _prepare_split(va, desk_op, True, desk_cfg.noise_var)
+    s_inv_bytes = desk_cfg.n_measurements ** 2 * np.dtype(complex).itemsize
+    peaks = {}
+    for depth in (4, 8):
+        net = MStepNet.create(depth - 1, np.random.default_rng(1))
+        for stage in net.stages:
+            stage.w1 *= 1e-3
+            stage.w2 *= 1e-3
+        tc = TrainConfig(depth=depth, e_step="exact", batch_size=b)
+        tracemalloc.start()
+        try:
+            validate(net, split, desk_op, desk_cfg.noise_var, tc, depth)
+            peaks[depth] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[8] < s_inv_bytes * b * 8
+    assert peaks[8] < 1.1 * peaks[4]
 
 
 # ---- data preparation -------------------------------------------------------
