@@ -26,7 +26,6 @@ from .dictionaries import (
     DictionarySet,
     build_dictionaries,
     reconstruct_channel,
-    sparsity_score,
 )
 from .measurement import (
     MeasurementOperator,

@@ -64,7 +64,9 @@ class SystemConfig:
     bandwidth: float = 4e9        # sampling rate f_s, Hz
     grid_angular: int = 64        # angular grid points per subcarrier
     grid_delay: int = 64          # delay grid points
-    noise_var: float = 0.1        # per-antenna noise variance (SNR = 1/noise_var)
+    # per-antenna noise variance; its SNR label is -10 log10(noise_var), but E||H||_F^2 = K, so the
+    # whitened measurement SNR is about the label minus 10 log10(N) (-5.3 dB at 10 dB with N = 32)
+    noise_var: float = 0.1
     n_clusters: int = 3           # scattering clusters
     n_subpaths: int = 10          # subpaths per cluster
     angle_spread: float = math.radians(4.0)   # intra-cluster angle std, rad
@@ -171,7 +173,13 @@ def desk_config(**overrides) -> SystemConfig:
 
 
 def noise_var_from_snr_db(snr_db: float) -> float:
-    """Noise variance for a target SNR in dB (unit signal power convention)."""
+    """Noise variance 10^(-snr_db/10) for an SNR label in dB.
+
+    The label takes unit power per antenna, but ``build_channel`` sets
+    E||H||_F^2 = K, i.e. 1/N per antenna, so the whitened measurement SNR
+    is about ``snr_db - 10 log10(N)``: -5.3 dB at a label of 10 dB with
+    N = 32.
+    """
     return 10.0 ** (-snr_db / 10.0)
 
 

@@ -10,10 +10,9 @@ is pixel (m mod G_A, m div G_A).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .config import SystemConfig, subcarrier_freqs
 from .channel import steering_vector
@@ -32,8 +31,7 @@ def grid_points(g: int) -> np.ndarray:
 class DictionarySet:
     """Delay and per-tone angular dictionaries under one grid mode.
 
-    Immutable after construction; a ridge projector for the sparsity
-    diagnostic is cached lazily since it is only needed there.
+    Immutable after construction.
     """
 
     mode: str
@@ -42,7 +40,6 @@ class DictionarySet:
     delay_dict: np.ndarray      # (K, G_D), columns steering_vector(K, grid)
     angular_grids: np.ndarray   # (K, G_A), row k is tone k's grid
     angular_dicts: np.ndarray   # (K, N, G_A), slab k is tone k's dictionary
-    _projector: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def build_dictionaries(cfg: SystemConfig, mode: str = FREQUENCY_DEPENDENT) -> DictionarySet:
@@ -97,34 +94,3 @@ def synthesis_matrix(dicts: DictionarySet) -> np.ndarray:
         for k in range(cfg.n_subcarriers)
     ]
     return np.vstack(blocks)
-
-
-def _ridge_projector(dicts: DictionarySet):
-    # Factor (T^H T + lambda I) once; reused across many score calls.
-    t = synthesis_matrix(dicts)
-    gram = t.conj().T @ t
-    lam = 1e-6 * np.trace(gram).real / gram.shape[0]
-    gram[np.diag_indices_from(gram)] += lam
-    return cho_factor(gram), t
-
-
-def ridge_project(dicts: DictionarySet, h: np.ndarray) -> np.ndarray:
-    """Ridge least-squares angular-delay coefficients of a channel matrix."""
-    if dicts._projector is None:
-        dicts._projector = _ridge_projector(dicts)
-    factor, t = dicts._projector
-    return cho_solve(factor, t.conj().T @ h.ravel(order="F"))
-
-
-def sparsity_score(dicts: DictionarySet, h: np.ndarray) -> float:
-    """Fraction of projected energy captured by the top 1% of coefficients.
-
-    Higher means the dictionary concentrates the channel better.
-    """
-    x = ridge_project(dicts, h)
-    power = np.abs(x) ** 2
-    total = power.sum()
-    if total == 0.0:
-        raise ValueError("zero channel has no sparsity score")
-    top = max(1, int(np.ceil(power.size / 100)))
-    return float(np.sort(power)[-top:].sum() / total)

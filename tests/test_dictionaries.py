@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from squintsbl.channel import build_channel, draw_paths, steering_vector
-from squintsbl.config import default_config, desk_config, spawn_rng, subcarrier_freqs
+from squintsbl import selftest
+from squintsbl.channel import steering_vector
+from squintsbl.config import desk_config, subcarrier_freqs
 from squintsbl.dictionaries import (
     FREQUENCY_DEPENDENT,
     FREQUENCY_INDEPENDENT,
@@ -11,8 +12,6 @@ from squintsbl.dictionaries import (
     coeff_matrix,
     grid_points,
     reconstruct_channel,
-    ridge_project,
-    sparsity_score,
     synthesis_matrix,
 )
 
@@ -98,82 +97,13 @@ def test_reconstruct_linear(rng):
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
-def test_on_grid_atom_recovered_by_projection():
-    """A channel that is exactly one dictionary atom projects back onto it."""
-    cfg = desk_config()
-    d = build_dictionaries(cfg)
-    i = 5 + 11 * cfg.grid_angular  # angular 5, delay 11
-    e = np.zeros(cfg.grid_total, dtype=complex)
-    e[i] = 1.0
-    h = reconstruct_channel(d, e)
-    x = ridge_project(d, h)
-    assert np.argmax(np.abs(x)) == i
-    # the coarse desk grids are coherent, so the atom shares energy with a
-    # neighbor; it still dominates
-    mags = np.sort(np.abs(x))
-    assert abs(x[i]) > 0.45
-    assert abs(x[i]) > 1.5 * mags[-3]
+def test_squint_matched_dictionary_estimates_better():
+    """Exact SBL on shared observations, once per dictionary: the matched one wins."""
+    selftest.check_squint_dictionary()
 
 
-def test_ridge_project_near_inverse(rng):
-    cfg = desk_config()
-    d = build_dictionaries(cfg)
-    x = crandn(rng, cfg.grid_total)
-    h = reconstruct_channel(d, x)
-    h2 = reconstruct_channel(d, ridge_project(d, h))
-    # projector is ridge-regularized least squares onto the dictionary range
-    assert np.linalg.norm(h2 - h) / np.linalg.norm(h) < 1e-3
-
-
-def test_sparsity_score_range_and_invariance(rng):
-    cfg = desk_config()
-    d = build_dictionaries(cfg)
-    paths = draw_paths(cfg, spawn_rng(cfg.rng_seed, "channel", 0, 0))
-    h = build_channel(cfg, paths)
-    s = sparsity_score(d, h)
-    assert 0.0 < s <= 1.0
-    # scale invariant
-    assert sparsity_score(d, 3.7 * h) == pytest.approx(s, rel=1e-9)
-    with pytest.raises(ValueError):
-        sparsity_score(d, np.zeros_like(h))
-
-
-def test_single_atom_scores_near_one():
-    cfg = desk_config()
-    d = build_dictionaries(cfg)
-    e = np.zeros(cfg.grid_total, dtype=complex)
-    e[37] = 1.0
-    h = reconstruct_channel(d, e)
-    assert sparsity_score(d, h) > 0.9
-
-
-def test_squint_matched_dictionary_scores_sparser():
-    """Across squinted channels the tone-matched grids concentrate more energy.
-
-    Needs the angular grid fine enough to resolve the squint shift, so the
-    angular grid stays at its default size here.
-    """
-    cfg = default_config(n_subcarriers=16, grid_delay=32)
-    fd = build_dictionaries(cfg, FREQUENCY_DEPENDENT)
-    fi = build_dictionaries(cfg, FREQUENCY_INDEPENDENT)
-    wins = 0
-    n = 12
-    for i in range(n):
-        paths = draw_paths(cfg, spawn_rng(cfg.rng_seed, "channel", 0, 100 + i))
-        h = build_channel(cfg, paths)
-        if sparsity_score(fd, h) > sparsity_score(fi, h):
-            wins += 1
-    assert wins >= int(0.8 * n)
-
-
-@settings(max_examples=8, deadline=None)
-@given(st.integers(min_value=0, max_value=2**31 - 1))
-def test_projection_linear(seed):
-    cfg = desk_config()
-    d = build_dictionaries(cfg)
-    r = np.random.default_rng(seed)
-    h1 = crandn(r, cfg.n_antennas, cfg.n_subcarriers)
-    h2 = crandn(r, cfg.n_antennas, cfg.n_subcarriers)
-    lhs = ridge_project(d, h1 + 2j * h2)
-    rhs = ridge_project(d, h1) + 2j * ridge_project(d, h2)
-    assert np.allclose(lhs, rhs, atol=1e-10)
+def test_squint_check_fails_without_a_squint_unaware_side(monkeypatch):
+    """With both operators squint-matched there is nothing to win, so the check must fail."""
+    monkeypatch.setattr(selftest, "FREQUENCY_INDEPENDENT", FREQUENCY_DEPENDENT)
+    with pytest.raises(AssertionError):
+        selftest.check_squint_dictionary()

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import solve_triangular
 
 from squintsbl.channel import ChannelRealization, build_channel, draw_paths
-from squintsbl.config import default_config, desk_config, spawn_rng
+from squintsbl.config import default_config, desk_config, noise_var_from_snr_db, spawn_rng
 from squintsbl.dictionaries import build_dictionaries, reconstruct_channel
 from squintsbl.measurement import (
     assemble_operator,
@@ -289,3 +289,15 @@ def test_observation_determinism(desk_cfg, desk_op):
     b = observe_and_transform(desk_op, chan, spawn_rng(cfg.rng_seed, "noise", 3, 0))
     assert np.array_equal(a.y, b.y)
 
+
+
+@pytest.mark.parametrize("make_cfg", [desk_config, default_config])
+def test_measurement_snr_is_label_minus_array_gain(make_cfg):
+    """E||H||_F^2 = K leaves each antenna 1/N of the power the SNR label assumes."""
+    cfg = make_cfg(noise_var=noise_var_from_snr_db(10.0))
+    w_bar = _comb(cfg).w_bar
+    channels = [build_channel(cfg, draw_paths(cfg, spawn_rng(cfg.rng_seed, "channel", 0, i))) for i in range(200)]
+    power = np.mean([np.linalg.norm(w_bar @ h) ** 2 for h in channels]) / cfg.n_measurements
+    snr_db = 10.0 * np.log10(power / cfg.noise_var)
+    # measured -1.1 dB at N = 16 and -4.7 dB at N = 32; a unit-power-per-antenna channel would read ~10 dB
+    assert abs(snr_db - (10.0 - 10.0 * np.log10(cfg.n_antennas))) < 1.5
