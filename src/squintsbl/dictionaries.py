@@ -5,7 +5,8 @@ angular grid that can either track each tone's frequency (scaled by
 f_k / f_c, so squinted far-field responses stay on-grid across the
 band) or stay fixed at the carrier value.  A coefficient matrix X of
 shape (G_A, G_D) is vectorized column by column: entry m of the vector
-is pixel (m mod G_A, m div G_A).
+is pixel (m mod G_A, m div G_A).  One reconstruction, for a vector (G,)
+or a batch (G, B), serves inference, validation and the training loss.
 """
 
 from __future__ import annotations
@@ -65,20 +66,23 @@ def build_dictionaries(cfg: SystemConfig, mode: str = FREQUENCY_DEPENDENT) -> Di
     )
 
 
-def coeff_matrix(dicts: DictionarySet, x: np.ndarray) -> np.ndarray:
-    """Unstack a coefficient vector to its (G_A, G_D) image."""
-    return np.reshape(x, (dicts.config.grid_angular, dicts.config.grid_delay), order="F")
-
-
 def reconstruct_channel(dicts: DictionarySet, x: np.ndarray) -> np.ndarray:
-    """Synthesize H (N x K) from angular-delay coefficients.
+    """Synthesize H from angular-delay coefficients: (G,) -> (N, K), (G, B) -> (N, K, B).
 
-    Column k is the tone-k angular dictionary applied to column k of
-    X @ delay_dict^T.
+    Tone k is the tone-k angular dictionary applied to column k of
+    X @ delay_dict^T, with X the (G_A, G_D) image of the coefficients.
     """
-    x_mat = coeff_matrix(dicts, x)
-    q = x_mat @ dicts.delay_dict.T                       # (G_A, K)
-    return np.einsum("kng,gk->nk", dicts.angular_dicts, q, optimize=True)
+    cfg = dicts.config
+    x_img = x.reshape((cfg.grid_angular, cfg.grid_delay) + x.shape[1:], order="F")
+    t = np.einsum("ad...,kd->ka...", x_img, dicts.delay_dict, optimize=True)
+    return np.einsum("kna,ka...->nk...", dicts.angular_dicts, t, optimize=True)
+
+
+def reconstruct_adjoint(dicts: DictionarySet, h: np.ndarray) -> np.ndarray:
+    """Adjoint of :func:`reconstruct_channel`: (N, K) -> (G,), (N, K, B) -> (G, B)."""
+    t = np.einsum("kna,nk...->ka...", dicts.angular_dicts.conj(), h, optimize=True)
+    g_img = np.einsum("ka...,kd->ad...", t, dicts.delay_dict.conj(), optimize=True)
+    return g_img.reshape((-1,) + h.shape[2:], order="F")
 
 
 def synthesis_matrix(dicts: DictionarySet) -> np.ndarray:

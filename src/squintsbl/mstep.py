@@ -8,9 +8,10 @@ result is added to the previous variance image before a final ReLU:
 
     gamma_new = relu(gamma_prev + conv2(relu(conv1(features))))
 
-Everything here is plain numpy with hand-derived backward passes, so
-gradients are exact up to floating point and verifiable by finite
-differences.
+Inference and training both run it as :func:`mstep_forward`, on one
+vector (G,) or a batch (G, B) of statistics.  Everything here is plain
+numpy with hand-derived backward passes, so gradients are exact up to
+floating point and verifiable by finite differences.
 
 Convolutions use zero padding and keep the image size.  Each is one
 matrix product on the side of the layer with fewer channels.  When the
@@ -293,20 +294,12 @@ def adam_update(net: MStepNet, grads: list[ConvStage], step: int, lr: float,
 
 # ---- features ---------------------------------------------------------------
 
-def build_features(mu: np.ndarray, tau_x: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    """Single-sample feature tensor (G_A, G_D, 2).
+def build_features(mu: np.ndarray, tau_x: np.ndarray, ga: int, gd: int) -> np.ndarray:
+    """Features (B, 2, G_A, G_D) from (G, B) statistics, or (1, 2, G_A, G_D) from (G,).
 
     Channel 0 is the posterior mean power |mu|^2 and channel 1 the
     posterior variance tau: the two terms of the classic update.
     """
-    ga, gd = cfg.grid_angular, cfg.grid_delay
-    f0 = vec_to_image(np.abs(mu) ** 2, ga, gd)[0]
-    f1 = vec_to_image(tau_x, ga, gd)[0]
-    return np.stack([f0, f1], axis=-1)
-
-
-def batch_features(mu: np.ndarray, tau_x: np.ndarray, ga: int, gd: int) -> np.ndarray:
-    """Batched features (B, 2, G_A, G_D) from (G, B) statistics."""
     return np.stack([vec_to_image(np.abs(mu) ** 2, ga, gd), vec_to_image(tau_x, ga, gd)], axis=1)
 
 
@@ -359,19 +352,20 @@ def stage_backward(stage: ConvStage, cache, g_gamma_new: np.ndarray):
     return g_feats, g_pre2, ConvStage(w1=g_w1, b1=g_b1, w2=g_w2, b2=g_b2)
 
 
-def mstep_forward(net: MStepNet, iteration: int, feats: np.ndarray, gamma_prev: np.ndarray) -> np.ndarray:
-    """Single-sample variance update for 1-based ``iteration``.
+def mstep_forward(net: MStepNet, iteration: int, mu: np.ndarray, tau_x: np.ndarray,
+                  gamma: np.ndarray, ga: int, gd: int):
+    """The learned variance update of 1-based ``iteration``, on a vector or a batch.
 
-    ``feats`` is (G_A, G_D, 2) from :func:`build_features`; returns the
-    refined gamma as a flat (G,) vector.
+    Builds the features of ``mu`` and ``tau_x``, applies the iteration's
+    stage with ``gamma`` as the residual, and returns the refined gamma
+    in the shape of ``gamma``, (G,) or (G, B), together with the stage's
+    cache for :func:`stage_backward`.
     """
     if not 1 <= iteration <= net.n_stages:
         raise ValueError(f"iteration {iteration} outside 1..{net.n_stages}")
-    ga, gd = feats.shape[0], feats.shape[1]
-    x = feats.transpose(2, 0, 1)[None]
-    gimg = vec_to_image(gamma_prev, ga, gd)
-    gamma_new, _ = stage_forward(net.stages[iteration - 1], x, gimg)
-    return image_to_vec(gamma_new)[:, 0]
+    feats = build_features(mu, tau_x, ga, gd)
+    out, cache = stage_forward(net.stages[iteration - 1], feats, vec_to_image(gamma, ga, gd))
+    return image_to_vec(out).reshape(gamma.shape), cache
 
 
 # ---- persistence ------------------------------------------------------------

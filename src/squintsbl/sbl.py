@@ -27,8 +27,9 @@ one way: non-finite values, a column whose norm runs away, or a failed
 Cholesky raise :class:`DivergenceError` with the iteration index and,
 for a batch, the failing columns.
 
-A learned convolutional variance update can replace the classic M-step
-through :class:`EstimatorSpec`; see the companion network module.
+One iteration, the E-step and then the variance update, is :func:`step`
+on (M,) or (M, B) data.  ``run_estimator`` and the training forward both
+loop over it; only the latter keeps the iterations' backward caches.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, get_blas_funcs, get_lapack_funcs
 
+from . import mstep
+from .dictionaries import reconstruct_channel
 from .measurement import MeasurementOperator
 
 E_STEPS = ("exact", "amp")
@@ -347,6 +350,41 @@ class EstimatorSpec:
                 )
 
 
+def step(spec: EstimatorSpec, op: MeasurementOperator, r: np.ndarray, sigma2: float,
+         state: SblState) -> dict:
+    """Advance ``state`` by one unfolded iteration on ``r``, (M,) or (M, B); return its backward cache.
+
+    The E-step runs first, then, except on the last iteration, the
+    variance update.  The cache holds ``"e_step"``, ``"it"`` (1-based)
+    and ``"e"``, the E-step's cache; a learned update adds ``"mu"``, its
+    features' posterior mean, and ``"stage"``, the refiner's cache.
+    Dropping the cache frees the iteration's intermediates.
+    """
+    it = state.iteration + 1
+    if spec.e_step == "amp":
+        state.mu, state.tau_x, state.s, e_cache = amp_e_step(op, r, sigma2, state)
+    else:
+        state.mu, state.tau_x, e_cache = exact_e_step(op, r, sigma2, state)
+    state.iteration = it
+    cache = {"e_step": spec.e_step, "e": e_cache, "it": it}
+    if it < spec.n_iterations:
+        if spec.m_step == "classic":
+            state.gamma = classic_m_step(state.mu, state.tau_x)
+        else:
+            # through the module attribute, so that a wrapper set on it sees every call
+            state.gamma, cache["stage"] = mstep.mstep_forward(
+                spec.net, it, state.mu, state.tau_x, state.gamma, op.config.grid_angular, op.config.grid_delay)
+            cache["mu"] = state.mu
+    return cache
+
+
+def start_state(op: MeasurementOperator, y: np.ndarray) -> tuple[np.ndarray, SblState]:
+    """The rotated data ``op.rotate(y)`` and the flat-prior start state, for y (M,) or (M, B)."""
+    if op.config is None:
+        raise ValueError("the estimator needs an operator assembled from a config")
+    return op.rotate(y), init_state(np.ones(op.shape[1:] + y.shape[1:]), op.shape[0])
+
+
 def run_estimator(
     spec: EstimatorSpec,
     op: MeasurementOperator,
@@ -354,44 +392,24 @@ def run_estimator(
     sigma2: float,
     h_true: np.ndarray | None = None,
 ):
-    """Run the configured estimator; returns (x_hat, trace).
+    """Run the configured estimator on y (M,) or (M, B); returns (x_hat, trace).
 
-    ``y`` is the whitened measurement vector; both E-steps run on its
-    rotated form ``op.rotate(y)``, computed once here.  The trace has one
-    dict per iteration with the running estimate quality (NMSE in dB if
-    ``h_true`` is given, else NaN) and the l1 norm of gamma.  The
-    variance update runs between iterations only; the returned estimate
-    is the last posterior mean.  A divergence error propagates with the
-    partial trace attached.
+    ``y`` is whitened; ``x_hat``, (G,) or (G, B), is the last posterior
+    mean.  Each iteration is one :func:`step`, whose cache is dropped.
+    The trace has one dict per iteration: the NMSE in dB against
+    ``h_true`` (NaN without it) and the l1 norm of gamma, both over the
+    whole batch.  A divergence error carries the partial trace.
     """
-    from .mstep import build_features, mstep_forward  # local import, cycle-free at call time
-
-    cfg = op.config
-    if cfg is None:
-        raise ValueError("run_estimator needs an operator assembled from a config")
-    state = init_state(np.ones(cfg.grid_total), cfg.n_measurements)
-    r = op.rotate(y)
+    r, state = start_state(op, y)
     trace: list[dict] = []
     for it in range(1, spec.n_iterations + 1):
         try:
-            if spec.e_step == "amp":
-                state.mu, state.tau_x, state.s, _ = amp_e_step(op, r, sigma2, state)
-            else:
-                state.mu, state.tau_x, _ = exact_e_step(op, r, sigma2, state)
+            step(spec, op, r, sigma2, state)
         except DivergenceError as err:
             err.trace = trace
             raise
-        state.iteration = it
-        if it < spec.n_iterations:
-            if spec.m_step == "classic":
-                state.gamma = classic_m_step(state.mu, state.tau_x)
-            else:
-                feats = build_features(state.mu, state.tau_x, cfg)
-                state.gamma = mstep_forward(spec.net, it, feats, state.gamma)
         nmse_db = np.nan
         if h_true is not None and op.dicts is not None:
-            from .dictionaries import reconstruct_channel
-
             h_hat = reconstruct_channel(op.dicts, state.mu)
             err_power = np.linalg.norm(h_hat - h_true) ** 2
             nmse_db = 10.0 * np.log10(max(err_power / np.linalg.norm(h_true) ** 2, 1e-12))
@@ -399,4 +417,3 @@ def run_estimator(
             {"iteration": it, "nmse_db": float(nmse_db), "gamma_l1": float(np.sum(np.abs(state.gamma)))}
         )
     return state.mu, trace
-

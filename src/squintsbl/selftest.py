@@ -5,8 +5,9 @@ re-derives its expected answer independently (dense posterior algebra,
 per-tone pipelines, hand-worked numbers, finite differences, paired
 estimates on two dictionaries) instead of comparing the code to itself,
 so an installed copy can vouch for its own numerics without a test
-harness.  The pytest suite is larger and stricter; the whole selftest
-runs in about 6 s with one BLAS thread.
+harness.  Checks fail through ``np.testing``, never a bare ``assert``,
+so they also fail under ``python -O``.  The pytest suite is larger and
+stricter; the whole selftest runs in about 6 s with one BLAS thread.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def check_exact_posterior() -> str:
         gamma = np.exp(rng.uniform(-3.0, 1.0, g))
         sigma2 = float(rng.uniform(0.05, 1.0))
         worst = max(worst, _posterior_error(op, phi, _crandn(rng, (m,)), sigma2, gamma))
-    assert worst < 1e-10, f"worst relative error {worst:.2e}"
+    np.testing.assert_(worst < 1e-10, f"worst relative error {worst:.2e}")
     return f"20 dense and 5 desk-operator instances, worst relative error {worst:.1e}"
 
 
@@ -112,7 +113,7 @@ def check_amp_fixed_point() -> str:
         err = float(np.linalg.norm(state.mu - mu_ref) / np.linalg.norm(mu_ref))
         errs.append(err)
         passed += err < 1e-2
-    assert passed >= 4, f"{passed}/5 within 1e-2; errors {['%.1e' % e for e in errs]}"
+    np.testing.assert_(passed >= 4, f"{passed}/5 within 1e-2; errors {['%.1e' % e for e in errs]}")
     return f"{passed}/5 trials within 1e-2 of the direct posterior"
 
 
@@ -144,7 +145,7 @@ def check_operator_assembly() -> str:
         y_direct = (op.combiner.w_bar @ h).ravel(order="F")
         for y_op in (phi @ x, u @ op.forward(x)):
             worst = max(worst, float(np.linalg.norm(y_op - y_direct) / np.linalg.norm(y_direct)))
-    assert worst < 1e-10, f"worst relative gap {worst:.2e}"
+    np.testing.assert_(worst < 1e-10, f"worst relative gap {worst:.2e}")
     return f"5 coefficient draws, worst relative gap {worst:.1e}"
 
 
@@ -154,12 +155,12 @@ def check_per_tone_rotation() -> str:
     op = standard_operator(cfg)
     u = block_diag(*op.u)
     unitary_gap = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-    assert unitary_gap < 1e-12, f"blkdiag(U_k) off unitary by {unitary_gap:.2e}"
+    np.testing.assert_(unitary_gap < 1e-12, f"blkdiag(U_k) off unitary by {unitary_gap:.2e}")
     phi = _dense_phi(op)
     x = _crandn(np.random.default_rng(31), (cfg.grid_total, 3))
     ref = u.conj().T @ (phi @ x)
     fwd_gap = float(np.linalg.norm(op.forward(x) - ref) / np.linalg.norm(ref))
-    assert fwd_gap < 1e-12, f"forward off U^H Phi x by {fwd_gap:.2e}"
+    np.testing.assert_(fwd_gap < 1e-12, f"forward off U^H Phi x by {fwd_gap:.2e}")
     dense = operator_from_matrix(phi, rotate=True)
     dense.config = cfg
     spec = EstimatorSpec(e_step="amp", m_step="classic", n_iterations=10)
@@ -168,7 +169,7 @@ def check_per_tone_rotation() -> str:
         mu, _ = run_estimator(spec, op, obs.y, cfg.noise_var)
         mu_ref, _ = run_estimator(spec, dense, obs.y, cfg.noise_var)
         amp_gap = max(amp_gap, float(np.linalg.norm(mu - mu_ref) / np.linalg.norm(mu_ref)))
-    assert amp_gap < 1e-10, f"AMP-SBL mean off the dense-SVD run by {amp_gap:.2e}"
+    np.testing.assert_(amp_gap < 1e-10, f"AMP-SBL mean off the dense-SVD run by {amp_gap:.2e}")
     return (f"unitary to {unitary_gap:.1e}, forward to {fwd_gap:.1e}, "
             f"10-iteration AMP-SBL mean to {amp_gap:.1e} on 3 draws")
 
@@ -189,7 +190,7 @@ def check_whitening() -> str:
     cov = white @ white.conj().T / n_draws
     target = cfg.noise_var * np.eye(cov.shape[0])
     gap = float(np.max(np.abs(cov - target)) / cfg.noise_var)
-    assert gap < 0.05, f"worst entrywise gap {gap:.3f} of sigma^2"
+    np.testing.assert_(gap < 0.05, f"worst entrywise gap {gap:.3f} of sigma^2")
     return f"{n_draws} draws, worst entrywise gap {100 * gap:.1f}% of sigma^2"
 
 
@@ -202,7 +203,7 @@ def check_channel_normalization() -> str:
         h = build_channel(cfg, paths)
         vals.append(float(np.linalg.norm(h) ** 2) / cfg.n_subcarriers)
     mean = float(np.mean(vals))
-    assert abs(mean - 1.0) < 0.05, f"mean |H|^2/K = {mean:.4f}"
+    np.testing.assert_(abs(mean - 1.0) < 0.05, f"mean |H|^2/K = {mean:.4f}")
     return f"1500 draws, mean |H|^2/K = {mean:.4f}"
 
 
@@ -234,7 +235,7 @@ def check_stage_gradients() -> str:
         fd = (up - down) / (2 * h)
         an = float(getattr(grads, name)[idx])
         worst = max(worst, abs(fd - an) / max(abs(fd), abs(an), 1e-6))
-    assert worst < 1e-5, f"worst relative error {worst:.2e}"
+    np.testing.assert_(worst < 1e-5, f"worst relative error {worst:.2e}")
     return f"30 parameter coordinates, worst relative error {worst:.1e}"
 
 
@@ -282,18 +283,20 @@ def check_recursion_gradients() -> str:
             down = scalar(args["mu"], args["tau"], args["s"], args["gamma"])
             fd = (up - down) / (2 * h)
             worst = max(worst, abs(fd - an) / max(abs(fd), abs(an), 1e-9))
-    assert worst < 1e-5, f"worst relative error {worst:.2e}"
+    np.testing.assert_(worst < 1e-5, f"worst relative error {worst:.2e}")
     return f"16 directional probes, worst relative error {worst:.1e}"
 
 
 def check_complexity_table() -> str:
     """Worked values of the symbolic complexity expressions."""
     cfg = default_config()
-    assert flops_per_iteration("amp-sbl-unfolding", cfg) == 43_712_512
-    assert flops_per_iteration("sbl", cfg) == 17_179_869_184
-    assert flops_per_iteration("sbl-unfolding", cfg) - flops_per_iteration("sbl", cfg) == 1_769_472
-    assert reconstruction_flops("AF", cfg) == 8 * 32 * 64 * 32
-    assert reconstruction_flops("AD", cfg) - reconstruction_flops("AF", cfg) == 8 * 32 * 4096
+    sbl, af = flops_per_iteration("sbl", cfg), reconstruction_flops("AF", cfg)
+    for name, got, want in (("amp-sbl-unfolding", flops_per_iteration("amp-sbl-unfolding", cfg), 43_712_512),
+                            ("sbl", sbl, 17_179_869_184),
+                            ("sbl-unfolding - sbl", flops_per_iteration("sbl-unfolding", cfg) - sbl, 1_769_472),
+                            ("AF reconstruction", af, 8 * 32 * 64 * 32),
+                            ("AD - AF reconstruction", reconstruction_flops("AD", cfg) - af, 8 * 32 * 4096)):
+        np.testing.assert_(got == want, f"{name}: {got} FLOPs, worked value {want}")
     return "five worked values match"
 
 
@@ -317,7 +320,8 @@ def check_squint_dictionary() -> str:
             ratios[i, j] = nmse(obs.h, reconstruct_channel(op.dicts, x_hat))[0]
     wins = int(np.sum(ratios[:, 0] < ratios[:, 1]))
     gap = average_nmse_db(ratios[:, 1]) - average_nmse_db(ratios[:, 0])
-    assert wins >= 7 and gap >= 1.0, f"squint-matched dictionary won {wins}/8 pairs, mean gap {gap:.2f} dB"
+    np.testing.assert_(wins >= 7 and gap >= 1.0,
+                       f"squint-matched dictionary won {wins}/8 pairs, mean gap {gap:.2f} dB")
     return f"squint-matched dictionary won {wins}/8 pairs, mean NMSE {gap:.2f} dB lower"
 
 

@@ -2,8 +2,8 @@
 
 The unfolded network alternates an E-step (posterior statistics given the
 variance parameters) with a learned variance refiner fed |mu|^2 and tau.
-The E-steps and their backward passes are the solver module's, run on
-(., B) batches, and the refiner output becomes the next gamma unchanged,
+Each iteration is the solver module's one ``step`` on an (M, B) batch:
+the training forward keeps its backward cache and validation drops it,
 so training differentiates exactly what inference evaluates and fails the
 same way, with :class:`DivergenceError` (here also ``TrainingDivergence``).
 The loss is the mean per-sample channel error ||H_hat - H||^2 / ||H||^2,
@@ -24,20 +24,32 @@ import numpy as np
 
 from .channel import Dataset, generate_dataset
 from .config import SPLIT_IDS, SystemConfig, spawn_rng
-from .dictionaries import DictionarySet
+from .dictionaries import DictionarySet, reconstruct_adjoint, reconstruct_channel
 from .measurement import MeasurementOperator
 from .mstep import (
     ConvStage,
     MStepNet,
     adam_update,
-    batch_features,
     batch_features_backward,
     image_to_vec,
     stage_backward,
-    stage_forward,
     vec_to_image,
 )
-from .sbl import E_STEPS, DivergenceError, _amp_backward, _exact_backward, amp_e_step, exact_e_step, init_state
+from .sbl import (
+    E_STEPS,
+    DivergenceError,
+    EstimatorSpec,
+    _amp_backward,
+    _exact_backward,
+    run_estimator,
+    start_state,
+    step,
+)
+
+# bench/run.py's WRAPS looks these three names up on this module.  Each is
+# a binding of the single implementation, kept until ROADMAP item 2 drops it.
+from .dictionaries import reconstruct_channel as reconstruct_batch  # noqa: F401
+from .mstep import build_features as batch_features, stage_forward  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -164,94 +176,29 @@ def _complex_noise(rng: np.random.Generator, n: int, sigma2: float) -> np.ndarra
     return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
-# ---- reconstruction, batched ------------------------------------------------
-
-def reconstruct_batch(dicts: DictionarySet, x: np.ndarray) -> np.ndarray:
-    """(G, B) coefficients -> (N, K, B) channels."""
-    cfg = dicts.config
-    ga, gd = cfg.grid_angular, cfg.grid_delay
-    x_img = x.reshape(ga, gd, -1, order="F")
-    t = np.einsum("adb,kd->kab", x_img, dicts.delay_dict, optimize=True)
-    return np.einsum("kna,kab->nkb", dicts.angular_dicts, t, optimize=True)
-
-
-def reconstruct_adjoint(dicts: DictionarySet, r: np.ndarray) -> np.ndarray:
-    """Adjoint of reconstruct_batch: (N, K, B) -> (G, B)."""
-    cfg = dicts.config
-    ga, gd = cfg.grid_angular, cfg.grid_delay
-    t = np.einsum("kna,nkb->kab", dicts.angular_dicts.conj(), r, optimize=True)
-    g_img = np.einsum("kab,kd->adb", t, dicts.delay_dict.conj(), optimize=True)
-    return g_img.reshape(ga * gd, -1, order="F")
-
+# ---- unrolled forward/backward ----------------------------------------------
 
 def _loss_and_grad(x_hat: np.ndarray, split: _Split, idx: np.ndarray, dicts: DictionarySet):
     """Mean of ||H_hat - H||^2 / ||H||^2 over the batch, and its gradient in x_hat."""
-    resid = reconstruct_batch(dicts, x_hat) - split.h[:, :, idx]
+    resid = reconstruct_channel(dicts, x_hat) - split.h[:, :, idx]
     loss = float(np.mean(np.sum(np.abs(resid) ** 2, axis=(0, 1)) / split.hnorm2[idx]))
     g_h = resid * (2.0 / (len(idx) * split.hnorm2[idx]))[None, None, :]
     return loss, reconstruct_adjoint(dicts, g_h)
 
 
-# ---- unrolled forward/backward ----------------------------------------------
-
-def _start_state(op: MeasurementOperator, obs: np.ndarray, net: MStepNet, depth: int):
-    """The flat-prior start state of a depth-``depth`` unrolled run on a (·, B) batch."""
-    if net.n_stages < depth - 1:
-        raise ValueError(f"net has {net.n_stages} stages; depth {depth} needs {depth - 1}")
-    return init_state(np.ones((op.config.grid_total, obs.shape[1])), obs.shape[0])
-
-
-def _forward_iteration(op: MeasurementOperator, obs: np.ndarray, sigma2: float, net: MStepNet,
-                       state, it: int, depth: int, e_step: str) -> dict:
-    """Advance ``state`` by unrolled iteration ``it``; return that iteration's backward cache.
-
-    Only the returned cache holds the iteration's intermediates, so a
-    caller that drops it frees them at once.
-    """
-    cfg = op.config
-    ga, gd = cfg.grid_angular, cfg.grid_delay
-    if e_step == "amp":
-        state.mu, state.tau_x, state.s, ec = amp_e_step(op, obs, sigma2, state)
-    else:
-        state.mu, state.tau_x, ec = exact_e_step(op, obs, sigma2, state)
-    state.iteration = it
-    step_cache = {"e_step": e_step, "e": ec, "it": it}
-    if it < depth:
-        feats = batch_features(state.mu, state.tau_x, ga, gd)
-        gamma_img = vec_to_image(state.gamma, ga, gd)
-        out_img, sc = stage_forward(net.stages[it - 1], feats, gamma_img)
-        step_cache["mu"] = state.mu
-        step_cache["stage"] = sc
-        state.gamma = image_to_vec(out_img)
-    return step_cache
-
-
-def unroll_forward(op: MeasurementOperator, obs: np.ndarray, sigma2: float,
+def unroll_forward(op: MeasurementOperator, y: np.ndarray, sigma2: float,
                    net: MStepNet, depth: int, e_step: str):
-    """Run the depth-``depth`` unfolded estimator on a (·, B) batch.
+    """Run the depth-``depth`` unfolded estimator on an (M, B) batch and keep its graph.
 
-    ``obs`` is the rotated observation r = U^H y, which both E-steps take.
-    Returns the final posterior mean (G, B) and the list of per-iteration
-    caches that :func:`unroll_backward` consumes.  Cache ``it - 1`` is a
-    dict holding:
-
-    * ``"e_step"`` and ``"it"``: which E-step ran, and the 1-based iteration;
-    * ``"e"``: the E-step's own cache.  For AMP that is the input residual
-      ``s0``, the data ``r``, the prior ``gamma``, and ``p``, ``tau_p``,
-      ``tau_s``, ``tau_q``, ``v = A^H s'``, ``q`` and ``denom``, the
-      intermediates its backward reads; for the exact E-step ``gamma``,
-      ``u = A^H S^-1 r``, ``d = diag(A^H S^-1 A)`` and one lower-triangular
-      M x M S^-1 per column;
-    * for ``it < depth`` only, ``"mu"``, the posterior mean the features
-      were built from, and ``"stage"``, the refiner's cache (features,
-      hidden layer after its ReLU, and output gamma image).
-
+    ``y`` is whitened, as :func:`run_estimator` takes it, and every
+    iteration is the same :func:`~squintsbl.sbl.step`.  Returns the final
+    posterior mean (G, B) and the steps' caches for :func:`unroll_backward`.
     At the default size and B = 128 an AMP iteration with a refiner stage
-    holds about 84 MB; an exact one holds B S^-1 of 4 MB each on top.
+    holds about 84 MB; an exact one also holds one 4 MB S^-1 per column.
     """
-    state = _start_state(op, obs, net, depth)
-    caches = [_forward_iteration(op, obs, sigma2, net, state, it, depth, e_step)
-              for it in range(1, depth + 1)]
+    spec = EstimatorSpec(e_step=e_step, m_step="learned", n_iterations=depth, net=net)
+    r, state = start_state(op, y)
+    caches = [step(spec, op, r, sigma2, state) for _ in range(depth)]
     return state.mu, caches
 
 
@@ -303,33 +250,27 @@ def unroll_backward(op: MeasurementOperator, caches: list, g_x: np.ndarray,
 
 # ---- training loop ----------------------------------------------------------
 
-def _batch_obs(op: MeasurementOperator, split: _Split, idx, sigma2,
-               rng: np.random.Generator | None):
+def _batch_obs(split: _Split, idx, sigma2, rng: np.random.Generator | None) -> np.ndarray:
+    """Whitened measurements (M, len(idx)): fresh noise from ``rng``, else the split's fixed noise."""
     y = split.y_clean[:, idx]
     if rng is not None:
-        noise = _complex_noise(rng, y.size, sigma2).reshape(y.shape, order="F")
-    else:
-        noise = split.noise[:, idx]
-    return op.rotate(y + noise)
+        return y + _complex_noise(rng, y.size, sigma2).reshape(y.shape, order="F")
+    return y + split.noise[:, idx]
 
 
 def _eval_ratios(net: MStepNet, split: _Split, op: MeasurementOperator,
                  sigma2: float, train_cfg: TrainConfig, depth: int) -> np.ndarray:
     """Per-sample ||H_hat - H||^2 / ||H||^2 over a split with its fixed noise.
 
-    Runs the iterations of :func:`unroll_forward` but drops each one's
-    backward cache at once, since no backward follows.
+    :func:`run_estimator` scores each batch and keeps no backward cache.
     """
+    spec = EstimatorSpec(e_step=train_cfg.e_step, m_step="learned", n_iterations=depth, net=net)
     n = split.h.shape[-1]
     ratios = []
     for lo in range(0, n, train_cfg.batch_size):
         idx = np.arange(lo, min(lo + train_cfg.batch_size, n))
-        obs = _batch_obs(op, split, idx, sigma2, None)
-        state = _start_state(op, obs, net, depth)
-        for it in range(1, depth + 1):
-            _forward_iteration(op, obs, sigma2, net, state, it, depth, train_cfg.e_step)
-        h_hat = reconstruct_batch(op.dicts, state.mu)
-        err = np.sum(np.abs(h_hat - split.h[:, :, idx]) ** 2, axis=(0, 1))
+        x_hat, _ = run_estimator(spec, op, _batch_obs(split, idx, sigma2, None), sigma2)
+        err = np.sum(np.abs(reconstruct_channel(op.dicts, x_hat) - split.h[:, :, idx]) ** 2, axis=(0, 1))
         ratios.append(err / split.hnorm2[idx])
     return np.concatenate(ratios)
 
@@ -354,8 +295,8 @@ def _batch_gradients(net: MStepNet, split: _Split, idx: np.ndarray, op: Measurem
     batch's graph outlives this call: the backward consumes the caches,
     and the rest dies with this frame.
     """
-    obs = _batch_obs(op, split, idx, sigma2, rng)
-    x_hat, caches = unroll_forward(op, obs, sigma2, net, depth, e_step)
+    y = _batch_obs(split, idx, sigma2, rng)
+    x_hat, caches = unroll_forward(op, y, sigma2, net, depth, e_step)
     loss, g_x = _loss_and_grad(x_hat, split, idx, op.dicts)
     del x_hat
     if not np.isfinite(loss):

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import squintsbl
 from squintsbl import selftest
 from squintsbl.channel import steering_vector
 from squintsbl.config import desk_config, subcarrier_freqs
@@ -9,8 +15,8 @@ from squintsbl.dictionaries import (
     FREQUENCY_DEPENDENT,
     FREQUENCY_INDEPENDENT,
     build_dictionaries,
-    coeff_matrix,
     grid_points,
+    reconstruct_adjoint,
     reconstruct_channel,
     synthesis_matrix,
 )
@@ -64,16 +70,15 @@ def test_delay_dictionary_shape():
     assert np.allclose(d.delay_dict, expect)
 
 
-def test_coeff_matrix_vector_roundtrip(rng):
+def test_reconstruct_reads_coefficients_column_major():
+    """Vector index i is pixel (i % G_A, i // G_A): angular atom i % G_A times delay atom i // G_A."""
     cfg = desk_config()
     d = build_dictionaries(cfg)
-    x = crandn(rng, cfg.grid_total)
-    m = coeff_matrix(d, x)
-    assert m.shape == (cfg.grid_angular, cfg.grid_delay)
-    assert np.array_equal(m.ravel(order="F"), x)
-    # column-major layout: vector index i maps to (i % GA, i // GA)
-    i = 3 + 2 * cfg.grid_angular
-    assert m[3, 2] == x[i]
+    x = np.zeros(cfg.grid_total, dtype=complex)
+    x[3 + 2 * cfg.grid_angular] = 1.0
+    h = reconstruct_channel(d, x)
+    expect = (d.angular_dicts[:, :, 3] * d.delay_dict[:, 2:3]).T
+    assert np.allclose(h, expect, rtol=0, atol=1e-15)
 
 
 def test_reconstruct_matches_synthesis_matrix(rng):
@@ -97,6 +102,28 @@ def test_reconstruct_linear(rng):
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
+def test_reconstruct_batch_columns_match_vector_calls(rng):
+    """(G, B) gives (N, K, B) and (N, K, B) gives (G, B), column for column.
+
+    A one-column batch runs the same products as a vector and matches it
+    bit for bit; a wider batch sums in another BLAS order.
+    """
+    cfg = desk_config()
+    d = build_dictionaries(cfg)
+    x = crandn(rng, cfg.grid_total, 3)
+    h = crandn(rng, cfg.n_antennas, cfg.n_subcarriers, 3)
+    batch, back = reconstruct_channel(d, x), reconstruct_adjoint(d, h)
+    assert batch.shape == (cfg.n_antennas, cfg.n_subcarriers, 3)
+    assert back.shape == (cfg.grid_total, 3)
+    for j in range(3):
+        single = reconstruct_channel(d, x[:, j])
+        assert np.array_equal(single, reconstruct_channel(d, x[:, j:j + 1])[:, :, 0])
+        assert np.allclose(batch[:, :, j], single, rtol=1e-14, atol=1e-14)
+        single = reconstruct_adjoint(d, h[:, :, j])
+        assert np.array_equal(single, reconstruct_adjoint(d, h[:, :, j:j + 1])[:, 0])
+        assert np.allclose(back[:, j], single, rtol=1e-14, atol=1e-14)
+
+
 def test_squint_matched_dictionary_estimates_better():
     """Exact SBL on shared observations, once per dictionary: the matched one wins."""
     selftest.check_squint_dictionary()
@@ -107,3 +134,16 @@ def test_squint_check_fails_without_a_squint_unaware_side(monkeypatch):
     monkeypatch.setattr(selftest, "FREQUENCY_INDEPENDENT", FREQUENCY_DEPENDENT)
     with pytest.raises(AssertionError):
         selftest.check_squint_dictionary()
+
+
+def test_squint_check_fails_under_optimize_flag():
+    """``python -O`` strips ``assert`` statements; the check must fail there all the same."""
+    code = ("from squintsbl import selftest\n"
+            "selftest.FREQUENCY_INDEPENDENT = selftest.FREQUENCY_DEPENDENT\n"
+            "selftest.check_squint_dictionary()\n")
+    src = str(Path(squintsbl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+           "OPENBLAS_NUM_THREADS": "1"}
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode != 0
+    assert "AssertionError: squint-matched dictionary won 0/8 pairs" in run.stderr

@@ -12,7 +12,6 @@ from squintsbl.mstep import (
     ConvStage,
     MStepNet,
     adam_update,
-    batch_features,
     batch_features_backward,
     build_features,
     conv2d_same,
@@ -345,29 +344,29 @@ def test_adam_state_advances(rng):
 
 # ---- features ---------------------------------------------------------------
 
-def test_build_features_modes(rng):
+def test_build_features_channels_sum_to_classic_update(rng):
     """The two channels are the classic update's terms, |mu|^2 and tau."""
-    cfg = desk_config()
-    mu = crandn(rng, cfg.grid_total)
-    tau = rng.uniform(0, 1, cfg.grid_total)
-    f = build_features(mu, tau, cfg)
-    ga, gd = cfg.grid_angular, cfg.grid_delay
-    assert f.shape == (ga, gd, 2)  # single-sample layout is channels-last
-    assert np.allclose(f[..., 0], vec_to_image(np.abs(mu) ** 2, ga, gd)[0])
-    assert np.allclose(f[..., 1], vec_to_image(tau, ga, gd)[0])
-    assert np.allclose(image_to_vec(f.sum(axis=-1)[None])[:, 0], classic_m_step(mu, tau))
-
-
-def test_batch_features_matches_single(rng):
     cfg = desk_config()
     ga, gd = cfg.grid_angular, cfg.grid_delay
     mu = crandn(rng, cfg.grid_total, 3)
     tau = rng.uniform(0, 1, (cfg.grid_total, 3))
-    batch = batch_features(mu, tau, ga, gd)
-    assert batch.shape == (3, 2, ga, gd)
+    f = build_features(mu, tau, ga, gd)
+    assert f.shape == (3, 2, ga, gd)
+    assert np.array_equal(f[:, 0], vec_to_image(np.abs(mu) ** 2, ga, gd))
+    assert np.array_equal(f[:, 1], vec_to_image(tau, ga, gd))
+    assert np.allclose(image_to_vec(f.sum(axis=1)), classic_m_step(mu, tau))
+
+
+def test_build_features_vector_is_batch_column(rng):
+    cfg = desk_config()
+    ga, gd = cfg.grid_angular, cfg.grid_delay
+    mu = crandn(rng, cfg.grid_total, 3)
+    tau = rng.uniform(0, 1, (cfg.grid_total, 3))
+    batch = build_features(mu, tau, ga, gd)
     for i in range(3):
-        single = build_features(mu[:, i], tau[:, i], cfg)
-        assert np.allclose(batch[i], single.transpose(2, 0, 1))
+        single = build_features(mu[:, i], tau[:, i], ga, gd)
+        assert single.shape == (1, 2, ga, gd)
+        assert np.array_equal(single[0], batch[i])
 
 
 def test_batch_features_backward_finite_difference(rng):
@@ -380,7 +379,7 @@ def test_batch_features_backward_finite_difference(rng):
     h = 1e-7
 
     def loss(m, t):
-        return float(np.sum(batch_features(m, t, ga, gd) * g_feats))
+        return float(np.sum(build_features(m, t, ga, gd) * g_feats))
 
     # Wirtinger convention: directional derivative along d is Re<g, d>
     r2 = np.random.default_rng(4)
@@ -396,20 +395,28 @@ def test_batch_features_backward_finite_difference(rng):
 
 
 def test_mstep_forward_matches_stage(rng):
+    """The learned update is features, then the iteration's stage, then gamma in its input shape.
+
+    A vector call equals column 0 of a batch call bit for bit.
+    """
     cfg = desk_config()
-    net = MStepNet.create(2, rng)
-    mu = crandn(rng, cfg.grid_total)
-    tau = rng.uniform(0, 1, cfg.grid_total)
-    gamma = rng.uniform(0.1, 1.0, cfg.grid_total)
-    feats = build_features(mu, tau, cfg)
     ga, gd = cfg.grid_angular, cfg.grid_delay
+    net = MStepNet.create(2, rng)
+    mu = crandn(rng, cfg.grid_total, 3)
+    tau = rng.uniform(0, 1, (cfg.grid_total, 3))
+    gamma = rng.uniform(0.1, 1.0, (cfg.grid_total, 3))
     for it in (1, 2):
-        out = mstep_forward(net, it, feats, gamma)
-        gimg = vec_to_image(gamma, ga, gd)
-        ref, _ = stage_forward(net.stages[it - 1], feats.transpose(2, 0, 1)[None], gimg)
-        assert np.allclose(out, image_to_vec(ref)[:, 0])
+        out, cache = mstep_forward(net, it, mu, tau, gamma, ga, gd)
+        ref, ref_cache = stage_forward(net.stages[it - 1], build_features(mu, tau, ga, gd),
+                                       vec_to_image(gamma, ga, gd))
+        assert out.shape == gamma.shape
+        assert np.array_equal(out, image_to_vec(ref))
+        assert all(np.array_equal(a, b) for a, b in zip(cache, ref_cache))
+        single, _ = mstep_forward(net, it, mu[:, 0], tau[:, 0], gamma[:, 0], ga, gd)
+        assert single.shape == (cfg.grid_total,)
+        assert np.array_equal(single, out[:, 0])
     with pytest.raises(ValueError):
-        mstep_forward(net, 3, feats, gamma)
+        mstep_forward(net, 3, mu, tau, gamma, ga, gd)
 
 
 # ---- persistence ------------------------------------------------------------

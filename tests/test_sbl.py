@@ -15,10 +15,12 @@ from squintsbl.sbl import (
     exact_e_step,
     init_state,
     run_estimator,
+    start_state,
+    step,
 )
 from squintsbl.channel import ChannelRealization, build_channel, draw_paths
 from squintsbl.config import spawn_rng
-from squintsbl.evaluation import draw_eval_observations
+from squintsbl.evaluation import SWEEP_ALGOS, draw_eval_observations
 from squintsbl.measurement import observe_and_transform, operator_from_matrix
 
 from conftest import crandn
@@ -424,3 +426,56 @@ def test_divergence_carries_partial_trace(desk_cfg, desk_op):
     assert exc.value.iteration == 50
     assert len(exc.value.trace) == 49
 
+
+
+def _scaled_net(n_stages: int) -> MStepNet:
+    net = MStepNet.create(n_stages, np.random.default_rng(1))
+    for stage in net.stages:
+        stage.w1 *= 1e-3
+        stage.w2 *= 1e-3
+    return net
+
+
+@pytest.mark.parametrize("algo", list(SWEEP_ALGOS))
+def test_run_estimator_batch_columns_match_vector_calls(desk_cfg, desk_op, algo):
+    """Column j of an (M, 3) run is the vector run on y[:, j].
+
+    A one-column batch runs the same products as a vector and matches it
+    bit for bit.  A wider batch gives BLAS a matrix where a vector run
+    gives it a vector, and the two sum in different orders, so its
+    columns match to rounding.
+    """
+    e_step, m_step = SWEEP_ALGOS[algo]
+    net = _scaled_net(4) if m_step == "learned" else None
+    spec = EstimatorSpec(e_step=e_step, m_step=m_step, n_iterations=5, net=net)
+    y = np.stack([obs.y for obs in draw_eval_observations(desk_op, 0, 3)], axis=1)
+    x_batch, trace = run_estimator(spec, desk_op, y, desk_cfg.noise_var)
+    assert x_batch.shape == (desk_cfg.grid_total, 3)
+    assert len(trace) == 5
+    for j in range(3):
+        x_vec, _ = run_estimator(spec, desk_op, y[:, j], desk_cfg.noise_var)
+        x_one, _ = run_estimator(spec, desk_op, y[:, j:j + 1], desk_cfg.noise_var)
+        assert np.array_equal(x_one[:, 0], x_vec)
+        assert np.linalg.norm(x_batch[:, j] - x_vec) <= 1e-12 * np.linalg.norm(x_vec)
+
+
+def test_step_runs_one_iteration(desk_cfg, desk_op):
+    """One E-step, then the variance update except on the last iteration; the cache says which."""
+    y = draw_eval_observations(desk_op, 0, 1)[0].y
+    for m_step, net in (("classic", None), ("learned", _scaled_net(1))):
+        spec = EstimatorSpec(e_step="amp", m_step=m_step, n_iterations=2, net=net)
+        r, state = start_state(desk_op, y)
+        gamma0 = state.gamma
+        first = step(spec, desk_op, r, desk_cfg.noise_var, state)
+        assert (first["it"], first["e_step"], state.iteration) == (1, "amp", 1)
+        assert first["e"]["gamma"] is gamma0
+        assert state.gamma.shape == gamma0.shape and state.gamma is not gamma0
+        if m_step == "classic":
+            assert np.array_equal(state.gamma, classic_m_step(state.mu, state.tau_x))
+            assert "stage" not in first and "mu" not in first
+        else:
+            assert first["mu"] is state.mu and len(first["stage"]) == 3
+        gamma1 = state.gamma
+        last = step(spec, desk_op, r, desk_cfg.noise_var, state)
+        assert last["it"] == 2 and "stage" not in last
+        assert state.gamma is gamma1

@@ -1,10 +1,13 @@
+import ast
+import importlib
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from squintsbl import training
+from squintsbl import dictionaries, mstep, sbl, training
 from squintsbl.mstep import MStepNet
 from squintsbl.sbl import DivergenceError, EstimatorSpec, run_estimator
 from squintsbl.training import (
@@ -14,8 +17,6 @@ from squintsbl.training import (
     _loss_and_grad,
     _prepare_split,
     generate_splits,
-    reconstruct_adjoint,
-    reconstruct_batch,
     test_nmse_db as nmse_of_net,
     train_layerwise,
     unroll_backward,
@@ -24,11 +25,10 @@ from squintsbl.training import (
     write_report_csv,
 )
 from squintsbl.config import spawn_rng
-from squintsbl.dictionaries import reconstruct_channel
+from squintsbl.dictionaries import reconstruct_adjoint, reconstruct_channel
 from squintsbl.evaluation import nmse
 
 from conftest import crandn
-from oracles import dense_rotation
 
 
 def test_train_config_validation():
@@ -46,16 +46,35 @@ def test_train_config_validation():
 # ---- consistency lock: batched training path vs the inference estimator ----
 
 def test_unroll_matches_run_estimator(tiny_cfg, tiny_op, rng):
-    """Training forward and inference path agree through a learned M-step."""
+    """Training forward and inference path agree bit for bit through a learned M-step."""
     net = MStepNet.create(2, np.random.default_rng(5))
     y = crandn(rng, tiny_cfg.n_measurements)
-    u, _ = dense_rotation(tiny_op)
     for e_step in ("amp", "exact"):
-        obs = (u.conj().T @ y)[:, None]
-        x_unroll, _ = unroll_forward(tiny_op, obs, 0.1, net, 3, e_step)
+        x_unroll, _ = unroll_forward(tiny_op, y[:, None], 0.1, net, 3, e_step)
         spec = EstimatorSpec(e_step=e_step, m_step="learned", n_iterations=3, net=net)
         x_run, _ = run_estimator(spec, tiny_op, y, 0.1)
-        assert np.allclose(x_unroll[:, 0], x_run, atol=1e-12), e_step
+        assert np.array_equal(x_unroll[:, 0], x_run), e_step
+
+
+def test_one_step_calls_e_step_and_update_through_module_attributes(tiny_cfg, tiny_op, rng, monkeypatch):
+    """Wrappers set on ``sbl.amp_e_step`` and ``mstep.mstep_forward``, as a tracer sets them,
+    see every iteration of inference and of the training forward alike."""
+    calls = []
+
+    def watch(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: calls.append(name) or real(*a))
+
+    watch(sbl, "amp_e_step")
+    watch(mstep, "mstep_forward")
+    net = MStepNet.create(2, np.random.default_rng(5))
+    y = crandn(rng, tiny_cfg.n_measurements, 2)
+    expected = ["amp_e_step", "mstep_forward"] * 2 + ["amp_e_step"]
+    run_estimator(EstimatorSpec(e_step="amp", m_step="learned", n_iterations=3, net=net), tiny_op, y[:, 0], 0.1)
+    assert calls == expected
+    calls.clear()
+    unroll_forward(tiny_op, y, 0.1, net, 3, "amp")
+    assert calls == expected
 
 
 def test_unroll_divergence_is_one_type(tiny_cfg, tiny_op, rng):
@@ -113,7 +132,7 @@ def test_unrolled_gradients_finite_difference(tiny_cfg, tiny_op, e_step, rng):
     net = MStepNet.create(depth - 1, np.random.default_rng(11))
     _, va, _ = generate_splits(tiny_cfg, (2, b, 2))
     split = _prepare_split(va, tiny_op, True, tiny_cfg.noise_var)
-    obs = _batch_obs(tiny_op, split, np.arange(b), tiny_cfg.noise_var, None)
+    obs = _batch_obs(split, np.arange(b), tiny_cfg.noise_var, None)
     t = _linear_loss_grad(np.random.default_rng(12), (tiny_cfg.grid_total, b))
 
     def loss():
@@ -239,16 +258,12 @@ def test_batch_obs_noise_modes(tiny_cfg, tiny_op):
     _, va, _ = generate_splits(tiny_cfg, (2, 4, 2))
     split = _prepare_split(va, tiny_op, True, tiny_cfg.noise_var)
     idx = np.arange(3)
-    fixed1 = _batch_obs(tiny_op, split, idx, tiny_cfg.noise_var, None)
-    fixed2 = _batch_obs(tiny_op, split, idx, tiny_cfg.noise_var, None)
+    fixed1 = _batch_obs(split, idx, tiny_cfg.noise_var, None)
+    fixed2 = _batch_obs(split, idx, tiny_cfg.noise_var, None)
     assert np.array_equal(fixed1, fixed2)
-    fresh = _batch_obs(tiny_op, split, idx, tiny_cfg.noise_var,
-                       spawn_rng(tiny_cfg.rng_seed, "noise", 9, 9, 0))
+    assert np.array_equal(fixed1, split.y_clean[:, idx] + split.noise[:, idx])
+    fresh = _batch_obs(split, idx, tiny_cfg.noise_var, spawn_rng(tiny_cfg.rng_seed, "noise", 9, 9, 0))
     assert not np.array_equal(fixed1, fresh)
-    # both E-steps take the data rotated into the SVD basis
-    u, _ = dense_rotation(tiny_op)
-    y = split.y_clean[:, idx] + split.noise[:, idx]
-    assert np.allclose(fixed1, u.conj().T @ y, atol=1e-12)
 
 
 def test_loss_and_grad_channel_domain(tiny_cfg, tiny_op, rng):
@@ -258,7 +273,7 @@ def test_loss_and_grad_channel_domain(tiny_cfg, tiny_op, rng):
     x = crandn(rng, tiny_cfg.grid_total, 3)
     loss, g_x = _loss_and_grad(x, split, idx, tiny_op.dicts)
     # loss is the mean normalized channel error of the reconstruction
-    h_hat = reconstruct_batch(tiny_op.dicts, x)
+    h_hat = reconstruct_channel(tiny_op.dicts, x)
     per = np.sum(np.abs(h_hat - split.h[:, :, idx]) ** 2, axis=(0, 1)) / split.hnorm2[idx]
     assert loss == pytest.approx(float(np.mean(per)))
     # gradient check along random directions
@@ -274,7 +289,7 @@ def test_loss_and_grad_channel_domain(tiny_cfg, tiny_op, rng):
 def test_reconstruct_adjoint_is_adjoint(tiny_cfg, tiny_op, rng):
     x = crandn(rng, tiny_cfg.grid_total, 2)
     r = crandn(rng, tiny_cfg.n_antennas, tiny_cfg.n_subcarriers, 2)
-    lhs = np.sum(np.conj(r) * reconstruct_batch(tiny_op.dicts, x))
+    lhs = np.sum(np.conj(r) * reconstruct_channel(tiny_op.dicts, x))
     rhs = np.sum(np.conj(reconstruct_adjoint(tiny_op.dicts, r)) * x)
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -382,3 +397,23 @@ def test_lr_decay_and_early_stop_bookkeeping(tiny_cfg, tiny_op):
     assert len(rec.epochs) == 5  # 1 best + stop_patience bad epochs
     # decayed learning rate is recorded
     assert rec.epochs[-1].lr < tc.learning_rate
+
+
+def _bench_wraps() -> list:
+    """The (module, name, span) triples of bench/run.py's ``WRAPS``, read without running it."""
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "bench" / "run.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["WRAPS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/run.py defines no WRAPS")
+
+
+def test_bench_wraps_names_resolve():
+    """Every function the benchmark tracer wraps exists, and training's bridge names are no second body."""
+    wraps = _bench_wraps()
+    assert len(wraps) > 20
+    for module, name, _ in wraps:
+        assert callable(getattr(importlib.import_module(f"squintsbl.{module}"), name)), (module, name)
+    assert training.batch_features is mstep.build_features
+    assert training.stage_forward is mstep.stage_forward
+    assert training.reconstruct_batch is dictionaries.reconstruct_channel
