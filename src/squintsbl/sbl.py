@@ -136,19 +136,18 @@ def exact_e_step(op: MeasurementOperator, r: np.ndarray, sigma2: float, state: S
     the cost is about M^2 G_A + M^3: M^2 G_A for S and for d, M^3 for the
     Cholesky factor of S and its explicit inverse.  No M x G matrix is
     formed.  Returns (mu, tau, cache for :func:`_exact_backward`); the
-    cached S^{-1} hold lower triangles only.
+    cache holds gamma and sigma^2 but no S^{-1}, which the backward
+    rebuilds per column (an M x M matrix per column would be 4.2 MB at
+    the default size).
     """
     it = state.iteration + 1
     m, g = op.shape
     rs, gammas = r.reshape(m, -1), state.gamma.reshape(g, -1)
     u = np.empty(gammas.shape, dtype=complex)
     d = np.empty(gammas.shape)
-    s_invs = []
     for j in range(rs.shape[1]):
-        s_mat = op.gram(gammas[:, j])
-        s_mat[np.diag_indices(m)] += sigma2
         try:
-            factor = cho_factor(s_mat, lower=True, overwrite_a=True)
+            factor = _cho_s(op, gammas[:, j], sigma2)
             # solve before potri overwrites the factor; cho_factor checked finiteness
             solved = cho_solve(factor, rs[:, j], check_finite=False)
             s_inv = _cho_inverse(factor[0])
@@ -158,13 +157,23 @@ def exact_e_step(op: MeasurementOperator, r: np.ndarray, sigma2: float, state: S
                                   iteration=it, columns=columns) from exc
         u[:, j] = op.adjoint(solved)
         d[:, j] = op.diag_quad(s_inv)
-        s_invs.append(s_inv)
     gamma = state.gamma
     u, d = u.reshape(gamma.shape), d.reshape(gamma.shape)
     mu = gamma * u
     tau = np.maximum(gamma * (1.0 - gamma * d), 0.0)
     _check_step(it, r, mu=mu, tau_x=tau)
-    return mu, tau, {"gamma": gamma, "u": u, "d": d, "s_invs": s_invs}
+    return mu, tau, {"gamma": gamma, "sigma2": sigma2, "u": u, "d": d}
+
+
+def _cho_s(op: MeasurementOperator, gamma: np.ndarray, sigma2: float):
+    """Lower Cholesky factor of S = A diag(gamma) A^H + sigma^2 I, as ``cho_factor`` returns it.
+
+    ``gram`` writes S's lower triangle into a Fortran-ordered buffer of
+    its own, which the factor overwrites in place.
+    """
+    s_mat = op.gram(gamma)
+    s_mat[np.diag_indices(len(s_mat))] += sigma2
+    return cho_factor(s_mat, lower=True, overwrite_a=True)
 
 
 def _cho_inverse(low: np.ndarray) -> np.ndarray:
@@ -201,18 +210,22 @@ def _exact_backward(op: MeasurementOperator, cache, g_mu, g_tau) -> np.ndarray:
     Per column, with K = A^H S^-1 A: the gradient reaches gamma through
     K gamma g_mu (``ta`` = A^H S^-1 A (gamma g_mu)) and through
     d = diag(K), whose derivative in direction w is
-    diag(A^H S^-1 (A diag(w) A^H) S^-1 A).  Both use the cached S^-1 and
-    the operator's block products, never an M x G matrix.  The cached
-    S^-1 is a lower triangle, which BLAS hemv and hemm read as the
+    diag(A^H S^-1 (A diag(w) A^H) S^-1 A).  Both use S^-1 and the
+    operator's block products, never an M x G matrix.  S^-1 is rebuilt
+    per column from the cached gamma and sigma^2 by the forward's own
+    Gram, Cholesky and potri calls, so it is the forward's bit for bit,
+    at about M^2 G_A + M^3 more per column; one column's is alive at a
+    time.  It is a lower triangle, which BLAS hemv and hemm read as the
     Hermitian matrix it stands for; only the Gram is completed, once per
     column, to be their general operand.
     """
     u, d, gamma = cache["u"], cache["d"], cache["gamma"]
     g_gamma = np.real(np.conj(g_mu) * u) + g_tau * (1.0 - 2.0 * gamma * d)
     g = len(u)
-    us, a_vecs, ws = (x.reshape(g, -1) for x in (u, gamma * g_mu, g_tau * gamma * gamma))
+    us, gammas, a_vecs, ws = (x.reshape(g, -1) for x in (u, gamma, gamma * g_mu, g_tau * gamma * gamma))
     extra = np.empty(us.shape)
-    for j, s_inv in enumerate(cache["s_invs"]):
+    for j in range(us.shape[1]):
+        s_inv = _cho_inverse(_cho_s(op, gammas[:, j], cache["sigma2"])[0])
         hemv, hemm = get_blas_funcs(("hemv", "hemm"), (s_inv,))
         ta = op.adjoint(hemv(1.0, s_inv, op.forward(a_vecs[:, j]), lower=True))
         s_gram = hemm(1.0, s_inv, _hermitian(op.gram(ws[:, j])), lower=True)

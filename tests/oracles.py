@@ -4,8 +4,23 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from squintsbl.channel import PathSet, steering_vector
-from squintsbl.config import SystemConfig
-from squintsbl.dictionaries import synthesis_matrix
+from squintsbl.config import SystemConfig, subcarrier_freqs
+from squintsbl.selftest import _dense_phi as dense_phi  # noqa: F401  (re-exported for the tests)
+
+
+def channel_direct_form(cfg: SystemConfig, paths: PathSet) -> np.ndarray:
+    """Same channel as ``build_channel``, with one exponential per antenna, path and tone.
+
+    Column k is sqrt(N / (N_c N_p)) * sum_p gain_p e^{-j 2 pi f_k tau_p}
+    a_N((f_k / f_c) sin(theta_p)), every a_N entry its own e^{-j pi n psi}.
+    """
+    n = cfg.n_antennas
+    f = subcarrier_freqs(cfg)                                    # (K,)
+    sin_t = np.sin(paths.angle)                                  # (P,)
+    coeff = paths.gain[:, None] * np.exp(-2j * np.pi * np.outer(paths.delay, f))  # (P, K)
+    psi = np.outer(sin_t, f / cfg.center_freq)                   # (P, K)
+    responses = np.exp(-1j * np.pi * np.arange(n)[:, None, None] * psi[None, :, :]) / n
+    return np.sqrt(n / cfg.n_paths) * np.einsum("pk,npk->nk", coeff, responses, optimize=True)
 
 
 def channel_matrix_form(cfg: SystemConfig, paths: PathSet) -> np.ndarray:
@@ -42,14 +57,3 @@ def dense_rotation(op) -> tuple[np.ndarray, np.ndarray]:
     u = block_diag(*op.u)
     a = np.vstack([np.kron(op.delay[k], op.a[k]) for k in range(len(op.delay))])
     return u, a
-
-
-def dense_phi(op) -> np.ndarray:
-    """Whitened sensing matrix Phi (M x G) of an assembled operator.
-
-    Built from the operator's combiner and dictionaries alone, as
-    kron(I_K, W_bar) times the dense dictionary synthesis matrix, so it
-    shares nothing with the per-tone factors it is used to check.
-    """
-    k = op.config.n_subcarriers
-    return np.kron(np.eye(k), op.combiner.w_bar) @ synthesis_matrix(op.dicts)

@@ -16,7 +16,7 @@ from squintsbl.config import default_config, desk_config, spawn_rng, subcarrier_
 from squintsbl.data_io import ContainerError, load_container, save_container
 from squintsbl.mstep import load_checkpoint
 
-from oracles import channel_matrix_form
+from oracles import channel_direct_form, channel_matrix_form
 
 
 def test_steering_vector_normalization():
@@ -150,6 +150,39 @@ def test_matrix_form_matches_per_column():
         a = build_channel(cfg, p)
         b = channel_matrix_form(cfg, p)
         assert np.linalg.norm(a - b) / np.linalg.norm(a) < 1e-10
+
+
+def _worst_direct_form_error(cfg, n_draws=50):
+    """Largest |H - H_direct| over the largest |H_direct|, over seeded path sets."""
+    worst = 0.0
+    for i in range(n_draws):
+        p = _paths(cfg, 300 + i)
+        ref = channel_direct_form(cfg, p)
+        h = build_channel(cfg, p)
+        assert h.shape == ref.shape
+        worst = max(worst, float(np.max(np.abs(h - ref)) / np.max(np.abs(ref))))
+    return worst
+
+
+@pytest.mark.parametrize("make_cfg", [desk_config, default_config], ids=["desk", "default"])
+def test_build_channel_matches_direct_exponentials(make_cfg):
+    """Phasor powers by doubling give the one-exponential-per-entry channel to rounding."""
+    assert _worst_direct_form_error(make_cfg()) <= 1e-13
+
+
+@pytest.mark.parametrize("overrides", [
+    {"n_antennas": 1}, {"n_antennas": 3}, {"n_antennas": 24}, {"n_antennas": 256},
+    {"n_clusters": 1, "n_subpaths": 1}, {"n_subcarriers": 1},
+], ids=["N=1", "N=3", "N=24", "N=256", "one-path", "K=1"])
+def test_build_channel_edges_match_direct_exponentials(overrides):
+    """Array sizes that are not powers of two, one antenna, one path and one tone.
+
+    Both forms round at O(N eps) in phase (the direct form's argument
+    pi n psi, the doubling's squared phasors), so the bound grows with N
+    past the default 32 antennas.
+    """
+    cfg = default_config(**overrides)
+    assert _worst_direct_form_error(cfg) <= 1e-13 * max(1.0, cfg.n_antennas / 32)
 
 
 def test_mean_energy_normalization():

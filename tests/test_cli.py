@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -101,6 +102,26 @@ def test_parser_choices_and_defaults_come_from_the_library():
 def _csv_header(path) -> list[str]:
     lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
     return lines[0].split(",")
+
+
+def test_gen_data_prints_split_times_and_keeps_them_out_of_the_manifest(tmp_path, capsys):
+    """Each split's line gives its generation wall time; two runs write the same manifest."""
+    manifests = []
+    for name in ("a", "b"):
+        assert main(["gen-data", "--scale", "desk", "--sizes", "3,2,2", "--out", str(tmp_path / name)]) == 0
+        manifests.append((tmp_path / name / "manifest.json").read_text())
+    lines = capsys.readouterr().out.splitlines()
+    for split, n in (("train", 3), ("val", 2), ("test", 2)):
+        assert sum(re.match(rf"{split}: {n} samples in \d+\.\d+ s -> ", line) is not None
+                   for line in lines) == 2
+    assert manifests[0] == manifests[1]
+    for entry in json.loads(manifests[0])["splits"].values():
+        assert set(entry) == {"file", "n_samples"}
+
+
+def test_gen_data_rejects_an_empty_split(tmp_path, capsys):
+    assert main(["gen-data", "--scale", "desk", "--sizes", "3,0,2", "--out", str(tmp_path)]) == 1
+    assert "split sizes must be positive" in capsys.readouterr().err
 
 
 def test_desk_round_trip(tmp_path):

@@ -306,7 +306,8 @@ def test_exact_e_step_leaves_inputs_alone(tiny_cfg, tiny_op, rng, batch):
     mu, _, cache = exact_e_step(tiny_op, r, 0.1, state)
     for before, after in zip(given, (r, state.gamma, state.mu)):
         assert np.array_equal(before, after)
-    assert not any(np.shares_memory(s_inv, x) for s_inv in cache["s_invs"] for x in (r, mu))
+    # no S^-1 is cached: the backward rebuilds each column's from gamma and sigma^2
+    assert not any(np.shape(x)[-2:] == (m, m) for x in cache.values())
 
 
 def test_exact_e_step_cholesky_failure_is_divergence(rng):
