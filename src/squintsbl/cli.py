@@ -83,7 +83,7 @@ def _build_config(args):
     from .config import SystemConfig, default_config, desk_config, noise_var_from_snr_db
 
     overrides: dict = {}
-    if not getattr(args, "defaults", False) and getattr(args, "config", None):
+    if getattr(args, "config", None):
         try:
             file_vals = json.loads(Path(args.config).read_text())
         except json.JSONDecodeError as exc:
@@ -109,8 +109,6 @@ def _build_config(args):
             raise _UsageError("--angle-spread-deg and --angle-spread are two spellings of the same key; give one")
         overrides["angle_spread"] = math.radians(args.angle_spread_deg)
 
-    if getattr(args, "defaults", False):
-        return default_config()
     if getattr(args, "scale", "default") == "desk":
         return desk_config(**overrides)
     return default_config(**overrides)
@@ -170,6 +168,24 @@ def _threads(args) -> int:
     return n
 
 
+def _load_manifest(data_dir: Path) -> dict:
+    """The manifest ``gen-data`` wrote; ``ValueError`` naming the first part it lacks."""
+    path = data_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path} must hold a JSON object")
+    for key in ("config", "splits"):
+        if not isinstance(manifest.get(key), dict):
+            raise ValueError(f"{path} has no {key!r} object")
+    for split in ("train", "val", "test"):
+        entry = manifest["splits"].get(split)
+        if not isinstance(entry, dict):
+            raise ValueError(f"{path} has no split {split!r}")
+        if "file" not in entry:
+            raise ValueError(f"{path}: split {split!r} has no 'file'")
+    return manifest
+
+
 # ---- subcommands ------------------------------------------------------------
 
 
@@ -224,7 +240,7 @@ def _cmd_train(args) -> int:
     from .training import TrainConfig, train_layerwise, write_report_csv
 
     data_dir = Path(args.data)
-    manifest = json.loads((data_dir / "manifest.json").read_text())
+    manifest = _load_manifest(data_dir)
     stored_cfg = SystemConfig.from_dict(manifest["config"])
     cfg = stored_cfg
     if args.snr_db is not None and args.noise_var is not None:
@@ -300,17 +316,19 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_flops(args) -> int:
-    from .evaluation import DEFAULT_FLOPS_MODEL, FlopsDims, flops_per_iteration, reconstruction_flops
+    from .config import provenance_line
+    from .evaluation import (PER_ITERATION_FLOPS, RECONSTRUCTION_FLOPS, FlopsDims, flops_per_iteration,
+                             reconstruction_flops)
 
     cfg = _build_config(args)
     d = FlopsDims.from_config(cfg)
-    print(f"# config_hash={cfg.config_hash()} seed={cfg.rng_seed}")
+    print(provenance_line(cfg))
     print(f"per-iteration FLOPs of the paper's dense-product model (not this implementation's cost) "
           f"at K={d.k}, m={d.m} per tone, G={d.g}, G_A={d.g_a}, N={d.n}")
-    for algo in DEFAULT_FLOPS_MODEL.per_iteration:
+    for algo in PER_ITERATION_FLOPS:
         print(f"  {algo:<20} {flops_per_iteration(algo, cfg):>16,}")
     print("reconstruction FLOPs")
-    for family in DEFAULT_FLOPS_MODEL.reconstruction:
+    for family in RECONSTRUCTION_FLOPS:
         print(f"  {family:<20} {reconstruction_flops(family, cfg):>16,}")
     return 0
 
@@ -382,7 +400,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("flops", help="print the complexity table at the configured sizes")
     _add_config_flags(p)
-    p.add_argument("--defaults", action="store_true", help="ignore file and flags; reference sizes")
     p.set_defaults(func=_cmd_flops)
 
     p = sub.add_parser("selftest", help="run the built-in numerical checks")

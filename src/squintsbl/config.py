@@ -172,6 +172,11 @@ def desk_config(**overrides) -> SystemConfig:
     return SystemConfig(**base)
 
 
+def provenance_line(cfg: SystemConfig) -> str:
+    """``# config_hash=<hash> seed=<seed>``, the first line of every output file."""
+    return f"# config_hash={cfg.config_hash()} seed={cfg.rng_seed}"
+
+
 def noise_var_from_snr_db(snr_db: float) -> float:
     """Noise variance 10^(-snr_db/10) for an SNR label in dB.
 

@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .channel import ChannelRealization, build_channel, draw_paths
-from .config import SystemConfig, noise_var_from_snr_db, spawn_rng
+from .config import SystemConfig, noise_var_from_snr_db, provenance_line, spawn_rng
 from .dictionaries import build_dictionaries, reconstruct_channel
 from .measurement import (
     MeasurementOperator,
@@ -45,6 +45,7 @@ SWEEP_ALGOS: Mapping[str, tuple[str, str]] = {
     "amp-sbl": ("amp", "classic"),
     "amp-sbl-unfolding": ("amp", "learned"),
 }
+_LEARNED = {algo for algo, (_, m_step) in SWEEP_ALGOS.items() if m_step == "learned"}
 
 
 # ---- scoring ----------------------------------------------------------------
@@ -108,7 +109,8 @@ class FlopsDims:
 
 # Real FLOPs for one estimator iteration.  The first four rows are the
 # implemented angular-delay estimators; the last two are reference
-# positions for the tradeoff plane (not implemented in this package).
+# positions for the tradeoff plane (not implemented in this package);
+# ``squintsbl flops`` prints every row of this table and the next.
 # Classic AMP-SBL's message-passing products cost 20 real FLOPs per
 # measurement-grid product, and its update |mu|^2 + tau four per grid point.
 # This is the paper's dense-product complexity model, which multiplies
@@ -135,49 +137,19 @@ RECONSTRUCTION_FLOPS: Mapping[str, Callable[[FlopsDims], int]] = {
 }
 
 
-@dataclass(frozen=True)
-class FlopsModel:
-    """Symbolic per-iteration and reconstruction costs, keyed by name."""
-
-    per_iteration: Mapping[str, Callable[[FlopsDims], int]]
-    reconstruction: Mapping[str, Callable[[FlopsDims], int]]
-
-    @classmethod
-    def default(cls) -> "FlopsModel":
-        """The table that ``squintsbl flops`` prints.
-
-        It holds every per-iteration row, the two reference-only rows
-        ("sbl-af" and "lista-reference") included, and both
-        reconstruction families ("AF" and "AD").
-        """
-        return cls(PER_ITERATION_FLOPS, RECONSTRUCTION_FLOPS)
-
-    def iteration_flops(self, algo: str, dims: FlopsDims) -> int:
-        if algo not in self.per_iteration:
-            raise ValueError(f"unknown algorithm {algo!r}; known: {sorted(self.per_iteration)}")
-        return int(self.per_iteration[algo](dims))
-
-    def reconstruction_flops(self, family: str, dims: FlopsDims) -> int:
-        if family not in self.reconstruction:
-            raise ValueError(f"unknown estimator family {family!r}; known: {sorted(self.reconstruction)}")
-        return int(self.reconstruction[family](dims))
-
-
-DEFAULT_FLOPS_MODEL = FlopsModel.default()
-
-
 def flops_per_iteration(algo: str, cfg: SystemConfig) -> int:
     """Per-iteration real-FLOP count of ``algo`` at the configured sizes."""
-    return DEFAULT_FLOPS_MODEL.iteration_flops(algo, FlopsDims.from_config(cfg))
+    if algo not in PER_ITERATION_FLOPS:
+        raise ValueError(f"unknown algorithm {algo!r}; known: {sorted(PER_ITERATION_FLOPS)}")
+    return int(PER_ITERATION_FLOPS[algo](FlopsDims.from_config(cfg)))
 
 
 def reconstruction_flops(family: str, cfg: SystemConfig) -> int:
     """Cost of mapping the sparse estimate back to the channel ("AF" or "AD")."""
-    return DEFAULT_FLOPS_MODEL.reconstruction_flops(family.upper(), FlopsDims.from_config(cfg))
-
-
-def _total_flops(algo: str, cfg: SystemConfig, n_iterations: int) -> int:
-    return flops_per_iteration(algo, cfg) * n_iterations + reconstruction_flops("AD", cfg)
+    family = family.upper()
+    if family not in RECONSTRUCTION_FLOPS:
+        raise ValueError(f"unknown estimator family {family!r}; known: {sorted(RECONSTRUCTION_FLOPS)}")
+    return int(RECONSTRUCTION_FLOPS[family](FlopsDims.from_config(cfg)))
 
 
 # ---- sweep harness ----------------------------------------------------------
@@ -222,22 +194,20 @@ def _point_config(cfg: SystemConfig, axis: str, value) -> SystemConfig:
     raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
 
 
-def _net_for(nets: Mapping, algo: str, value):
-    if SWEEP_ALGOS[algo][1] != "learned":
-        return None
-    for key in ((algo, value), algo):
-        try:
-            if key in nets:
-                return nets[key]
-        except TypeError:  # unhashable composite key
-            pass
-    raise ValueError(f"no trained network supplied for {algo!r} at point {value!r}")
+def _check_request(algos: Sequence[str], n_samples: int, nets: Mapping, known: Mapping) -> None:
+    """Raise ``ValueError`` for a request neither harness can score.
 
-
-def _iteration_count(cfg: SystemConfig, net, n_iterations: int | None) -> int:
-    if net is not None:
-        return net.n_stages + 1
-    return cfg.n_iterations if n_iterations is None else n_iterations
+    Both harnesses call this before they assemble an operator, so a bad
+    request fails at once: ``n_samples < 1``, a name not in ``known``,
+    or a learned algorithm with no network under its name in ``nets``.
+    """
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
+    for algo in algos:
+        if algo not in known:
+            raise ValueError(f"unknown algorithm {algo!r}; expected one of {sorted(known)}")
+        if algo in _LEARNED and algo not in nets:
+            raise ValueError(f"no trained network supplied for {algo!r}")
 
 
 def score_algorithm(
@@ -278,6 +248,32 @@ def score_algorithm(
     return average_nmse_db(ratios), failures / len(observations)
 
 
+def _score_point(algos: Sequence[str], cfg: SystemConfig, point_index: int, n_samples: int,
+                 nets: Mapping, n_iterations: int | None, n_workers: int):
+    """Score runnable ``algos`` on one shared draw at ``cfg``.
+
+    Assembles the operator, draws the point's observations, then yields
+    ``(algo, iterations, total FLOPs, NMSE dB, failure rate)`` as each
+    algorithm in ``algos`` finishes.  A classic algorithm runs
+    ``n_iterations`` (None: ``cfg.n_iterations``), a learned one its
+    network's stage count plus one.
+    """
+    op = standard_operator(cfg)
+    observations = draw_eval_observations(op, point_index, n_samples)
+    classic_depth = cfg.n_iterations if n_iterations is None else n_iterations
+    for algo in algos:
+        net = nets[algo] if algo in _LEARNED else None
+        n_iter = classic_depth if net is None else net.n_stages + 1
+        nmse_db, fail_rate = score_algorithm(algo, op, observations, n_iter, net, n_workers)
+        flops = flops_per_iteration(algo, cfg) * n_iter + reconstruction_flops("AD", cfg)
+        yield algo, n_iter, flops, nmse_db, fail_rate
+
+
+def _csv_float(x: float) -> str:
+    """Four decimals, or an empty field for NaN (no score)."""
+    return "" if math.isnan(x) else f"{x:.4f}"
+
+
 @dataclass
 class SweepRow:
     axis: str
@@ -299,7 +295,7 @@ class SweepResult:
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            fh.write(f"# config_hash={self.config.config_hash()} seed={self.config.rng_seed}\n")
+            fh.write(provenance_line(self.config) + "\n")
             writer = csv.writer(fh)
             writer.writerow(["axis", "value", "algo", "nmse_db", "n_samples", "flops_total", "fail_rate"])
             for row in self.rows:
@@ -307,10 +303,10 @@ class SweepResult:
                     row.axis,
                     f"{row.value:g}",
                     row.algo,
-                    "" if math.isnan(row.nmse_db) else f"{row.nmse_db:.4f}",
+                    _csv_float(row.nmse_db),
                     row.n_samples,
                     row.flops_total,
-                    f"{row.fail_rate:.4f}",
+                    _csv_float(row.fail_rate),
                 ])
 
 
@@ -333,16 +329,16 @@ def run_sweep(
     per point since the measurement matrix depends on the use count;
     moving only the noise level replays the same combiner draw.
 
-    ``nets`` maps a learned algorithm name, or an ``(algo, value)``
-    pair for per-point networks, to trained weights.  ``n_iterations``
-    is the depth of every classic algorithm (None: ``cfg.n_iterations``);
-    learned depths always come from the network's stage count.
+    ``nets`` maps each learned algorithm's name to the trained weights
+    it runs with at every point.  ``n_iterations`` is the depth of every
+    classic algorithm (None: ``cfg.n_iterations``); learned depths
+    always come from the network's stage count.
 
     Raises ``ValueError``, before any operator is assembled, for an
     unknown axis, an empty ``points``, ``n_samples < 1``, an algorithm
     the harness cannot run, a learned algorithm with no entry in
-    ``nets`` at some point, or a point whose config is invalid, such as
-    a use count that is not a whole number.
+    ``nets``, or a point whose config is invalid, such as a use count
+    that is not a whole number.
     """
     axis = axis.lower()
     if axis not in SWEEP_AXES:
@@ -350,31 +346,14 @@ def run_sweep(
     points = list(points)
     if not points:
         raise ValueError("no sweep points given")
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    for algo in algos:
-        if algo not in SWEEP_ALGOS:
-            raise ValueError(f"cannot sweep {algo!r}; runnable: {sorted(SWEEP_ALGOS)}")
-    nets = dict(nets or {})
-    point_nets = [{algo: _net_for(nets, algo, value) for algo in algos} for value in points]
+    nets = nets or {}
+    _check_request(algos, n_samples, nets, SWEEP_ALGOS)
     point_cfgs = [_point_config(cfg, axis, value) for value in points]
     rows: list[SweepRow] = []
     for pi, (value, cfg_point) in enumerate(zip(points, point_cfgs)):
-        op = standard_operator(cfg_point)
-        observations = draw_eval_observations(op, pi, n_samples)
-        for algo in algos:
-            net = point_nets[pi][algo]
-            n_iter = _iteration_count(cfg_point, net, n_iterations)
-            nmse_db, fail_rate = score_algorithm(algo, op, observations, n_iter, net, n_workers)
-            row = SweepRow(
-                axis=axis,
-                value=float(value),
-                algo=algo,
-                nmse_db=nmse_db,
-                n_samples=n_samples,
-                flops_total=_total_flops(algo, cfg_point, n_iter),
-                fail_rate=fail_rate,
-            )
+        for algo, _, flops, nmse_db, fail_rate in _score_point(
+                algos, cfg_point, pi, n_samples, nets, n_iterations, n_workers):
+            row = SweepRow(axis, float(value), algo, nmse_db, n_samples, flops, fail_rate)
             rows.append(row)
             if progress is not None:
                 progress(row)
@@ -413,40 +392,29 @@ def run_tradeoff(
     complexity table, and for a learned algorithm with no entry in
     ``nets``.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    for algo in algos:
-        if algo not in SWEEP_ALGOS and algo not in DEFAULT_FLOPS_MODEL.per_iteration:
-            raise ValueError(f"unknown algorithm {algo!r}")
-    nets = dict(nets or {})
-    algo_nets = {algo: _net_for(nets, algo, None) for algo in algos if algo in SWEEP_ALGOS}
-    rows: list[TradeoffRow] = []
-    observations: Sequence[Observation] = []
-    if algo_nets:
-        op = standard_operator(cfg)
-        observations = draw_eval_observations(op, 0, n_samples)
-    for algo in algos:
-        if algo in SWEEP_ALGOS:
-            net = algo_nets[algo]
-            n_iter = _iteration_count(cfg, net, n_iterations)
-            nmse_db, fail_rate = score_algorithm(algo, op, observations, n_iter, net, n_workers)
-            rows.append(TradeoffRow(algo, _total_flops(algo, cfg, n_iter), nmse_db, n_iter, fail_rate))
-        else:
-            rows.append(TradeoffRow(algo, flops_per_iteration(algo, cfg), math.nan, 1))
-    return rows
+    nets = nets or {}
+    _check_request(algos, n_samples, nets, PER_ITERATION_FLOPS)
+    runnable = [algo for algo in algos if algo in SWEEP_ALGOS]
+    scored = {}
+    if runnable:
+        for algo, n_iter, flops, nmse_db, fail_rate in _score_point(
+                runnable, cfg, 0, n_samples, nets, n_iterations, n_workers):
+            scored[algo] = TradeoffRow(algo, flops, nmse_db, n_iter, fail_rate)
+    return [scored[algo] if algo in scored else TradeoffRow(algo, flops_per_iteration(algo, cfg), math.nan, 1)
+            for algo in algos]
 
 
 def write_tradeoff_csv(rows: Sequence[TradeoffRow], path, cfg: SystemConfig) -> None:
     """One row per algorithm; a reference-only row leaves nmse_db and fail_rate empty."""
     with open(path, "w", newline="") as fh:
-        fh.write(f"# config_hash={cfg.config_hash()} seed={cfg.rng_seed}\n")
+        fh.write(provenance_line(cfg) + "\n")
         writer = csv.writer(fh)
         writer.writerow(["algo", "flops", "nmse_db", "iterations", "fail_rate"])
         for row in rows:
             writer.writerow([
                 row.algo,
                 row.flops,
-                "" if math.isnan(row.nmse_db) else f"{row.nmse_db:.4f}",
+                _csv_float(row.nmse_db),
                 row.iterations,
-                "" if math.isnan(row.fail_rate) else f"{row.fail_rate:.4f}",
+                _csv_float(row.fail_rate),
             ])

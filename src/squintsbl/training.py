@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import Dataset, generate_dataset
-from .config import SPLIT_IDS, SystemConfig, spawn_rng
+from .config import SPLIT_IDS, SystemConfig, provenance_line, spawn_rng
 from .dictionaries import DictionarySet, reconstruct_adjoint, reconstruct_channel
 from .measurement import MeasurementOperator
 from .mstep import (
@@ -113,13 +113,10 @@ class TrainReport:
     wall_time_s: float = 0.0
 
 
-def write_report_csv(report: TrainReport, path, cfg: SystemConfig | None = None,
-                     train_cfg: TrainConfig | None = None) -> None:
+def write_report_csv(report: TrainReport, path, cfg: SystemConfig, train_cfg: TrainConfig) -> None:
     with open(path, "w") as f:
-        if cfg is not None:
-            f.write(f"# config_hash={cfg.config_hash()} seed={cfg.rng_seed}\n")
-        if train_cfg is not None:
-            f.write(f"# e_step={train_cfg.e_step} depth={train_cfg.depth}\n")
+        f.write(provenance_line(cfg) + "\n")
+        f.write(f"# e_step={train_cfg.e_step} depth={train_cfg.depth}\n")
         f.write(f"# final_test_nmse_db={report.final_test_nmse_db:.6f}\n")
         f.write("depth,epoch,train_loss,val_loss,lr,event,train_s,val_s\n")
         for stage in report.stages:

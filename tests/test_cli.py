@@ -1,12 +1,17 @@
 import argparse
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import squintsbl
 from squintsbl.cli import _KEY_HELP, _UsageError, _parse_points, build_parser, main
-from squintsbl.config import SystemConfig, desk_config
+from squintsbl.config import SystemConfig, desk_config, provenance_line
 from squintsbl.data_io import load_container, save_container
 from squintsbl.evaluation import PER_ITERATION_FLOPS, SWEEP_ALGOS, SWEEP_AXES, flops_per_iteration
 from squintsbl.sbl import E_STEPS
@@ -82,6 +87,7 @@ def test_flops_prints_every_table_row_once(capsys):
     assert set(SWEEP_ALGOS) <= set(PER_ITERATION_FLOPS)  # runnable algorithms have a cost row
     assert main(["flops", "--scale", "desk"]) == 0
     lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == provenance_line(desk_config())
     start = next(i for i, line in enumerate(lines) if line.startswith("per-iteration")) + 1
     rows = [line.split() for line in lines[start:lines.index("reconstruction FLOPs")]]
     assert [row[0] for row in rows] == list(PER_ITERATION_FLOPS)
@@ -137,7 +143,8 @@ def test_desk_round_trip(tmp_path):
     assert main(["sweep", *common, "--axis", "snr", "--points", "0,10", "--out", str(sweep_csv)]) == 0
     assert "fail_rate" in _csv_header(eval_csv)
     assert "fail_rate" in _csv_header(sweep_csv)
-    assert (run / "training_report.csv").is_file()
+    for path in (eval_csv, sweep_csv, run / "training_report.csv"):
+        assert path.read_text().splitlines()[0] == provenance_line(desk_config()), path.name
 
 
 def test_resume_records_the_hash_of_its_config(tmp_path):
@@ -166,3 +173,45 @@ def test_train_on_dataset_missing_an_array_is_an_error(tmp_path, capsys):
                  "--max-epochs", "1", "--batch-size", "2"]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and "'delay'" in err
+
+
+@pytest.mark.parametrize("case, expected", [
+    ("a list", "must hold a JSON object"),
+    ("no config", "has no 'config' object"),
+    ("no splits", "has no 'splits' object"),
+    ("no val split", "has no split 'val'"),
+    ("no test file", "split 'test' has no 'file'"),
+], ids=["list", "no-config", "no-splits", "no-val-split", "no-test-file"])
+def test_train_on_malformed_manifest_is_an_error(case, expected, tmp_path, capsys):
+    """A manifest that lacks a part ends train in error: naming it and exit 1, not a traceback."""
+    data = tmp_path / "data"
+    assert main(["gen-data", "--scale", "desk", "--sizes", "4,2,2", "--out", str(data)]) == 0
+    manifest = json.loads((data / "manifest.json").read_text())
+    if case == "a list":
+        manifest = [manifest]
+    elif case == "no config":
+        del manifest["config"]
+    elif case == "no splits":
+        del manifest["splits"]
+    elif case == "no val split":
+        del manifest["splits"]["val"]
+    else:
+        del manifest["splits"]["test"]["file"]
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"), "--depth", "2",
+                 "--max-epochs", "1", "--batch-size", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and expected in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("preset, expected", [({}, "1"), ({"OMP_NUM_THREADS": "2"}, None)],
+                         ids=["clean-env", "omp-set"])
+def test_package_import_defaults_to_one_blas_thread(preset, expected):
+    """Importing the package sets one OpenBLAS thread unless a thread count is already chosen."""
+    src = Path(squintsbl.__file__).resolve().parents[1]
+    env = {"PATH": os.environ.get("PATH", ""), "PYTHONPATH": str(src), **preset}
+    code = "import os, squintsbl; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == str(expected)

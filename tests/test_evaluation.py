@@ -9,8 +9,9 @@ from squintsbl import evaluation
 from squintsbl.config import default_config, desk_config, noise_var_from_snr_db
 from squintsbl.evaluation import (
     NMSE_FLOOR_DB,
+    PER_ITERATION_FLOPS,
+    RECONSTRUCTION_FLOPS,
     FlopsDims,
-    FlopsModel,
     SweepRow,
     SweepResult,
     TradeoffRow,
@@ -82,25 +83,22 @@ def test_ratio_to_db_floor():
        st.integers(2, 64), st.integers(2, 128))
 def test_flops_expressions_symbolic(k, m, g, g_a, n):
     """The table rows, written out independently from the dims."""
-    model = FlopsModel.default()
     dims = FlopsDims(k=k, m=m, g=g, g_a=g_a, n=n)
     km = k * m
-    assert model.iteration_flops("sbl", dims) == 16 * km**2 * g
-    assert model.iteration_flops("sbl-unfolding", dims) == (16 * km**2 + 432) * g
-    assert model.iteration_flops("amp-sbl-unfolding", dims) == (20 * km + 432) * g
-    assert model.iteration_flops("sbl-af", dims) == 16 * k * m**2 * g_a
-    assert model.iteration_flops("lista-reference", dims) == 4 * k * ((4 * m + 256) * n + 32768)
-    assert model.reconstruction_flops("AF", dims) == 8 * k * g_a * n
-    assert model.reconstruction_flops("AD", dims) == 8 * k * g_a * n + 8 * k * g
+    assert PER_ITERATION_FLOPS["sbl"](dims) == 16 * km**2 * g
+    assert PER_ITERATION_FLOPS["sbl-unfolding"](dims) == (16 * km**2 + 432) * g
+    assert PER_ITERATION_FLOPS["amp-sbl-unfolding"](dims) == (20 * km + 432) * g
+    assert PER_ITERATION_FLOPS["sbl-af"](dims) == 16 * k * m**2 * g_a
+    assert PER_ITERATION_FLOPS["lista-reference"](dims) == 4 * k * ((4 * m + 256) * n + 32768)
+    assert RECONSTRUCTION_FLOPS["AF"](dims) == 8 * k * g_a * n
+    assert RECONSTRUCTION_FLOPS["AD"](dims) == 8 * k * g_a * n + 8 * k * g
 
 
-def test_flops_unknown_names():
-    model = FlopsModel.default()
-    dims = FlopsDims(k=2, m=2, g=4, g_a=2, n=2)
-    with pytest.raises(ValueError):
-        model.iteration_flops("who", dims)
-    with pytest.raises(ValueError):
-        model.reconstruction_flops("XY", dims)
+def test_flops_unknown_names(desk_cfg):
+    with pytest.raises(ValueError, match="unknown algorithm 'who'"):
+        flops_per_iteration("who", desk_cfg)
+    with pytest.raises(ValueError, match="unknown estimator family 'XY'"):
+        reconstruction_flops("xy", desk_cfg)
 
 
 def test_flops_dims_from_config():
@@ -261,12 +259,46 @@ def test_missing_net_rejected_before_assembly(desk_cfg, monkeypatch):
 
     monkeypatch.setattr(evaluation, "standard_operator", no_assembly)
     net = MStepNet.create(2, np.random.default_rng(0))
-    # a net for the first point only: the second point's gap is found up front
-    with pytest.raises(ValueError, match="no trained network"):
-        run_sweep("snr", [10.0, 20.0], ["sbl", "sbl-unfolding"], desk_cfg, 2,
-                  nets={("sbl-unfolding", 10.0): net})
+    # a net for one learned algorithm only: the other's gap is found up front
+    with pytest.raises(ValueError, match="no trained network supplied for 'amp-sbl-unfolding'"):
+        run_sweep("snr", [10.0, 20.0], ["sbl", "sbl-unfolding", "amp-sbl-unfolding"], desk_cfg, 2,
+                  nets={"sbl-unfolding": net})
     with pytest.raises(ValueError, match="no trained network"):
         run_tradeoff(["sbl", "amp-sbl-unfolding"], desk_cfg, 2)
+    # networks are keyed by algorithm name only
+    with pytest.raises(ValueError, match="no trained network"):
+        run_sweep("snr", [10.0], ["sbl-unfolding"], desk_cfg, 2, nets={("sbl-unfolding", 10.0): net})
+
+
+def _sweep_one_point(algos, cfg, n_samples, **kwargs):
+    return run_sweep("snr", [10.0], algos, cfg, n_samples, **kwargs)
+
+
+@pytest.mark.parametrize("harness", [run_tradeoff, _sweep_one_point], ids=["tradeoff", "sweep"])
+@pytest.mark.parametrize("algos, n_samples, match", [
+    (["sbl"], 0, "n_samples"),
+    (["sbl", "nope"], 2, "unknown algorithm 'nope'"),
+    (["sbl", "sbl-unfolding"], 2, "no trained network supplied for 'sbl-unfolding'"),
+], ids=["zero-samples", "unknown-algo", "missing-net"])
+def test_bad_request_rejected_before_assembly(harness, algos, n_samples, match, desk_cfg, monkeypatch):
+    """Both harnesses share one request check, run before any operator exists."""
+    calls = []
+    monkeypatch.setattr(evaluation, "standard_operator", lambda cfg: calls.append(cfg))
+    nets = {"amp-sbl-unfolding": MStepNet.create(2, np.random.default_rng(0))}
+    with pytest.raises(ValueError, match=match):
+        harness(algos, desk_cfg, n_samples, nets=nets)
+    assert calls == []
+
+
+def test_tradeoff_is_a_one_point_sweep(desk_cfg):
+    """The tradeoff scores exactly what a one-point sweep at the configured use count does."""
+    algos, k = ["sbl", "amp-sbl"], 4
+    tradeoff = run_tradeoff(algos, desk_cfg, 3, n_iterations=k)
+    sweep = run_sweep("q", [desk_cfg.n_uses], algos, desk_cfg, 3, n_iterations=k).rows
+    assert [r.algo for r in tradeoff] == [r.algo for r in sweep] == algos
+    for t, s in zip(tradeoff, sweep):
+        assert np.isfinite(t.nmse_db)
+        assert (t.nmse_db, t.fail_rate, t.flops) == (s.nmse_db, s.fail_rate, s.flops_total)
 
 
 def test_sweep_csv_schema(desk_cfg, tmp_path):
