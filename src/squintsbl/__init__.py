@@ -13,7 +13,6 @@ from .config import (
     desk_config,
     noise_var_from_snr_db,
     spawn_rng,
-    subcarrier_freq,
     subcarrier_freqs,
 )
 from .channel import (
@@ -42,7 +41,6 @@ from .measurement import (
     draw_combiner,
     observe_and_transform,
     operator_from_matrix,
-    simulate_observation,
 )
 from .sbl import (
     DivergenceError,

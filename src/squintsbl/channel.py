@@ -50,7 +50,6 @@ class PathSet:
     """
 
     gain: np.ndarray          # complex, standard circular Gaussian
-    eq_gain: np.ndarray       # gain rotated by the first tone's delay phase
     delay: np.ndarray         # seconds, >= 0
     angle: np.ndarray         # radians
     mean_angle: np.ndarray    # per cluster
@@ -83,11 +82,8 @@ def draw_paths(cfg: SystemConfig, rng: np.random.Generator) -> PathSet:
     delay = np.maximum(mean_delay[:, None] + delta_delay, 0.0).ravel()
     p = cfg.n_paths
     gain = (rng.standard_normal(p) + 1j * rng.standard_normal(p)) / np.sqrt(2.0)
-    f1 = subcarrier_freqs(cfg)[0]
-    eq_gain = gain * np.exp(-2j * np.pi * f1 * delay)
     return PathSet(
         gain=gain,
-        eq_gain=eq_gain,
         delay=delay,
         angle=angle,
         mean_angle=mean_angle,

@@ -188,17 +188,6 @@ def noise_var_from_snr_db(snr_db: float) -> float:
     return 10.0 ** (-snr_db / 10.0)
 
 
-def subcarrier_freq(cfg: SystemConfig, k: int) -> float:
-    """Frequency of tone ``k`` (1-based), symmetric about the carrier.
-
-    f_k = center + (k - 1 - (K - 1)/2) * spacing, so consecutive tones
-    differ by exactly one spacing and the comb is centered on f_c.
-    """
-    if not 1 <= k <= cfg.n_subcarriers:
-        raise ValueError(f"subcarrier index {k} outside 1..{cfg.n_subcarriers}")
-    return cfg.center_freq + (k - 1 - (cfg.n_subcarriers - 1) / 2) * cfg.subcarrier_spacing
-
-
 def subcarrier_freqs(cfg: SystemConfig) -> np.ndarray:
     """All tone frequencies as a length-K vector."""
     k = np.arange(cfg.n_subcarriers)

@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .channel import ChannelRealization, build_channel, draw_paths
+from .channel import build_channel, draw_paths
 from .config import SystemConfig, noise_var_from_snr_db, provenance_line, spawn_rng
 from .dictionaries import build_dictionaries, reconstruct_channel
 from .measurement import (
@@ -178,9 +178,8 @@ def draw_eval_observations(
     cfg = op.config
     out = []
     for i in range(n_samples):
-        paths = draw_paths(cfg, spawn_rng(cfg.rng_seed, "eval-channel", point_index, i))
-        chan = ChannelRealization(paths=paths, h=build_channel(cfg, paths))
-        out.append(observe_and_transform(op, chan, spawn_rng(cfg.rng_seed, "sweep-noise", point_index, i)))
+        h = build_channel(cfg, draw_paths(cfg, spawn_rng(cfg.rng_seed, "eval-channel", point_index, i)))
+        out.append(observe_and_transform(op, h, spawn_rng(cfg.rng_seed, "sweep-noise", point_index, i)))
     return out
 
 
@@ -199,7 +198,8 @@ def _check_request(algos: Sequence[str], n_samples: int, nets: Mapping, known: M
 
     Both harnesses call this before they assemble an operator, so a bad
     request fails at once: ``n_samples < 1``, a name not in ``known``,
-    or a learned algorithm with no network under its name in ``nets``.
+    a learned algorithm with no network under its name in ``nets``, or
+    a network under a name that is not a learned algorithm.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -208,6 +208,10 @@ def _check_request(algos: Sequence[str], n_samples: int, nets: Mapping, known: M
             raise ValueError(f"unknown algorithm {algo!r}; expected one of {sorted(known)}")
         if algo in _LEARNED and algo not in nets:
             raise ValueError(f"no trained network supplied for {algo!r}")
+    for name in nets:
+        if name not in _LEARNED:
+            raise ValueError(f"a network was supplied for {name!r}, which is not a learned algorithm; "
+                             f"learned: {sorted(_LEARNED)}")
 
 
 def score_algorithm(

@@ -34,7 +34,6 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .channel import ChannelRealization
 from .config import SystemConfig
 from .dictionaries import DictionarySet
 
@@ -286,29 +285,18 @@ class Observation:
     h: np.ndarray                 # the underlying channel (N, K)
 
 
-def simulate_observation(
-    cfg: SystemConfig,
-    comb: PilotCombiner,
-    chan: ChannelRealization,
-    rng: np.random.Generator,
-) -> Observation:
-    """Combine, add receiver noise, and whiten one channel realization.
+def observe_and_transform(op: MeasurementOperator, h: np.ndarray, rng: np.random.Generator) -> Observation:
+    """Combine, add receiver noise, and whiten channel matrix ``h`` (N x K) with ``op``'s combiner.
 
-    Noise is drawn per use and antenna with variance ``cfg.noise_var``;
-    the combined vector per tone is whitened by the block factor so its
-    covariance is sigma^2 I exactly.
+    Noise is drawn per use and antenna with variance ``noise_var`` of
+    ``op``'s config; the combined vector per tone is whitened by the
+    block factor so its covariance is sigma^2 I exactly.
     """
+    cfg, comb = op.config, op.combiner
     n, q_uses, k = cfg.n_antennas, cfg.n_uses, cfg.n_subcarriers
-    h = np.asarray(chan.h, dtype=complex)
+    h = np.asarray(h, dtype=complex)
     sigma = np.sqrt(cfg.noise_var / 2.0)
     noise = sigma * (rng.standard_normal((q_uses, n, k)) + 1j * rng.standard_normal((q_uses, n, k)))
     rows = [comb.block(q) @ (h + noise[q]) for q in range(q_uses)]
     y_tone = solve_triangular(comb.d, np.vstack(rows), lower=True)   # (Q*n_rf, K)
     return Observation(y=y_tone.ravel(order="F"), h=h)
-
-
-def observe_and_transform(
-    op: MeasurementOperator, chan: ChannelRealization, rng: np.random.Generator
-) -> Observation:
-    """Simulate one observation against an assembled operator's config and combiner."""
-    return simulate_observation(op.config, op.combiner, chan, rng)

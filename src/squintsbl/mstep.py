@@ -243,10 +243,9 @@ class MStepNet:
     after the final iteration would never be consumed.
     """
 
-    def __init__(self, stages: list[ConvStage], config_hash: str = "", meta: dict | None = None):
+    def __init__(self, stages: list[ConvStage], config_hash: str = ""):
         self.stages = stages
         self.config_hash = config_hash
-        self.meta = meta if meta is not None else {}
         self.reset_optimizer()
 
     @property
@@ -374,11 +373,7 @@ _NET_KIND = "mstep-net"
 
 
 def save_checkpoint(net: MStepNet, path, cfg: SystemConfig | None = None) -> None:
-    meta = {
-        "n_stages": net.n_stages,
-        "config_hash": net.config_hash,
-        "meta": net.meta,
-    }
+    meta = {"n_stages": net.n_stages, "config_hash": net.config_hash}
     if cfg is not None:
         meta["config"] = cfg.to_dict()
     arrays = {}
@@ -405,10 +400,6 @@ def load_checkpoint(path, expect_config: SystemConfig | None = None) -> MStepNet
     for key in ("n_stages", "config_hash"):
         if key not in meta:
             raise ValueError(f"{path}: checkpoint has no {key!r} entry")
-    # older files name their first feature channel; |mu|^2 is the only one served
-    if meta.get("feature_mode", "abs2") != "abs2":
-        raise ValueError(f"{path}: checkpoint was trained on {meta['feature_mode']!r} features; "
-                         "only 'abs2' (|mu|^2) is supported")
     if expect_config is not None and meta["config_hash"] and meta["config_hash"] != expect_config.config_hash():
         raise ValueError(
             f"checkpoint config hash {meta['config_hash']} does not match "
@@ -422,4 +413,4 @@ def load_checkpoint(path, expect_config: SystemConfig | None = None) -> MStepNet
         params = {name: arrays[f"stage{i}/{name}"] for name in _PARAM_NAMES}
         _check_stage_shapes(i, params)
         stages.append(ConvStage(**params))
-    return MStepNet(stages, meta["config_hash"], meta.get("meta", {}))
+    return MStepNet(stages, meta["config_hash"])

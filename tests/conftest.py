@@ -1,5 +1,8 @@
 """Shared fixtures: small geometries reused across test modules."""
 
+# first, before numpy loads, so the suite runs under the package's one-BLAS-thread default
+import squintsbl  # noqa: F401
+
 import numpy as np
 import pytest
 

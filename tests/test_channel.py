@@ -52,7 +52,7 @@ def test_draw_paths_shapes_and_ranges():
     cfg = default_config()
     p = _paths(cfg)
     n = cfg.n_paths
-    for arr in (p.angle, p.delay, p.gain, p.eq_gain, p.delta_angle, p.delta_delay):
+    for arr in (p.angle, p.delay, p.gain, p.delta_angle, p.delta_delay):
         assert arr.shape == (n,)
     assert p.mean_angle.shape == (cfg.n_clusters,)
     assert p.mean_delay.shape == (cfg.n_clusters,)
@@ -96,7 +96,7 @@ def test_cluster_structure():
 def _single_path(theta, tau):
     g = np.array([1.0 + 0.0j])
     return PathSet(
-        gain=g, eq_gain=g.copy(), delay=np.array([tau]),
+        gain=g, delay=np.array([tau]),
         angle=np.array([theta]), mean_angle=np.array([theta]),
         mean_delay=np.array([tau]), delta_angle=np.zeros(1),
         delta_delay=np.zeros(1),
@@ -136,7 +136,7 @@ def test_build_channel_linear_in_gains():
     cfg = desk_config()
     p = _paths(cfg, 3)
     h1 = build_channel(cfg, p)
-    p2 = PathSet(gain=2.5 * p.gain, eq_gain=2.5 * p.eq_gain, delay=p.delay,
+    p2 = PathSet(gain=2.5 * p.gain, delay=p.delay,
                  angle=p.angle, mean_angle=p.mean_angle, mean_delay=p.mean_delay,
                  delta_angle=p.delta_angle, delta_delay=p.delta_delay)
     h2 = build_channel(cfg, p2)

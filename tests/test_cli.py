@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import squintsbl
@@ -14,6 +15,7 @@ from squintsbl.cli import _KEY_HELP, _UsageError, _parse_points, build_parser, m
 from squintsbl.config import SystemConfig, desk_config, provenance_line
 from squintsbl.data_io import load_container, save_container
 from squintsbl.evaluation import PER_ITERATION_FLOPS, SWEEP_ALGOS, SWEEP_AXES, flops_per_iteration
+from squintsbl.mstep import MStepNet, save_checkpoint
 from squintsbl.sbl import E_STEPS
 from squintsbl.training import TrainConfig
 
@@ -173,6 +175,59 @@ def test_train_on_dataset_missing_an_array_is_an_error(tmp_path, capsys):
                  "--max-epochs", "1", "--batch-size", "2"]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and "'delay'" in err
+
+
+def test_gen_data_and_train_files_open_with_plain_numpy(tmp_path):
+    """Splits and checkpoints are .npz archives with their arrays under the usual names."""
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert main(["gen-data", "--scale", "desk", "--sizes", "4,2,2", "--out", str(data)]) == 0
+    assert main(["train", "--data", str(data), "--out", str(run), "--depth", "2",
+                 "--max-epochs", "1", "--batch-size", "2"]) == 0
+    cfg = desk_config()
+    with np.load(data / "val.npz", allow_pickle=False) as npz:
+        assert npz.files == ["h", "gain", "delay", "angle", "mean_angle", "mean_delay",
+                             "delta_angle", "delta_delay", "__meta__"]
+        assert npz["h"].shape == (2, cfg.n_antennas, cfg.n_subcarriers) and npz["h"].dtype == np.complex64
+        header = json.loads(str(npz["__meta__"]))
+    assert header["kind"] == "channel-dataset" and header["meta"]["config_hash"] == cfg.config_hash()
+    assert header["meta"]["config"]["rng_seed"] == cfg.rng_seed
+    with np.load(run / "checkpoint.npz", allow_pickle=False) as npz:
+        assert npz.files == ["stage0/w1", "stage0/b1", "stage0/w2", "stage0/b2", "__meta__"]
+        header = json.loads(str(npz["__meta__"]))
+    assert header["kind"] == "mstep-net" and header["meta"]["config_hash"] == cfg.config_hash()
+    assert header["meta"]["n_stages"] == 1
+
+
+@pytest.mark.parametrize("damage, expected", [
+    ("truncated", "File is not a zip file"),
+    ("old-format", "written before the .npz format, must be regenerated"),
+])
+def test_train_on_a_damaged_split_is_a_file_error(damage, expected, tmp_path, capsys):
+    """A truncated val.npz, or one with the former SQSB0001 magic, ends train with file error: and exit 3."""
+    data = tmp_path / "data"
+    assert main(["gen-data", "--scale", "desk", "--sizes", "4,2,2", "--out", str(data)]) == 0
+    raw = (data / "val.npz").read_bytes()
+    (data / "val.npz").write_bytes(raw[: len(raw) // 2] if damage == "truncated" else b"SQSB0001" + raw[:64])
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"), "--depth", "2",
+                 "--max-epochs", "1", "--batch-size", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("file error:") and "val.npz" in err and expected in err
+
+
+@pytest.mark.parametrize("command", [["evaluate"], ["sweep", "--axis", "snr", "--points", "10"]],
+                         ids=["evaluate", "sweep"])
+def test_net_for_a_classic_algorithm_is_an_error(command, tmp_path, capsys):
+    """--net sbl=... is refused, not loaded and silently ignored."""
+    cfg = desk_config()
+    ck = tmp_path / "ck.npz"
+    save_checkpoint(MStepNet.create(2, np.random.default_rng(0), cfg.config_hash()), ck, cfg)
+    capsys.readouterr()
+    assert main([*command, "--scale", "desk", "--net", f"sbl={ck}", "--algos", "sbl", "--n-samples", "2",
+                 "--iterations", "3", "--out", str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'sbl', which is not a learned algorithm" in err
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("case, expected", [

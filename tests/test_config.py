@@ -10,7 +10,6 @@ from squintsbl.config import (
     desk_config,
     noise_var_from_snr_db,
     spawn_rng,
-    subcarrier_freq,
     subcarrier_freqs,
 )
 
@@ -122,11 +121,6 @@ def test_subcarrier_freqs_layout():
     assert np.allclose(np.diff(f), cfg.subcarrier_spacing)
     assert np.mean(f) == pytest.approx(cfg.center_freq)
     assert f.max() - f.min() == pytest.approx(cfg.bandwidth - cfg.subcarrier_spacing)
-    # scalar helper is 1-based
-    for k in (1, 6, cfg.n_subcarriers):
-        assert subcarrier_freq(cfg, k) == pytest.approx(f[k - 1])
-    with pytest.raises(ValueError):
-        subcarrier_freq(cfg, 0)
 
 
 def test_spawn_rng_streams_independent():

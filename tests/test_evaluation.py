@@ -275,16 +275,18 @@ def _sweep_one_point(algos, cfg, n_samples, **kwargs):
 
 
 @pytest.mark.parametrize("harness", [run_tradeoff, _sweep_one_point], ids=["tradeoff", "sweep"])
-@pytest.mark.parametrize("algos, n_samples, match", [
-    (["sbl"], 0, "n_samples"),
-    (["sbl", "nope"], 2, "unknown algorithm 'nope'"),
-    (["sbl", "sbl-unfolding"], 2, "no trained network supplied for 'sbl-unfolding'"),
-], ids=["zero-samples", "unknown-algo", "missing-net"])
-def test_bad_request_rejected_before_assembly(harness, algos, n_samples, match, desk_cfg, monkeypatch):
+@pytest.mark.parametrize("algos, n_samples, net_names, match", [
+    (["sbl"], 0, ["amp-sbl-unfolding"], "n_samples"),
+    (["sbl", "nope"], 2, ["amp-sbl-unfolding"], "unknown algorithm 'nope'"),
+    (["sbl", "sbl-unfolding"], 2, ["amp-sbl-unfolding"], "no trained network supplied for 'sbl-unfolding'"),
+    (["sbl"], 2, ["amp-sbl-unfolding", "sbl"], "'sbl', which is not a learned algorithm"),
+], ids=["zero-samples", "unknown-algo", "missing-net", "net-for-classic"])
+def test_bad_request_rejected_before_assembly(harness, algos, n_samples, net_names, match, desk_cfg,
+                                              monkeypatch):
     """Both harnesses share one request check, run before any operator exists."""
     calls = []
     monkeypatch.setattr(evaluation, "standard_operator", lambda cfg: calls.append(cfg))
-    nets = {"amp-sbl-unfolding": MStepNet.create(2, np.random.default_rng(0))}
+    nets = {name: MStepNet.create(2, np.random.default_rng(0)) for name in net_names}
     with pytest.raises(ValueError, match=match):
         harness(algos, desk_cfg, n_samples, nets=nets)
     assert calls == []

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from squintsbl.channel import ChannelRealization, build_channel, draw_paths
+from squintsbl.channel import build_channel, draw_paths
 from squintsbl.config import default_config, desk_config, noise_var_from_snr_db, spawn_rng
 from squintsbl.dictionaries import build_dictionaries, reconstruct_channel
 from squintsbl.measurement import (
@@ -10,7 +10,6 @@ from squintsbl.measurement import (
     draw_combiner,
     observe_and_transform,
     operator_from_matrix,
-    simulate_observation,
 )
 
 from conftest import crandn
@@ -245,48 +244,33 @@ def test_assemble_operator_config_mismatch():
         assemble_operator(cfg, comb, dicts)
 
 
-def test_simulate_observation_fields(desk_cfg):
+def test_simulate_observation_fields(desk_cfg, desk_op):
     cfg = desk_cfg
-    comb = _comb(cfg)
-    paths = draw_paths(cfg, spawn_rng(cfg.rng_seed, "channel", 0, 0))
-    chan = ChannelRealization(paths=paths, h=build_channel(cfg, paths))
-    obs = simulate_observation(cfg, comb, chan, spawn_rng(cfg.rng_seed, "noise", 0, 0))
+    h = build_channel(cfg, draw_paths(cfg, spawn_rng(cfg.rng_seed, "channel", 0, 0)))
+    obs = observe_and_transform(desk_op, h, spawn_rng(cfg.rng_seed, "noise", 0, 0))
     m_tone = cfg.n_uses * cfg.n_rf
     assert obs.y.shape == (m_tone * cfg.n_subcarriers,)
-    assert np.array_equal(obs.h, chan.h)
+    assert np.array_equal(obs.h, h)
 
 
-def test_observation_noise_level(desk_cfg):
+def test_observation_noise_level(desk_cfg, desk_op):
     """Residual y - w_bar h has the configured per-entry variance."""
     cfg = desk_cfg
-    comb = _comb(cfg)
-    paths = draw_paths(cfg, spawn_rng(cfg.rng_seed, "channel", 0, 1))
-    chan = ChannelRealization(paths=paths, h=build_channel(cfg, paths))
-    clean = (comb.w_bar @ chan.h).ravel(order="F")
+    h = build_channel(cfg, draw_paths(cfg, spawn_rng(cfg.rng_seed, "channel", 0, 1)))
+    clean = (desk_op.combiner.w_bar @ h).ravel(order="F")
     resid = []
     for i in range(500):
-        obs = simulate_observation(cfg, comb, chan, spawn_rng(cfg.rng_seed, "noise", 1, i))
+        obs = observe_and_transform(desk_op, h, spawn_rng(cfg.rng_seed, "noise", 1, i))
         resid.append(obs.y - clean)
     v = np.mean(np.abs(np.concatenate(resid)) ** 2)
     assert v == pytest.approx(cfg.noise_var, rel=0.05)
 
 
-def test_observe_and_transform_consistency(desk_cfg, desk_op):
-    cfg = desk_cfg
-    paths = draw_paths(cfg, spawn_rng(cfg.rng_seed, "channel", 0, 2))
-    chan = ChannelRealization(paths=paths, h=build_channel(cfg, paths))
-    obs = observe_and_transform(desk_op, chan, spawn_rng(cfg.rng_seed, "noise", 2, 0))
-    ref = simulate_observation(cfg, desk_op.combiner, chan, spawn_rng(cfg.rng_seed, "noise", 2, 0))
-    assert np.array_equal(obs.y, ref.y)
-    assert np.array_equal(obs.h, ref.h)
-
-
 def test_observation_determinism(desk_cfg, desk_op):
     cfg = desk_cfg
-    paths = draw_paths(cfg, spawn_rng(cfg.rng_seed, "channel", 0, 3))
-    chan = ChannelRealization(paths=paths, h=build_channel(cfg, paths))
-    a = observe_and_transform(desk_op, chan, spawn_rng(cfg.rng_seed, "noise", 3, 0))
-    b = observe_and_transform(desk_op, chan, spawn_rng(cfg.rng_seed, "noise", 3, 0))
+    h = build_channel(cfg, draw_paths(cfg, spawn_rng(cfg.rng_seed, "channel", 0, 3)))
+    a = observe_and_transform(desk_op, h, spawn_rng(cfg.rng_seed, "noise", 3, 0))
+    b = observe_and_transform(desk_op, h, spawn_rng(cfg.rng_seed, "noise", 3, 0))
     assert np.array_equal(a.y, b.y)
 
 

@@ -472,19 +472,6 @@ def _rewrite(path, edit_meta=None, drop=None):
     save_container(path, kind, meta, arrays)
 
 
-def test_checkpoint_feature_mode_key(tmp_path, rng):
-    """Files that name their features load only if those are |mu|^2 ("abs2")."""
-    net = MStepNet.create(2, rng)
-    path = tmp_path / "net.npz"
-    save_checkpoint(net, path)
-    _rewrite(path, edit_meta=lambda m: m.update(feature_mode="abs2"))
-    back = load_checkpoint(path)
-    assert all(np.array_equal(a.w1, b.w1) for a, b in zip(net.stages, back.stages))
-    _rewrite(path, edit_meta=lambda m: m.update(feature_mode="abs"))
-    with pytest.raises(ValueError, match="'abs' features"):
-        load_checkpoint(path)
-
-
 def test_checkpoint_missing_array_is_a_value_error(tmp_path, rng):
     path = tmp_path / "net.npz"
     save_checkpoint(MStepNet.create(2, rng), path)

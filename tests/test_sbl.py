@@ -18,7 +18,7 @@ from squintsbl.sbl import (
     start_state,
     step,
 )
-from squintsbl.channel import ChannelRealization, build_channel, draw_paths
+from squintsbl.channel import build_channel, draw_paths
 from squintsbl.config import spawn_rng
 from squintsbl.evaluation import SWEEP_ALGOS, draw_eval_observations
 from squintsbl.measurement import observe_and_transform, operator_from_matrix
@@ -370,9 +370,8 @@ def test_estimator_spec_validation():
 
 
 def _desk_obs(desk_cfg, desk_op, i=0):
-    paths = draw_paths(desk_cfg, spawn_rng(desk_cfg.rng_seed, "channel", 0, i))
-    chan = ChannelRealization(paths=paths, h=build_channel(desk_cfg, paths))
-    return observe_and_transform(desk_op, chan, spawn_rng(desk_cfg.rng_seed, "noise", 0, i))
+    h = build_channel(desk_cfg, draw_paths(desk_cfg, spawn_rng(desk_cfg.rng_seed, "channel", 0, i)))
+    return observe_and_transform(desk_op, h, spawn_rng(desk_cfg.rng_seed, "noise", 0, i))
 
 
 def test_run_estimator_exact_classic(desk_cfg, desk_op):
