@@ -16,7 +16,6 @@ from .config import (
     subcarrier_freqs,
 )
 from .channel import (
-    ChannelRealization,
     Dataset,
     PathSet,
     build_channel,

@@ -42,11 +42,13 @@ def steering_vector(n: int, z) -> np.ndarray:
 
 @dataclass
 class PathSet:
-    """All random parameters of one channel draw.
+    """All random parameters of one channel draw, or of a split's draws.
 
     Per-subpath arrays have length N_c * N_p with subpath p belonging to
     cluster p // N_p.  ``delay`` is clamped at zero; the raw Laplacian
     offsets are kept so the configured spreads remain observable.
+    A :class:`Dataset` holds its n draws in one PathSet whose fields
+    carry a leading sample axis: (n, N_c * N_p) or (n, N_c).
     """
 
     gain: np.ndarray          # complex, standard circular Gaussian
@@ -140,21 +142,19 @@ def build_channel(cfg: SystemConfig, paths: PathSet) -> np.ndarray:
 
 
 @dataclass
-class ChannelRealization:
-    paths: PathSet
-    h: np.ndarray  # (N, K)
-
-
-@dataclass
 class Dataset:
-    """A split of channel realizations plus the config that produced them."""
+    """A split of n channels and the config that drew them, sample-major as on disk.
+
+    ``h`` is (n, N, K) complex64; ``paths`` is one PathSet whose fields lead with n.
+    """
 
     split: str
-    realizations: list[ChannelRealization]
+    h: np.ndarray
+    paths: PathSet
     config: SystemConfig
 
     def __len__(self) -> int:
-        return len(self.realizations)
+        return len(self.h)
 
 
 def generate_dataset(cfg: SystemConfig, n_samples: int, split: str = "train") -> Dataset:
@@ -162,19 +162,21 @@ def generate_dataset(cfg: SystemConfig, n_samples: int, split: str = "train") ->
 
     Each sample gets an independent child stream keyed by (split, index),
     so datasets are reproducible regardless of generation order and the
-    three canonical splits never overlap.  Stored matrices are complex64,
-    matching the on-disk payload exactly.
+    three canonical splits never overlap.  ``h`` is complex64, matching
+    the on-disk payload exactly.
     """
     split_id = SPLIT_IDS.get(split)
     if split_id is None:
         raise ValueError(f"unknown split {split!r}; expected one of {sorted(SPLIT_IDS)}")
-    realizations = []
+    if n_samples < 1:
+        raise ValueError(f"{split} split: n_samples must be positive, got {n_samples}")
+    h = np.empty((n_samples, cfg.n_antennas, cfg.n_subcarriers), dtype=np.complex64)
+    draws = []
     for i in range(n_samples):
-        rng = spawn_rng(cfg.rng_seed, "channel", split_id, i)
-        paths = draw_paths(cfg, rng)
-        h = build_channel(cfg, paths).astype(np.complex64)
-        realizations.append(ChannelRealization(paths=paths, h=h))
-    return Dataset(split=split, realizations=realizations, config=cfg)
+        draws.append(draw_paths(cfg, spawn_rng(cfg.rng_seed, "channel", split_id, i)))
+        h[i] = build_channel(cfg, draws[-1])
+    paths = PathSet(**{f.name: np.array([getattr(d, f.name) for d in draws]) for f in fields(PathSet)})
+    return Dataset(split=split, h=h, paths=paths, config=cfg)
 
 
 # ---- persistence ------------------------------------------------------------
@@ -183,29 +185,31 @@ _DATASET_KIND = "channel-dataset"
 
 
 def save_dataset(ds: Dataset, path) -> None:
-    """Write a dataset container; H as complex64, then each PathSet field at full width."""
+    """Write a dataset container: ``h`` as complex64, then each PathSet field at full width."""
     meta = {
         "config": ds.config.to_dict(),
         "config_hash": ds.config.config_hash(),
         "split": ds.split,
         "n_samples": len(ds),
     }
-    arrays = {"h": np.stack([r.h for r in ds.realizations]).astype(np.complex64)}
-    for f in fields(PathSet):
-        arrays[f.name] = np.stack([getattr(r.paths, f.name) for r in ds.realizations])
+    arrays = {"h": ds.h.astype(np.complex64, copy=False)}
+    arrays.update((f.name, getattr(ds.paths, f.name)) for f in fields(PathSet))
     save_container(path, _DATASET_KIND, meta, arrays)
 
 
 def load_dataset(path, expect_config: SystemConfig | None = None) -> Dataset:
     """Read a dataset container; optionally insist on a matching config.
 
-    A missing meta key or array raises ``ValueError`` naming it.
+    A missing meta key or array, an unknown split name, an array whose
+    leading axis is not ``n_samples`` long, or an ``h`` whose channels are
+    not the config's (N, K) raises ``ValueError`` naming it.
     """
     _, meta, arrays = load_container(path, expect_kind=_DATASET_KIND)
     for key in ("n_samples", "config", "split"):
         if key not in meta:
             raise ValueError(f"{path}: dataset has no {key!r} entry")
-    missing = [name for name in ["h"] + [f.name for f in fields(PathSet)] if name not in arrays]
+    names = ["h"] + [f.name for f in fields(PathSet)]
+    missing = [name for name in names if name not in arrays]
     if missing:
         raise ValueError(f"{path}: dataset has no {', '.join(map(repr, missing))} array")
     cfg = SystemConfig.from_dict(meta["config"])
@@ -214,9 +218,14 @@ def load_dataset(path, expect_config: SystemConfig | None = None) -> Dataset:
             f"dataset config hash {cfg.config_hash()} does not match expected "
             f"{expect_config.config_hash()}"
         )
-    realizations = []
-    for i in range(meta["n_samples"]):
-        paths = PathSet(**{f.name: arrays[f.name][i] for f in fields(PathSet)})
-        realizations.append(ChannelRealization(paths=paths, h=arrays["h"][i]))
-    return Dataset(split=meta["split"], realizations=realizations, config=cfg)
-
+    if meta["split"] not in SPLIT_IDS:
+        raise ValueError(f"{path}: unknown split {meta['split']!r}; expected one of {sorted(SPLIT_IDS)}")
+    n = meta["n_samples"]
+    short = [f"{name!r} {arrays[name].shape}" for name in names if arrays[name].shape[:1] != (n,)]
+    if short:
+        raise ValueError(f"{path}: n_samples is {n!r}, but arrays {', '.join(short)} do not have {n!r} rows")
+    if arrays["h"].shape[1:] != (cfg.n_antennas, cfg.n_subcarriers):
+        raise ValueError(f"{path}: array 'h' holds {arrays['h'].shape[1:]} channels, but the config's "
+                         f"(n_antennas, n_subcarriers) is {(cfg.n_antennas, cfg.n_subcarriers)}")
+    return Dataset(split=meta["split"], h=arrays["h"], config=cfg,
+                   paths=PathSet(**{f.name: arrays[f.name] for f in fields(PathSet)}))

@@ -79,8 +79,17 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                    help="angle spread in degrees")
 
 
+def _noise_var_flag(args) -> float | None:
+    """The noise variance --snr-db or --noise-var gives, None without either; both is a usage error."""
+    from .config import noise_var_from_snr_db
+
+    if args.snr_db is not None and args.noise_var is not None:
+        raise _UsageError("--snr-db and --noise-var are two spellings of the same key; give one")
+    return args.noise_var if args.snr_db is None else noise_var_from_snr_db(args.snr_db)
+
+
 def _build_config(args):
-    from .config import SystemConfig, default_config, desk_config, noise_var_from_snr_db
+    from .config import SystemConfig, default_config, desk_config
 
     overrides: dict = {}
     if getattr(args, "config", None):
@@ -100,10 +109,8 @@ def _build_config(args):
         value = getattr(args, f.name, None)
         if value is not None:
             overrides[f.name] = value
-    if getattr(args, "snr_db", None) is not None:
-        if getattr(args, "noise_var", None) is not None:
-            raise _UsageError("--snr-db and --noise-var are two spellings of the same key; give one")
-        overrides["noise_var"] = noise_var_from_snr_db(args.snr_db)
+    if args.snr_db is not None:
+        overrides["noise_var"] = _noise_var_flag(args)
     if getattr(args, "angle_spread_deg", None) is not None:
         if getattr(args, "angle_spread", None) is not None:
             raise _UsageError("--angle-spread-deg and --angle-spread are two spellings of the same key; give one")
@@ -223,7 +230,7 @@ def _cmd_gen_data(args) -> int:
         gen_s = time.perf_counter() - start
         fname = f"{split}.npz"
         save_dataset(ds, out / fname)
-        per = [float(np.linalg.norm(r.h) ** 2) / cfg.n_subcarriers for r in ds.realizations]
+        per = np.sum(np.abs(ds.h) ** 2, axis=(1, 2), dtype=float) / cfg.n_subcarriers
         manifest["splits"][split] = {"file": fname, "n_samples": len(ds)}
         print(f"{split}: {len(ds)} samples in {gen_s:.2f} s -> {out / fname}  "
               f"mean |H|^2/K = {np.mean(per):.4f} (std {np.std(per):.4f})")
@@ -234,21 +241,16 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train(args) -> int:
     from .channel import load_dataset
-    from .config import SystemConfig, noise_var_from_snr_db
+    from .config import SystemConfig
     from .evaluation import standard_operator
     from .mstep import load_checkpoint, save_checkpoint
     from .training import TrainConfig, train_layerwise, write_report_csv
 
+    noise_var = _noise_var_flag(args)
     data_dir = Path(args.data)
     manifest = _load_manifest(data_dir)
     stored_cfg = SystemConfig.from_dict(manifest["config"])
-    cfg = stored_cfg
-    if args.snr_db is not None and args.noise_var is not None:
-        raise _UsageError("--snr-db and --noise-var are two spellings of the same key; give one")
-    if args.snr_db is not None:
-        cfg = cfg.replace(noise_var=noise_var_from_snr_db(args.snr_db))
-    if args.noise_var is not None:
-        cfg = cfg.replace(noise_var=args.noise_var)
+    cfg = stored_cfg if noise_var is None else stored_cfg.replace(noise_var=noise_var)
 
     datasets = tuple(
         load_dataset(data_dir / manifest["splits"][split]["file"], expect_config=stored_cfg)

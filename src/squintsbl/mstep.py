@@ -107,7 +107,7 @@ def _windows_into(cols: np.ndarray, xp: np.ndarray) -> np.ndarray:
     return cols[:m].reshape(m, -1, h * wd)
 
 
-def _correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _correlate(x: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Zero-padded same-size correlation without bias; x (B,C,H,W), w (O,C,kh,kw).
 
     Works on the side with fewer channels: for C <= O one GEMM of the
@@ -118,7 +118,7 @@ def _correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     projection (C > O) buffer within ``_BLOCK_BYTES``.  Both are allocated
     once per call at block size and reused for every block: only the
     padded buffer's interior is rewritten, so its border stays zero.
-    Each block's GEMM writes straight into its slice of the output.
+    Each block's GEMM writes straight into its slice of ``out``.
     """
     n, c, h, wd = x.shape
     o, _, kh, kw = w.shape
@@ -127,14 +127,15 @@ def _correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     work = c * kh * kw * h * wd if c <= o else o * kh * kw * hp * wp
     nb = _block_images(n, dtype.itemsize * (c * hp * wp + work))
     xp = np.zeros((nb, c, hp, wp), dtype=dtype)
+    if out is None:
+        out = np.empty((n, o, h, wd), dtype=dtype)
     if c <= o:
         kernel = w.reshape(o, -1)
         cols = np.empty((nb, c, kh, kw, h, wd), dtype=dtype)
-        out = np.empty((n, o, h, wd), dtype=dtype)
     else:
         kernel = w.transpose(0, 2, 3, 1).reshape(-1, c)
         proj = np.empty((nb, o * kh * kw, hp * wp), dtype=dtype)
-        out = np.zeros((n, o, h, wd), dtype=dtype)
+        out[...] = 0.0
     for lo in range(0, n, nb):
         xb = _pad_into(xp, x[lo:lo + nb])
         m = xb.shape[0]
@@ -157,25 +158,26 @@ def conv2d_same(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def conv2d_same_backward(x: np.ndarray, w: np.ndarray, grad_out: np.ndarray):
+def conv2d_same_backward(x: np.ndarray, w: np.ndarray, grad_out: np.ndarray,
+                         out: np.ndarray | None = None):
     """Gradients of a same-size correlation: returns (g_x, g_w, g_b).
 
     g_x is the correlation of ``grad_out`` with the flipped, transposed
-    kernel.  g_w contracts ``grad_out`` with the input windows when
-    C <= O; when C > O it contracts the padded input with a padded canvas
-    holding ``grad_out`` at each of the kh*kw offsets.  Like the forward
-    pass, g_w works through the batch in blocks of images, sized so that
-    the padded input, the windows (C <= O) or canvas (C > O) and the
-    per-image products stay within ``_BLOCK_BYTES``.  These buffers are
-    allocated once per call and reused for every block, and the
-    per-image products are added to g_w one image at a time, in batch
-    order.
+    kernel, written into ``out`` if given; it comes after every read of
+    ``x``, so ``out`` may be ``x``.  g_w contracts ``grad_out`` with the
+    input windows when C <= O; when C > O it contracts the padded input
+    with a padded canvas holding ``grad_out`` at each of the kh*kw
+    offsets.  Like the forward pass, g_w works through the batch in blocks
+    of images, sized so that the padded input, the windows (C <= O) or
+    canvas (C > O) and the per-image products stay within
+    ``_BLOCK_BYTES``.  These buffers are allocated once per call and
+    reused for every block, and the per-image products are added to g_w
+    one image at a time, in batch order.
     """
     _check_conv_shapes(x, w)
     n, c, h, wd = x.shape
     o, _, kh, kw = w.shape
     hp, wp = h + kh - 1, wd + kw - 1
-    grad_x = _correlate(grad_out, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
     dtype = np.result_type(x, grad_out)
     work = c * kh * kw * h * wd if c <= o else o * kh * kw * hp * wp
     nb = _block_images(n, dtype.itemsize * (c * hp * wp + work + o * c * kh * kw))
@@ -206,6 +208,7 @@ def conv2d_same_backward(x: np.ndarray, w: np.ndarray, grad_out: np.ndarray):
     else:
         grad_w = grad_w.reshape(o, kh, kw, c).transpose(0, 3, 1, 2)
     grad_b = grad_out.sum(axis=(0, 2, 3))
+    grad_x = _correlate(grad_out, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), out)
     return grad_x, grad_w, grad_b
 
 
@@ -339,14 +342,15 @@ def stage_forward(stage: ConvStage, feats: np.ndarray, gamma_img: np.ndarray):
 def stage_backward(stage: ConvStage, cache, g_gamma_new: np.ndarray):
     """Backprop one stage; returns (g_feats, g_gamma_prev, weight gradients as a ConvStage).
 
-    ``g_gamma_new`` is not written to.  The hidden gradient is masked in
-    place, so the only batch-sized arrays made here are the gradients
-    themselves.
+    ``g_gamma_new`` is not written to.  The cache is consumed: the hidden
+    gradient (32 MiB at B = 128 and the default size) is written over h1
+    once its ReLU mask is taken, so it needs no block that glibc may map fresh.
     """
     feats, h1, out = cache
     g_pre2 = g_gamma_new * (out > 0)
-    g_h1, g_w2, g_b2 = conv2d_same_backward(h1, stage.w2, g_pre2[:, None])
-    g_h1 *= h1 > 0
+    mask = h1 > 0
+    g_h1, g_w2, g_b2 = conv2d_same_backward(h1, stage.w2, g_pre2[:, None], out=h1)
+    g_h1 *= mask
     g_feats, g_w1, g_b1 = conv2d_same_backward(feats, stage.w1, g_h1)
     return g_feats, g_pre2, ConvStage(w1=g_w1, b1=g_b1, w2=g_w2, b2=g_b2)
 

@@ -129,8 +129,6 @@ def write_report_csv(report: TrainReport, path, cfg: SystemConfig, train_cfg: Tr
 
 def generate_splits(cfg: SystemConfig, sizes: tuple[int, int, int] = (8000, 1000, 1000)):
     """Draw disjoint train/val/test channel sets (noise is drawn later)."""
-    if any(s < 1 for s in sizes):
-        raise ValueError("split sizes must be positive")
     return (
         generate_dataset(cfg, sizes[0], "train"),
         generate_dataset(cfg, sizes[1], "val"),
@@ -151,7 +149,8 @@ class _Split:
 def _prepare_split(ds: Dataset, op: MeasurementOperator, fixed_noise: bool,
                    sigma2: float) -> _Split:
     cfg = ds.config
-    h = np.stack([r.h.astype(np.complex128) for r in ds.realizations], axis=-1)
+    # (N, K, B) but K-major in memory: hnorm2's pairwise sums, and so train's scores, round by it
+    h = ds.h.transpose(2, 1, 0).astype(np.complex128, order="C").transpose(1, 0, 2)
     hnorm2 = np.sum(np.abs(h) ** 2, axis=(0, 1))
     m = cfg.n_uses * cfg.n_rf
     yc = np.einsum("mn,nkb->mkb", op.combiner.w_bar, h, optimize=True)

@@ -177,6 +177,29 @@ def test_train_on_dataset_missing_an_array_is_an_error(tmp_path, capsys):
     assert "error:" in err and "'delay'" in err
 
 
+def test_train_on_a_split_with_inconsistent_lengths_is_an_error(tmp_path, capsys):
+    """A val.npz whose n_samples exceeds its rows ends train in error: and exit 1, not a traceback."""
+    data = tmp_path / "data"
+    assert main(["gen-data", "--scale", "desk", "--sizes", "4,2,2", "--out", str(data)]) == 0
+    kind, meta, arrays = load_container(data / "val.npz")
+    save_container(data / "val.npz", kind, {**meta, "n_samples": 3}, arrays)
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"), "--depth", "2",
+                 "--max-epochs", "1", "--batch-size", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "val.npz: n_samples is 3" in err and "'h' (2, 16, 8)" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_with_snr_db_and_noise_var_is_an_error(tmp_path, capsys):
+    """Two spellings of the noise level end train in error: and exit 1, before any file is read."""
+    assert main(["train", "--data", str(tmp_path / "absent"), "--out", str(tmp_path / "run"), "--depth", "2",
+                 "--snr-db", "10", "--noise-var", "0.1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--snr-db and --noise-var" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gen_data_and_train_files_open_with_plain_numpy(tmp_path):
     """Splits and checkpoints are .npz archives with their arrays under the usual names."""
     data, run = tmp_path / "data", tmp_path / "run"

@@ -212,6 +212,34 @@ def test_conv2d_temporaries_stay_small(rng, cin, cout):
         assert peak - sum(a.nbytes for a in outputs) < 4 << 20
 
 
+@pytest.mark.parametrize("cin,cout", [(2, 8), (8, 1)], ids=["2to8", "8to1"])
+def test_conv2d_backward_into_its_input(rng, cin, cout):
+    """out=x writes g_x over the input and gives the fresh call's gradients bit for bit."""
+    x = rng.standard_normal((3, cin, 9, 7))
+    w = rng.standard_normal((cout, cin, 3, 3))
+    g_out = rng.standard_normal((3, cout, 9, 7))
+    want = conv2d_same_backward(x, w, g_out)
+    got = conv2d_same_backward(x, w, g_out, out=x)
+    assert got[0] is x
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def test_stage_backward_allocates_no_hidden_gradient(rng):
+    """The backward's traced peak stays below one (B, hidden, 64, 64) array: g_h1 reuses h1."""
+    stage = init_stage(rng)
+    feats = rng.standard_normal((32, 2, 64, 64))
+    out, cache = stage_forward(stage, feats, rng.uniform(0.1, 1.0, (32, 64, 64)))
+    hidden_bytes = cache[1].nbytes
+    tracemalloc.start()
+    try:
+        stage_backward(stage, cache, rng.standard_normal((32, 64, 64)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < hidden_bytes
+
+
 def test_stage_threads_match_serial(rng):
     """Stages run from two threads at once, on different inputs, equal the serial results bit for bit."""
     stages = [init_stage(np.random.default_rng(seed)) for seed in (1, 2)]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from squintsbl import dictionaries, mstep, sbl, training
+from squintsbl.channel import load_dataset, save_dataset
 from squintsbl.mstep import MStepNet
 from squintsbl.sbl import DivergenceError, EstimatorSpec, run_estimator
 from squintsbl.training import (
@@ -233,25 +234,40 @@ def test_validate_keeps_no_exact_caches(desk_cfg, desk_op):
 
 def test_generate_splits(tiny_cfg):
     tr, va, te = generate_splits(tiny_cfg, (5, 3, 2))
-    assert (len(tr.realizations), len(va.realizations), len(te.realizations)) == (5, 3, 2)
+    assert (len(tr), len(va), len(te)) == (5, 3, 2)
     assert (tr.split, va.split, te.split) == ("train", "val", "test")
-    assert not np.array_equal(tr.realizations[0].h, va.realizations[0].h)
+    assert not np.array_equal(tr.h[0], va.h[0])
     tr2, _, _ = generate_splits(tiny_cfg, (5, 3, 2))
-    assert np.array_equal(tr.realizations[4].h, tr2.realizations[4].h)
+    assert np.array_equal(tr.h[4], tr2.h[4])
+    with pytest.raises(ValueError, match="test split: n_samples must be positive, got 0"):
+        generate_splits(tiny_cfg, (5, 3, 0))
 
 
 def test_prepare_split_contents(tiny_cfg, tiny_op):
     _, va, _ = generate_splits(tiny_cfg, (2, 3, 2))
     split = _prepare_split(va, tiny_op, True, tiny_cfg.noise_var)
-    assert split.h.shape[-1] == 3
+    assert split.h.shape == (tiny_cfg.n_antennas, tiny_cfg.n_subcarriers, 3)
+    assert split.h.dtype == np.complex128 and np.array_equal(split.h[:, :, 2], va.h[2])
+    # K-major in memory: the layout hnorm2's pairwise sums and the reference train score rest on
+    assert split.h.transpose(1, 0, 2).flags.c_contiguous
     assert split.noise is not None and split.noise.shape == split.y_clean.shape
     # clean measurements: whitened combiner applied per tone, stacked tone-major
-    h0 = va.realizations[0].h
-    direct = (tiny_op.combiner.w_bar @ h0).ravel(order="F")
+    direct = (tiny_op.combiner.w_bar @ va.h[0]).ravel(order="F")
     assert np.allclose(split.y_clean[:, 0], direct, atol=1e-12)
     # fixed noise is reproducible
     split2 = _prepare_split(va, tiny_op, True, tiny_cfg.noise_var)
     assert np.array_equal(split.noise, split2.noise)
+
+
+def test_prepare_split_of_a_loaded_split_is_bit_for_bit(tiny_cfg, tiny_op, tmp_path):
+    """A split saved and loaded again prepares exactly as the generated one."""
+    _, va, _ = generate_splits(tiny_cfg, (2, 5, 2))
+    save_dataset(va, tmp_path / "val.npz")
+    fresh = _prepare_split(va, tiny_op, True, tiny_cfg.noise_var)
+    loaded = _prepare_split(load_dataset(tmp_path / "val.npz"), tiny_op, True, tiny_cfg.noise_var)
+    for name in ("h", "hnorm2", "y_clean", "noise"):
+        a, b = getattr(fresh, name), getattr(loaded, name)
+        assert a.dtype == b.dtype and a.strides == b.strides and np.array_equal(a, b), name
 
 
 def test_batch_obs_noise_modes(tiny_cfg, tiny_op):
