@@ -166,13 +166,14 @@ def _load_nets(entries, cfg) -> dict:
     return nets
 
 
-def _threads(args) -> int:
-    n = getattr(args, "threads", None)
-    if n is None:
-        n = os.cpu_count() or 1
-    if n < 1:
-        raise _UsageError("--threads must be at least 1")
-    return n
+def _echo(text: str) -> None:
+    """Print a line; once stdout is closed (``| head``), point it at os.devnull so the run goes on."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _load_manifest(data_dir: Path) -> dict:
@@ -232,10 +233,10 @@ def _cmd_gen_data(args) -> int:
         save_dataset(ds, out / fname)
         per = np.sum(np.abs(ds.h) ** 2, axis=(1, 2), dtype=float) / cfg.n_subcarriers
         manifest["splits"][split] = {"file": fname, "n_samples": len(ds)}
-        print(f"{split}: {len(ds)} samples in {gen_s:.2f} s -> {out / fname}  "
+        _echo(f"{split}: {len(ds)} samples in {gen_s:.2f} s -> {out / fname}  "
               f"mean |H|^2/K = {np.mean(per):.4f} (std {np.std(per):.4f})")
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    print(f"manifest: {out / 'manifest.json'}  config {cfg.config_hash()} seed {cfg.rng_seed}")
+    _echo(f"manifest: {out / 'manifest.json'}  config {cfg.config_hash()} seed {cfg.rng_seed}")
     return 0
 
 
@@ -265,10 +266,10 @@ def _cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(net, out / "checkpoint.npz", cfg)
     write_report_csv(report, out / "training_report.csv", cfg, train_cfg)
-    print(f"trained depth {train_cfg.depth} ({net.n_stages} stages, {train_cfg.e_step} E-step) "
+    _echo(f"trained depth {train_cfg.depth} ({net.n_stages} stages, {train_cfg.e_step} E-step) "
           f"in {report.wall_time_s:.0f} s; test NMSE {report.final_test_nmse_db:.2f} dB")
-    print(f"checkpoint: {out / 'checkpoint.npz'}")
-    print(f"report:     {out / 'training_report.csv'}")
+    _echo(f"checkpoint: {out / 'checkpoint.npz'}")
+    _echo(f"report:     {out / 'training_report.csv'}")
     return 0
 
 
@@ -278,21 +279,20 @@ def _cmd_evaluate(args) -> int:
     cfg = _build_config(args)
     nets = _load_nets(args.net, cfg)
     algos = _parse_algos(args.algos, nets)
-    rows = run_tradeoff(algos, cfg, args.n_samples, nets=nets,
-                        n_iterations=args.iterations, n_workers=_threads(args))
+    rows = run_tradeoff(algos, cfg, args.n_samples, nets=nets, n_iterations=args.iterations)
     for row in rows:
         if math.isnan(row.fail_rate):
-            print(f"{row.algo}: reference only, {row.flops} FLOPs/iteration")
+            _echo(f"{row.algo}: reference only, {row.flops} FLOPs/iteration")
             continue
         nm = "n/a" if math.isnan(row.nmse_db) else f"{row.nmse_db:.2f} dB"
         line = (f"{row.algo}: NMSE {nm} over {args.n_samples} samples "
                 f"({row.iterations} iterations, {row.flops} FLOPs)")
         if row.fail_rate > 0:
             line += f", fail rate {row.fail_rate:.2f}"
-        print(line)
+        _echo(line)
     if args.out:
         write_tradeoff_csv(rows, args.out, cfg)
-        print(f"wrote {args.out}")
+        _echo(f"wrote {args.out}")
     return 0
 
 
@@ -306,14 +306,13 @@ def _cmd_sweep(args) -> int:
 
     def progress(row):
         nm = "n/a" if math.isnan(row.nmse_db) else f"{row.nmse_db:.2f} dB"
-        print(f"{row.axis}={row.value:g} {row.algo}: NMSE {nm}, fail rate {row.fail_rate:.2f}")
+        _echo(f"{row.axis}={row.value:g} {row.algo}: NMSE {nm}, fail rate {row.fail_rate:.2f}")
 
     result = run_sweep(args.axis, points, algos, cfg, args.n_samples, nets=nets,
-                       n_iterations=args.iterations, n_workers=_threads(args),
-                       progress=progress)
+                       n_iterations=args.iterations, progress=progress)
     out = args.out or f"sweep_{args.axis}.csv"
     result.write_csv(out)
-    print(f"wrote {out}")
+    _echo(f"wrote {out}")
     return 0
 
 
@@ -324,14 +323,14 @@ def _cmd_flops(args) -> int:
 
     cfg = _build_config(args)
     d = FlopsDims.from_config(cfg)
-    print(provenance_line(cfg))
-    print(f"per-iteration FLOPs of the paper's dense-product model (not this implementation's cost) "
+    _echo(provenance_line(cfg))
+    _echo(f"per-iteration FLOPs of the paper's dense-product model (not this implementation's cost) "
           f"at K={d.k}, m={d.m} per tone, G={d.g}, G_A={d.g_a}, N={d.n}")
     for algo in PER_ITERATION_FLOPS:
-        print(f"  {algo:<20} {flops_per_iteration(algo, cfg):>16,}")
-    print("reconstruction FLOPs")
+        _echo(f"  {algo:<20} {flops_per_iteration(algo, cfg):>16,}")
+    _echo("reconstruction FLOPs")
     for family in RECONSTRUCTION_FLOPS:
-        print(f"  {family:<20} {reconstruction_flops(family, cfg):>16,}")
+        _echo(f"  {family:<20} {reconstruction_flops(family, cfg):>16,}")
     return 0
 
 
@@ -383,7 +382,6 @@ def build_parser() -> _Parser:
     p.add_argument("--n-samples", type=int, default=200)
     p.add_argument("--net", action="append", metavar="ALGO=PATH", help="checkpoint for a learned algorithm")
     p.add_argument("--iterations", type=int, default=None, help="depth for the classic algorithms")
-    p.add_argument("--threads", type=int, default=None, help="sample-scoring workers (default: cores)")
     p.add_argument("--out", metavar="CSV", help="also write algo,flops,nmse_db,iterations,fail_rate; "
                    "flops is the paper's dense-product model, not this implementation's cost")
     p.set_defaults(func=_cmd_evaluate)
@@ -396,7 +394,6 @@ def build_parser() -> _Parser:
     p.add_argument("--n-samples", type=int, default=50)
     p.add_argument("--net", action="append", metavar="ALGO=PATH", help="checkpoint for a learned algorithm")
     p.add_argument("--iterations", type=int, default=None, help="depth for the classic algorithms")
-    p.add_argument("--threads", type=int, default=None, help="sample-scoring workers (default: cores)")
     p.add_argument("--out", metavar="CSV", help="output file (default sweep_<axis>.csv)")
     p.set_defaults(func=_cmd_sweep)
 

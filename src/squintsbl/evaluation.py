@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -193,17 +192,22 @@ def _point_config(cfg: SystemConfig, axis: str, value) -> SystemConfig:
     raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
 
 
-def _check_request(algos: Sequence[str], n_samples: int, nets: Mapping, known: Mapping) -> None:
+def _check_request(algos: Sequence[str], n_samples: int, nets: Mapping, known: Mapping, n_workers: int) -> None:
     """Raise ``ValueError`` for a request neither harness can score.
 
     Both harnesses call this before they assemble an operator, so a bad
-    request fails at once: ``n_samples < 1``, a name not in ``known``,
-    a learned algorithm with no network under its name in ``nets``, or
-    a network under a name that is not a learned algorithm.
+    request fails at once: ``n_samples < 1``, ``n_workers`` other than 1,
+    a name not in ``known`` or listed twice, a learned algorithm with no
+    network under its name in ``nets``, or a network under a name that
+    is not a learned algorithm.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    for algo in algos:
+    if n_workers != 1:
+        raise ValueError(f"n_workers must be 1 (samples are scored one at a time), got {n_workers!r}")
+    for i, algo in enumerate(algos):
+        if algo in algos[:i]:
+            raise ValueError(f"algorithm {algo!r} is listed twice")
         if algo not in known:
             raise ValueError(f"unknown algorithm {algo!r}; expected one of {sorted(known)}")
         if algo in _LEARNED and algo not in nets:
@@ -220,40 +224,31 @@ def score_algorithm(
     observations: Sequence[Observation],
     n_iterations: int,
     net=None,
-    n_workers: int = 1,
 ) -> tuple[float, float]:
     """(average NMSE in dB, failure rate) of one algorithm over shared data.
 
     A raised divergence (a non-finite or runaway E-step, or a failed
     posterior solve) or a non-finite result counts as a failure and is
     excluded from the average; with zero survivors the NMSE is NaN.
-    Samples are independent, so ``n_workers`` threads may score them in
-    parallel; the reduction is ordered, so results do not depend on the
-    worker count.
+    Samples are scored one after another on the calling thread.
     """
     e_step, m_step = SWEEP_ALGOS[algo]
     spec = EstimatorSpec(e_step=e_step, m_step=m_step, n_iterations=n_iterations, net=net)
 
-    def one(obs: Observation):
+    ratios = []
+    for obs in observations:
         try:
             x_hat, _ = run_estimator(spec, op, obs.y, op.config.noise_var)
         except DivergenceError:
-            return None
+            continue
         ratio = nmse(obs.h, reconstruct_channel(op.dicts, x_hat))[0]
-        return ratio if math.isfinite(ratio) else None
-
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=min(n_workers, len(observations))) as pool:
-            results = list(pool.map(one, observations))
-    else:
-        results = [one(obs) for obs in observations]
-    ratios = [r for r in results if r is not None]
-    failures = sum(1 for r in results if r is None)
-    return average_nmse_db(ratios), failures / len(observations)
+        if math.isfinite(ratio):
+            ratios.append(ratio)
+    return average_nmse_db(ratios), (len(observations) - len(ratios)) / len(observations)
 
 
 def _score_point(algos: Sequence[str], cfg: SystemConfig, point_index: int, n_samples: int,
-                 nets: Mapping, n_iterations: int | None, n_workers: int):
+                 nets: Mapping, n_iterations: int | None):
     """Score runnable ``algos`` on one shared draw at ``cfg``.
 
     Assembles the operator, draws the point's observations, then yields
@@ -268,7 +263,7 @@ def _score_point(algos: Sequence[str], cfg: SystemConfig, point_index: int, n_sa
     for algo in algos:
         net = nets[algo] if algo in _LEARNED else None
         n_iter = classic_depth if net is None else net.n_stages + 1
-        nmse_db, fail_rate = score_algorithm(algo, op, observations, n_iter, net, n_workers)
+        nmse_db, fail_rate = score_algorithm(algo, op, observations, n_iter, net)
         flops = flops_per_iteration(algo, cfg) * n_iter + reconstruction_flops("AD", cfg)
         yield algo, n_iter, flops, nmse_db, fail_rate
 
@@ -339,10 +334,11 @@ def run_sweep(
     always come from the network's stage count.
 
     Raises ``ValueError``, before any operator is assembled, for an
-    unknown axis, an empty ``points``, ``n_samples < 1``, an algorithm
-    the harness cannot run, a learned algorithm with no entry in
-    ``nets``, or a point whose config is invalid, such as a use count
-    that is not a whole number.
+    unknown axis, an empty ``points``, ``n_samples < 1``, ``n_workers``
+    other than 1, an algorithm the harness cannot run or one listed
+    twice, a learned algorithm with no entry in ``nets``, or a point
+    whose config is invalid, such as a use count that is not a whole
+    number.
     """
     axis = axis.lower()
     if axis not in SWEEP_AXES:
@@ -351,12 +347,12 @@ def run_sweep(
     if not points:
         raise ValueError("no sweep points given")
     nets = nets or {}
-    _check_request(algos, n_samples, nets, SWEEP_ALGOS)
+    _check_request(algos, n_samples, nets, SWEEP_ALGOS, n_workers)
     point_cfgs = [_point_config(cfg, axis, value) for value in points]
     rows: list[SweepRow] = []
     for pi, (value, cfg_point) in enumerate(zip(points, point_cfgs)):
         for algo, _, flops, nmse_db, fail_rate in _score_point(
-                algos, cfg_point, pi, n_samples, nets, n_iterations, n_workers):
+                algos, cfg_point, pi, n_samples, nets, n_iterations):
             row = SweepRow(axis, float(value), algo, nmse_db, n_samples, flops, fail_rate)
             rows.append(row)
             if progress is not None:
@@ -392,17 +388,17 @@ def run_tradeoff(
     on the complexity axis of a tradeoff plot.
 
     Raises ``ValueError``, before the operator is assembled, for
-    ``n_samples < 1``, for a name that is neither runnable nor in the
-    complexity table, and for a learned algorithm with no entry in
-    ``nets``.
+    ``n_samples < 1``, ``n_workers`` other than 1, a name that is
+    neither runnable nor in the complexity table or one listed twice,
+    and a learned algorithm with no entry in ``nets``.
     """
     nets = nets or {}
-    _check_request(algos, n_samples, nets, PER_ITERATION_FLOPS)
+    _check_request(algos, n_samples, nets, PER_ITERATION_FLOPS, n_workers)
     runnable = [algo for algo in algos if algo in SWEEP_ALGOS]
     scored = {}
     if runnable:
         for algo, n_iter, flops, nmse_db, fail_rate in _score_point(
-                runnable, cfg, 0, n_samples, nets, n_iterations, n_workers):
+                runnable, cfg, 0, n_samples, nets, n_iterations):
             scored[algo] = TradeoffRow(algo, flops, nmse_db, n_iter, fail_rate)
     return [scored[algo] if algo in scored else TradeoffRow(algo, flops_per_iteration(algo, cfg), math.nan, 1)
             for algo in algos]

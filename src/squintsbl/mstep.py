@@ -76,8 +76,8 @@ def _check_conv_shapes(x: np.ndarray, w: np.ndarray) -> None:
 
 # Budget for the block-sized temporaries of one convolution call.  A block
 # is as many images as fit in it, at least one: at 64x64 with 8 channels,
-# one image.  The buffers are allocated per call, never kept here, because
-# evaluation runs refiners from several threads at once.
+# one image.  The buffers are allocated per call, never kept here, so
+# callers may run refiners from several threads at once.
 _BLOCK_BYTES = 1 << 20
 
 

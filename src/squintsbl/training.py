@@ -190,7 +190,8 @@ def unroll_forward(op: MeasurementOperator, y: np.ndarray, sigma2: float,
     iteration is the same :func:`~squintsbl.sbl.step`.  Returns the final
     posterior mean (G, B) and the steps' caches for :func:`unroll_backward`.
     At the default size and B = 128 an AMP iteration with a refiner stage
-    holds about 84 MB; an exact one also holds one 4 MB S^-1 per column.
+    holds about 84 MB; an exact one keeps only gamma, sigma^2, u and d,
+    and the backward rebuilds each column's S^-1.
     """
     spec = EstimatorSpec(e_step=e_step, m_step="learned", n_iterations=depth, net=net)
     r, state = start_state(op, y)

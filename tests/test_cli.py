@@ -139,7 +139,7 @@ def test_desk_round_trip(tmp_path):
     assert main(["train", "--data", str(data), "--out", str(run), "--depth", "2",
                  "--max-epochs", "1", "--batch-size", "4"]) == 0
     net = f"amp-sbl-unfolding={run / 'checkpoint.npz'}"
-    common = ["--scale", "desk", "--net", net, "--n-samples", "2", "--iterations", "3", "--threads", "1"]
+    common = ["--scale", "desk", "--net", net, "--n-samples", "2", "--iterations", "3"]
     eval_csv, sweep_csv = tmp_path / "eval.csv", tmp_path / "sweep.csv"
     assert main(["evaluate", *common, "--out", str(eval_csv)]) == 0
     assert main(["sweep", *common, "--axis", "snr", "--points", "0,10", "--out", str(sweep_csv)]) == 0
@@ -293,3 +293,38 @@ def test_package_import_defaults_to_one_blas_thread(preset, expected):
     code = "import os, squintsbl; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == str(expected)
+
+
+@pytest.mark.parametrize("command", [["evaluate", "--algos", "sbl,amp-sbl"],
+                                     ["sweep", "--axis", "snr", "--points", "0,10", "--algos", "sbl"]],
+                         ids=["evaluate", "sweep"])
+def test_closed_stdout_still_writes_the_csv(command, tmp_path, monkeypatch, capsys):
+    """A stdout whose writes raise BrokenPipeError stops the printing, not the run: exit 0, the CSV written."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader: every write to the pipe raises BrokenPipeError
+    out = tmp_path / "out.csv"
+    with open(write_end, "w") as closed_stdout:
+        monkeypatch.setattr(sys, "stdout", closed_stdout)
+        assert main([*command, "--scale", "desk", "--n-samples", "2", "--iterations", "3", "--out", str(out)]) == 0
+        # the first failed write pointed the descriptor at os.devnull
+        assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+    assert out.read_text().splitlines()[0] == provenance_line(desk_config())
+    assert capsys.readouterr().err == ""
+
+
+def test_sweep_into_a_closed_pipe_exits_cleanly(tmp_path):
+    """As `squintsbl sweep ... | head -n 1` once head has left: exit 0, the CSV written, nothing on stderr."""
+    src = Path(squintsbl.__file__).resolve().parents[1]
+    # stdout block-buffered, as by default, so that output left over from a failed write reaches the exit flush
+    env = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}, "PYTHONPATH": str(src)}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "squintsbl.cli", "sweep", "--scale", "desk", "--axis", "snr",
+                               "--points", "0:20:5", "--algos", "sbl", "--n-samples", "2", "--iterations", "3",
+                               "--out", "s.csv"], cwd=tmp_path, env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len((tmp_path / "s.csv").read_text().splitlines()) == 2 + 5

@@ -161,13 +161,6 @@ def test_score_algorithm_finite(desk_cfg, desk_op):
     assert fail == 0.0
 
 
-def test_score_algorithm_worker_invariance(desk_cfg, desk_op):
-    obs = draw_eval_observations(desk_op, 0, 6)
-    a = score_algorithm("sbl", desk_op, obs, 4, n_workers=1)
-    b = score_algorithm("sbl", desk_op, obs, 4, n_workers=3)
-    assert a == b
-
-
 def test_score_algorithm_counts_divergence(desk_cfg, desk_op):
     """Sample index 5 at this geometry diverges under the classic recursion."""
     obs = draw_eval_observations(desk_op, 0, 6)
@@ -275,20 +268,22 @@ def _sweep_one_point(algos, cfg, n_samples, **kwargs):
 
 
 @pytest.mark.parametrize("harness", [run_tradeoff, _sweep_one_point], ids=["tradeoff", "sweep"])
-@pytest.mark.parametrize("algos, n_samples, net_names, match", [
-    (["sbl"], 0, ["amp-sbl-unfolding"], "n_samples"),
-    (["sbl", "nope"], 2, ["amp-sbl-unfolding"], "unknown algorithm 'nope'"),
-    (["sbl", "sbl-unfolding"], 2, ["amp-sbl-unfolding"], "no trained network supplied for 'sbl-unfolding'"),
-    (["sbl"], 2, ["amp-sbl-unfolding", "sbl"], "'sbl', which is not a learned algorithm"),
-], ids=["zero-samples", "unknown-algo", "missing-net", "net-for-classic"])
-def test_bad_request_rejected_before_assembly(harness, algos, n_samples, net_names, match, desk_cfg,
+@pytest.mark.parametrize("algos, n_samples, net_names, n_workers, match", [
+    (["sbl"], 0, ["amp-sbl-unfolding"], 1, "n_samples"),
+    (["sbl", "nope"], 2, ["amp-sbl-unfolding"], 1, "unknown algorithm 'nope'"),
+    (["sbl", "sbl-unfolding"], 2, ["amp-sbl-unfolding"], 1, "no trained network supplied for 'sbl-unfolding'"),
+    (["sbl"], 2, ["amp-sbl-unfolding", "sbl"], 1, "'sbl', which is not a learned algorithm"),
+    (["sbl", "amp-sbl", "sbl"], 2, [], 1, "algorithm 'sbl' is listed twice"),
+    (["sbl"], 2, [], 2, r"n_workers must be 1 .*got 2"),
+], ids=["zero-samples", "unknown-algo", "missing-net", "net-for-classic", "repeated-algo", "two-workers"])
+def test_bad_request_rejected_before_assembly(harness, algos, n_samples, net_names, n_workers, match, desk_cfg,
                                               monkeypatch):
     """Both harnesses share one request check, run before any operator exists."""
     calls = []
     monkeypatch.setattr(evaluation, "standard_operator", lambda cfg: calls.append(cfg))
     nets = {name: MStepNet.create(2, np.random.default_rng(0)) for name in net_names}
     with pytest.raises(ValueError, match=match):
-        harness(algos, desk_cfg, n_samples, nets=nets)
+        harness(algos, desk_cfg, n_samples, nets=nets, n_workers=n_workers)
     assert calls == []
 
 
