@@ -75,8 +75,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                        metavar="N" if kind is int else "X", help=_KEY_HELP[name])
     g.add_argument("--snr-db", type=float, default=None, metavar="DB",
                    help="sets noise-var to 10^(-snr/10)")
-    g.add_argument("--angle-spread-deg", type=float, default=None, metavar="DEG",
-                   help="angle spread in degrees")
 
 
 def _noise_var_flag(args) -> float | None:
@@ -111,10 +109,6 @@ def _build_config(args):
             overrides[f.name] = value
     if args.snr_db is not None:
         overrides["noise_var"] = _noise_var_flag(args)
-    if getattr(args, "angle_spread_deg", None) is not None:
-        if getattr(args, "angle_spread", None) is not None:
-            raise _UsageError("--angle-spread-deg and --angle-spread are two spellings of the same key; give one")
-        overrides["angle_spread"] = math.radians(args.angle_spread_deg)
 
     if getattr(args, "scale", "default") == "desk":
         return desk_config(**overrides)
@@ -143,11 +137,18 @@ def _parse_points(text: str) -> list[float]:
     return vals
 
 
+def _classic_algos() -> list[str]:
+    """The algorithms ``evaluate`` and ``sweep`` run when --algos is not given."""
+    from .evaluation import ALGORITHMS
+
+    return [algo for algo, entry in ALGORITHMS.items() if not entry.learned]
+
+
 def _parse_algos(text: str | None, nets: dict) -> list[str]:
     if text:
         return [a.strip() for a in text.split(",") if a.strip()]
-    extra = sorted(a for a in nets if a not in ("sbl", "amp-sbl"))
-    return ["sbl", "amp-sbl"] + extra
+    classic = _classic_algos()
+    return classic + sorted(a for a in nets if a not in classic)
 
 
 def _load_nets(entries, cfg) -> dict:
@@ -281,9 +282,6 @@ def _cmd_evaluate(args) -> int:
     algos = _parse_algos(args.algos, nets)
     rows = run_tradeoff(algos, cfg, args.n_samples, nets=nets, n_iterations=args.iterations)
     for row in rows:
-        if math.isnan(row.fail_rate):
-            _echo(f"{row.algo}: reference only, {row.flops} FLOPs/iteration")
-            continue
         nm = "n/a" if math.isnan(row.nmse_db) else f"{row.nmse_db:.2f} dB"
         line = (f"{row.algo}: NMSE {nm} over {args.n_samples} samples "
                 f"({row.iterations} iterations, {row.flops} FLOPs)")
@@ -318,19 +316,16 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_flops(args) -> int:
     from .config import provenance_line
-    from .evaluation import (PER_ITERATION_FLOPS, RECONSTRUCTION_FLOPS, FlopsDims, flops_per_iteration,
-                             reconstruction_flops)
+    from .evaluation import ALGORITHMS, FlopsDims, flops_per_iteration, reconstruction_flops
 
     cfg = _build_config(args)
     d = FlopsDims.from_config(cfg)
     _echo(provenance_line(cfg))
     _echo(f"per-iteration FLOPs of the paper's dense-product model (not this implementation's cost) "
           f"at K={d.k}, m={d.m} per tone, G={d.g}, G_A={d.g_a}, N={d.n}")
-    for algo in PER_ITERATION_FLOPS:
+    for algo in ALGORITHMS:
         _echo(f"  {algo:<20} {flops_per_iteration(algo, cfg):>16,}")
-    _echo("reconstruction FLOPs")
-    for family in RECONSTRUCTION_FLOPS:
-        _echo(f"  {family:<20} {reconstruction_flops(family, cfg):>16,}")
+    _echo(f"reconstruction FLOPs per estimate: {reconstruction_flops(cfg):,}")
     return 0
 
 
@@ -376,9 +371,10 @@ def build_parser() -> _Parser:
     p.add_argument("--noise-var", type=float, default=None, help="override the dataset's noise level")
     p.set_defaults(func=_cmd_train)
 
+    algos_help = f"comma list (default: {','.join(_classic_algos())} plus any --net)"
     p = sub.add_parser("evaluate", help="score estimators at one operating point")
     _add_config_flags(p)
-    p.add_argument("--algos", metavar="LIST", help="comma list (default: sbl,amp-sbl plus any --net)")
+    p.add_argument("--algos", metavar="LIST", help=algos_help)
     p.add_argument("--n-samples", type=int, default=200)
     p.add_argument("--net", action="append", metavar="ALGO=PATH", help="checkpoint for a learned algorithm")
     p.add_argument("--iterations", type=int, default=None, help="depth for the classic algorithms")
@@ -390,7 +386,7 @@ def build_parser() -> _Parser:
     _add_config_flags(p)
     p.add_argument("--axis", choices=SWEEP_AXES, required=True)
     p.add_argument("--points", required=True, metavar="SPEC", help="comma list or start:stop:step")
-    p.add_argument("--algos", metavar="LIST", help="comma list (default: sbl,amp-sbl plus any --net)")
+    p.add_argument("--algos", metavar="LIST", help=algos_help)
     p.add_argument("--n-samples", type=int, default=50)
     p.add_argument("--net", action="append", metavar="ALGO=PATH", help="checkpoint for a learned algorithm")
     p.add_argument("--iterations", type=int, default=None, help="depth for the classic algorithms")

@@ -6,9 +6,9 @@ dB last, so the reported number is the mean error energy fraction, and
 a single lucky reconstruction cannot drag the average toward -inf.
 
 Complexity numbers are symbolic real-FLOP expressions evaluated over
-the configured dimensions.  Two reference-only rows are kept in the
-table so tradeoff plots can place known baselines on the complexity
-axis without those algorithms being implemented here.
+the configured dimensions.  Each estimator has one entry in
+``ALGORITHMS``, which gives its E-step, its M-step and its cost per
+iteration, so every row a harness writes has both an NMSE and a cost.
 """
 
 from __future__ import annotations
@@ -35,16 +35,6 @@ from .sbl import DivergenceError, EstimatorSpec, run_estimator
 NMSE_FLOOR_DB = -120.0
 
 SWEEP_AXES = ("snr", "q")
-
-# Estimator variants the sweep harness can actually run, as
-# (e_step, m_step) pairs understood by the solver module.
-SWEEP_ALGOS: Mapping[str, tuple[str, str]] = {
-    "sbl": ("exact", "classic"),
-    "sbl-unfolding": ("exact", "learned"),
-    "amp-sbl": ("amp", "classic"),
-    "amp-sbl-unfolding": ("amp", "learned"),
-}
-_LEARNED = {algo for algo, (_, m_step) in SWEEP_ALGOS.items() if m_step == "learned"}
 
 
 # ---- scoring ----------------------------------------------------------------
@@ -106,49 +96,49 @@ class FlopsDims:
         )
 
 
-# Real FLOPs for one estimator iteration.  The first four rows are the
-# implemented angular-delay estimators; the last two are reference
-# positions for the tradeoff plane (not implemented in this package);
-# ``squintsbl flops`` prints every row of this table and the next.
-# Classic AMP-SBL's message-passing products cost 20 real FLOPs per
-# measurement-grid product, and its update |mu|^2 + tau four per grid point.
+@dataclass(frozen=True)
+class Algorithm:
+    """One estimator: the E-step and M-step the solver module runs, and its real FLOPs per iteration."""
+
+    e_step: str
+    m_step: str
+    flops: Callable[[FlopsDims], int]
+
+    @property
+    def learned(self) -> bool:
+        return self.m_step == "learned"
+
+
+# Every estimator the harnesses run, in the order ``squintsbl flops``
+# prints them.  Classic AMP-SBL's message-passing products cost 20 real
+# FLOPs per measurement-grid product, its update |mu|^2 + tau four per
+# grid point, and the learned refiner 432 per grid point.
 # This is the paper's dense-product complexity model, which multiplies
 # by the full M x G sensing matrix; it is not this implementation's cost.
 # The per-tone operator runs an exact E-step in about M^2 G_A + M^3 and
 # an AMP E-step in about 20 K G_A (G_D + m) per column (see the E-step
 # docstrings in the solver module).  The values stay as the paper's so
 # that tradeoff plots place every row on the same scale.
-PER_ITERATION_FLOPS: Mapping[str, Callable[[FlopsDims], int]] = {
-    "sbl": lambda d: 16 * (d.k * d.m) ** 2 * d.g,
-    "sbl-unfolding": lambda d: (16 * (d.k * d.m) ** 2 + 432) * d.g,
-    "amp-sbl": lambda d: (20 * d.k * d.m + 4) * d.g,
-    "amp-sbl-unfolding": lambda d: (20 * d.k * d.m + 432) * d.g,
-    "sbl-af": lambda d: 16 * d.k * d.m ** 2 * d.g_a,
-    "lista-reference": lambda d: 4 * d.k * ((4 * d.m + 256) * d.n + 32768),
-}
-
-# Mapping the estimated sparse vector back to an antenna-frequency
-# channel: per-tone angular synthesis for both families, plus the
-# delay-grid mixing that only the angular-delay family performs.
-RECONSTRUCTION_FLOPS: Mapping[str, Callable[[FlopsDims], int]] = {
-    "AF": lambda d: 8 * d.k * d.g_a * d.n,
-    "AD": lambda d: 8 * d.k * d.g_a * d.n + 8 * d.k * d.g,
+ALGORITHMS: Mapping[str, Algorithm] = {
+    "sbl": Algorithm("exact", "classic", lambda d: 16 * (d.k * d.m) ** 2 * d.g),
+    "sbl-unfolding": Algorithm("exact", "learned", lambda d: (16 * (d.k * d.m) ** 2 + 432) * d.g),
+    "amp-sbl": Algorithm("amp", "classic", lambda d: (20 * d.k * d.m + 4) * d.g),
+    "amp-sbl-unfolding": Algorithm("amp", "learned", lambda d: (20 * d.k * d.m + 432) * d.g),
 }
 
 
 def flops_per_iteration(algo: str, cfg: SystemConfig) -> int:
     """Per-iteration real-FLOP count of ``algo`` at the configured sizes."""
-    if algo not in PER_ITERATION_FLOPS:
-        raise ValueError(f"unknown algorithm {algo!r}; known: {sorted(PER_ITERATION_FLOPS)}")
-    return int(PER_ITERATION_FLOPS[algo](FlopsDims.from_config(cfg)))
+    if algo not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algo!r}; known: {sorted(ALGORITHMS)}")
+    return int(ALGORITHMS[algo].flops(FlopsDims.from_config(cfg)))
 
 
-def reconstruction_flops(family: str, cfg: SystemConfig) -> int:
-    """Cost of mapping the sparse estimate back to the channel ("AF" or "AD")."""
-    family = family.upper()
-    if family not in RECONSTRUCTION_FLOPS:
-        raise ValueError(f"unknown estimator family {family!r}; known: {sorted(RECONSTRUCTION_FLOPS)}")
-    return int(RECONSTRUCTION_FLOPS[family](FlopsDims.from_config(cfg)))
+def reconstruction_flops(cfg: SystemConfig) -> int:
+    """Cost of mapping the sparse estimate back to the channel: per-tone
+    angular synthesis plus the delay-grid mixing."""
+    d = FlopsDims.from_config(cfg)
+    return 8 * d.k * d.g_a * d.n + 8 * d.k * d.g
 
 
 # ---- sweep harness ----------------------------------------------------------
@@ -192,30 +182,37 @@ def _point_config(cfg: SystemConfig, axis: str, value) -> SystemConfig:
     raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
 
 
-def _check_request(algos: Sequence[str], n_samples: int, nets: Mapping, known: Mapping, n_workers: int) -> None:
+def _check_request(algos: Sequence[str], n_samples: int, nets: Mapping, n_iterations: int | None,
+                   n_workers: int) -> None:
     """Raise ``ValueError`` for a request neither harness can score.
 
     Both harnesses call this before they assemble an operator, so a bad
-    request fails at once: ``n_samples < 1``, ``n_workers`` other than 1,
-    a name not in ``known`` or listed twice, a learned algorithm with no
-    network under its name in ``nets``, or a network under a name that
-    is not a learned algorithm.
+    request fails at once: no algorithms, ``n_samples < 1``,
+    ``n_iterations < 0``, ``n_workers`` other than 1, a name not in
+    ``ALGORITHMS`` or listed twice, a learned algorithm with no network
+    under its name in ``nets``, or a network under a name that is not a
+    learned algorithm.
     """
+    if not algos:
+        raise ValueError("no algorithms given")
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
+    if n_iterations is not None and n_iterations < 0:
+        raise ValueError(f"n_iterations must be non-negative, got {n_iterations}")
     if n_workers != 1:
         raise ValueError(f"n_workers must be 1 (samples are scored one at a time), got {n_workers!r}")
+    learned = sorted(algo for algo, entry in ALGORITHMS.items() if entry.learned)
     for i, algo in enumerate(algos):
         if algo in algos[:i]:
             raise ValueError(f"algorithm {algo!r} is listed twice")
-        if algo not in known:
-            raise ValueError(f"unknown algorithm {algo!r}; expected one of {sorted(known)}")
-        if algo in _LEARNED and algo not in nets:
+        if algo not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {algo!r}; expected one of {sorted(ALGORITHMS)}")
+        if algo in learned and algo not in nets:
             raise ValueError(f"no trained network supplied for {algo!r}")
     for name in nets:
-        if name not in _LEARNED:
+        if name not in learned:
             raise ValueError(f"a network was supplied for {name!r}, which is not a learned algorithm; "
-                             f"learned: {sorted(_LEARNED)}")
+                             f"learned: {learned}")
 
 
 def score_algorithm(
@@ -232,8 +229,8 @@ def score_algorithm(
     excluded from the average; with zero survivors the NMSE is NaN.
     Samples are scored one after another on the calling thread.
     """
-    e_step, m_step = SWEEP_ALGOS[algo]
-    spec = EstimatorSpec(e_step=e_step, m_step=m_step, n_iterations=n_iterations, net=net)
+    entry = ALGORITHMS[algo]
+    spec = EstimatorSpec(e_step=entry.e_step, m_step=entry.m_step, n_iterations=n_iterations, net=net)
 
     ratios = []
     for obs in observations:
@@ -249,7 +246,7 @@ def score_algorithm(
 
 def _score_point(algos: Sequence[str], cfg: SystemConfig, point_index: int, n_samples: int,
                  nets: Mapping, n_iterations: int | None):
-    """Score runnable ``algos`` on one shared draw at ``cfg``.
+    """Score ``algos`` on one shared draw at ``cfg``.
 
     Assembles the operator, draws the point's observations, then yields
     ``(algo, iterations, total FLOPs, NMSE dB, failure rate)`` as each
@@ -261,10 +258,10 @@ def _score_point(algos: Sequence[str], cfg: SystemConfig, point_index: int, n_sa
     observations = draw_eval_observations(op, point_index, n_samples)
     classic_depth = cfg.n_iterations if n_iterations is None else n_iterations
     for algo in algos:
-        net = nets[algo] if algo in _LEARNED else None
+        net = nets[algo] if ALGORITHMS[algo].learned else None
         n_iter = classic_depth if net is None else net.n_stages + 1
         nmse_db, fail_rate = score_algorithm(algo, op, observations, n_iter, net)
-        flops = flops_per_iteration(algo, cfg) * n_iter + reconstruction_flops("AD", cfg)
+        flops = flops_per_iteration(algo, cfg) * n_iter + reconstruction_flops(cfg)
         yield algo, n_iter, flops, nmse_db, fail_rate
 
 
@@ -334,11 +331,11 @@ def run_sweep(
     always come from the network's stage count.
 
     Raises ``ValueError``, before any operator is assembled, for an
-    unknown axis, an empty ``points``, ``n_samples < 1``, ``n_workers``
-    other than 1, an algorithm the harness cannot run or one listed
-    twice, a learned algorithm with no entry in ``nets``, or a point
-    whose config is invalid, such as a use count that is not a whole
-    number.
+    unknown axis, an empty ``points`` or ``algos``, ``n_samples < 1``,
+    ``n_iterations < 0``, ``n_workers`` other than 1, an algorithm not
+    in ``ALGORITHMS`` or one listed twice, a learned algorithm with no
+    entry in ``nets``, or a point whose config is invalid, such as a use
+    count that is not a whole number.
     """
     axis = axis.lower()
     if axis not in SWEEP_AXES:
@@ -347,7 +344,7 @@ def run_sweep(
     if not points:
         raise ValueError("no sweep points given")
     nets = nets or {}
-    _check_request(algos, n_samples, nets, SWEEP_ALGOS, n_workers)
+    _check_request(algos, n_samples, nets, n_iterations, n_workers)
     point_cfgs = [_point_config(cfg, axis, value) for value in points]
     rows: list[SweepRow] = []
     for pi, (value, cfg_point) in enumerate(zip(points, point_cfgs)):
@@ -369,7 +366,7 @@ class TradeoffRow:
     flops: int
     nmse_db: float
     iterations: int
-    fail_rate: float = math.nan
+    fail_rate: float
 
 
 def run_tradeoff(
@@ -380,32 +377,22 @@ def run_tradeoff(
     n_iterations: int | None = None,
     n_workers: int = 1,
 ) -> list[TradeoffRow]:
-    """Total-cost versus accuracy points at the configured operating point.
+    """Total-cost versus accuracy points at the configured operating point,
+    every algorithm scored over the same fresh samples.
 
-    Runnable algorithms are scored over fresh shared samples.  A
-    reference-only name from the complexity table yields its
-    per-iteration cost with an empty NMSE, which is enough to place it
-    on the complexity axis of a tradeoff plot.
-
-    Raises ``ValueError``, before the operator is assembled, for
-    ``n_samples < 1``, ``n_workers`` other than 1, a name that is
-    neither runnable nor in the complexity table or one listed twice,
-    and a learned algorithm with no entry in ``nets``.
+    Raises ``ValueError``, before the operator is assembled, for an
+    empty ``algos``, ``n_samples < 1``, ``n_iterations < 0``,
+    ``n_workers`` other than 1, a name not in ``ALGORITHMS`` or one
+    listed twice, and a learned algorithm with no entry in ``nets``.
     """
     nets = nets or {}
-    _check_request(algos, n_samples, nets, PER_ITERATION_FLOPS, n_workers)
-    runnable = [algo for algo in algos if algo in SWEEP_ALGOS]
-    scored = {}
-    if runnable:
-        for algo, n_iter, flops, nmse_db, fail_rate in _score_point(
-                runnable, cfg, 0, n_samples, nets, n_iterations):
-            scored[algo] = TradeoffRow(algo, flops, nmse_db, n_iter, fail_rate)
-    return [scored[algo] if algo in scored else TradeoffRow(algo, flops_per_iteration(algo, cfg), math.nan, 1)
-            for algo in algos]
+    _check_request(algos, n_samples, nets, n_iterations, n_workers)
+    return [TradeoffRow(algo, flops, nmse_db, n_iter, fail_rate)
+            for algo, n_iter, flops, nmse_db, fail_rate in _score_point(algos, cfg, 0, n_samples, nets, n_iterations)]
 
 
 def write_tradeoff_csv(rows: Sequence[TradeoffRow], path, cfg: SystemConfig) -> None:
-    """One row per algorithm; a reference-only row leaves nmse_db and fail_rate empty."""
+    """One row per algorithm; nmse_db is empty when every sample failed."""
     with open(path, "w", newline="") as fh:
         fh.write(provenance_line(cfg) + "\n")
         writer = csv.writer(fh)

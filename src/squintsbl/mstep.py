@@ -26,10 +26,9 @@ call's temporaries (the zero-bordered input plus the windows,
 projection or canvas) within ``_BLOCK_BYTES`` (1 MiB), and at least
 one; at 64x64 with 8 channels that is one image.  Each call allocates
 these buffers once at block size and reuses them for every block, so
-its memory beyond the arrays it returns does not grow with the batch,
-and calls from different threads share nothing.  The backward
-pass uses the same two forms, recomputing the slices instead of
-keeping them from the forward pass.
+its memory beyond the arrays it returns does not grow with the batch.
+The backward pass uses the same two forms, recomputing the slices
+instead of keeping them from the forward pass.
 """
 
 from __future__ import annotations
@@ -76,8 +75,7 @@ def _check_conv_shapes(x: np.ndarray, w: np.ndarray) -> None:
 
 # Budget for the block-sized temporaries of one convolution call.  A block
 # is as many images as fit in it, at least one: at 64x64 with 8 channels,
-# one image.  The buffers are allocated per call, never kept here, so
-# callers may run refiners from several threads at once.
+# one image.  The buffers are allocated per call, never kept here.
 _BLOCK_BYTES = 1 << 20
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from .channel import build_channel, draw_paths
+from .cli import _echo
 from .config import default_config, desk_config, spawn_rng
 from .dictionaries import (
     FREQUENCY_DEPENDENT,
@@ -29,6 +30,7 @@ from .dictionaries import (
     synthesis_matrix,
 )
 from .evaluation import (
+    ALGORITHMS,
     average_nmse_db,
     draw_eval_observations,
     flops_per_iteration,
@@ -289,16 +291,19 @@ def check_recursion_gradients() -> str:
 
 
 def check_complexity_table() -> str:
-    """Worked values of the symbolic complexity expressions."""
-    cfg = default_config()
-    sbl, af = flops_per_iteration("sbl", cfg), reconstruction_flops("AF", cfg)
-    for name, got, want in (("amp-sbl-unfolding", flops_per_iteration("amp-sbl-unfolding", cfg), 43_712_512),
-                            ("sbl", sbl, 17_179_869_184),
-                            ("sbl-unfolding - sbl", flops_per_iteration("sbl-unfolding", cfg) - sbl, 1_769_472),
-                            ("AF reconstruction", af, 8 * 32 * 64 * 32),
-                            ("AD - AF reconstruction", reconstruction_flops("AD", cfg) - af, 8 * 32 * 4096)):
-        np.testing.assert_(got == want, f"{name}: {got} FLOPs, worked value {want}")
-    return "five worked values match"
+    """Worked values of every row of the complexity table, keyed by the steps it runs, and of reconstruction."""
+    cfg = default_config()  # K m = 32 * 16 = 512 measurements, G = 4096, G_A = 64, N = 32
+    worked = {
+        ("exact", "classic"): 16 * 512**2 * 4096,
+        ("exact", "learned"): (16 * 512**2 + 432) * 4096,
+        ("amp", "classic"): (20 * 512 + 4) * 4096,
+        ("amp", "learned"): (20 * 512 + 432) * 4096,
+        "reconstruction": 8 * 32 * 64 * 32 + 8 * 32 * 4096,
+    }
+    got = {(e.e_step, e.m_step): flops_per_iteration(algo, cfg) for algo, e in ALGORITHMS.items()}
+    got["reconstruction"] = reconstruction_flops(cfg)
+    np.testing.assert_(got == worked, f"FLOPs {got}, worked values {worked}")
+    return f"{len(ALGORITHMS)} algorithms and reconstruction match their worked values"
 
 
 def check_squint_dictionary() -> str:
@@ -342,7 +347,7 @@ CHECKS = (
 
 
 def run(verbose: bool = True) -> int:
-    """Run every check; returns the number of failures."""
+    """Run every check, printing as the CLI does; returns the number of failures."""
     failures = 0
     for name, fn in CHECKS:
         t0 = time.time()
@@ -350,12 +355,12 @@ def run(verbose: bool = True) -> int:
             detail = fn()
         except Exception as exc:  # a failed check must not stop the rest
             failures += 1
-            print(f"FAIL {name}: {exc}")
+            _echo(f"FAIL {name}: {exc}")
             continue
         if verbose:
-            print(f"ok   {name}: {detail} ({time.time() - t0:.1f} s)")
+            _echo(f"ok   {name}: {detail} ({time.time() - t0:.1f} s)")
     if failures:
-        print(f"{failures} of {len(CHECKS)} checks failed")
+        _echo(f"{failures} of {len(CHECKS)} checks failed")
     else:
-        print(f"all {len(CHECKS)} checks passed")
+        _echo(f"all {len(CHECKS)} checks passed")
     return failures

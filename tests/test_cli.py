@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 import squintsbl
+from squintsbl import evaluation
 from squintsbl.cli import _KEY_HELP, _UsageError, _parse_points, build_parser, main
 from squintsbl.config import SystemConfig, desk_config, provenance_line
 from squintsbl.data_io import load_container, save_container
-from squintsbl.evaluation import PER_ITERATION_FLOPS, SWEEP_ALGOS, SWEEP_AXES, flops_per_iteration
+from squintsbl.evaluation import ALGORITHMS, SWEEP_AXES, Algorithm, flops_per_iteration
 from squintsbl.mstep import MStepNet, save_checkpoint
 from squintsbl.sbl import E_STEPS
 from squintsbl.training import TrainConfig
@@ -83,18 +84,44 @@ def test_every_config_field_has_a_flag():
             flag = actions[f.name]
             assert flag.help == _KEY_HELP[f.name] and flag.default is None, (command, f.name)
             assert flag.type is type(f.default), (command, f.name)
+    # one flag per key; --snr-db is the only second spelling
+    assert set(_actions("flops")) == {f.name for f in fields} | {"help", "config", "scale", "snr_db"}
+
+
+def _flops_rows(out: str) -> list[list[str]]:
+    """The per-iteration rows `flops` printed, each [algo, count], then its reconstruction line."""
+    lines = out.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("per-iteration")) + 1
+    return [line.split() for line in lines[start:-1]] + [lines[-1]]
 
 
 def test_flops_prints_every_table_row_once(capsys):
-    assert set(SWEEP_ALGOS) <= set(PER_ITERATION_FLOPS)  # runnable algorithms have a cost row
     assert main(["flops", "--scale", "desk"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == provenance_line(desk_config())
-    start = next(i for i, line in enumerate(lines) if line.startswith("per-iteration")) + 1
-    rows = [line.split() for line in lines[start:lines.index("reconstruction FLOPs")]]
-    assert [row[0] for row in rows] == list(PER_ITERATION_FLOPS)
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == provenance_line(desk_config())
+    *rows, reconstruction = _flops_rows(out)
+    assert [row[0] for row in rows] == ["sbl", "sbl-unfolding", "amp-sbl", "amp-sbl-unfolding"]
     for algo, count in rows:
         assert int(count.replace(",", "")) == flops_per_iteration(algo, desk_config())
+    assert reconstruction == "reconstruction FLOPs per estimate: 32,768"
+
+
+def test_algorithm_names_come_from_the_table(capsys, monkeypatch):
+    """A new ALGORITHMS entry is a flops row, part of evaluate's default list, and accepted by the harness."""
+    table = {**ALGORITHMS, "sbl-copy": Algorithm("exact", "classic", lambda d: 7)}
+    monkeypatch.setattr(evaluation, "ALGORITHMS", table)
+    assert main(["flops", "--scale", "desk"]) == 0
+    *rows, _ = _flops_rows(capsys.readouterr().out)
+    assert rows[-1] == ["sbl-copy", "7"] and [row[0] for row in rows] == list(table)
+    assert main(["evaluate", "--scale", "desk", "--n-samples", "1", "--iterations", "1"]) == 0
+    scored = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+    assert scored == [algo for algo, entry in table.items() if not entry.learned] == ["sbl", "amp-sbl", "sbl-copy"]
+
+
+@pytest.mark.parametrize("name", ["sbl-af", "lista-reference"])
+def test_evaluate_formula_only_name_is_an_error(name, capsys):
+    assert main(["evaluate", "--scale", "desk", "--algos", name]) == 1
+    assert capsys.readouterr().err.startswith(f"error: unknown algorithm '{name}'")
 
 
 def test_parser_choices_and_defaults_come_from_the_library():
@@ -312,19 +339,33 @@ def test_closed_stdout_still_writes_the_csv(command, tmp_path, monkeypatch, caps
     assert capsys.readouterr().err == ""
 
 
-def test_sweep_into_a_closed_pipe_exits_cleanly(tmp_path):
-    """As `squintsbl sweep ... | head -n 1` once head has left: exit 0, the CSV written, nothing on stderr."""
+def _run_into_closed_pipe(args: list[str], cwd) -> subprocess.CompletedProcess:
+    """Run ``python args`` with stdout a pipe whose reader has gone, as `... | head -n 1` once head has left."""
     src = Path(squintsbl.__file__).resolve().parents[1]
     # stdout block-buffered, as by default, so that output left over from a failed write reaches the exit flush
     env = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}, "PYTHONPATH": str(src)}
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run([sys.executable, "-m", "squintsbl.cli", "sweep", "--scale", "desk", "--axis", "snr",
-                               "--points", "0:20:5", "--algos", "sbl", "--n-samples", "2", "--iterations", "3",
-                               "--out", "s.csv"], cwd=tmp_path, env=env,
-                              stdout=write_end, stderr=subprocess.PIPE, text=True)
+        return subprocess.run([sys.executable, *args], cwd=cwd, env=env, stdout=write_end,
+                              stderr=subprocess.PIPE, text=True)
     finally:
         os.close(write_end)
+
+
+def test_sweep_into_a_closed_pipe_exits_cleanly(tmp_path):
+    """As `squintsbl sweep ... | head -n 1` once head has left: exit 0, the CSV written, nothing on stderr."""
+    proc = _run_into_closed_pipe(["-m", "squintsbl.cli", "sweep", "--scale", "desk", "--axis", "snr",
+                                  "--points", "0:20:5", "--algos", "sbl", "--n-samples", "2", "--iterations", "3",
+                                  "--out", "s.csv"], tmp_path)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert len((tmp_path / "s.csv").read_text().splitlines()) == 2 + 5
+
+
+def test_selftest_into_a_closed_pipe_exits_cleanly(tmp_path):
+    """selftest prints through the same guard as sweep: exit 0 and nothing on stderr once stdout's reader has gone."""
+    # one fast check: what is tested is the printing, not the checks
+    code = ("import sys; from squintsbl import cli, selftest; "
+            "selftest.CHECKS = (('hand instance', selftest.check_hand_instance),); sys.exit(cli.main(['selftest']))")
+    proc = _run_into_closed_pipe(["-c", code], tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")

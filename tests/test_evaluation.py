@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 from squintsbl import evaluation
 from squintsbl.config import default_config, desk_config, noise_var_from_snr_db
 from squintsbl.evaluation import (
+    ALGORITHMS,
     NMSE_FLOOR_DB,
-    PER_ITERATION_FLOPS,
-    RECONSTRUCTION_FLOPS,
     FlopsDims,
     SweepRow,
     SweepResult,
@@ -85,20 +84,28 @@ def test_flops_expressions_symbolic(k, m, g, g_a, n):
     """The table rows, written out independently from the dims."""
     dims = FlopsDims(k=k, m=m, g=g, g_a=g_a, n=n)
     km = k * m
-    assert PER_ITERATION_FLOPS["sbl"](dims) == 16 * km**2 * g
-    assert PER_ITERATION_FLOPS["sbl-unfolding"](dims) == (16 * km**2 + 432) * g
-    assert PER_ITERATION_FLOPS["amp-sbl-unfolding"](dims) == (20 * km + 432) * g
-    assert PER_ITERATION_FLOPS["sbl-af"](dims) == 16 * k * m**2 * g_a
-    assert PER_ITERATION_FLOPS["lista-reference"](dims) == 4 * k * ((4 * m + 256) * n + 32768)
-    assert RECONSTRUCTION_FLOPS["AF"](dims) == 8 * k * g_a * n
-    assert RECONSTRUCTION_FLOPS["AD"](dims) == 8 * k * g_a * n + 8 * k * g
+    assert {algo: entry.flops(dims) for algo, entry in ALGORITHMS.items()} == {
+        "sbl": 16 * km**2 * g,
+        "sbl-unfolding": (16 * km**2 + 432) * g,
+        "amp-sbl": (20 * km + 4) * g,
+        "amp-sbl-unfolding": (20 * km + 432) * g,
+    }
+
+
+def test_algorithm_table_steps():
+    """Each entry names steps the solver runs; learned is read from the M-step."""
+    assert {algo: (e.e_step, e.m_step, e.learned) for algo, e in ALGORITHMS.items()} == {
+        "sbl": ("exact", "classic", False),
+        "sbl-unfolding": ("exact", "learned", True),
+        "amp-sbl": ("amp", "classic", False),
+        "amp-sbl-unfolding": ("amp", "learned", True),
+    }
 
 
 def test_flops_unknown_names(desk_cfg):
-    with pytest.raises(ValueError, match="unknown algorithm 'who'"):
-        flops_per_iteration("who", desk_cfg)
-    with pytest.raises(ValueError, match="unknown estimator family 'XY'"):
-        reconstruction_flops("xy", desk_cfg)
+    for name in ("who", "sbl-af", "lista-reference"):
+        with pytest.raises(ValueError, match=f"unknown algorithm '{name}'"):
+            flops_per_iteration(name, desk_cfg)
 
 
 def test_flops_dims_from_config():
@@ -112,10 +119,9 @@ def test_flops_worked_values_default_config():
     assert flops_per_iteration("amp-sbl-unfolding", cfg) == 43_712_512
     assert flops_per_iteration("sbl", cfg) == 17_179_869_184
     assert flops_per_iteration("sbl-unfolding", cfg) - flops_per_iteration("sbl", cfg) == 1_769_472
-    assert flops_per_iteration("sbl-af", cfg) == 8_388_608
-    assert flops_per_iteration("lista-reference", cfg) == 5_505_024
-    assert reconstruction_flops("af", cfg) == 524_288
-    assert reconstruction_flops("ad", cfg) == 1_572_864
+    # per-tone angular synthesis 8 K G_A N plus delay mixing 8 K G
+    assert reconstruction_flops(cfg) == 524_288 + 1_048_576
+    assert reconstruction_flops(desk_config()) == 32_768
 
 
 def test_classic_amp_iteration_flops():
@@ -267,6 +273,26 @@ def _sweep_one_point(algos, cfg, n_samples, **kwargs):
     return run_sweep("snr", [10.0], algos, cfg, n_samples, **kwargs)
 
 
+def _no_assembly(*args, **kwargs):
+    raise AssertionError("operator assembled before the request check")
+
+
+@pytest.mark.parametrize("harness", [run_tradeoff, _sweep_one_point], ids=["tradeoff", "sweep"])
+def test_negative_depth_rejected_before_assembly(harness, desk_cfg, monkeypatch):
+    monkeypatch.setattr(evaluation, "standard_operator", _no_assembly)
+    with pytest.raises(ValueError, match="n_iterations must be non-negative, got -1"):
+        harness(["sbl"], desk_cfg, 1, n_iterations=-1)
+
+
+@pytest.mark.parametrize("harness", [run_tradeoff, _sweep_one_point], ids=["tradeoff", "sweep"])
+@pytest.mark.parametrize("name", ["sbl-af", "lista-reference"])
+def test_formula_only_names_are_unknown_algorithms(harness, name, desk_cfg, monkeypatch):
+    """Names with a FLOP formula and no estimator have no ALGORITHMS entry, so neither harness takes them."""
+    monkeypatch.setattr(evaluation, "standard_operator", _no_assembly)
+    with pytest.raises(ValueError, match=f"unknown algorithm '{name}'"):
+        harness(["sbl", name], desk_cfg, 2)
+
+
 @pytest.mark.parametrize("harness", [run_tradeoff, _sweep_one_point], ids=["tradeoff", "sweep"])
 @pytest.mark.parametrize("algos, n_samples, net_names, n_workers, match", [
     (["sbl"], 0, ["amp-sbl-unfolding"], 1, "n_samples"),
@@ -275,7 +301,9 @@ def _sweep_one_point(algos, cfg, n_samples, **kwargs):
     (["sbl"], 2, ["amp-sbl-unfolding", "sbl"], 1, "'sbl', which is not a learned algorithm"),
     (["sbl", "amp-sbl", "sbl"], 2, [], 1, "algorithm 'sbl' is listed twice"),
     (["sbl"], 2, [], 2, r"n_workers must be 1 .*got 2"),
-], ids=["zero-samples", "unknown-algo", "missing-net", "net-for-classic", "repeated-algo", "two-workers"])
+    ([], 2, [], 1, "no algorithms given"),
+], ids=["zero-samples", "unknown-algo", "missing-net", "net-for-classic", "repeated-algo", "two-workers",
+        "no-algos"])
 def test_bad_request_rejected_before_assembly(harness, algos, n_samples, net_names, n_workers, match, desk_cfg,
                                               monkeypatch):
     """Both harnesses share one request check, run before any operator exists."""
@@ -338,14 +366,13 @@ def test_snr_points_map_to_noise_var(desk_cfg):
 # ---- iteration/flops tradeoff -----------------------------------------------
 
 def test_run_tradeoff_rows(desk_cfg):
-    rows = run_tradeoff(["sbl", "amp-sbl", "lista-reference"], desk_cfg, 2,
-                        n_iterations=3)
-    by_algo = {r.algo: r for r in rows}
-    assert math.isnan(by_algo["lista-reference"].nmse_db)  # reference-only row
-    assert by_algo["lista-reference"].iterations == 1
-    assert np.isfinite(by_algo["sbl"].nmse_db)
-    assert by_algo["sbl"].iterations == 3
-    assert by_algo["sbl"].flops > by_algo["amp-sbl"].flops
+    rows = run_tradeoff(["amp-sbl", "sbl"], desk_cfg, 2, n_iterations=3)
+    assert [r.algo for r in rows] == ["amp-sbl", "sbl"]
+    for row in rows:
+        assert np.isfinite(row.nmse_db) and 0.0 <= row.fail_rate <= 1.0
+        assert row.iterations == 3
+        assert row.flops == 3 * flops_per_iteration(row.algo, desk_cfg) + reconstruction_flops(desk_cfg)
+    assert rows[1].flops > rows[0].flops
 
 
 def test_run_tradeoff_net_required(desk_cfg):
@@ -368,7 +395,7 @@ def test_tradeoff_learned_uses_net_stages(desk_cfg, desk_op):
 
 def test_tradeoff_csv(desk_cfg, tmp_path):
     rows = [TradeoffRow(algo="sbl", flops=100, nmse_db=-3.0, iterations=5, fail_rate=0.25),
-            TradeoffRow(algo="lista-reference", flops=7, nmse_db=math.nan, iterations=1)]
+            TradeoffRow(algo="amp-sbl", flops=7, nmse_db=math.nan, iterations=3, fail_rate=1.0)]
     out = tmp_path / "t.csv"
     write_tradeoff_csv(rows, out, desk_cfg)
     lines = out.read_text().strip().splitlines()
@@ -376,5 +403,5 @@ def test_tradeoff_csv(desk_cfg, tmp_path):
     assert lines[1] == "algo,flops,nmse_db,iterations,fail_rate"
     assert lines[2].startswith("sbl,100,")
     assert lines[2].endswith(",0.2500")
-    # a reference-only row carries neither an NMSE nor a failure rate
-    assert lines[3] == "lista-reference,7,,1,"
+    # a row where every sample failed has no NMSE
+    assert lines[3] == "amp-sbl,7,,3,1.0000"

@@ -20,7 +20,7 @@ from squintsbl.sbl import (
 )
 from squintsbl.channel import build_channel, draw_paths
 from squintsbl.config import spawn_rng
-from squintsbl.evaluation import SWEEP_ALGOS, draw_eval_observations
+from squintsbl.evaluation import ALGORITHMS, draw_eval_observations
 from squintsbl.measurement import observe_and_transform, operator_from_matrix
 
 from conftest import crandn
@@ -436,7 +436,7 @@ def _scaled_net(n_stages: int) -> MStepNet:
     return net
 
 
-@pytest.mark.parametrize("algo", list(SWEEP_ALGOS))
+@pytest.mark.parametrize("algo", list(ALGORITHMS))
 def test_run_estimator_batch_columns_match_vector_calls(desk_cfg, desk_op, algo):
     """Column j of an (M, 3) run is the vector run on y[:, j].
 
@@ -445,9 +445,9 @@ def test_run_estimator_batch_columns_match_vector_calls(desk_cfg, desk_op, algo)
     gives it a vector, and the two sum in different orders, so its
     columns match to rounding.
     """
-    e_step, m_step = SWEEP_ALGOS[algo]
-    net = _scaled_net(4) if m_step == "learned" else None
-    spec = EstimatorSpec(e_step=e_step, m_step=m_step, n_iterations=5, net=net)
+    entry = ALGORITHMS[algo]
+    net = _scaled_net(4) if entry.learned else None
+    spec = EstimatorSpec(e_step=entry.e_step, m_step=entry.m_step, n_iterations=5, net=net)
     y = np.stack([obs.y for obs in draw_eval_observations(desk_op, 0, 3)], axis=1)
     x_batch, trace = run_estimator(spec, desk_op, y, desk_cfg.noise_var)
     assert x_batch.shape == (desk_cfg.grid_total, 3)
