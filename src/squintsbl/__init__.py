@@ -21,8 +21,6 @@ from .channel import (
     build_channel,
     draw_paths,
     generate_dataset,
-    load_dataset,
-    save_dataset,
     steering_vector,
 )
 from .dictionaries import (

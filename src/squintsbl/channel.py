@@ -16,12 +16,11 @@ N-exponential form and an independent outer-product-per-path form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import SPLIT_IDS, SystemConfig, spawn_rng, subcarrier_freqs
-from .data_io import load_container, save_container
 
 
 def steering_vector(n: int, z) -> np.ndarray:
@@ -42,13 +41,11 @@ def steering_vector(n: int, z) -> np.ndarray:
 
 @dataclass
 class PathSet:
-    """All random parameters of one channel draw, or of a split's draws.
+    """All random parameters of one channel draw.
 
     Per-subpath arrays have length N_c * N_p with subpath p belonging to
     cluster p // N_p.  ``delay`` is clamped at zero; the raw Laplacian
     offsets are kept so the configured spreads remain observable.
-    A :class:`Dataset` holds its n draws in one PathSet whose fields
-    carry a leading sample axis: (n, N_c * N_p) or (n, N_c).
     """
 
     gain: np.ndarray          # complex, standard circular Gaussian
@@ -130,7 +127,7 @@ def build_channel(cfg: SystemConfig, paths: PathSet) -> np.ndarray:
     direct N*K*P exponentials the largest entry differs by ~1.4e-14 of
     the largest |H| at N = 32; both round at O(N eps) in phase.  Stored
     as complex64, 12 of the 10.24 million entries of the default
-    ``gen-data`` splits move by one ulp in one component.
+    training splits move by one ulp in one component.
     """
     n = cfg.n_antennas
     f = subcarrier_freqs(cfg)                                    # (K,)
@@ -143,14 +140,15 @@ def build_channel(cfg: SystemConfig, paths: PathSet) -> np.ndarray:
 
 @dataclass
 class Dataset:
-    """A split of n channels and the config that drew them, sample-major as on disk.
+    """A split of n channels and the config that drew them, sample-major.
 
-    ``h`` is (n, N, K) complex64; ``paths`` is one PathSet whose fields lead with n.
+    ``h`` is (n, N, K) complex64: the stored reference scores of the
+    ``train`` benchmark were recorded on complex64 channels, so widening
+    it would move them.
     """
 
     split: str
     h: np.ndarray
-    paths: PathSet
     config: SystemConfig
 
     def __len__(self) -> int:
@@ -161,9 +159,9 @@ def generate_dataset(cfg: SystemConfig, n_samples: int, split: str = "train") ->
     """Draw ``n_samples`` channels on the split's own seed substream.
 
     Each sample gets an independent child stream keyed by (split, index),
-    so datasets are reproducible regardless of generation order and the
-    three canonical splits never overlap.  ``h`` is complex64, matching
-    the on-disk payload exactly.
+    so a split is a pure function of (config, seed, split, size),
+    reproducible regardless of generation order, and the three
+    canonical splits never overlap.
     """
     split_id = SPLIT_IDS.get(split)
     if split_id is None:
@@ -171,61 +169,6 @@ def generate_dataset(cfg: SystemConfig, n_samples: int, split: str = "train") ->
     if n_samples < 1:
         raise ValueError(f"{split} split: n_samples must be positive, got {n_samples}")
     h = np.empty((n_samples, cfg.n_antennas, cfg.n_subcarriers), dtype=np.complex64)
-    draws = []
     for i in range(n_samples):
-        draws.append(draw_paths(cfg, spawn_rng(cfg.rng_seed, "channel", split_id, i)))
-        h[i] = build_channel(cfg, draws[-1])
-    paths = PathSet(**{f.name: np.array([getattr(d, f.name) for d in draws]) for f in fields(PathSet)})
-    return Dataset(split=split, h=h, paths=paths, config=cfg)
-
-
-# ---- persistence ------------------------------------------------------------
-
-_DATASET_KIND = "channel-dataset"
-
-
-def save_dataset(ds: Dataset, path) -> None:
-    """Write a dataset container: ``h`` as complex64, then each PathSet field at full width."""
-    meta = {
-        "config": ds.config.to_dict(),
-        "config_hash": ds.config.config_hash(),
-        "split": ds.split,
-        "n_samples": len(ds),
-    }
-    arrays = {"h": ds.h.astype(np.complex64, copy=False)}
-    arrays.update((f.name, getattr(ds.paths, f.name)) for f in fields(PathSet))
-    save_container(path, _DATASET_KIND, meta, arrays)
-
-
-def load_dataset(path, expect_config: SystemConfig | None = None) -> Dataset:
-    """Read a dataset container; optionally insist on a matching config.
-
-    A missing meta key or array, an unknown split name, an array whose
-    leading axis is not ``n_samples`` long, or an ``h`` whose channels are
-    not the config's (N, K) raises ``ValueError`` naming it.
-    """
-    _, meta, arrays = load_container(path, expect_kind=_DATASET_KIND)
-    for key in ("n_samples", "config", "split"):
-        if key not in meta:
-            raise ValueError(f"{path}: dataset has no {key!r} entry")
-    names = ["h"] + [f.name for f in fields(PathSet)]
-    missing = [name for name in names if name not in arrays]
-    if missing:
-        raise ValueError(f"{path}: dataset has no {', '.join(map(repr, missing))} array")
-    cfg = SystemConfig.from_dict(meta["config"])
-    if expect_config is not None and cfg != expect_config:
-        raise ValueError(
-            f"dataset config hash {cfg.config_hash()} does not match expected "
-            f"{expect_config.config_hash()}"
-        )
-    if meta["split"] not in SPLIT_IDS:
-        raise ValueError(f"{path}: unknown split {meta['split']!r}; expected one of {sorted(SPLIT_IDS)}")
-    n = meta["n_samples"]
-    short = [f"{name!r} {arrays[name].shape}" for name in names if arrays[name].shape[:1] != (n,)]
-    if short:
-        raise ValueError(f"{path}: n_samples is {n!r}, but arrays {', '.join(short)} do not have {n!r} rows")
-    if arrays["h"].shape[1:] != (cfg.n_antennas, cfg.n_subcarriers):
-        raise ValueError(f"{path}: array 'h' holds {arrays['h'].shape[1:]} channels, but the config's "
-                         f"(n_antennas, n_subcarriers) is {(cfg.n_antennas, cfg.n_subcarriers)}")
-    return Dataset(split=meta["split"], h=arrays["h"], config=cfg,
-                   paths=PathSet(**{f.name: arrays[f.name] for f in fields(PathSet)}))
+        h[i] = build_channel(cfg, draw_paths(cfg, spawn_rng(cfg.rng_seed, "channel", split_id, i)))
+    return Dataset(split=split, h=h, config=cfg)

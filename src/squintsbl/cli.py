@@ -1,9 +1,11 @@
-"""Command-line front end: data generation, training, evaluation, sweeps.
+"""Command-line front end: training, evaluation, sweeps, the complexity table and the self checks.
 
 Subcommands share one convention for system parameters: every config
 key has a flag of the same name, and precedence is flag > config file >
-built-in default.  All output files embed the config hash and the seed,
-so results stay traceable to the exact setup that produced them.
+built-in default.  ``train`` draws its channel splits from that config
+and its seed, so a run needs no data files.  All output files embed the
+config hash and the seed, so results stay traceable to the exact setup
+that produced them.
 
 Exit codes: 0 success, 1 usage or validation error, 2 numerical
 failure (a divergence outside the contexts where it is an expected
@@ -77,20 +79,11 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                    help="sets noise-var to 10^(-snr/10)")
 
 
-def _noise_var_flag(args) -> float | None:
-    """The noise variance --snr-db or --noise-var gives, None without either; both is a usage error."""
-    from .config import noise_var_from_snr_db
-
-    if args.snr_db is not None and args.noise_var is not None:
-        raise _UsageError("--snr-db and --noise-var are two spellings of the same key; give one")
-    return args.noise_var if args.snr_db is None else noise_var_from_snr_db(args.snr_db)
-
-
 def _build_config(args):
-    from .config import SystemConfig, default_config, desk_config
+    from .config import SystemConfig, default_config, desk_config, noise_var_from_snr_db
 
     overrides: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             file_vals = json.loads(Path(args.config).read_text())
         except json.JSONDecodeError as exc:
@@ -104,13 +97,15 @@ def _build_config(args):
         overrides.update(file_vals)
 
     for f in dataclasses.fields(SystemConfig):
-        value = getattr(args, f.name, None)
+        value = getattr(args, f.name)
         if value is not None:
             overrides[f.name] = value
     if args.snr_db is not None:
-        overrides["noise_var"] = _noise_var_flag(args)
+        if args.noise_var is not None:
+            raise _UsageError("--snr-db and --noise-var are two spellings of the same key; give one")
+        overrides["noise_var"] = noise_var_from_snr_db(args.snr_db)
 
-    if getattr(args, "scale", "default") == "desk":
+    if args.scale == "desk":
         return desk_config(**overrides)
     return default_config(**overrides)
 
@@ -177,89 +172,37 @@ def _echo(text: str) -> None:
         os.close(devnull)
 
 
-def _load_manifest(data_dir: Path) -> dict:
-    """The manifest ``gen-data`` wrote; ``ValueError`` naming the first part it lacks."""
-    path = data_dir / "manifest.json"
-    manifest = json.loads(path.read_text())
-    if not isinstance(manifest, dict):
-        raise ValueError(f"{path} must hold a JSON object")
-    for key in ("config", "splits"):
-        if not isinstance(manifest.get(key), dict):
-            raise ValueError(f"{path} has no {key!r} object")
-    for split in ("train", "val", "test"):
-        entry = manifest["splits"].get(split)
-        if not isinstance(entry, dict):
-            raise ValueError(f"{path} has no split {split!r}")
-        if "file" not in entry:
-            raise ValueError(f"{path}: split {split!r} has no 'file'")
-    return manifest
-
-
 # ---- subcommands ------------------------------------------------------------
 
 
-def _cmd_gen_data(args) -> int:
-    import numpy as np
-
-    from .channel import generate_dataset, save_dataset
-
-    cfg = _build_config(args)
-    if args.sizes:
-        try:
-            sizes = tuple(int(s) for s in args.sizes.split(","))
-        except ValueError as exc:
-            raise _UsageError(f"--sizes wants three integers, got {args.sizes!r}") from exc
-        if len(sizes) != 3:
-            raise _UsageError("--sizes wants train,val,test")
-    else:
-        sizes = (2000, 250, 250) if args.scale == "desk" else (8000, 1000, 1000)
+def _parse_sizes(text: str | None, scale: str) -> tuple[int, int, int]:
+    """The train,val,test split sizes --sizes gives, or the scale's defaults."""
+    if not text:
+        return (2000, 250, 250) if scale == "desk" else (8000, 1000, 1000)
+    try:
+        sizes = tuple(int(s) for s in text.split(","))
+    except ValueError as exc:
+        raise _UsageError(f"--sizes wants three integers, got {text!r}") from exc
+    if len(sizes) != 3:
+        raise _UsageError("--sizes wants train,val,test")
     if any(n < 1 for n in sizes):
         raise _UsageError("split sizes must be positive")
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "kind": "dataset-manifest",
-        "config": cfg.to_dict(),
-        "config_hash": cfg.config_hash(),
-        "seed": cfg.rng_seed,
-        "splits": {},
-    }
-    for split, n in zip(("train", "val", "test"), sizes):
-        # the generation time is printed, never written to the manifest, which stays deterministic
-        start = time.perf_counter()
-        ds = generate_dataset(cfg, n, split)
-        gen_s = time.perf_counter() - start
-        fname = f"{split}.npz"
-        save_dataset(ds, out / fname)
-        per = np.sum(np.abs(ds.h) ** 2, axis=(1, 2), dtype=float) / cfg.n_subcarriers
-        manifest["splits"][split] = {"file": fname, "n_samples": len(ds)}
-        _echo(f"{split}: {len(ds)} samples in {gen_s:.2f} s -> {out / fname}  "
-              f"mean |H|^2/K = {np.mean(per):.4f} (std {np.std(per):.4f})")
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    _echo(f"manifest: {out / 'manifest.json'}  config {cfg.config_hash()} seed {cfg.rng_seed}")
-    return 0
+    return sizes
 
 
 def _cmd_train(args) -> int:
-    from .channel import load_dataset
-    from .config import SystemConfig
     from .evaluation import standard_operator
     from .mstep import load_checkpoint, save_checkpoint
-    from .training import TrainConfig, train_layerwise, write_report_csv
+    from .training import TrainConfig, generate_splits, train_layerwise, write_report_csv
 
-    noise_var = _noise_var_flag(args)
-    data_dir = Path(args.data)
-    manifest = _load_manifest(data_dir)
-    stored_cfg = SystemConfig.from_dict(manifest["config"])
-    cfg = stored_cfg if noise_var is None else stored_cfg.replace(noise_var=noise_var)
-
-    datasets = tuple(
-        load_dataset(data_dir / manifest["splits"][split]["file"], expect_config=stored_cfg)
-        for split in ("train", "val", "test")
-    )
+    cfg = _build_config(args)
+    sizes = _parse_sizes(args.sizes, args.scale)
     train_cfg = TrainConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)})
     initial = load_checkpoint(args.resume) if args.resume else None
+    start = time.perf_counter()
+    datasets = generate_splits(cfg, sizes)
+    _echo(f"drew {'/'.join(map(str, sizes))} train/val/test channels in {time.perf_counter() - start:.2f} s "
+          f"(config {cfg.config_hash()} seed {cfg.rng_seed})")
     op = standard_operator(cfg)
     net, report = train_layerwise(train_cfg, cfg, op, datasets, initial_net=initial)
 
@@ -348,17 +291,12 @@ def build_parser() -> _Parser:
                      description="Wideband hybrid-array channel estimation toolkit")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("gen-data", help="draw train/val/test channel sets")
+    p = sub.add_parser("train", help="layer-wise training of the learned variance update",
+                       description="Draw the train/val/test channel splits from the config's seed, then "
+                       "grow the unfolded estimator from depth 2 to --depth, retraining the |mu|^2, "
+                       "tau -> gamma refiner end to end on the mean channel NMSE after each added stage.")
     _add_config_flags(p)
     p.add_argument("--sizes", metavar="TR,VA,TE", help="split sizes (default 8000,1000,1000; desk 2000,250,250)")
-    p.add_argument("--out", default="data", metavar="DIR", help="output directory")
-    p.set_defaults(func=_cmd_gen_data)
-
-    p = sub.add_parser("train", help="layer-wise training of the learned variance update",
-                       description="Grow the unfolded estimator from depth 2 to --depth, retraining "
-                       "the |mu|^2, tau -> gamma refiner end to end on the mean channel NMSE after "
-                       "each added stage.")
-    p.add_argument("--data", required=True, metavar="DIR", help="directory from gen-data")
     p.add_argument("--out", default="run", metavar="DIR", help="output directory")
     train_types = typing.get_type_hints(TrainConfig)
     for f in dataclasses.fields(TrainConfig):
@@ -367,8 +305,6 @@ def build_parser() -> _Parser:
                        default=None if required else f.default,
                        choices=E_STEPS if f.name == "e_step" else None, help=_TRAIN_HELP.get(f.name))
     p.add_argument("--resume", metavar="CKPT", help="existing checkpoint to append stages to")
-    p.add_argument("--snr-db", type=float, default=None, help="override the dataset's noise level")
-    p.add_argument("--noise-var", type=float, default=None, help="override the dataset's noise level")
     p.set_defaults(func=_cmd_train)
 
     algos_help = f"comma list (default: {','.join(_classic_algos())} plus any --net)"

@@ -1,4 +1,4 @@
-"""Datasets and checkpoints as plain ``np.savez`` archives, which ``np.load(path, allow_pickle=False)`` opens.
+"""Checkpoints as plain ``np.savez`` archives, which ``np.load(path, allow_pickle=False)`` opens.
 
 One ``.npy`` member per array, in order, and a reserved ``__meta__`` member: a 0-d string of canonical JSON
 ``{"kind": ..., "meta": {...}}``.  Member CRC-32s catch a flipped byte; a failed read raises ContainerError.
@@ -40,7 +40,7 @@ def load_container(path, expect_kind: str | None = None):
             if isinstance(archive, np.ndarray):
                 raise ContainerError(f"{path}: a bare .npy array, not an .npz archive")
             if META_KEY not in archive.files:
-                raise ContainerError(f"{path}: no {META_KEY!r} entry, so not a dataset or checkpoint")
+                raise ContainerError(f"{path}: no {META_KEY!r} entry, so not a checkpoint")
             header = json.loads(str(archive[META_KEY]))
             kind, meta = header["kind"], header["meta"]
             if expect_kind is not None and kind != expect_kind:

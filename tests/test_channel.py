@@ -1,21 +1,9 @@
-from dataclasses import fields
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from squintsbl.channel import (
-    PathSet,
-    build_channel,
-    draw_paths,
-    generate_dataset,
-    load_dataset,
-    save_dataset,
-    steering_vector,
-)
+from squintsbl.channel import PathSet, build_channel, draw_paths, generate_dataset, steering_vector
 from squintsbl.config import SPLIT_IDS, default_config, desk_config, spawn_rng, subcarrier_freqs
-from squintsbl.data_io import ContainerError, load_container, save_container
-from squintsbl.mstep import load_checkpoint
 
 from oracles import channel_direct_form, channel_matrix_form
 
@@ -220,87 +208,10 @@ def test_generate_dataset_split_streams():
 
 @pytest.mark.parametrize("split", sorted(SPLIT_IDS))
 def test_generate_dataset_is_sample_major(split):
-    """Row i of h and of every PathSet field is the i-th channel drawn on its own, h cast to complex64."""
+    """Row i of h is the i-th channel drawn on its own, cast to complex64."""
     cfg = desk_config()
     ds = generate_dataset(cfg, 3, split)
     assert ds.h.shape == (3, cfg.n_antennas, cfg.n_subcarriers) and ds.h.dtype == np.complex64
     for i in range(3):
         paths = draw_paths(cfg, spawn_rng(cfg.rng_seed, "channel", SPLIT_IDS[split], i))
         assert np.array_equal(ds.h[i], build_channel(cfg, paths).astype(np.complex64))
-        for f in fields(PathSet):
-            row = getattr(ds.paths, f.name)[i]
-            assert row.dtype == getattr(paths, f.name).dtype, f.name
-            assert np.array_equal(row, getattr(paths, f.name)), f.name
-
-
-def test_dataset_roundtrip(tmp_path):
-    cfg = desk_config()
-    ds = generate_dataset(cfg, 4, "val")
-    path = tmp_path / "val.npz"
-    save_dataset(ds, path)
-    back = load_dataset(path, expect_config=cfg)
-    assert back.split == "val"
-    assert len(back) == 4
-    assert back.h.dtype == np.complex64 and np.array_equal(back.h, ds.h)
-    for f in fields(PathSet):
-        assert np.array_equal(getattr(back.paths, f.name), getattr(ds.paths, f.name)), f.name
-    with pytest.raises(ValueError):
-        load_dataset(path, expect_config=cfg.replace(n_antennas=8))
-    with pytest.raises(ContainerError):
-        load_checkpoint(path)  # wrong container kind
-
-
-@pytest.mark.parametrize("key", ["delay", "h", "n_samples", "config", "split"])
-def test_load_dataset_names_missing_key(tmp_path, key):
-    """A dataset without one of its arrays or meta keys is a ValueError naming it."""
-    path = tmp_path / "val.npz"
-    save_dataset(generate_dataset(desk_config(), 2, "val"), path)
-    kind, meta, arrays = load_container(path)
-    meta.pop(key, None)
-    arrays.pop(key, None)
-    save_container(path, kind, meta, arrays)
-    with pytest.raises(ValueError, match=f"no '{key}'"):
-        load_dataset(path)
-
-
-def _resave(path, meta_changes=None, **array_changes):
-    """Rewrite a saved split with some metadata and arrays replaced."""
-    kind, meta, arrays = load_container(path)
-    save_container(path, kind, {**meta, **(meta_changes or {})}, {**arrays, **array_changes})
-
-
-@pytest.mark.parametrize("n_samples, rows", [(3, 2), (1, 2), (2, 1)],
-                         ids=["n-samples-over", "n-samples-under", "short-gain"])
-def test_load_dataset_refuses_inconsistent_lengths(tmp_path, n_samples, rows):
-    """Arrays whose leading axis disagrees with n_samples are a ValueError naming them."""
-    path = tmp_path / "val.npz"
-    ds = generate_dataset(desk_config(), 2, "val")
-    save_dataset(ds, path)
-    if rows == 1:
-        _resave(path, gain=ds.paths.gain[:1])
-    else:
-        _resave(path, {"n_samples": n_samples})
-    with pytest.raises(ValueError, match=f"n_samples is {n_samples}, but arrays ") as info:
-        load_dataset(path)
-    named = ["gain"] if rows == 1 else ["h"] + [f.name for f in fields(PathSet)]
-    for name in ["h"] + [f.name for f in fields(PathSet)]:
-        shape = ds.h.shape if name == "h" else getattr(ds.paths, name).shape
-        assert (f"'{name}' {(rows,) + shape[1:]}" in str(info.value)) == (name in named), name
-
-
-def test_load_dataset_refuses_an_unknown_split(tmp_path):
-    path = tmp_path / "val.npz"
-    save_dataset(generate_dataset(desk_config(), 2, "val"), path)
-    _resave(path, {"split": "holdout"})
-    with pytest.raises(ValueError, match="unknown split 'holdout'"):
-        load_dataset(path)
-
-
-def test_load_dataset_refuses_channels_of_another_shape(tmp_path):
-    """An h whose per-sample shape is not the config's (N, K) is refused, even with matching rows."""
-    path = tmp_path / "val.npz"
-    ds = generate_dataset(desk_config(), 2, "val")
-    save_dataset(ds, path)
-    _resave(path, h=ds.h[:, :, :4])
-    with pytest.raises(ValueError, match=r"'h' holds \(16, 4\) channels.*\(16, 8\)"):
-        load_dataset(path)

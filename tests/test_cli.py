@@ -2,7 +2,6 @@ import argparse
 import dataclasses
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,11 +13,11 @@ import squintsbl
 from squintsbl import evaluation
 from squintsbl.cli import _KEY_HELP, _UsageError, _parse_points, build_parser, main
 from squintsbl.config import SystemConfig, desk_config, provenance_line
-from squintsbl.data_io import load_container, save_container
-from squintsbl.evaluation import ALGORITHMS, SWEEP_AXES, Algorithm, flops_per_iteration
+from squintsbl.data_io import load_container
+from squintsbl.evaluation import ALGORITHMS, SWEEP_AXES, Algorithm, flops_per_iteration, standard_operator
 from squintsbl.mstep import MStepNet, save_checkpoint
 from squintsbl.sbl import E_STEPS
-from squintsbl.training import TrainConfig
+from squintsbl.training import TrainConfig, generate_splits, train_layerwise
 
 
 def test_parse_points_range_and_list():
@@ -78,14 +77,17 @@ def _choices(command: str) -> dict:
 def test_every_config_field_has_a_flag():
     fields = dataclasses.fields(SystemConfig)
     assert set(_KEY_HELP) == {f.name for f in fields}
-    for command in ("gen-data", "evaluate", "sweep", "flops"):
+    for command in ("train", "evaluate", "sweep", "flops"):
         actions = _actions(command)
         for f in fields:
             flag = actions[f.name]
             assert flag.help == _KEY_HELP[f.name] and flag.default is None, (command, f.name)
             assert flag.type is type(f.default), (command, f.name)
     # one flag per key; --snr-db is the only second spelling
-    assert set(_actions("flops")) == {f.name for f in fields} | {"help", "config", "scale", "snr_db"}
+    config_flags = {f.name for f in fields} | {"help", "config", "scale", "snr_db"}
+    assert set(_actions("flops")) == config_flags
+    train_flags = {f.name for f in dataclasses.fields(TrainConfig)} | {"sizes", "out", "resume"}
+    assert set(_actions("train")) == config_flags | train_flags
 
 
 def _flops_rows(out: str) -> list[list[str]]:
@@ -128,7 +130,7 @@ def test_parser_choices_and_defaults_come_from_the_library():
     train = _choices("train")
     assert tuple(train["e_step"]) == E_STEPS
     assert tuple(_choices("sweep")["axis"]) == SWEEP_AXES
-    args = build_parser().parse_args(["train", "--data", "d", "--depth", "2"])
+    args = build_parser().parse_args(["train", "--depth", "2"])
     for f in dataclasses.fields(TrainConfig):
         if f.name != "depth":
             assert getattr(args, f.name) == f.default, f.name
@@ -139,31 +141,38 @@ def _csv_header(path) -> list[str]:
     return lines[0].split(",")
 
 
-def test_gen_data_prints_split_times_and_keeps_them_out_of_the_manifest(tmp_path, capsys):
-    """Each split's line gives its generation wall time; two runs write the same manifest."""
-    manifests = []
-    for name in ("a", "b"):
-        assert main(["gen-data", "--scale", "desk", "--sizes", "3,2,2", "--out", str(tmp_path / name)]) == 0
-        manifests.append((tmp_path / name / "manifest.json").read_text())
-    lines = capsys.readouterr().out.splitlines()
-    for split, n in (("train", 3), ("val", 2), ("test", 2)):
-        assert sum(re.match(rf"{split}: {n} samples in \d+\.\d+ s -> ", line) is not None
-                   for line in lines) == 2
-    assert manifests[0] == manifests[1]
-    for entry in json.loads(manifests[0])["splits"].values():
-        assert set(entry) == {"file", "n_samples"}
+@pytest.mark.parametrize("sizes, expected", [
+    ("3,0,2", "split sizes must be positive"),
+    ("3,x,2", "--sizes wants three integers, got '3,x,2'"),
+    ("3,2", "--sizes wants train,val,test"),
+], ids=["zero-size", "not-integers", "two-sizes"])
+def test_train_rejects_bad_sizes(sizes, expected, tmp_path, capsys):
+    """A malformed --sizes ends train with error: and exit 1, before any split is drawn or file written."""
+    assert main(["train", "--scale", "desk", "--sizes", sizes, "--depth", "2", "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_gen_data_rejects_an_empty_split(tmp_path, capsys):
-    assert main(["gen-data", "--scale", "desk", "--sizes", "3,0,2", "--out", str(tmp_path)]) == 1
-    assert "split sizes must be positive" in capsys.readouterr().err
+def test_train_writes_the_checkpoint_of_train_layerwise(tmp_path):
+    """The command draws its splits from the config, as generate_splits does, and trains them unchanged."""
+    assert main(["train", "--scale", "desk", "--sizes", "8,4,4", "--depth", "2", "--max-epochs", "1",
+                 "--batch-size", "4", "--out", str(tmp_path / "run")]) == 0
+    cfg = desk_config()
+    net, _ = train_layerwise(TrainConfig(depth=2, max_epochs=1, batch_size=4), cfg, standard_operator(cfg),
+                             generate_splits(cfg, (8, 4, 4)))
+    save_checkpoint(net, tmp_path / "direct.npz", cfg)
+    kind, meta, arrays = load_container(tmp_path / "run" / "checkpoint.npz")
+    kind_ref, meta_ref, arrays_ref = load_container(tmp_path / "direct.npz")
+    assert (kind, meta) == (kind_ref, meta_ref)
+    assert list(arrays) == list(arrays_ref)
+    for name in arrays:
+        assert arrays[name].dtype == arrays_ref[name].dtype and np.array_equal(arrays[name], arrays_ref[name]), name
 
 
 def test_desk_round_trip(tmp_path):
-    """gen-data, train, then evaluate and sweep with the trained net, at desk size."""
-    data, run = tmp_path / "data", tmp_path / "run"
-    assert main(["gen-data", "--scale", "desk", "--sizes", "8,4,4", "--out", str(data)]) == 0
-    assert main(["train", "--data", str(data), "--out", str(run), "--depth", "2",
+    """train, then evaluate and sweep with the trained net, at desk size."""
+    run = tmp_path / "run"
+    assert main(["train", "--scale", "desk", "--sizes", "8,4,4", "--out", str(run), "--depth", "2",
                  "--max-epochs", "1", "--batch-size", "4"]) == 0
     net = f"amp-sbl-unfolding={run / 'checkpoint.npz'}"
     common = ["--scale", "desk", "--net", net, "--n-samples", "2", "--iterations", "3"]
@@ -178,9 +187,8 @@ def test_desk_round_trip(tmp_path):
 
 def test_resume_records_the_hash_of_its_config(tmp_path):
     """A resume under another noise level stores the hash of the config it stores."""
-    data, run, resumed = tmp_path / "data", tmp_path / "run", tmp_path / "resumed"
-    assert main(["gen-data", "--scale", "desk", "--sizes", "8,4,4", "--out", str(data)]) == 0
-    train = ["train", "--data", str(data), "--max-epochs", "1", "--batch-size", "4"]
+    run, resumed = tmp_path / "run", tmp_path / "resumed"
+    train = ["train", "--scale", "desk", "--sizes", "8,4,4", "--max-epochs", "1", "--batch-size", "4"]
     assert main([*train, "--out", str(run), "--depth", "2"]) == 0
     assert main([*train, "--out", str(resumed), "--depth", "3", "--noise-var", "0.5",
                  "--resume", str(run / "checkpoint.npz")]) == 0
@@ -190,79 +198,45 @@ def test_resume_records_the_hash_of_its_config(tmp_path):
     assert meta["config_hash"] == cfg.config_hash()
 
 
-def test_train_on_dataset_missing_an_array_is_an_error(tmp_path, capsys):
-    """A split file with no delay array ends train in error: and exit 1, not a traceback."""
-    data = tmp_path / "data"
-    assert main(["gen-data", "--scale", "desk", "--sizes", "4,2,2", "--out", str(data)]) == 0
-    kind, meta, arrays = load_container(data / "val.npz")
-    del arrays["delay"]
-    save_container(data / "val.npz", kind, meta, arrays)
-    capsys.readouterr()
-    assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"), "--depth", "2",
-                 "--max-epochs", "1", "--batch-size", "2"]) == 1
-    err = capsys.readouterr().err
-    assert "error:" in err and "'delay'" in err
-
-
-def test_train_on_a_split_with_inconsistent_lengths_is_an_error(tmp_path, capsys):
-    """A val.npz whose n_samples exceeds its rows ends train in error: and exit 1, not a traceback."""
-    data = tmp_path / "data"
-    assert main(["gen-data", "--scale", "desk", "--sizes", "4,2,2", "--out", str(data)]) == 0
-    kind, meta, arrays = load_container(data / "val.npz")
-    save_container(data / "val.npz", kind, {**meta, "n_samples": 3}, arrays)
-    capsys.readouterr()
-    assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"), "--depth", "2",
-                 "--max-epochs", "1", "--batch-size", "2"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "val.npz: n_samples is 3" in err and "'h' (2, 16, 8)" in err
-    assert not (tmp_path / "run").exists()
-
-
 def test_train_with_snr_db_and_noise_var_is_an_error(tmp_path, capsys):
-    """Two spellings of the noise level end train in error: and exit 1, before any file is read."""
-    assert main(["train", "--data", str(tmp_path / "absent"), "--out", str(tmp_path / "run"), "--depth", "2",
+    """Two spellings of the noise level end train in error: and exit 1, before any split is drawn or file written."""
+    assert main(["train", "--scale", "desk", "--out", str(tmp_path / "run"), "--depth", "2",
                  "--snr-db", "10", "--noise-var", "0.1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "--snr-db and --noise-var" in err
     assert list(tmp_path.iterdir()) == []
 
 
-def test_gen_data_and_train_files_open_with_plain_numpy(tmp_path):
-    """Splits and checkpoints are .npz archives with their arrays under the usual names."""
-    data, run = tmp_path / "data", tmp_path / "run"
-    assert main(["gen-data", "--scale", "desk", "--sizes", "4,2,2", "--out", str(data)]) == 0
-    assert main(["train", "--data", str(data), "--out", str(run), "--depth", "2",
+def test_train_checkpoint_opens_with_plain_numpy(tmp_path):
+    """A checkpoint is an .npz archive with its arrays under the usual names."""
+    run = tmp_path / "run"
+    assert main(["train", "--scale", "desk", "--sizes", "4,2,2", "--out", str(run), "--depth", "2",
                  "--max-epochs", "1", "--batch-size", "2"]) == 0
     cfg = desk_config()
-    with np.load(data / "val.npz", allow_pickle=False) as npz:
-        assert npz.files == ["h", "gain", "delay", "angle", "mean_angle", "mean_delay",
-                             "delta_angle", "delta_delay", "__meta__"]
-        assert npz["h"].shape == (2, cfg.n_antennas, cfg.n_subcarriers) and npz["h"].dtype == np.complex64
-        header = json.loads(str(npz["__meta__"]))
-    assert header["kind"] == "channel-dataset" and header["meta"]["config_hash"] == cfg.config_hash()
-    assert header["meta"]["config"]["rng_seed"] == cfg.rng_seed
     with np.load(run / "checkpoint.npz", allow_pickle=False) as npz:
         assert npz.files == ["stage0/w1", "stage0/b1", "stage0/w2", "stage0/b2", "__meta__"]
         header = json.loads(str(npz["__meta__"]))
     assert header["kind"] == "mstep-net" and header["meta"]["config_hash"] == cfg.config_hash()
+    assert header["meta"]["config"]["rng_seed"] == cfg.rng_seed
     assert header["meta"]["n_stages"] == 1
 
 
 @pytest.mark.parametrize("damage, expected", [
     ("truncated", "File is not a zip file"),
     ("old-format", "written before the .npz format, must be regenerated"),
-])
-def test_train_on_a_damaged_split_is_a_file_error(damage, expected, tmp_path, capsys):
-    """A truncated val.npz, or one with the former SQSB0001 magic, ends train with file error: and exit 3."""
-    data = tmp_path / "data"
-    assert main(["gen-data", "--scale", "desk", "--sizes", "4,2,2", "--out", str(data)]) == 0
-    raw = (data / "val.npz").read_bytes()
-    (data / "val.npz").write_bytes(raw[: len(raw) // 2] if damage == "truncated" else b"SQSB0001" + raw[:64])
-    capsys.readouterr()
-    assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"), "--depth", "2",
-                 "--max-epochs", "1", "--batch-size", "2"]) == 3
+], ids=["truncated", "old-format"])
+def test_train_resuming_a_damaged_checkpoint_is_a_file_error(damage, expected, tmp_path, capsys):
+    """A truncated --resume checkpoint, or one with the former SQSB0001 magic, ends train with file error: and exit 3."""
+    cfg = desk_config()
+    ck = tmp_path / "ck.npz"
+    save_checkpoint(MStepNet.create(1, np.random.default_rng(0), cfg.config_hash()), ck, cfg)
+    raw = ck.read_bytes()
+    ck.write_bytes(raw[: len(raw) // 2] if damage == "truncated" else b"SQSB0001" + raw[:64])
+    assert main(["train", "--scale", "desk", "--sizes", "4,2,2", "--out", str(tmp_path / "run"), "--depth", "3",
+                 "--max-epochs", "1", "--batch-size", "2", "--resume", str(ck)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("file error:") and "val.npz" in err and expected in err
+    assert err.startswith("file error:") and "ck.npz" in err and expected in err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("command", [["evaluate"], ["sweep", "--axis", "snr", "--points", "10"]],
@@ -278,37 +252,6 @@ def test_net_for_a_classic_algorithm_is_an_error(command, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'sbl', which is not a learned algorithm" in err
     assert not (tmp_path / "out.csv").exists()
-
-
-@pytest.mark.parametrize("case, expected", [
-    ("a list", "must hold a JSON object"),
-    ("no config", "has no 'config' object"),
-    ("no splits", "has no 'splits' object"),
-    ("no val split", "has no split 'val'"),
-    ("no test file", "split 'test' has no 'file'"),
-], ids=["list", "no-config", "no-splits", "no-val-split", "no-test-file"])
-def test_train_on_malformed_manifest_is_an_error(case, expected, tmp_path, capsys):
-    """A manifest that lacks a part ends train in error: naming it and exit 1, not a traceback."""
-    data = tmp_path / "data"
-    assert main(["gen-data", "--scale", "desk", "--sizes", "4,2,2", "--out", str(data)]) == 0
-    manifest = json.loads((data / "manifest.json").read_text())
-    if case == "a list":
-        manifest = [manifest]
-    elif case == "no config":
-        del manifest["config"]
-    elif case == "no splits":
-        del manifest["splits"]
-    elif case == "no val split":
-        del manifest["splits"]["val"]
-    else:
-        del manifest["splits"]["test"]["file"]
-    (data / "manifest.json").write_text(json.dumps(manifest))
-    capsys.readouterr()
-    assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"), "--depth", "2",
-                 "--max-epochs", "1", "--batch-size", "2"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and expected in err
-    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("preset, expected", [({}, "1"), ({"OMP_NUM_THREADS": "2"}, None)],

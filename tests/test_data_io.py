@@ -6,7 +6,6 @@ import struct
 import numpy as np
 import pytest
 
-from squintsbl.channel import generate_dataset, load_dataset, save_dataset
 from squintsbl.config import desk_config
 from squintsbl.data_io import META_KEY, ContainerError, canonical_json, load_container, save_container
 from squintsbl.mstep import MStepNet, load_checkpoint, save_checkpoint
@@ -106,23 +105,17 @@ def test_every_load_failure_is_a_container_error(tmp_path, case, match):
     assert isinstance(info.value, IOError)
 
 
-def test_dataset_and_checkpoint_survive_two_round_trips(tmp_path):
+def test_checkpoint_survives_two_round_trips(tmp_path):
     """save -> load -> save -> load leaves every array and all metadata unchanged."""
     cfg = desk_config()
-    ds = generate_dataset(cfg, 3, "val")
     net = MStepNet.create(2, np.random.default_rng(5), cfg.config_hash())
-    save_dataset(ds, tmp_path / "d1.npz")
-    save_dataset(load_dataset(tmp_path / "d1.npz", expect_config=cfg), tmp_path / "d2.npz")
     save_checkpoint(net, tmp_path / "n1.npz", cfg)
     save_checkpoint(load_checkpoint(tmp_path / "n1.npz", expect_config=cfg), tmp_path / "n2.npz", cfg)
-    for first, second in (("d1", "d2"), ("n1", "n2")):
-        kind1, meta1, arrays1 = load_container(tmp_path / f"{first}.npz")
-        kind2, meta2, arrays2 = load_container(tmp_path / f"{second}.npz")
-        assert (kind1, meta1) == (kind2, meta2)
-        assert list(arrays1) == list(arrays2)
-        for name in arrays1:
-            assert arrays1[name].dtype == arrays2[name].dtype
-            assert np.array_equal(arrays1[name], arrays2[name]), name
+    kind1, meta1, arrays1 = load_container(tmp_path / "n1.npz")
+    kind2, meta2, arrays2 = load_container(tmp_path / "n2.npz")
+    assert (kind1, meta1) == (kind2, meta2)
+    assert list(arrays1) == list(arrays2)
+    for name in arrays1:
+        assert arrays1[name].dtype == arrays2[name].dtype
+        assert np.array_equal(arrays1[name], arrays2[name]), name
     assert np.array_equal(arrays1["stage1/w2"], net.stages[1].w2)
-    back = load_dataset(tmp_path / "d2.npz")
-    assert np.array_equal(back.h, ds.h) and np.array_equal(back.paths.delay, ds.paths.delay)

@@ -124,11 +124,6 @@ def test_reconstruct_batch_columns_match_vector_calls(rng):
         assert np.allclose(back[:, j], single, rtol=1e-14, atol=1e-14)
 
 
-def test_squint_matched_dictionary_estimates_better():
-    """Exact SBL on shared observations, once per dictionary: the matched one wins."""
-    selftest.check_squint_dictionary()
-
-
 def test_squint_check_fails_without_a_squint_unaware_side(monkeypatch):
     """With both operators squint-matched there is nothing to win, so the check must fail."""
     monkeypatch.setattr(selftest, "FREQUENCY_INDEPENDENT", FREQUENCY_DEPENDENT)

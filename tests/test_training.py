@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from squintsbl import dictionaries, mstep, sbl, training
-from squintsbl.channel import load_dataset, save_dataset
 from squintsbl.mstep import MStepNet
 from squintsbl.sbl import DivergenceError, EstimatorSpec, run_estimator
 from squintsbl.training import (
@@ -257,17 +256,6 @@ def test_prepare_split_contents(tiny_cfg, tiny_op):
     # fixed noise is reproducible
     split2 = _prepare_split(va, tiny_op, True, tiny_cfg.noise_var)
     assert np.array_equal(split.noise, split2.noise)
-
-
-def test_prepare_split_of_a_loaded_split_is_bit_for_bit(tiny_cfg, tiny_op, tmp_path):
-    """A split saved and loaded again prepares exactly as the generated one."""
-    _, va, _ = generate_splits(tiny_cfg, (2, 5, 2))
-    save_dataset(va, tmp_path / "val.npz")
-    fresh = _prepare_split(va, tiny_op, True, tiny_cfg.noise_var)
-    loaded = _prepare_split(load_dataset(tmp_path / "val.npz"), tiny_op, True, tiny_cfg.noise_var)
-    for name in ("h", "hnorm2", "y_clean", "noise"):
-        a, b = getattr(fresh, name), getattr(loaded, name)
-        assert a.dtype == b.dtype and a.strides == b.strides and np.array_equal(a, b), name
 
 
 def test_batch_obs_noise_modes(tiny_cfg, tiny_op):
