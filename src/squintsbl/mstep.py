@@ -318,34 +318,48 @@ def batch_features_backward(g_feats: np.ndarray, mu: np.ndarray):
 
 # ---- one refiner stage, forward and backward --------------------------------
 
+def _hidden(stage: ConvStage, feats: np.ndarray) -> np.ndarray:
+    """The hidden layer relu(conv1(feats)), its ReLU applied in place on the conv output.
+
+    The forward and the backward both build it here, so the backward's
+    rebuild is the forward's h1 bit for bit.
+    """
+    h1 = conv2d_same(feats, stage.w1, stage.b1)
+    np.maximum(h1, 0.0, out=h1)
+    return h1
+
+
 def stage_forward(stage: ConvStage, feats: np.ndarray, gamma_img: np.ndarray):
     """Apply one stage to (B, 2, G_A, G_D) features and (B, G_A, G_D) gamma.
 
     Returns the new gamma image and the cache needed for backprop:
-    (feats, h1, gamma_new), with h1 the hidden layer after its ReLU.  Both
-    ReLUs and the residual are applied in place on the conv outputs,
-    whose pre-activation values are never read again: the backward takes
-    each ReLU's mask from its output, since relu(z) > 0 exactly where
-    z > 0.  The cached gamma_new is the returned array itself, so the
-    cache holds no extra copy of it; callers must not write into it.
+    (feats, gamma_new).  The hidden layer h1 is freed once conv2 has read
+    it, and :func:`stage_backward` rebuilds it from feats: at B = 128 and
+    the default size it is 32 MiB, four times the features.  Both ReLUs
+    and the residual are applied in place on the conv outputs, whose
+    pre-activation values are never read again: the backward takes each
+    ReLU's mask from its output, since relu(z) > 0 exactly where z > 0.
+    The cached gamma_new is the returned array itself, so the cache holds
+    no extra copy of it; callers must not write into it.
     """
-    h1 = conv2d_same(feats, stage.w1, stage.b1)
-    np.maximum(h1, 0.0, out=h1)
-    out = conv2d_same(h1, stage.w2, stage.b2)[:, 0]
+    out = conv2d_same(_hidden(stage, feats), stage.w2, stage.b2)[:, 0]
     out += gamma_img
     np.maximum(out, 0.0, out=out)
-    return out, (feats, h1, out)
+    return out, (feats, out)
 
 
 def stage_backward(stage: ConvStage, cache, g_gamma_new: np.ndarray):
     """Backprop one stage; returns (g_feats, g_gamma_prev, weight gradients as a ConvStage).
 
-    ``g_gamma_new`` is not written to.  The cache is consumed: the hidden
-    gradient (32 MiB at B = 128 and the default size) is written over h1
-    once its ReLU mask is taken, so it needs no block that glibc may map fresh.
+    ``g_gamma_new`` is not written to.  The cache (feats, gamma_new) is
+    read, not written.  The hidden layer h1 is rebuilt from feats, one
+    conv more than the forward, and the hidden gradient is written over
+    it once its ReLU mask is taken, so the backward allocates one hidden
+    array (32 MiB at B = 128 and the default size), not two.
     """
-    feats, h1, out = cache
+    feats, out = cache
     g_pre2 = g_gamma_new * (out > 0)
+    h1 = _hidden(stage, feats)
     mask = h1 > 0
     g_h1, g_w2, g_b2 = conv2d_same_backward(h1, stage.w2, g_pre2[:, None], out=h1)
     g_h1 *= mask

@@ -217,7 +217,10 @@ def _exact_backward(op: MeasurementOperator, cache, g_mu, g_tau) -> np.ndarray:
     at about M^2 G_A + M^3 more per column; one column's is alive at a
     time.  It is a lower triangle, which BLAS hemv and hemm read as the
     Hermitian matrix it stands for; only the Gram is completed, once per
-    column, to be their general operand.
+    column, to be their general operand.  A column whose g_tau weights
+    w = g_tau gamma^2 are all zero, as every column's are at the last
+    iteration, skips the d term, which is zero there: its Gram and its
+    two M x M x M products.
     """
     u, d, gamma = cache["u"], cache["d"], cache["gamma"]
     g_gamma = np.real(np.conj(g_mu) * u) + g_tau * (1.0 - 2.0 * gamma * d)
@@ -228,9 +231,11 @@ def _exact_backward(op: MeasurementOperator, cache, g_mu, g_tau) -> np.ndarray:
         s_inv = _cho_inverse(_cho_s(op, gammas[:, j], cache["sigma2"])[0])
         hemv, hemm = get_blas_funcs(("hemv", "hemm"), (s_inv,))
         ta = op.adjoint(hemv(1.0, s_inv, op.forward(a_vecs[:, j]), lower=True))
-        s_gram = hemm(1.0, s_inv, _hermitian(op.gram(ws[:, j])), lower=True)
-        k_w = hemm(1.0, s_inv, s_gram, side=1, lower=True)
-        extra[:, j] = op.diag_quad(k_w) - np.real(us[:, j] * np.conj(ta))
+        extra[:, j] = -np.real(us[:, j] * np.conj(ta))
+        if np.any(ws[:, j]):
+            s_gram = hemm(1.0, s_inv, _hermitian(op.gram(ws[:, j])), lower=True)
+            k_w = hemm(1.0, s_inv, s_gram, side=1, lower=True)
+            extra[:, j] += op.diag_quad(k_w)
     return g_gamma + extra.reshape(g_gamma.shape)
 
 

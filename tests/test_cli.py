@@ -154,19 +154,24 @@ def test_train_rejects_bad_sizes(sizes, expected, tmp_path, capsys):
 
 
 def test_train_writes_the_checkpoint_of_train_layerwise(tmp_path):
-    """The command draws its splits from the config, as generate_splits does, and trains them unchanged."""
-    assert main(["train", "--scale", "desk", "--sizes", "8,4,4", "--depth", "2", "--max-epochs", "1",
-                 "--batch-size", "4", "--out", str(tmp_path / "run")]) == 0
+    """The command draws its splits from the config, as generate_splits does, and trains them
+    unchanged, with either E-step."""
     cfg = desk_config()
-    net, _ = train_layerwise(TrainConfig(depth=2, max_epochs=1, batch_size=4), cfg, standard_operator(cfg),
-                             generate_splits(cfg, (8, 4, 4)))
-    save_checkpoint(net, tmp_path / "direct.npz", cfg)
-    kind, meta, arrays = load_container(tmp_path / "run" / "checkpoint.npz")
-    kind_ref, meta_ref, arrays_ref = load_container(tmp_path / "direct.npz")
-    assert (kind, meta) == (kind_ref, meta_ref)
-    assert list(arrays) == list(arrays_ref)
-    for name in arrays:
-        assert arrays[name].dtype == arrays_ref[name].dtype and np.array_equal(arrays[name], arrays_ref[name]), name
+    op = standard_operator(cfg)
+    for e_step in ("amp", "exact"):
+        run = tmp_path / e_step
+        assert main(["train", "--scale", "desk", "--sizes", "8,4,4", "--depth", "2", "--max-epochs", "1",
+                     "--batch-size", "4", "--e-step", e_step, "--out", str(run)]) == 0
+        net, _ = train_layerwise(TrainConfig(depth=2, e_step=e_step, max_epochs=1, batch_size=4), cfg, op,
+                                 generate_splits(cfg, (8, 4, 4)))
+        save_checkpoint(net, run / "direct.npz", cfg)
+        kind, meta, arrays = load_container(run / "checkpoint.npz")
+        kind_ref, meta_ref, arrays_ref = load_container(run / "direct.npz")
+        assert (kind, meta) == (kind_ref, meta_ref), e_step
+        assert list(arrays) == list(arrays_ref), e_step
+        for name in arrays:
+            assert arrays[name].dtype == arrays_ref[name].dtype, (e_step, name)
+            assert np.array_equal(arrays[name], arrays_ref[name]), (e_step, name)
 
 
 def test_desk_round_trip(tmp_path):

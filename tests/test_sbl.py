@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import get_blas_funcs
 
 from squintsbl.config import desk_config
 from squintsbl.dictionaries import reconstruct_channel
@@ -10,6 +11,10 @@ from squintsbl.sbl import (
     EstimatorSpec,
     SblState,
     _check_step,
+    _cho_inverse,
+    _cho_s,
+    _exact_backward,
+    _hermitian,
     amp_e_step,
     classic_m_step,
     exact_e_step,
@@ -291,6 +296,38 @@ def test_exact_e_step_leaves_inputs_alone(tiny_cfg, tiny_op, rng, batch):
     assert not any(np.shape(x)[-2:] == (m, m) for x in cache.values())
 
 
+def test_exact_backward_skips_the_variance_term_where_g_tau_is_zero(desk_cfg, desk_op, rng, monkeypatch):
+    """A column with zero g_tau skips the d term and gets the full formula's gradient.
+
+    The full formula builds the d term for every column, a zero one where
+    g_tau is zero; ``==`` counts its signed zeros as equal.
+    """
+    y = np.stack([obs.y for obs in draw_eval_observations(desk_op, 0, 2)], axis=1)
+    r, state = start_state(desk_op, y)
+    state.gamma = rng.uniform(0.1, 1.0, state.gamma.shape)
+    sigma2 = desk_cfg.noise_var
+    _, _, cache = exact_e_step(desk_op, r, sigma2, state)
+    g_mu = crandn(rng, *state.gamma.shape)
+    g_tau = rng.standard_normal(state.gamma.shape)
+    g_tau[:, 0] = 0.0
+    quads = []
+    real_quad = desk_op.diag_quad
+    monkeypatch.setattr(desk_op, "diag_quad", lambda k: quads.append(k) or real_quad(k))
+    got = _exact_backward(desk_op, cache, g_mu, g_tau)
+    assert len(quads) == 1  # column 1's d term only
+    u, d, gamma = cache["u"], cache["d"], cache["gamma"]
+    want = np.real(np.conj(g_mu) * u) + g_tau * (1.0 - 2.0 * gamma * d)
+    a_vecs, ws = gamma * g_mu, g_tau * gamma * gamma
+    for j in range(2):
+        s_inv = _cho_inverse(_cho_s(desk_op, gamma[:, j], sigma2)[0])
+        hemv, hemm = get_blas_funcs(("hemv", "hemm"), (s_inv,))
+        ta = desk_op.adjoint(hemv(1.0, s_inv, desk_op.forward(a_vecs[:, j]), lower=True))
+        s_gram = hemm(1.0, s_inv, _hermitian(desk_op.gram(ws[:, j])), lower=True)
+        k_w = hemm(1.0, s_inv, s_gram, side=1, lower=True)
+        want[:, j] += real_quad(k_w) - np.real(u[:, j] * np.conj(ta))
+    assert np.array_equal(got, want)
+
+
 def test_exact_e_step_cholesky_failure_is_divergence(rng):
     """A singular S (no noise, almost no prior mass) fails as a divergence."""
     phi = crandn(rng, 8, 16) / np.sqrt(8)
@@ -444,7 +481,7 @@ def test_step_runs_one_iteration(desk_cfg, desk_op):
             assert np.array_equal(state.gamma, classic_m_step(state.mu, state.tau_x))
             assert "stage" not in first and "mu" not in first
         else:
-            assert first["mu"] is state.mu and len(first["stage"]) == 3
+            assert first["mu"] is state.mu and len(first["stage"]) == 2
         gamma1 = state.gamma
         last = step(spec, desk_op, r, desk_cfg.noise_var, state)
         assert last["it"] == 2 and "stage" not in last

@@ -179,6 +179,21 @@ def test_unroll_backward_consumes_caches(tiny_cfg, tiny_op, rng, e_step):
     assert np.array_equal(g_x, g_x_before)
 
 
+@pytest.mark.parametrize("e_step", ["amp", "exact"])
+def test_unroll_backward_skips_the_first_e_step(tiny_cfg, tiny_op, rng, monkeypatch, e_step):
+    """The E-step backward runs depth - 1 times: iteration 1's leads only to the start state."""
+    calls = []
+    for name in ("_amp_backward", "_exact_backward"):
+        real = getattr(training, name)
+        monkeypatch.setattr(training, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    depth = 3
+    net = MStepNet.create(depth - 1, np.random.default_rng(3))
+    x, caches = unroll_forward(tiny_op, crandn(rng, tiny_cfg.n_measurements, 2), 0.1, net, depth, e_step)
+    grads = unroll_backward(tiny_op, caches, crandn(rng, *x.shape), net)
+    assert calls == [f"_{e_step}_backward"] * (depth - 1)
+    assert len(grads) == depth - 1 and all(isinstance(g, mstep.ConvStage) for g in grads)
+
+
 def test_training_holds_one_graph(tiny_cfg, tiny_op, monkeypatch):
     """No array of a batch's caches is alive when the next unrolled forward starts."""
     real = training.unroll_forward
