@@ -66,7 +66,6 @@ from .evaluation import (
     nmse,
     reconstruction_flops,
     run_sweep,
-    run_tradeoff,
     standard_operator,
 )
 

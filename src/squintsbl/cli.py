@@ -52,10 +52,6 @@ _TRAIN_HELP = {
 }
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage failures exit with code 1."""
 
@@ -87,13 +83,13 @@ def _build_config(args):
         try:
             file_vals = json.loads(Path(args.config).read_text())
         except json.JSONDecodeError as exc:
-            raise _UsageError(f"config file {args.config}: {exc}") from exc
+            raise ValueError(f"config file {args.config}: {exc}") from exc
         if not isinstance(file_vals, dict):
-            raise _UsageError(f"config file {args.config} must hold a JSON object")
+            raise ValueError(f"config file {args.config} must hold a JSON object")
         known = {f.name for f in dataclasses.fields(SystemConfig)}
         unknown = set(file_vals) - known
         if unknown:
-            raise _UsageError(f"unknown config keys in {args.config}: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys in {args.config}: {sorted(unknown)}")
         overrides.update(file_vals)
 
     for f in dataclasses.fields(SystemConfig):
@@ -102,7 +98,7 @@ def _build_config(args):
             overrides[f.name] = value
     if args.snr_db is not None:
         if args.noise_var is not None:
-            raise _UsageError("--snr-db and --noise-var are two spellings of the same key; give one")
+            raise ValueError("--snr-db and --noise-var are two spellings of the same key; give one")
         overrides["noise_var"] = noise_var_from_snr_db(args.snr_db)
 
     if args.scale == "desk":
@@ -115,20 +111,20 @@ def _parse_points(text: str) -> list[float]:
     if ":" in s:
         parts = s.split(":")
         if len(parts) != 3:
-            raise _UsageError("point range must be start:stop:step")
+            raise ValueError("point range must be start:stop:step")
         start, stop, step = (float(p) for p in parts)
         if step <= 0:
-            raise _UsageError("point step must be positive")
+            raise ValueError("point step must be positive")
         vals, v = [], start
         while v <= stop + 1e-9 * max(1.0, step):
             vals.append(v)
             v += step
         if not vals:
-            raise _UsageError("no sweep points given")
+            raise ValueError("no sweep points given")
         return vals
     vals = [float(p) for p in s.split(",") if p.strip()]
     if not vals:
-        raise _UsageError("no sweep points given")
+        raise ValueError("no sweep points given")
     return vals
 
 
@@ -153,7 +149,7 @@ def _load_nets(entries, cfg) -> dict:
     for entry in entries or []:
         algo, sep, path = entry.partition("=")
         if not sep or not algo or not path:
-            raise _UsageError(f"--net wants ALGO=PATH, got {entry!r}")
+            raise ValueError(f"--net wants ALGO=PATH, got {entry!r}")
         net = load_checkpoint(path)
         if net.config_hash != cfg.config_hash():
             print(f"note: network for {algo!r} was trained under config {net.config_hash}, "
@@ -182,11 +178,11 @@ def _parse_sizes(text: str | None, scale: str) -> tuple[int, int, int]:
     try:
         sizes = tuple(int(s) for s in text.split(","))
     except ValueError as exc:
-        raise _UsageError(f"--sizes wants three integers, got {text!r}") from exc
+        raise ValueError(f"--sizes wants three integers, got {text!r}") from exc
     if len(sizes) != 3:
-        raise _UsageError("--sizes wants train,val,test")
+        raise ValueError("--sizes wants train,val,test")
     if any(n < 1 for n in sizes):
-        raise _UsageError("split sizes must be positive")
+        raise ValueError("split sizes must be positive")
     return sizes
 
 
@@ -217,43 +213,32 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_evaluate(args) -> int:
-    from .evaluation import run_tradeoff, write_tradeoff_csv
+def _cmd_score(args) -> int:
+    """``evaluate`` and ``sweep``: score at each point, print a line per row and write the CSV.
 
-    cfg = _build_config(args)
-    nets = _load_nets(args.net, cfg)
-    algos = _parse_algos(args.algos, nets)
-    rows = run_tradeoff(algos, cfg, args.n_samples, nets=nets, n_iterations=args.iterations)
-    for row in rows:
-        nm = "n/a" if math.isnan(row.nmse_db) else f"{row.nmse_db:.2f} dB"
-        line = (f"{row.algo}: NMSE {nm} over {args.n_samples} samples "
-                f"({row.iterations} iterations, {row.flops} FLOPs)")
-        if row.fail_rate > 0:
-            line += f", fail rate {row.fail_rate:.2f}"
-        _echo(line)
-    if args.out:
-        write_tradeoff_csv(rows, args.out, cfg)
-        _echo(f"wrote {args.out}")
-    return 0
-
-
-def _cmd_sweep(args) -> int:
+    ``evaluate`` is the one point ``q`` = the config's ``n_uses``, and
+    writes its CSV only when ``--out`` is given.
+    """
     from .evaluation import run_sweep
 
     cfg = _build_config(args)
     nets = _load_nets(args.net, cfg)
     algos = _parse_algos(args.algos, nets)
-    points = _parse_points(args.points)
+    if args.command == "evaluate":
+        axis, points, out = "q", [cfg.n_uses], args.out
+    else:
+        axis, points, out = args.axis, _parse_points(args.points), args.out or f"sweep_{args.axis}.csv"
 
     def progress(row):
         nm = "n/a" if math.isnan(row.nmse_db) else f"{row.nmse_db:.2f} dB"
-        _echo(f"{row.axis}={row.value:g} {row.algo}: NMSE {nm}, fail rate {row.fail_rate:.2f}")
+        _echo(f"{row.axis}={row.value:g} {row.algo}: NMSE {nm} over {row.n_samples} samples "
+              f"({row.iterations} iterations, {row.flops_total} FLOPs), fail rate {row.fail_rate:.2f}")
 
-    result = run_sweep(args.axis, points, algos, cfg, args.n_samples, nets=nets,
-                       n_iterations=args.iterations, progress=progress)
-    out = args.out or f"sweep_{args.axis}.csv"
-    result.write_csv(out)
-    _echo(f"wrote {out}")
+    result = run_sweep(axis, points, algos, cfg, args.n_samples, nets=nets, n_iterations=args.iterations,
+                       progress=progress)
+    if out:
+        result.write_csv(out)
+        _echo(f"wrote {out}")
     return 0
 
 
@@ -283,7 +268,7 @@ def _cmd_selftest(args) -> int:
 
 
 def build_parser() -> _Parser:
-    from .evaluation import SWEEP_AXES
+    from .evaluation import SWEEP_AXES, SWEEP_CSV_COLUMNS
     from .sbl import E_STEPS
     from .training import TrainConfig
 
@@ -307,27 +292,29 @@ def build_parser() -> _Parser:
     p.add_argument("--resume", metavar="CKPT", help="existing checkpoint to append stages to")
     p.set_defaults(func=_cmd_train)
 
-    algos_help = f"comma list (default: {','.join(_classic_algos())} plus any --net)"
-    p = sub.add_parser("evaluate", help="score estimators at one operating point")
+    csv_help = (f"columns {','.join(SWEEP_CSV_COLUMNS)}; flops_total is the paper's dense-product model, "
+                "not this implementation's cost")
+
+    def add_scoring_flags(p, n_samples: int, out_help: str) -> None:
+        p.add_argument("--algos", metavar="LIST",
+                       help=f"comma list (default: {','.join(_classic_algos())} plus any --net)")
+        p.add_argument("--n-samples", type=int, default=n_samples)
+        p.add_argument("--net", action="append", metavar="ALGO=PATH", help="checkpoint for a learned algorithm")
+        p.add_argument("--iterations", type=int, default=None, help="depth for the classic algorithms")
+        p.add_argument("--out", metavar="CSV", help=f"{out_help}: {csv_help}")
+        p.set_defaults(func=_cmd_score)
+
+    p = sub.add_parser("evaluate", help="score estimators at one operating point",
+                       description="Score estimators at the configured operating point: the one-point "
+                       "sweep --axis q --points <n-uses>, which prints and writes the same rows.")
     _add_config_flags(p)
-    p.add_argument("--algos", metavar="LIST", help=algos_help)
-    p.add_argument("--n-samples", type=int, default=200)
-    p.add_argument("--net", action="append", metavar="ALGO=PATH", help="checkpoint for a learned algorithm")
-    p.add_argument("--iterations", type=int, default=None, help="depth for the classic algorithms")
-    p.add_argument("--out", metavar="CSV", help="also write algo,flops,nmse_db,iterations,fail_rate; "
-                   "flops is the paper's dense-product model, not this implementation's cost")
-    p.set_defaults(func=_cmd_evaluate)
+    add_scoring_flags(p, 200, "also write the CSV")
 
     p = sub.add_parser("sweep", help="score estimators along an SNR or pilot-use axis")
     _add_config_flags(p)
     p.add_argument("--axis", choices=SWEEP_AXES, required=True)
     p.add_argument("--points", required=True, metavar="SPEC", help="comma list or start:stop:step")
-    p.add_argument("--algos", metavar="LIST", help=algos_help)
-    p.add_argument("--n-samples", type=int, default=50)
-    p.add_argument("--net", action="append", metavar="ALGO=PATH", help="checkpoint for a learned algorithm")
-    p.add_argument("--iterations", type=int, default=None, help="depth for the classic algorithms")
-    p.add_argument("--out", metavar="CSV", help="output file (default sweep_<axis>.csv)")
-    p.set_defaults(func=_cmd_sweep)
+    add_scoring_flags(p, 50, "output file (default sweep_<axis>.csv)")
 
     p = sub.add_parser("flops", help="print the complexity table at the configured sizes")
     _add_config_flags(p)
@@ -349,9 +336,6 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

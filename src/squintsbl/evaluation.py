@@ -1,4 +1,10 @@
-"""Estimator scoring, complexity accounting, and sweep drivers.
+"""Estimator scoring, complexity accounting, and the sweep harness.
+
+:func:`run_sweep` is the one harness: it scores every algorithm at each
+point of an SNR or pilot-use axis, and ``evaluate`` is its one-point
+case at the configured use count.  Every row is a :class:`SweepRow`,
+and :meth:`SweepResult.write_csv` writes them all under one schema:
+``axis,value,algo,iterations,n_samples,flops_total,nmse_db,fail_rate``.
 
 NMSE always means the per-sample ratio ||H - H_hat||_F^2 / ||H||_F^2.
 Harnesses average the linear ratios over samples first and convert to
@@ -35,6 +41,8 @@ from .sbl import DivergenceError, EstimatorSpec, run_estimator
 NMSE_FLOOR_DB = -120.0
 
 SWEEP_AXES = ("snr", "q")
+
+SWEEP_CSV_COLUMNS = ("axis", "value", "algo", "iterations", "n_samples", "flops_total", "nmse_db", "fail_rate")
 
 
 # ---- scoring ----------------------------------------------------------------
@@ -182,39 +190,6 @@ def _point_config(cfg: SystemConfig, axis: str, value) -> SystemConfig:
     raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
 
 
-def _check_request(algos: Sequence[str], n_samples: int, nets: Mapping, n_iterations: int | None,
-                   n_workers: int) -> None:
-    """Raise ``ValueError`` for a request neither harness can score.
-
-    Both harnesses call this before they assemble an operator, so a bad
-    request fails at once: no algorithms, ``n_samples < 1``,
-    ``n_iterations < 0``, ``n_workers`` other than 1, a name not in
-    ``ALGORITHMS`` or listed twice, a learned algorithm with no network
-    under its name in ``nets``, or a network under a name that is not a
-    learned algorithm.
-    """
-    if not algos:
-        raise ValueError("no algorithms given")
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    if n_iterations is not None and n_iterations < 0:
-        raise ValueError(f"n_iterations must be non-negative, got {n_iterations}")
-    if n_workers != 1:
-        raise ValueError(f"n_workers must be 1 (samples are scored one at a time), got {n_workers!r}")
-    learned = sorted(algo for algo, entry in ALGORITHMS.items() if entry.learned)
-    for i, algo in enumerate(algos):
-        if algo in algos[:i]:
-            raise ValueError(f"algorithm {algo!r} is listed twice")
-        if algo not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {algo!r}; expected one of {sorted(ALGORITHMS)}")
-        if algo in learned and algo not in nets:
-            raise ValueError(f"no trained network supplied for {algo!r}")
-    for name in nets:
-        if name not in learned:
-            raise ValueError(f"a network was supplied for {name!r}, which is not a learned algorithm; "
-                             f"learned: {learned}")
-
-
 def score_algorithm(
     algo: str,
     op: MeasurementOperator,
@@ -244,27 +219,6 @@ def score_algorithm(
     return average_nmse_db(ratios), (len(observations) - len(ratios)) / len(observations)
 
 
-def _score_point(algos: Sequence[str], cfg: SystemConfig, point_index: int, n_samples: int,
-                 nets: Mapping, n_iterations: int | None):
-    """Score ``algos`` on one shared draw at ``cfg``.
-
-    Assembles the operator, draws the point's observations, then yields
-    ``(algo, iterations, total FLOPs, NMSE dB, failure rate)`` as each
-    algorithm in ``algos`` finishes.  A classic algorithm runs
-    ``n_iterations`` (None: ``cfg.n_iterations``), a learned one its
-    network's stage count plus one.
-    """
-    op = standard_operator(cfg)
-    observations = draw_eval_observations(op, point_index, n_samples)
-    classic_depth = cfg.n_iterations if n_iterations is None else n_iterations
-    for algo in algos:
-        net = nets[algo] if ALGORITHMS[algo].learned else None
-        n_iter = classic_depth if net is None else net.n_stages + 1
-        nmse_db, fail_rate = score_algorithm(algo, op, observations, n_iter, net)
-        flops = flops_per_iteration(algo, cfg) * n_iter + reconstruction_flops(cfg)
-        yield algo, n_iter, flops, nmse_db, fail_rate
-
-
 def _csv_float(x: float) -> str:
     """Four decimals, or an empty field for NaN (no score)."""
     return "" if math.isnan(x) else f"{x:.4f}"
@@ -272,12 +226,16 @@ def _csv_float(x: float) -> str:
 
 @dataclass
 class SweepRow:
+    """One algorithm at one point: its depth, total FLOPs, average NMSE (NaN if every sample failed)
+    and failure rate, in the order of the CSV columns."""
+
     axis: str
     value: float
     algo: str
-    nmse_db: float
+    iterations: int
     n_samples: int
     flops_total: int
+    nmse_db: float
     fail_rate: float
 
 
@@ -290,18 +248,21 @@ class SweepResult:
     config: SystemConfig
 
     def write_csv(self, path) -> None:
+        """The config's provenance line, then one row per point and algorithm; nmse_db is empty
+        when every sample failed."""
         with open(path, "w", newline="") as fh:
             fh.write(provenance_line(self.config) + "\n")
             writer = csv.writer(fh)
-            writer.writerow(["axis", "value", "algo", "nmse_db", "n_samples", "flops_total", "fail_rate"])
+            writer.writerow(SWEEP_CSV_COLUMNS)
             for row in self.rows:
                 writer.writerow([
                     row.axis,
                     f"{row.value:g}",
                     row.algo,
-                    _csv_float(row.nmse_db),
+                    row.iterations,
                     row.n_samples,
                     row.flops_total,
+                    _csv_float(row.nmse_db),
                     _csv_float(row.fail_rate),
                 ])
 
@@ -324,18 +285,21 @@ def run_sweep(
     between rows at one point are paired.  The operator is reassembled
     per point since the measurement matrix depends on the use count;
     moving only the noise level replays the same combiner draw.
+    ``evaluate`` is the one point ``axis="q"``, ``points=[cfg.n_uses]``.
 
     ``nets`` maps each learned algorithm's name to the trained weights
     it runs with at every point.  ``n_iterations`` is the depth of every
-    classic algorithm (None: ``cfg.n_iterations``); learned depths
-    always come from the network's stage count.
+    classic algorithm (None: ``cfg.n_iterations``); a learned one runs
+    its network's stage count plus one.  ``progress`` is called with
+    each row as it is scored.
 
     Raises ``ValueError``, before any operator is assembled, for an
     unknown axis, an empty ``points`` or ``algos``, ``n_samples < 1``,
     ``n_iterations < 0``, ``n_workers`` other than 1, an algorithm not
     in ``ALGORITHMS`` or one listed twice, a learned algorithm with no
-    entry in ``nets``, or a point whose config is invalid, such as a use
-    count that is not a whole number.
+    entry in ``nets``, a network under a name that is not a learned
+    algorithm, or a point whose config is invalid, such as a use count
+    that is not a whole number.
     """
     axis = axis.lower()
     if axis not in SWEEP_AXES:
@@ -343,30 +307,45 @@ def run_sweep(
     points = list(points)
     if not points:
         raise ValueError("no sweep points given")
+    if not algos:
+        raise ValueError("no algorithms given")
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
+    if n_iterations is not None and n_iterations < 0:
+        raise ValueError(f"n_iterations must be non-negative, got {n_iterations}")
+    if n_workers != 1:
+        raise ValueError(f"n_workers must be 1 (samples are scored one at a time), got {n_workers!r}")
     nets = nets or {}
-    _check_request(algos, n_samples, nets, n_iterations, n_workers)
+    learned = sorted(algo for algo, entry in ALGORITHMS.items() if entry.learned)
+    for i, algo in enumerate(algos):
+        if algo in algos[:i]:
+            raise ValueError(f"algorithm {algo!r} is listed twice")
+        if algo not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {algo!r}; expected one of {sorted(ALGORITHMS)}")
+        if algo in learned and algo not in nets:
+            raise ValueError(f"no trained network supplied for {algo!r}")
+    for name in nets:
+        if name not in learned:
+            raise ValueError(f"a network was supplied for {name!r}, which is not a learned algorithm; "
+                             f"learned: {learned}")
     point_cfgs = [_point_config(cfg, axis, value) for value in points]
+
+    classic_depth = cfg.n_iterations if n_iterations is None else n_iterations
     rows: list[SweepRow] = []
     for pi, (value, cfg_point) in enumerate(zip(points, point_cfgs)):
-        for algo, _, flops, nmse_db, fail_rate in _score_point(
-                algos, cfg_point, pi, n_samples, nets, n_iterations):
-            row = SweepRow(axis, float(value), algo, nmse_db, n_samples, flops, fail_rate)
+        op = standard_operator(cfg_point)
+        observations = draw_eval_observations(op, pi, n_samples)
+        for algo in algos:
+            net = nets[algo] if ALGORITHMS[algo].learned else None
+            n_iter = classic_depth if net is None else net.n_stages + 1
+            nmse_db, fail_rate = score_algorithm(algo, op, observations, n_iter, net)
+            flops = flops_per_iteration(algo, cfg_point) * n_iter + reconstruction_flops(cfg_point)
+            row = SweepRow(axis, float(value), algo, n_iter, n_samples, flops, nmse_db, fail_rate)
             rows.append(row)
             if progress is not None:
                 progress(row)
+        del op, observations  # freed before the next point assembles its own
     return SweepResult(axis=axis, rows=rows, config=cfg)
-
-
-# ---- complexity/performance tradeoff ----------------------------------------
-
-
-@dataclass
-class TradeoffRow:
-    algo: str
-    flops: int
-    nmse_db: float
-    iterations: int
-    fail_rate: float
 
 
 def run_tradeoff(
@@ -376,32 +355,10 @@ def run_tradeoff(
     nets: Mapping | None = None,
     n_iterations: int | None = None,
     n_workers: int = 1,
-) -> list[TradeoffRow]:
-    """Total-cost versus accuracy points at the configured operating point,
-    every algorithm scored over the same fresh samples.
+) -> list[SweepRow]:
+    """The rows of ``evaluate``: a one-point pilot-use sweep at ``cfg.n_uses``.
 
-    Raises ``ValueError``, before the operator is assembled, for an
-    empty ``algos``, ``n_samples < 1``, ``n_iterations < 0``,
-    ``n_workers`` other than 1, a name not in ``ALGORITHMS`` or one
-    listed twice, and a learned algorithm with no entry in ``nets``.
+    bench/workloads.py scores through this name; it is kept until ROADMAP
+    item 2 moves the benchmark to :func:`run_sweep`.
     """
-    nets = nets or {}
-    _check_request(algos, n_samples, nets, n_iterations, n_workers)
-    return [TradeoffRow(algo, flops, nmse_db, n_iter, fail_rate)
-            for algo, n_iter, flops, nmse_db, fail_rate in _score_point(algos, cfg, 0, n_samples, nets, n_iterations)]
-
-
-def write_tradeoff_csv(rows: Sequence[TradeoffRow], path, cfg: SystemConfig) -> None:
-    """One row per algorithm; nmse_db is empty when every sample failed."""
-    with open(path, "w", newline="") as fh:
-        fh.write(provenance_line(cfg) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["algo", "flops", "nmse_db", "iterations", "fail_rate"])
-        for row in rows:
-            writer.writerow([
-                row.algo,
-                row.flops,
-                _csv_float(row.nmse_db),
-                row.iterations,
-                _csv_float(row.fail_rate),
-            ])
+    return run_sweep("q", [cfg.n_uses], algos, cfg, n_samples, nets, n_iterations, n_workers).rows

@@ -157,15 +157,16 @@ def conv2d_same(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def conv2d_same_backward(x: np.ndarray, w: np.ndarray, grad_out: np.ndarray,
-                         out: np.ndarray | None = None):
+                         out: np.ndarray | None = None, grad_input: bool = True):
     """Gradients of a same-size correlation: returns (g_x, g_w, g_b).
 
     g_x is the correlation of ``grad_out`` with the flipped, transposed
     kernel, written into ``out`` if given; it comes after every read of
-    ``x``, so ``out`` may be ``x``.  g_w contracts ``grad_out`` with the
-    input windows when C <= O; when C > O it contracts the padded input
-    with a padded canvas holding ``grad_out`` at each of the kh*kw
-    offsets.  Like the forward pass, g_w works through the batch in blocks
+    ``x``, so ``out`` may be ``x``; with ``grad_input=False`` it is not
+    computed and None is returned in its place.  g_w contracts
+    ``grad_out`` with the input windows when C <= O; when C > O it
+    contracts the padded input with a padded canvas holding ``grad_out``
+    at each of the kh*kw offsets.  Like the forward pass, g_w works through the batch in blocks
     of images, sized so that the padded input, the windows (C <= O) or
     canvas (C > O) and the per-image products stay within
     ``_BLOCK_BYTES``.  These buffers are allocated once per call and
@@ -206,6 +207,8 @@ def conv2d_same_backward(x: np.ndarray, w: np.ndarray, grad_out: np.ndarray,
     else:
         grad_w = grad_w.reshape(o, kh, kw, c).transpose(0, 3, 1, 2)
     grad_b = grad_out.sum(axis=(0, 2, 3))
+    if not grad_input:
+        return None, grad_w, grad_b
     grad_x = _correlate(grad_out, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), out)
     return grad_x, grad_w, grad_b
 
@@ -348,14 +351,17 @@ def stage_forward(stage: ConvStage, feats: np.ndarray, gamma_img: np.ndarray):
     return out, (feats, out)
 
 
-def stage_backward(stage: ConvStage, cache, g_gamma_new: np.ndarray):
+def stage_backward(stage: ConvStage, cache, g_gamma_new: np.ndarray, grad_input: bool = True):
     """Backprop one stage; returns (g_feats, g_gamma_prev, weight gradients as a ConvStage).
 
     ``g_gamma_new`` is not written to.  The cache (feats, gamma_new) is
     read, not written.  The hidden layer h1 is rebuilt from feats, one
     conv more than the forward, and the hidden gradient is written over
     it once its ReLU mask is taken, so the backward allocates one hidden
-    array (32 MiB at B = 128 and the default size), not two.
+    array (32 MiB at B = 128 and the default size), not two.  With
+    ``grad_input=False`` g_feats, one conv of the hidden gradient, is not
+    computed and is None: the first stage's features lead only to the
+    start state.
     """
     feats, out = cache
     g_pre2 = g_gamma_new * (out > 0)
@@ -363,7 +369,7 @@ def stage_backward(stage: ConvStage, cache, g_gamma_new: np.ndarray):
     mask = h1 > 0
     g_h1, g_w2, g_b2 = conv2d_same_backward(h1, stage.w2, g_pre2[:, None], out=h1)
     g_h1 *= mask
-    g_feats, g_w1, g_b1 = conv2d_same_backward(feats, stage.w1, g_h1)
+    g_feats, g_w1, g_b1 = conv2d_same_backward(feats, stage.w1, g_h1, grad_input=grad_input)
     return g_feats, g_pre2, ConvStage(w1=g_w1, b1=g_b1, w2=g_w2, b2=g_b2)
 
 
@@ -399,34 +405,46 @@ def save_checkpoint(net: MStepNet, path, cfg: SystemConfig | None = None) -> Non
     save_container(path, _NET_KIND, meta, arrays)
 
 
-def _check_stage_shapes(i: int, params: dict) -> None:
+def _check_stage_shapes(path, i: int, params: dict) -> None:
     """Each stage must be a (2 -> hidden -> 1) refiner with one odd square kernel size."""
     w1 = params["w1"]
     hidden, k = (w1.shape[0], w1.shape[2]) if w1.ndim == 4 else (HIDDEN_CHANNELS, KERNEL)
     expected = {"w1": (hidden, 2, k, k), "b1": (hidden,), "w2": (1, hidden, k, k), "b2": (1,)}
     for name, shape in expected.items():
         if params[name].shape != shape:
-            raise ValueError(f"checkpoint stage {i}: {name} has shape {params[name].shape}, expected {shape}")
+            raise ValueError(f"{path}: checkpoint stage {i}: {name} has shape {params[name].shape}, "
+                             f"expected {shape}")
     if k % 2 == 0:
-        raise ValueError(f"checkpoint stage {i}: kernel size {k} is even, the refiner needs an odd one")
+        raise ValueError(f"{path}: checkpoint stage {i}: kernel size {k} is even, the refiner needs an odd one")
 
 
-def load_checkpoint(path, expect_config: SystemConfig | None = None) -> MStepNet:
+def load_checkpoint(path) -> MStepNet:
+    """Read a network that :func:`save_checkpoint` wrote.
+
+    Raises ``ValueError`` naming ``path`` unless the metadata is an
+    object with a ``config_hash`` and an ``n_stages`` that is a
+    non-negative int (not a bool), and the arrays are exactly
+    ``stage{i}/{w1,b1,w2,b2}`` for ``i < n_stages``, each of a refiner's
+    shape.  A file that is not a readable checkpoint container raises
+    :class:`ContainerError`.
+    """
     _, meta, arrays = load_container(path, expect_kind=_NET_KIND)
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: checkpoint metadata is a {type(meta).__name__}, not an object")
     for key in ("n_stages", "config_hash"):
         if key not in meta:
             raise ValueError(f"{path}: checkpoint has no {key!r} entry")
-    if expect_config is not None and meta["config_hash"] and meta["config_hash"] != expect_config.config_hash():
-        raise ValueError(
-            f"checkpoint config hash {meta['config_hash']} does not match "
-            f"{expect_config.config_hash()}"
-        )
+    n_stages = meta["n_stages"]
+    if type(n_stages) is not int or n_stages < 0:
+        raise ValueError(f"{path}: checkpoint n_stages must be a non-negative int, got {n_stages!r}")
     stages = []
-    for i in range(meta["n_stages"]):
+    for i in range(n_stages):
         missing = [f"stage{i}/{name}" for name in _PARAM_NAMES if f"stage{i}/{name}" not in arrays]
         if missing:
             raise ValueError(f"{path}: checkpoint has no {', '.join(missing)} array")
-        params = {name: arrays[f"stage{i}/{name}"] for name in _PARAM_NAMES}
-        _check_stage_shapes(i, params)
+        params = {name: arrays.pop(f"stage{i}/{name}") for name in _PARAM_NAMES}
+        _check_stage_shapes(path, i, params)
         stages.append(ConvStage(**params))
+    if arrays:
+        raise ValueError(f"{path}: checkpoint of {n_stages} stages also holds {', '.join(sorted(arrays))}")
     return MStepNet(stages, meta["config_hash"])

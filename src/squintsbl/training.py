@@ -210,7 +210,8 @@ def unroll_backward(op: MeasurementOperator, caches: list, g_x: np.ndarray,
     graph shrinks as the backward proceeds.  ``g_x`` is not written to.
     The backward ends at the first stage's weight gradients: iteration 1's
     features and E-step lead only to the flat-prior start state, which
-    has no weights, so their backward is never run.
+    has no weights, so their backward, and that stage's feature gradient,
+    are never computed.
     """
     cfg = op.config
     ga, gd = cfg.grid_angular, cfg.grid_delay
@@ -225,7 +226,8 @@ def unroll_backward(op: MeasurementOperator, caches: list, g_x: np.ndarray,
         it = cache["it"]
         if it < depth:
             g_img = vec_to_image(g_gamma, ga, gd)
-            g_feats, g_prev_img, grads[it - 1] = stage_backward(net.stages[it - 1], cache["stage"], g_img)
+            g_feats, g_prev_img, grads[it - 1] = stage_backward(net.stages[it - 1], cache["stage"], g_img,
+                                                                grad_input=it > 1)
             if it == 1:
                 break
             gm, gt = batch_features_backward(g_feats, cache["mu"])

@@ -11,9 +11,9 @@ import pytest
 
 import squintsbl
 from squintsbl import evaluation
-from squintsbl.cli import _KEY_HELP, _UsageError, _parse_points, build_parser, main
+from squintsbl.cli import _KEY_HELP, _parse_points, build_parser, main
 from squintsbl.config import SystemConfig, desk_config, provenance_line
-from squintsbl.data_io import load_container
+from squintsbl.data_io import load_container, save_container
 from squintsbl.evaluation import ALGORITHMS, SWEEP_AXES, Algorithm, flops_per_iteration, standard_operator
 from squintsbl.mstep import MStepNet, save_checkpoint
 from squintsbl.sbl import E_STEPS
@@ -27,7 +27,7 @@ def test_parse_points_range_and_list():
 
 @pytest.mark.parametrize("spec", ["20:0:5", ",", "0:10:0", "1:2"])
 def test_parse_points_rejects_empty_or_malformed(spec):
-    with pytest.raises(_UsageError):
+    with pytest.raises(ValueError):
         _parse_points(spec)
 
 
@@ -116,7 +116,8 @@ def test_algorithm_names_come_from_the_table(capsys, monkeypatch):
     *rows, _ = _flops_rows(capsys.readouterr().out)
     assert rows[-1] == ["sbl-copy", "7"] and [row[0] for row in rows] == list(table)
     assert main(["evaluate", "--scale", "desk", "--n-samples", "1", "--iterations", "1"]) == 0
-    scored = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+    # each line is "q=<n_uses> <algo>: NMSE ..."
+    scored = [line.split(":")[0].split()[1] for line in capsys.readouterr().out.splitlines()]
     assert scored == [algo for algo, entry in table.items() if not entry.learned] == ["sbl", "amp-sbl", "sbl-copy"]
 
 
@@ -190,6 +191,30 @@ def test_desk_round_trip(tmp_path):
         assert path.read_text().splitlines()[0] == provenance_line(desk_config()), path.name
 
 
+def test_evaluate_is_a_one_point_sweep(tmp_path, capsys):
+    """evaluate and sweep --axis q --points <n_uses>, with the same flags, print the same rows and write the
+    same file."""
+    run = tmp_path / "run"
+    assert main(["train", "--scale", "desk", "--sizes", "8,4,4", "--out", str(run), "--depth", "3",
+                 "--max-epochs", "1", "--batch-size", "4"]) == 0
+    n_uses = desk_config().n_uses
+    assert n_uses == 2
+    common = ["--scale", "desk", "--net", f"amp-sbl-unfolding={run / 'checkpoint.npz'}", "--n-samples", "2",
+              "--iterations", "4"]
+    eval_csv, sweep_csv = tmp_path / "eval.csv", tmp_path / "sweep.csv"
+    capsys.readouterr()
+    assert main(["evaluate", *common, "--out", str(eval_csv)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert main(["sweep", *common, "--axis", "q", "--points", str(n_uses), "--out", str(sweep_csv)]) == 0
+    assert capsys.readouterr().out.splitlines()[:-1] == printed[:-1]  # all but the "wrote" line
+    assert eval_csv.read_bytes() == sweep_csv.read_bytes()
+    lines = eval_csv.read_text().splitlines()
+    assert lines[0] == provenance_line(desk_config())
+    assert lines[1] == "axis,value,algo,iterations,n_samples,flops_total,nmse_db,fail_rate"
+    iterations = {row[2]: int(row[3]) for row in (line.split(",") for line in lines[2:])}
+    assert iterations == {"sbl": 4, "amp-sbl": 4, "amp-sbl-unfolding": 2 + 1}  # stages + 1
+
+
 def test_resume_records_the_hash_of_its_config(tmp_path):
     """A resume under another noise level stores the hash of the config it stores."""
     run, resumed = tmp_path / "run", tmp_path / "resumed"
@@ -257,6 +282,17 @@ def test_net_for_a_classic_algorithm_is_an_error(command, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'sbl', which is not a learned algorithm" in err
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_malformed_checkpoint_is_an_error(tmp_path, capsys):
+    """A checkpoint whose n_stages is a string ends evaluate with error: and exit 1, not a traceback."""
+    ck = tmp_path / "ck.npz"
+    save_checkpoint(MStepNet.create(1, np.random.default_rng(0)), ck)
+    kind, meta, arrays = load_container(ck)
+    save_container(ck, kind, {**meta, "n_stages": "1"}, arrays)
+    assert main(["evaluate", "--scale", "desk", "--net", f"amp-sbl-unfolding={ck}", "--n-samples", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {ck}: checkpoint n_stages must be a non-negative int, got '1'\n"
 
 
 @pytest.mark.parametrize("preset, expected", [({}, "1"), ({"OMP_NUM_THREADS": "2"}, None)],

@@ -13,7 +13,6 @@ from squintsbl.evaluation import (
     FlopsDims,
     SweepRow,
     SweepResult,
-    TradeoffRow,
     average_nmse_db,
     draw_eval_observations,
     flops_per_iteration,
@@ -24,7 +23,6 @@ from squintsbl.evaluation import (
     run_tradeoff,
     score_algorithm,
     standard_operator,
-    write_tradeoff_csv,
 )
 from squintsbl.measurement import Observation
 from squintsbl.mstep import MStepNet
@@ -263,10 +261,15 @@ def test_missing_net_rejected_before_assembly(desk_cfg, monkeypatch):
         run_sweep("snr", [10.0, 20.0], ["sbl", "sbl-unfolding", "amp-sbl-unfolding"], desk_cfg, 2,
                   nets={"sbl-unfolding": net})
     with pytest.raises(ValueError, match="no trained network"):
-        run_tradeoff(["sbl", "amp-sbl-unfolding"], desk_cfg, 2)
+        _evaluate_point(["sbl", "amp-sbl-unfolding"], desk_cfg, 2)
     # networks are keyed by algorithm name only
     with pytest.raises(ValueError, match="no trained network"):
         run_sweep("snr", [10.0], ["sbl-unfolding"], desk_cfg, 2, nets={("sbl-unfolding", 10.0): net})
+
+
+def _evaluate_point(algos, cfg, n_samples, **kwargs):
+    """What ``evaluate`` runs: the one point q = n_uses."""
+    return run_sweep("q", [cfg.n_uses], algos, cfg, n_samples, **kwargs)
 
 
 def _sweep_one_point(algos, cfg, n_samples, **kwargs):
@@ -277,14 +280,14 @@ def _no_assembly(*args, **kwargs):
     raise AssertionError("operator assembled before the request check")
 
 
-@pytest.mark.parametrize("harness", [run_tradeoff, _sweep_one_point], ids=["tradeoff", "sweep"])
+@pytest.mark.parametrize("harness", [_evaluate_point, _sweep_one_point], ids=["tradeoff", "sweep"])
 def test_negative_depth_rejected_before_assembly(harness, desk_cfg, monkeypatch):
     monkeypatch.setattr(evaluation, "standard_operator", _no_assembly)
     with pytest.raises(ValueError, match="n_iterations must be non-negative, got -1"):
         harness(["sbl"], desk_cfg, 1, n_iterations=-1)
 
 
-@pytest.mark.parametrize("harness", [run_tradeoff, _sweep_one_point], ids=["tradeoff", "sweep"])
+@pytest.mark.parametrize("harness", [_evaluate_point, _sweep_one_point], ids=["tradeoff", "sweep"])
 @pytest.mark.parametrize("name", ["sbl-af", "lista-reference"])
 def test_formula_only_names_are_unknown_algorithms(harness, name, desk_cfg, monkeypatch):
     """Names with a FLOP formula and no estimator have no ALGORITHMS entry, so neither harness takes them."""
@@ -293,7 +296,7 @@ def test_formula_only_names_are_unknown_algorithms(harness, name, desk_cfg, monk
         harness(["sbl", name], desk_cfg, 2)
 
 
-@pytest.mark.parametrize("harness", [run_tradeoff, _sweep_one_point], ids=["tradeoff", "sweep"])
+@pytest.mark.parametrize("harness", [_evaluate_point, _sweep_one_point], ids=["tradeoff", "sweep"])
 @pytest.mark.parametrize("algos, n_samples, net_names, n_workers, match", [
     (["sbl"], 0, ["amp-sbl-unfolding"], 1, "n_samples"),
     (["sbl", "nope"], 2, ["amp-sbl-unfolding"], 1, "unknown algorithm 'nope'"),
@@ -315,17 +318,6 @@ def test_bad_request_rejected_before_assembly(harness, algos, n_samples, net_nam
     assert calls == []
 
 
-def test_tradeoff_is_a_one_point_sweep(desk_cfg):
-    """The tradeoff scores exactly what a one-point sweep at the configured use count does."""
-    algos, k = ["sbl", "amp-sbl"], 4
-    tradeoff = run_tradeoff(algos, desk_cfg, 3, n_iterations=k)
-    sweep = run_sweep("q", [desk_cfg.n_uses], algos, desk_cfg, 3, n_iterations=k).rows
-    assert [r.algo for r in tradeoff] == [r.algo for r in sweep] == algos
-    for t, s in zip(tradeoff, sweep):
-        assert np.isfinite(t.nmse_db)
-        assert (t.nmse_db, t.fail_rate, t.flops) == (s.nmse_db, s.fail_rate, s.flops_total)
-
-
 def test_sweep_csv_schema(desk_cfg, tmp_path):
     res = run_sweep("snr", [5.0], ["sbl"], desk_cfg, 2, n_iterations=3)
     out = tmp_path / "sweep.csv"
@@ -333,22 +325,22 @@ def test_sweep_csv_schema(desk_cfg, tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("# config_hash=")
     assert f"seed={desk_cfg.rng_seed}" in lines[0]
-    assert lines[1] == "axis,value,algo,nmse_db,n_samples,flops_total,fail_rate"
+    assert lines[1] == "axis,value,algo,iterations,n_samples,flops_total,nmse_db,fail_rate"
     row = next(csv.DictReader(lines[1:]))
     assert row["axis"] == "snr"
     assert float(row["value"]) == 5.0
-    assert int(row["n_samples"]) == 2
+    assert int(row["n_samples"]) == 2 and int(row["iterations"]) == 3
     float(row["nmse_db"])  # parses
 
 
 def test_sweep_csv_nan_becomes_empty(desk_cfg, tmp_path):
-    rows = [SweepRow(axis="snr", value=1.0, algo="amp-sbl", nmse_db=float("nan"),
-                     n_samples=4, flops_total=10, fail_rate=1.0)]
+    rows = [SweepRow(axis="snr", value=1.0, algo="amp-sbl", iterations=3, n_samples=4, flops_total=10,
+                     nmse_db=float("nan"), fail_rate=1.0)]
     res = SweepResult(axis="snr", rows=rows, config=desk_cfg)
     out = tmp_path / "allfail.csv"
     res.write_csv(out)
     data = out.read_text().strip().splitlines()[2]
-    assert ",," in data  # empty nmse field
+    assert data == "snr,1,amp-sbl,3,4,10,,1.0000"  # empty nmse field
     parsed = next(csv.DictReader(out.read_text().splitlines()[1:]))
     assert parsed["nmse_db"] == ""
     assert float(parsed["fail_rate"]) == 1.0
@@ -363,16 +355,18 @@ def test_snr_points_map_to_noise_var(desk_cfg):
     assert len({r.value for r in res.rows}) == 2
 
 
-# ---- iteration/flops tradeoff -----------------------------------------------
+# ---- the evaluate point -------------------------------------------------------
 
 def test_run_tradeoff_rows(desk_cfg):
+    """run_tradeoff, which the benchmark scores through, is the one-point sweep that evaluate runs."""
     rows = run_tradeoff(["amp-sbl", "sbl"], desk_cfg, 2, n_iterations=3)
+    assert rows == run_sweep("q", [desk_cfg.n_uses], ["amp-sbl", "sbl"], desk_cfg, 2, n_iterations=3).rows
     assert [r.algo for r in rows] == ["amp-sbl", "sbl"]
     for row in rows:
         assert np.isfinite(row.nmse_db) and 0.0 <= row.fail_rate <= 1.0
-        assert row.iterations == 3
-        assert row.flops == 3 * flops_per_iteration(row.algo, desk_cfg) + reconstruction_flops(desk_cfg)
-    assert rows[1].flops > rows[0].flops
+        assert (row.axis, row.value, row.iterations, row.n_samples) == ("q", desk_cfg.n_uses, 3, 2)
+        assert row.flops_total == 3 * flops_per_iteration(row.algo, desk_cfg) + reconstruction_flops(desk_cfg)
+    assert rows[1].flops_total > rows[0].flops_total
 
 
 def test_run_tradeoff_net_required(desk_cfg):
@@ -391,17 +385,3 @@ def test_tradeoff_learned_uses_net_stages(desk_cfg, desk_op):
     net = MStepNet.create(2, np.random.default_rng(0), desk_cfg.config_hash())
     rows = run_tradeoff(["amp-sbl-unfolding"], desk_cfg, 2, nets={"amp-sbl-unfolding": net})
     assert rows[0].iterations == 3  # stages + 1
-
-
-def test_tradeoff_csv(desk_cfg, tmp_path):
-    rows = [TradeoffRow(algo="sbl", flops=100, nmse_db=-3.0, iterations=5, fail_rate=0.25),
-            TradeoffRow(algo="amp-sbl", flops=7, nmse_db=math.nan, iterations=3, fail_rate=1.0)]
-    out = tmp_path / "t.csv"
-    write_tradeoff_csv(rows, out, desk_cfg)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0].startswith("# config_hash=")
-    assert lines[1] == "algo,flops,nmse_db,iterations,fail_rate"
-    assert lines[2].startswith("sbl,100,")
-    assert lines[2].endswith(",0.2500")
-    # a row where every sample failed has no NMSE
-    assert lines[3] == "amp-sbl,7,,3,1.0000"

@@ -457,7 +457,7 @@ def test_checkpoint_roundtrip(tmp_path, rng):
     net = MStepNet.create(3, rng, config_hash=cfg.config_hash())
     path = tmp_path / "net.npz"
     save_checkpoint(net, path, cfg)
-    back = load_checkpoint(path, expect_config=cfg)
+    back = load_checkpoint(path)
     assert back.n_stages == 3
     assert back.config_hash == cfg.config_hash()
     for a, b in zip(net.stages, back.stages):
@@ -465,8 +465,6 @@ def test_checkpoint_roundtrip(tmp_path, rng):
         assert np.array_equal(a.b1, b.b1)
         assert np.array_equal(a.w2, b.w2)
         assert np.array_equal(a.b2, b.b2)
-    with pytest.raises(ValueError):
-        load_checkpoint(path, expect_config=cfg.replace(rng_seed=1))
 
 
 @pytest.mark.parametrize("name,shape,message", [
@@ -517,3 +515,25 @@ def test_checkpoint_missing_stage_count_is_a_value_error(tmp_path, rng):
     _rewrite(path, edit_meta=lambda m: m.pop("n_stages"))
     with pytest.raises(ValueError, match="n_stages"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("meta, extra, message", [
+    ({"n_stages": "1"}, {}, "checkpoint n_stages must be a non-negative int, got '1'"),
+    ({"n_stages": 1.0}, {}, "checkpoint n_stages must be a non-negative int, got 1.0"),
+    ({"n_stages": True}, {}, "checkpoint n_stages must be a non-negative int, got True"),
+    ({"n_stages": -1}, {}, "checkpoint n_stages must be a non-negative int, got -1"),
+    ({"n_stages": 1}, {}, "checkpoint of 1 stages also holds stage1/b1, stage1/b2, stage1/w1, stage1/w2"),
+    ({"n_stages": 0}, {}, "checkpoint of 0 stages also holds stage0/b1, stage0/b2, stage0/w1, stage0/w2, stage1/b1"),
+    ({}, {"notes": np.zeros(1)}, "checkpoint of 2 stages also holds notes"),
+    (["n_stages", "config_hash"], {}, "checkpoint metadata is a list, not an object"),
+], ids=["str-count", "float-count", "bool-count", "negative-count", "fewer-stages", "zero-stages", "stray-array",
+        "list-meta"])
+def test_checkpoint_rejects_malformed_metadata(tmp_path, rng, meta, extra, message):
+    """The metadata must be an object whose n_stages is a non-negative int naming exactly the stored stages."""
+    path = tmp_path / "net.npz"
+    save_checkpoint(MStepNet.create(2, rng), path)
+    kind, stored, arrays = load_container(path)
+    save_container(path, kind, {**stored, **meta} if isinstance(meta, dict) else meta, {**arrays, **extra})
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value).startswith(f"{path}: {message}")

@@ -181,17 +181,39 @@ def test_unroll_backward_consumes_caches(tiny_cfg, tiny_op, rng, e_step):
 
 @pytest.mark.parametrize("e_step", ["amp", "exact"])
 def test_unroll_backward_skips_the_first_e_step(tiny_cfg, tiny_op, rng, monkeypatch, e_step):
-    """The E-step backward runs depth - 1 times: iteration 1's leads only to the start state."""
+    """The E-step backward runs depth - 1 times, and stage 1 builds no feature gradient: both lead only to
+    the start state.  The weight gradients are those of a backward that builds every stage's."""
     calls = []
     for name in ("_amp_backward", "_exact_backward"):
         real = getattr(training, name)
         monkeypatch.setattr(training, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    input_grads = []
+    real_conv_backward = mstep.conv2d_same_backward
+
+    def conv_backward(*args, **kwargs):
+        result = real_conv_backward(*args, **kwargs)
+        input_grads.append(result[0] is not None)
+        return result
+
+    monkeypatch.setattr(mstep, "conv2d_same_backward", conv_backward)
     depth = 3
     net = MStepNet.create(depth - 1, np.random.default_rng(3))
-    x, caches = unroll_forward(tiny_op, crandn(rng, tiny_cfg.n_measurements, 2), 0.1, net, depth, e_step)
-    grads = unroll_backward(tiny_op, caches, crandn(rng, *x.shape), net)
+    y = crandn(rng, tiny_cfg.n_measurements, 2)
+    x, caches = unroll_forward(tiny_op, y, 0.1, net, depth, e_step)
+    g_x = crandn(rng, *x.shape)
+    grads = unroll_backward(tiny_op, caches, g_x, net)
     assert calls == [f"_{e_step}_backward"] * (depth - 1)
     assert len(grads) == depth - 1 and all(isinstance(g, mstep.ConvStage) for g in grads)
+    # two convs per stage, stage depth - 1 first: only the last, stage 1's conv1, skips its input gradient
+    assert input_grads == [True] * (2 * (depth - 1) - 1) + [False]
+
+    real_stage_backward = training.stage_backward
+    monkeypatch.setattr(training, "stage_backward", lambda *args, grad_input: real_stage_backward(*args))
+    _, caches = unroll_forward(tiny_op, y, 0.1, net, depth, e_step)
+    full = unroll_backward(tiny_op, caches, g_x, net)
+    for got, want in zip(grads, full):
+        for name in ("w1", "b1", "w2", "b2"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_training_holds_one_graph(tiny_cfg, tiny_op, monkeypatch):
