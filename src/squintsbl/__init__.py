@@ -16,7 +16,6 @@ from .config import (
     subcarrier_freqs,
 )
 from .channel import (
-    Dataset,
     PathSet,
     build_channel,
     draw_paths,
@@ -32,7 +31,6 @@ from .dictionaries import (
 )
 from .measurement import (
     MeasurementOperator,
-    Observation,
     PilotCombiner,
     assemble_operator,
     draw_combiner,

@@ -138,30 +138,15 @@ def build_channel(cfg: SystemConfig, paths: PathSet) -> np.ndarray:
     return np.sqrt(n / cfg.n_paths) / n * h
 
 
-@dataclass
-class Dataset:
-    """A split of n channels and the config that drew them, sample-major.
-
-    ``h`` is (n, N, K) complex64: the stored reference scores of the
-    ``train`` benchmark were recorded on complex64 channels, so widening
-    it would move them.
-    """
-
-    split: str
-    h: np.ndarray
-    config: SystemConfig
-
-    def __len__(self) -> int:
-        return len(self.h)
-
-
-def generate_dataset(cfg: SystemConfig, n_samples: int, split: str = "train") -> Dataset:
-    """Draw ``n_samples`` channels on the split's own seed substream.
+def generate_dataset(cfg: SystemConfig, n_samples: int, split: str = "train") -> np.ndarray:
+    """Draw ``n_samples`` channels on the split's own seed substream, as an (n, N, K) array.
 
     Each sample gets an independent child stream keyed by (split, index),
     so a split is a pure function of (config, seed, split, size),
     reproducible regardless of generation order, and the three
-    canonical splits never overlap.
+    canonical splits never overlap.  The array is complex64: the stored
+    reference scores of the ``train`` benchmark were recorded on
+    complex64 channels, so widening it would move them.
     """
     split_id = SPLIT_IDS.get(split)
     if split_id is None:
@@ -171,4 +156,4 @@ def generate_dataset(cfg: SystemConfig, n_samples: int, split: str = "train") ->
     h = np.empty((n_samples, cfg.n_antennas, cfg.n_subcarriers), dtype=np.complex64)
     for i in range(n_samples):
         h[i] = build_channel(cfg, draw_paths(cfg, spawn_rng(cfg.rng_seed, "channel", split_id, i)))
-    return Dataset(split=split, h=h, config=cfg)
+    return h

@@ -35,7 +35,7 @@ _KEY_HELP = {
     "grid_delay": "delay grid points",
     "n_clusters": "scattering clusters",
     "n_subpaths": "subpaths per cluster",
-    "n_iterations": "default estimator depth",
+    "n_iterations": "depth of the classic estimators that evaluate and sweep score",
     "rng_seed": "root seed for all streams",
     "center_freq": "carrier frequency, Hz",
     "bandwidth": "sampling rate, Hz",
@@ -150,6 +150,8 @@ def _load_nets(entries, cfg) -> dict:
         algo, sep, path = entry.partition("=")
         if not sep or not algo or not path:
             raise ValueError(f"--net wants ALGO=PATH, got {entry!r}")
+        if algo in nets:
+            raise ValueError(f"--net gives a network for {algo!r} twice")
         net = load_checkpoint(path)
         if net.config_hash != cfg.config_hash():
             print(f"note: network for {algo!r} was trained under config {net.config_hash}, "
@@ -234,8 +236,7 @@ def _cmd_score(args) -> int:
         _echo(f"{row.axis}={row.value:g} {row.algo}: NMSE {nm} over {row.n_samples} samples "
               f"({row.iterations} iterations, {row.flops_total} FLOPs), fail rate {row.fail_rate:.2f}")
 
-    result = run_sweep(axis, points, algos, cfg, args.n_samples, nets=nets, n_iterations=args.iterations,
-                       progress=progress)
+    result = run_sweep(axis, points, algos, cfg, args.n_samples, nets=nets, progress=progress)
     if out:
         result.write_csv(out)
         _echo(f"wrote {out}")
@@ -300,7 +301,6 @@ def build_parser() -> _Parser:
                        help=f"comma list (default: {','.join(_classic_algos())} plus any --net)")
         p.add_argument("--n-samples", type=int, default=n_samples)
         p.add_argument("--net", action="append", metavar="ALGO=PATH", help="checkpoint for a learned algorithm")
-        p.add_argument("--iterations", type=int, default=None, help="depth for the classic algorithms")
         p.add_argument("--out", metavar="CSV", help=f"{out_help}: {csv_help}")
         p.set_defaults(func=_cmd_score)
 

@@ -29,13 +29,7 @@ import numpy as np
 from .channel import build_channel, draw_paths
 from .config import SystemConfig, noise_var_from_snr_db, provenance_line, spawn_rng
 from .dictionaries import build_dictionaries, reconstruct_channel
-from .measurement import (
-    MeasurementOperator,
-    Observation,
-    assemble_operator,
-    draw_combiner,
-    observe_and_transform,
-)
+from .measurement import MeasurementOperator, assemble_operator, draw_combiner, observe_and_transform
 from .sbl import DivergenceError, EstimatorSpec, run_estimator
 
 NMSE_FLOOR_DB = -120.0
@@ -166,18 +160,21 @@ def standard_operator(cfg: SystemConfig) -> MeasurementOperator:
 
 def draw_eval_observations(
     op: MeasurementOperator, point_index: int, n_samples: int
-) -> list[Observation]:
-    """Fresh channels and noise for one sweep point.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh channels and noise for one sweep point, sample-major: (hs (n, N, K), ys (n, M)).
 
     Streams are keyed by (point, sample), so every point sees new data
     but all algorithms at the point consume byte-identical observations.
     """
     cfg = op.config
-    out = []
+    # (n, N, K) but K-major in memory, as build_channel returns each channel: nmse's norms sum in
+    # memory order, so the scores round by it
+    hs = np.empty((n_samples, cfg.n_subcarriers, cfg.n_antennas), dtype=complex).transpose(0, 2, 1)
+    ys = np.empty((n_samples, op.shape[0]), dtype=complex)
     for i in range(n_samples):
-        h = build_channel(cfg, draw_paths(cfg, spawn_rng(cfg.rng_seed, "eval-channel", point_index, i)))
-        out.append(observe_and_transform(op, h, spawn_rng(cfg.rng_seed, "sweep-noise", point_index, i)))
-    return out
+        hs[i] = build_channel(cfg, draw_paths(cfg, spawn_rng(cfg.rng_seed, "eval-channel", point_index, i)))
+        ys[i] = observe_and_transform(op, hs[i], spawn_rng(cfg.rng_seed, "sweep-noise", point_index, i))
+    return hs, ys
 
 
 def _point_config(cfg: SystemConfig, axis: str, value) -> SystemConfig:
@@ -193,30 +190,33 @@ def _point_config(cfg: SystemConfig, axis: str, value) -> SystemConfig:
 def score_algorithm(
     algo: str,
     op: MeasurementOperator,
-    observations: Sequence[Observation],
+    hs: np.ndarray,
+    ys: np.ndarray,
     n_iterations: int,
     net=None,
 ) -> tuple[float, float]:
     """(average NMSE in dB, failure rate) of one algorithm over shared data.
 
-    A raised divergence (a non-finite or runaway E-step, or a failed
-    posterior solve) or a non-finite result counts as a failure and is
-    excluded from the average; with zero survivors the NMSE is NaN.
-    Samples are scored one after another on the calling thread.
+    ``hs`` (n, N, K) and ``ys`` (n, M) are the channels and whitened
+    measurements of :func:`draw_eval_observations`.  A raised divergence
+    (a non-finite or runaway E-step, or a failed posterior solve) or a
+    non-finite result counts as a failure and is excluded from the
+    average; with zero survivors the NMSE is NaN.  Samples are scored one
+    after another on the calling thread, each as a one-column batch.
     """
     entry = ALGORITHMS[algo]
     spec = EstimatorSpec(e_step=entry.e_step, m_step=entry.m_step, n_iterations=n_iterations, net=net)
 
     ratios = []
-    for obs in observations:
+    for h, y in zip(hs, ys):
         try:
-            x_hat, _ = run_estimator(spec, op, obs.y, op.config.noise_var)
+            x_hat, _ = run_estimator(spec, op, y[:, None], op.config.noise_var)
         except DivergenceError:
             continue
-        ratio = nmse(obs.h, reconstruct_channel(op.dicts, x_hat))[0]
+        ratio = nmse(h, reconstruct_channel(op.dicts, x_hat)[..., 0])[0]
         if math.isfinite(ratio):
             ratios.append(ratio)
-    return average_nmse_db(ratios), (len(observations) - len(ratios)) / len(observations)
+    return average_nmse_db(ratios), (len(ys) - len(ratios)) / len(ys)
 
 
 def _csv_float(x: float) -> str:
@@ -334,17 +334,17 @@ def run_sweep(
     rows: list[SweepRow] = []
     for pi, (value, cfg_point) in enumerate(zip(points, point_cfgs)):
         op = standard_operator(cfg_point)
-        observations = draw_eval_observations(op, pi, n_samples)
+        hs, ys = draw_eval_observations(op, pi, n_samples)
         for algo in algos:
             net = nets[algo] if ALGORITHMS[algo].learned else None
             n_iter = classic_depth if net is None else net.n_stages + 1
-            nmse_db, fail_rate = score_algorithm(algo, op, observations, n_iter, net)
+            nmse_db, fail_rate = score_algorithm(algo, op, hs, ys, n_iter, net)
             flops = flops_per_iteration(algo, cfg_point) * n_iter + reconstruction_flops(cfg_point)
             row = SweepRow(axis, float(value), algo, n_iter, n_samples, flops, nmse_db, fail_rate)
             rows.append(row)
             if progress is not None:
                 progress(row)
-        del op, observations  # freed before the next point assembles its own
+        del op, hs, ys  # freed before the next point assembles its own
     return SweepResult(axis=axis, rows=rows, config=cfg)
 
 

@@ -108,8 +108,8 @@ class MeasurementOperator:
     tone-k row block kron(delay[k], a[k]) with a[k] = u[k]^H C_k.
     Nothing of size M x G is stored: :meth:`rotate`, :meth:`forward`,
     :meth:`adjoint`, :meth:`forward_abs2` and :meth:`adjoint_abs2` apply
-    U^H, A, A^H, |A|^2 and (|A|^2)^T from the factors, and each takes one
-    vector or a (., B) batch.  :meth:`gram` and :meth:`diag_quad` are the
+    U^H, A, A^H, |A|^2 and (|A|^2)^T from the factors to a (., B) batch
+    or one column of it.  :meth:`gram` and :meth:`diag_quad` are the
     two products of the exact posterior, A diag(w) A^H and
     diag(A^H X A), on Hermitian M x M matrices stored as their lower
     triangles: ``gram`` builds only the lower triangle, and ``diag_quad``
@@ -217,7 +217,7 @@ class MeasurementOperator:
 
 
 def _synthesize(delay: np.ndarray, blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Apply the rows kron(delay[k], blocks[k]), k = 0..K-1, to x (G,) or (G, B)."""
+    """Apply the rows kron(delay[k], blocks[k]), k = 0..K-1, to x (G, .)."""
     k, n_delay = delay.shape
     t = delay @ x.reshape(n_delay, -1)                       # (K, G_A * B)
     out = blocks @ t.reshape(k, blocks.shape[2], -1)         # (K, m, B)
@@ -277,16 +277,8 @@ def assemble_operator(cfg: SystemConfig, comb: PilotCombiner, dicts: DictionaryS
     return op
 
 
-@dataclass
-class Observation:
-    """One simulated measurement of one channel."""
-
-    y: np.ndarray                 # whitened stacked measurements, (M,)
-    h: np.ndarray                 # the underlying channel (N, K)
-
-
-def observe_and_transform(op: MeasurementOperator, h: np.ndarray, rng: np.random.Generator) -> Observation:
-    """Combine, add receiver noise, and whiten channel matrix ``h`` (N x K) with ``op``'s combiner.
+def observe_and_transform(op: MeasurementOperator, h: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The whitened stacked measurements y (M,) of channel matrix ``h`` (N x K) through ``op``'s combiner.
 
     Noise is drawn per use and antenna with variance ``noise_var`` of
     ``op``'s config; the combined vector per tone is whitened by the
@@ -294,9 +286,8 @@ def observe_and_transform(op: MeasurementOperator, h: np.ndarray, rng: np.random
     """
     cfg, comb = op.config, op.combiner
     n, q_uses, k = cfg.n_antennas, cfg.n_uses, cfg.n_subcarriers
-    h = np.asarray(h, dtype=complex)
     sigma = np.sqrt(cfg.noise_var / 2.0)
     noise = sigma * (rng.standard_normal((q_uses, n, k)) + 1j * rng.standard_normal((q_uses, n, k)))
     rows = [comb.block(q) @ (h + noise[q]) for q in range(q_uses)]
     y_tone = solve_triangular(comb.d, np.vstack(rows), lower=True)   # (Q*n_rf, K)
-    return Observation(y=y_tone.ravel(order="F"), h=h)
+    return y_tone.ravel(order="F")

@@ -21,15 +21,16 @@ implementation, shared by inference and training:
   The mismatch is a known defect, kept as is for now: fixing it moves
   every stored AMP score.
 
-Both take one vector or a (., B) batch and also return the cache their
+Both take a (., B) batch of columns and also return the cache their
 backward pass (``_exact_backward``, ``_amp_backward``) reads.  Both fail
 one way: non-finite values, a column whose norm runs away, or a failed
-Cholesky raise :class:`DivergenceError` with the iteration index and,
-for a batch, the failing columns.
+Cholesky raise :class:`DivergenceError` with the iteration index and the
+failing columns.
 
 One iteration, the E-step and then the variance update, is :func:`step`
-on (M,) or (M, B) data.  ``run_estimator`` and the training forward both
-loop over it; only the latter keeps the iterations' backward caches.
+on (M, B) data; one measurement vector is the batch ``y[:, None]``.
+``run_estimator`` and the training forward both loop over it; only the
+latter keeps the iterations' backward caches.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class DivergenceError(RuntimeError):
         super().__init__(message)
         self.iteration = iteration
         self.trace = trace if trace is not None else []
-        # failing batch columns; [] for a single-vector run
+        # failing batch columns; [] for a failure outside one estimator step
         self.columns = columns if columns is not None else []
 
 
@@ -68,21 +69,21 @@ class SblState:
     """Mutable per-iteration state of an estimator run."""
 
     iteration: int
-    mu: np.ndarray      # posterior mean, (G,) or (G, batch)
+    mu: np.ndarray      # posterior mean, (G, batch)
     tau_x: np.ndarray   # posterior marginal variances, same shape
     gamma: np.ndarray   # prior variances, same shape
-    s: np.ndarray       # measurement-domain residual message, (M,) or (M, batch)
+    s: np.ndarray       # measurement-domain residual message, (M, batch)
 
 
 def init_state(gamma: np.ndarray, n_meas: int) -> SblState:
-    """Start state under the prior ``gamma``, (G,) or (G, B): zero mean,
-    tau at gamma, and a zero (n_meas,) or (n_meas, B) residual."""
+    """Start state under the prior ``gamma``, (G, B): zero mean, tau at
+    gamma, and a zero (n_meas, B) residual."""
     return SblState(
         iteration=0,
         mu=np.zeros(gamma.shape, dtype=complex),
         tau_x=gamma.copy(),
         gamma=gamma,
-        s=np.zeros((n_meas,) + gamma.shape[1:], dtype=complex),
+        s=np.zeros((n_meas, gamma.shape[1]), dtype=complex),
     )
 
 
@@ -101,21 +102,19 @@ def _check_step(it: int, data: np.ndarray, **arrays) -> None:
                 continue
             bad = ~np.all(np.isfinite(arr), axis=0)
             if np.any(bad):
-                columns, where = _columns(np.flatnonzero(bad), arr.ndim)
+                columns, where = _columns(np.flatnonzero(bad))
                 raise DivergenceError(f"non-finite {name} at iteration {it}{where}", iteration=it,
                                       columns=columns)
     mu = arrays["mu"]
     limit = _MAGNITUDE_GUARD * np.maximum(np.linalg.norm(data, axis=0), 1e-300)
     blown = np.linalg.norm(mu, axis=0) > limit
     if np.any(blown):
-        columns, where = _columns(np.flatnonzero(blown), mu.ndim)
+        columns, where = _columns(np.flatnonzero(blown))
         raise DivergenceError(f"estimate norm blew up at iteration {it}{where}", iteration=it, columns=columns)
 
 
-def _columns(failed, ndim: int) -> tuple[list[int], str]:
-    """The failing column indices and the message suffix naming them; none for a vector."""
-    if ndim != 2:
-        return [], ""
+def _columns(failed) -> tuple[list[int], str]:
+    """The failing column indices and the message suffix naming them."""
     columns = [int(j) for j in failed]
     return columns, f" in columns {columns}"
 
@@ -141,24 +140,21 @@ def exact_e_step(op: MeasurementOperator, r: np.ndarray, sigma2: float, state: S
     the default size).
     """
     it = state.iteration + 1
-    m, g = op.shape
-    rs, gammas = r.reshape(m, -1), state.gamma.reshape(g, -1)
-    u = np.empty(gammas.shape, dtype=complex)
-    d = np.empty(gammas.shape)
-    for j in range(rs.shape[1]):
+    gamma = state.gamma
+    u = np.empty(gamma.shape, dtype=complex)
+    d = np.empty(gamma.shape)
+    for j in range(r.shape[1]):
         try:
-            factor = _cho_s(op, gammas[:, j], sigma2)
+            factor = _cho_s(op, gamma[:, j], sigma2)
             # solve before potri overwrites the factor; cho_factor checked finiteness
-            solved = cho_solve(factor, rs[:, j], check_finite=False)
+            solved = cho_solve(factor, r[:, j], check_finite=False)
             s_inv = _cho_inverse(factor[0])
         except (np.linalg.LinAlgError, ValueError) as exc:
-            columns, where = _columns([j], r.ndim)
+            columns, where = _columns([j])
             raise DivergenceError(f"posterior solve failed at iteration {it}{where}: {exc}",
                                   iteration=it, columns=columns) from exc
         u[:, j] = op.adjoint(solved)
         d[:, j] = op.diag_quad(s_inv)
-    gamma = state.gamma
-    u, d = u.reshape(gamma.shape), d.reshape(gamma.shape)
     mu = gamma * u
     tau = np.maximum(gamma * (1.0 - gamma * d), 0.0)
     _check_step(it, r, mu=mu, tau_x=tau)
@@ -224,19 +220,18 @@ def _exact_backward(op: MeasurementOperator, cache, g_mu, g_tau) -> np.ndarray:
     """
     u, d, gamma = cache["u"], cache["d"], cache["gamma"]
     g_gamma = np.real(np.conj(g_mu) * u) + g_tau * (1.0 - 2.0 * gamma * d)
-    g = len(u)
-    us, gammas, a_vecs, ws = (x.reshape(g, -1) for x in (u, gamma, gamma * g_mu, g_tau * gamma * gamma))
-    extra = np.empty(us.shape)
-    for j in range(us.shape[1]):
-        s_inv = _cho_inverse(_cho_s(op, gammas[:, j], cache["sigma2"])[0])
+    a_vecs, ws = gamma * g_mu, g_tau * gamma * gamma
+    extra = np.empty(u.shape)
+    for j in range(u.shape[1]):
+        s_inv = _cho_inverse(_cho_s(op, gamma[:, j], cache["sigma2"])[0])
         hemv, hemm = get_blas_funcs(("hemv", "hemm"), (s_inv,))
         ta = op.adjoint(hemv(1.0, s_inv, op.forward(a_vecs[:, j]), lower=True))
-        extra[:, j] = -np.real(us[:, j] * np.conj(ta))
+        extra[:, j] = -np.real(u[:, j] * np.conj(ta))
         if np.any(ws[:, j]):
             s_gram = hemm(1.0, s_inv, _hermitian(op.gram(ws[:, j])), lower=True)
             k_w = hemm(1.0, s_inv, s_gram, side=1, lower=True)
             extra[:, j] += op.diag_quad(k_w)
-    return g_gamma + extra.reshape(g_gamma.shape)
+    return g_gamma + extra
 
 
 def amp_e_step(op: MeasurementOperator, r: np.ndarray, sigma2: float, state: SblState):
@@ -255,7 +250,7 @@ def amp_e_step(op: MeasurementOperator, r: np.ndarray, sigma2: float, state: Sbl
 
     The last two take gamma as a precision; see the module docstring.
 
-    Works on single vectors or on (.., batch) stacks.  The four products
+    Works on (., B) batches of columns.  The four products
     by A, A^H, |A|^2 and (|A|^2)^T cost about 20 K G_A (G_D + m) real
     FLOPs per column (m = M / K), the elementwise lines O(M + G).
     Returns (mu', tau', s', cache for :func:`_amp_backward`).
@@ -370,7 +365,7 @@ class EstimatorSpec:
 
 def step(spec: EstimatorSpec, op: MeasurementOperator, r: np.ndarray, sigma2: float,
          state: SblState) -> dict:
-    """Advance ``state`` by one unfolded iteration on ``r``, (M,) or (M, B); return its backward cache.
+    """Advance ``state`` by one unfolded iteration on ``r``, (M, B); return its backward cache.
 
     The E-step runs first, then, except on the last iteration, the
     variance update.  The cache holds ``"e_step"``, ``"it"`` (1-based)
@@ -397,10 +392,18 @@ def step(spec: EstimatorSpec, op: MeasurementOperator, r: np.ndarray, sigma2: fl
 
 
 def start_state(op: MeasurementOperator, y: np.ndarray) -> tuple[np.ndarray, SblState]:
-    """The rotated data ``op.rotate(y)`` and the flat-prior start state, for y (M,) or (M, B)."""
+    """The rotated data ``op.rotate(y)`` and the flat-prior start state, for y (M, B).
+
+    Raises ``ValueError`` for an operator assembled without a config, or
+    a ``y`` that is not an (M, B) batch; one vector is the batch ``y[:, None]``.
+    """
     if op.config is None:
         raise ValueError("the estimator needs an operator assembled from a config")
-    return op.rotate(y), init_state(np.ones(op.shape[1:] + y.shape[1:]), op.shape[0])
+    m, g = op.shape
+    if y.ndim != 2 or y.shape[0] != m:
+        raise ValueError(f"y must be an (M, B) = ({m}, B) batch, got shape {y.shape}; "
+                         f"pass one measurement vector as y[:, None]")
+    return op.rotate(y), init_state(np.ones((g, y.shape[1])), m)
 
 
 def run_estimator(
@@ -410,12 +413,12 @@ def run_estimator(
     sigma2: float,
     h_true: np.ndarray | None = None,
 ):
-    """Run the configured estimator on y (M,) or (M, B); returns (x_hat, trace).
+    """Run the configured estimator on y (M, B); returns (x_hat, trace).
 
-    ``y`` is whitened; ``x_hat``, (G,) or (G, B), is the last posterior
-    mean.  Each iteration is one :func:`step`, whose cache is dropped.
-    The trace has one dict per iteration: the NMSE in dB against
-    ``h_true`` (NaN without it) and the l1 norm of gamma, both over the
+    ``y`` is whitened; ``x_hat``, (G, B), is the last posterior mean.
+    Each iteration is one :func:`step`, whose cache is dropped.  The
+    trace has one dict per iteration: the NMSE in dB against ``h_true``,
+    (N, K, B) (NaN without it), and the l1 norm of gamma, both over the
     whole batch.  A divergence error carries the partial trace.
     """
     r, state = start_state(op, y)

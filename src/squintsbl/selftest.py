@@ -59,7 +59,8 @@ def _dense_phi(op) -> np.ndarray:
 def _posterior_error(op, phi, y, sigma2, gamma) -> float:
     """Worst relative error of the exact E-step on the rotated data
     against the information-form posterior of y = phi x + n."""
-    mu, tau, _ = exact_e_step(op, op.rotate(y), sigma2, init_state(gamma, op.shape[0]))
+    mu, tau, _ = exact_e_step(op, op.rotate(y[:, None]), sigma2, init_state(gamma[:, None], op.shape[0]))
+    mu, tau = mu[:, 0], tau[:, 0]
     cov = np.linalg.inv(phi.conj().T @ phi / sigma2 + np.diag(1.0 / gamma))
     mu_ref = cov @ (phi.conj().T @ y) / sigma2
     tau_ref = np.diag(cov).real
@@ -107,12 +108,12 @@ def check_amp_fixed_point() -> str:
         phi /= np.linalg.norm(phi, axis=0, keepdims=True)
         gamma = np.ones(g)
         x = _crandn(rng, (g,))
-        y = phi @ x + math.sqrt(sigma2) * _crandn(rng, (m,))
+        y = (phi @ x + math.sqrt(sigma2) * _crandn(rng, (m,)))[:, None]
         op = operator_from_matrix(phi)
-        state = init_state(gamma, m)
+        state = init_state(gamma[:, None], m)
         for _ in range(60):
             state.mu, state.tau_x, state.s, _ = amp_e_step(op, y, sigma2, state)
-        mu_ref, _, _ = exact_e_step(op, y, sigma2, init_state(gamma, m))
+        mu_ref, _, _ = exact_e_step(op, y, sigma2, init_state(gamma[:, None], m))
         err = float(np.linalg.norm(state.mu - mu_ref) / np.linalg.norm(mu_ref))
         errs.append(err)
         passed += err < 1e-2
@@ -123,11 +124,11 @@ def check_amp_fixed_point() -> str:
 def check_hand_instance() -> str:
     """One message-passing update on a 2x3 instance worked by hand."""
     a = np.array([[1.0, 1.0, 0.0], [0.0, 1.0j, 2.0]], dtype=complex)
-    r = np.array([1.0 + 1.0j, 2.0], dtype=complex)
+    r = np.array([[1.0 + 1.0j], [2.0]], dtype=complex)
     op = operator_from_matrix(a)
-    state = SblState(iteration=0, mu=np.zeros(3, dtype=complex), tau_x=np.ones(3),
-                     gamma=np.array([1.0, 2.0, 4.0]), s=np.zeros(2, dtype=complex))
-    mu, tau, s, _ = amp_e_step(op, r, 1.0, state)
+    state = SblState(iteration=0, mu=np.zeros((3, 1), dtype=complex), tau_x=np.ones((3, 1)),
+                     gamma=np.array([[1.0], [2.0], [4.0]]), s=np.zeros((2, 1), dtype=complex))
+    mu, tau, s = (x[:, 0] for x in amp_e_step(op, r, 1.0, state)[:3])
     np.testing.assert_allclose(mu, [(1 + 1j) / 4, 2 / 15, 1 / 7], rtol=1e-14, atol=0)
     np.testing.assert_allclose(tau, [3 / 4, 2 / 5, 3 / 14], rtol=1e-14, atol=0)
     np.testing.assert_allclose(s, [(1 + 1j) / 3, 1 / 3], rtol=1e-14, atol=0)
@@ -168,9 +169,9 @@ def check_per_tone_rotation() -> str:
     dense.config = cfg
     spec = EstimatorSpec(e_step="amp", m_step="classic", n_iterations=10)
     amp_gap = 0.0
-    for obs in draw_eval_observations(op, 0, 3):
-        mu, _ = run_estimator(spec, op, obs.y, cfg.noise_var)
-        mu_ref, _ = run_estimator(spec, dense, obs.y, cfg.noise_var)
+    for y in draw_eval_observations(op, 0, 3)[1]:
+        mu, _ = run_estimator(spec, op, y[:, None], cfg.noise_var)
+        mu_ref, _ = run_estimator(spec, dense, y[:, None], cfg.noise_var)
         amp_gap = max(amp_gap, float(np.linalg.norm(mu - mu_ref) / np.linalg.norm(mu_ref)))
     np.testing.assert_(amp_gap < 1e-10, f"AMP-SBL mean off the dense-SVD run by {amp_gap:.2e}")
     return (f"unitary to {unitary_gap:.1e}, forward to {fwd_gap:.1e}, "
@@ -320,10 +321,10 @@ def check_squint_dictionary() -> str:
                         for mode in (FREQUENCY_DEPENDENT, FREQUENCY_INDEPENDENT))
     spec = EstimatorSpec(e_step="exact", m_step="classic", n_iterations=10)
     ratios = np.empty((8, 2))
-    for i, obs in enumerate(draw_eval_observations(matched, 0, 8)):
+    for i, (h, y) in enumerate(zip(*draw_eval_observations(matched, 0, 8))):
         for j, op in enumerate((matched, unaware)):
-            x_hat, _ = run_estimator(spec, op, obs.y, cfg.noise_var)
-            ratios[i, j] = nmse(obs.h, reconstruct_channel(op.dicts, x_hat))[0]
+            x_hat, _ = run_estimator(spec, op, y[:, None], cfg.noise_var)
+            ratios[i, j] = nmse(h, reconstruct_channel(op.dicts, x_hat)[..., 0])[0]
     wins = int(np.sum(ratios[:, 0] < ratios[:, 1]))
     gap = average_nmse_db(ratios[:, 1]) - average_nmse_db(ratios[:, 0])
     np.testing.assert_(wins >= 7 and gap >= 1.0,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import Dataset, generate_dataset
+from .channel import generate_dataset
 from .config import SPLIT_IDS, SystemConfig, provenance_line, spawn_rng
 from .dictionaries import DictionarySet, reconstruct_adjoint, reconstruct_channel
 from .measurement import MeasurementOperator
@@ -128,7 +128,7 @@ def write_report_csv(report: TrainReport, path, cfg: SystemConfig, train_cfg: Tr
 # ---- dataset plumbing -------------------------------------------------------
 
 def generate_splits(cfg: SystemConfig, sizes: tuple[int, int, int] = (8000, 1000, 1000)):
-    """Draw disjoint train/val/test channel sets (noise is drawn later)."""
+    """Draw disjoint train/val/test channel sets, each (n, N, K) complex64 (noise is drawn later)."""
     return (
         generate_dataset(cfg, sizes[0], "train"),
         generate_dataset(cfg, sizes[1], "val"),
@@ -146,19 +146,19 @@ class _Split:
     noise: np.ndarray | None  # fixed noise for val/test, None for train
 
 
-def _prepare_split(ds: Dataset, op: MeasurementOperator, fixed_noise: bool,
-                   sigma2: float) -> _Split:
-    cfg = ds.config
+def _prepare_split(channels: np.ndarray, split: str, op: MeasurementOperator, sigma2: float) -> _Split:
+    """The split's arrays from its (n, N, K) channels; val and test also get their fixed noise."""
+    cfg = op.config
     # (N, K, B) but K-major in memory: hnorm2's pairwise sums, and so train's scores, round by it
-    h = ds.h.transpose(2, 1, 0).astype(np.complex128, order="C").transpose(1, 0, 2)
+    h = channels.transpose(2, 1, 0).astype(np.complex128, order="C").transpose(1, 0, 2)
     hnorm2 = np.sum(np.abs(h) ** 2, axis=(0, 1))
     m = cfg.n_uses * cfg.n_rf
     yc = np.einsum("mn,nkb->mkb", op.combiner.w_bar, h, optimize=True)
     y_clean = yc.reshape(m * cfg.n_subcarriers, -1, order="F")
     noise = None
-    if fixed_noise:
+    if split != "train":
         # one draw per sample, reused every evaluation (paired comparisons)
-        split_id = SPLIT_IDS[ds.split]
+        split_id = SPLIT_IDS[split]
         cols = []
         for i in range(h.shape[-1]):
             rng = spawn_rng(cfg.rng_seed, "eval-noise", split_id, i)
@@ -313,6 +313,8 @@ def train_layerwise(train_cfg: TrainConfig, sys_cfg: SystemConfig,
                     initial_net: MStepNet | None = None) -> tuple[MStepNet, TrainReport]:
     """Grow the net from depth 2 to ``train_cfg.depth``, retraining each time.
 
+    ``datasets`` holds the train, val and test channels of
+    :func:`generate_splits`, in that order, drawn under ``sys_cfg``.
     Passing ``initial_net`` resumes from a checkpoint: its stages are
     kept as-is and training continues from the next depth, so a resumed
     run only ever appends stages.  Every stage is retrained here, so the
@@ -320,10 +322,10 @@ def train_layerwise(train_cfg: TrainConfig, sys_cfg: SystemConfig,
     """
     t0 = time.perf_counter()
     sigma2 = sys_cfg.noise_var
-    train_ds, val_ds, test_ds = datasets
-    train = _prepare_split(train_ds, op, False, sigma2)
-    val = _prepare_split(val_ds, op, True, sigma2)
-    test = _prepare_split(test_ds, op, True, sigma2)
+    train_h, val_h, test_h = datasets
+    train = _prepare_split(train_h, "train", op, sigma2)
+    val = _prepare_split(val_h, "val", op, sigma2)
+    test = _prepare_split(test_h, "test", op, sigma2)
 
     if initial_net is None:
         net = MStepNet.create(1, spawn_rng(sys_cfg.rng_seed, "net-init", 0), sys_cfg.config_hash())

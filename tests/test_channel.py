@@ -198,8 +198,8 @@ def test_generate_dataset_split_streams():
     va = generate_dataset(cfg, 3, "val")
     tr2 = generate_dataset(cfg, 3, "train")
     assert len(tr) == 3
-    assert np.array_equal(tr.h[0], tr2.h[0])
-    assert not np.array_equal(tr.h[0], va.h[0])
+    assert np.array_equal(tr[0], tr2[0])
+    assert not np.array_equal(tr[0], va[0])
     with pytest.raises(ValueError):
         generate_dataset(cfg, 2, "nope")
     with pytest.raises(ValueError, match="val split: n_samples must be positive, got 0"):
@@ -208,10 +208,10 @@ def test_generate_dataset_split_streams():
 
 @pytest.mark.parametrize("split", sorted(SPLIT_IDS))
 def test_generate_dataset_is_sample_major(split):
-    """Row i of h is the i-th channel drawn on its own, cast to complex64."""
+    """Row i is the i-th channel drawn on its own, cast to complex64."""
     cfg = desk_config()
-    ds = generate_dataset(cfg, 3, split)
-    assert ds.h.shape == (3, cfg.n_antennas, cfg.n_subcarriers) and ds.h.dtype == np.complex64
+    h = generate_dataset(cfg, 3, split)
+    assert h.shape == (3, cfg.n_antennas, cfg.n_subcarriers) and h.dtype == np.complex64
     for i in range(3):
         paths = draw_paths(cfg, spawn_rng(cfg.rng_seed, "channel", SPLIT_IDS[split], i))
-        assert np.array_equal(ds.h[i], build_channel(cfg, paths).astype(np.complex64))
+        assert np.array_equal(h[i], build_channel(cfg, paths).astype(np.complex64))

@@ -115,7 +115,7 @@ def test_algorithm_names_come_from_the_table(capsys, monkeypatch):
     assert main(["flops", "--scale", "desk"]) == 0
     *rows, _ = _flops_rows(capsys.readouterr().out)
     assert rows[-1] == ["sbl-copy", "7"] and [row[0] for row in rows] == list(table)
-    assert main(["evaluate", "--scale", "desk", "--n-samples", "1", "--iterations", "1"]) == 0
+    assert main(["evaluate", "--scale", "desk", "--n-samples", "1", "--n-iterations", "1"]) == 0
     # each line is "q=<n_uses> <algo>: NMSE ..."
     scored = [line.split(":")[0].split()[1] for line in capsys.readouterr().out.splitlines()]
     assert scored == [algo for algo, entry in table.items() if not entry.learned] == ["sbl", "amp-sbl", "sbl-copy"]
@@ -181,14 +181,15 @@ def test_desk_round_trip(tmp_path):
     assert main(["train", "--scale", "desk", "--sizes", "8,4,4", "--out", str(run), "--depth", "2",
                  "--max-epochs", "1", "--batch-size", "4"]) == 0
     net = f"amp-sbl-unfolding={run / 'checkpoint.npz'}"
-    common = ["--scale", "desk", "--net", net, "--n-samples", "2", "--iterations", "3"]
+    common = ["--scale", "desk", "--net", net, "--n-samples", "2", "--n-iterations", "3"]
     eval_csv, sweep_csv = tmp_path / "eval.csv", tmp_path / "sweep.csv"
     assert main(["evaluate", *common, "--out", str(eval_csv)]) == 0
     assert main(["sweep", *common, "--axis", "snr", "--points", "0,10", "--out", str(sweep_csv)]) == 0
     assert "fail_rate" in _csv_header(eval_csv)
     assert "fail_rate" in _csv_header(sweep_csv)
-    for path in (eval_csv, sweep_csv, run / "training_report.csv"):
-        assert path.read_text().splitlines()[0] == provenance_line(desk_config()), path.name
+    for path, cfg in ((eval_csv, desk_config(n_iterations=3)), (sweep_csv, desk_config(n_iterations=3)),
+                      (run / "training_report.csv", desk_config())):
+        assert path.read_text().splitlines()[0] == provenance_line(cfg), path.name
 
 
 def test_evaluate_is_a_one_point_sweep(tmp_path, capsys):
@@ -200,7 +201,7 @@ def test_evaluate_is_a_one_point_sweep(tmp_path, capsys):
     n_uses = desk_config().n_uses
     assert n_uses == 2
     common = ["--scale", "desk", "--net", f"amp-sbl-unfolding={run / 'checkpoint.npz'}", "--n-samples", "2",
-              "--iterations", "4"]
+              "--n-iterations", "4"]
     eval_csv, sweep_csv = tmp_path / "eval.csv", tmp_path / "sweep.csv"
     capsys.readouterr()
     assert main(["evaluate", *common, "--out", str(eval_csv)]) == 0
@@ -209,7 +210,7 @@ def test_evaluate_is_a_one_point_sweep(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[:-1] == printed[:-1]  # all but the "wrote" line
     assert eval_csv.read_bytes() == sweep_csv.read_bytes()
     lines = eval_csv.read_text().splitlines()
-    assert lines[0] == provenance_line(desk_config())
+    assert lines[0] == provenance_line(desk_config(n_iterations=4))
     assert lines[1] == "axis,value,algo,iterations,n_samples,flops_total,nmse_db,fail_rate"
     iterations = {row[2]: int(row[3]) for row in (line.split(",") for line in lines[2:])}
     assert iterations == {"sbl": 4, "amp-sbl": 4, "amp-sbl-unfolding": 2 + 1}  # stages + 1
@@ -273,12 +274,12 @@ def test_train_resuming_a_damaged_checkpoint_is_a_file_error(damage, expected, t
                          ids=["evaluate", "sweep"])
 def test_net_for_a_classic_algorithm_is_an_error(command, tmp_path, capsys):
     """--net sbl=... is refused, not loaded and silently ignored."""
-    cfg = desk_config()
+    cfg = desk_config(n_iterations=3)  # the config the command runs under, so no hash note precedes the error
     ck = tmp_path / "ck.npz"
     save_checkpoint(MStepNet.create(2, np.random.default_rng(0), cfg.config_hash()), ck, cfg)
     capsys.readouterr()
     assert main([*command, "--scale", "desk", "--net", f"sbl={ck}", "--algos", "sbl", "--n-samples", "2",
-                 "--iterations", "3", "--out", str(tmp_path / "out.csv")]) == 1
+                 "--n-iterations", "3", "--out", str(tmp_path / "out.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'sbl', which is not a learned algorithm" in err
     assert not (tmp_path / "out.csv").exists()
@@ -293,6 +294,41 @@ def test_malformed_checkpoint_is_an_error(tmp_path, capsys):
     assert main(["evaluate", "--scale", "desk", "--net", f"amp-sbl-unfolding={ck}", "--n-samples", "1"]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {ck}: checkpoint n_stages must be a non-negative int, got '1'\n"
+
+
+@pytest.mark.parametrize("case", ["str-weights", "repeated-algo"])
+def test_bad_net_input_is_one_error_line(case, tmp_path, capsys):
+    """A checkpoint with string weights, or a second --net for the same algorithm, ends evaluate with exit 1
+    and exactly one error: line, before any scoring."""
+    a, b = tmp_path / "a.npz", tmp_path / "b.npz"
+    for path in (a, b):
+        save_checkpoint(MStepNet.create(1, np.random.default_rng(0), desk_config().config_hash()), path)
+    if case == "str-weights":
+        kind, meta, arrays = load_container(a)
+        save_container(a, kind, meta, {**arrays, "stage0/w1": np.full(arrays["stage0/w1"].shape, "x")})
+        nets = ["--net", f"amp-sbl-unfolding={a}"]
+        expected = f"error: {a}: checkpoint stage 0: w1 has dtype <U1, expected a real floating type"
+    else:
+        nets = ["--net", f"amp-sbl-unfolding={a}", "--net", f"amp-sbl-unfolding={b}"]
+        expected = "error: --net gives a network for 'amp-sbl-unfolding' twice"
+    capsys.readouterr()
+    assert main(["evaluate", "--scale", "desk", *nets, "--algos", "amp-sbl-unfolding", "--n-samples", "1"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", expected + "\n")
+
+
+def test_classic_depth_is_the_config_n_iterations(tmp_path, capsys):
+    """--n-iterations sets the classic depth, and the CSV's provenance hash records it; --iterations is gone."""
+    out = tmp_path / "e.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--scale", "desk", "--algos", "sbl", "--n-samples", "1", "--iterations", "3"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --iterations 3" in capsys.readouterr().err
+    assert main(["evaluate", "--scale", "desk", "--algos", "sbl", "--n-samples", "1", "--n-iterations", "3",
+                 "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == provenance_line(desk_config(n_iterations=3)) != provenance_line(desk_config())
+    assert lines[2].split(",")[2:4] == ["sbl", "3"]
 
 
 @pytest.mark.parametrize("preset, expected", [({}, "1"), ({"OMP_NUM_THREADS": "2"}, None)],
@@ -316,10 +352,10 @@ def test_closed_stdout_still_writes_the_csv(command, tmp_path, monkeypatch, caps
     out = tmp_path / "out.csv"
     with open(write_end, "w") as closed_stdout:
         monkeypatch.setattr(sys, "stdout", closed_stdout)
-        assert main([*command, "--scale", "desk", "--n-samples", "2", "--iterations", "3", "--out", str(out)]) == 0
+        assert main([*command, "--scale", "desk", "--n-samples", "2", "--n-iterations", "3", "--out", str(out)]) == 0
         # the first failed write pointed the descriptor at os.devnull
         assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
-    assert out.read_text().splitlines()[0] == provenance_line(desk_config())
+    assert out.read_text().splitlines()[0] == provenance_line(desk_config(n_iterations=3))
     assert capsys.readouterr().err == ""
 
 
@@ -340,7 +376,7 @@ def _run_into_closed_pipe(args: list[str], cwd) -> subprocess.CompletedProcess:
 def test_sweep_into_a_closed_pipe_exits_cleanly(tmp_path):
     """As `squintsbl sweep ... | head -n 1` once head has left: exit 0, the CSV written, nothing on stderr."""
     proc = _run_into_closed_pipe(["-m", "squintsbl.cli", "sweep", "--scale", "desk", "--axis", "snr",
-                                  "--points", "0:20:5", "--algos", "sbl", "--n-samples", "2", "--iterations", "3",
+                                  "--points", "0:20:5", "--algos", "sbl", "--n-samples", "2", "--n-iterations", "3",
                                   "--out", "s.csv"], tmp_path)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert len((tmp_path / "s.csv").read_text().splitlines()) == 2 + 5

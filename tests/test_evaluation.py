@@ -24,7 +24,6 @@ from squintsbl.evaluation import (
     score_algorithm,
     standard_operator,
 )
-from squintsbl.measurement import Observation
 from squintsbl.mstep import MStepNet
 
 from conftest import crandn
@@ -147,28 +146,29 @@ def test_standard_operator_distinct_per_use_count(desk_cfg):
 
 
 def test_draw_eval_observations_paired(desk_cfg, desk_op):
-    a = draw_eval_observations(desk_op, 0, 3)
-    b = draw_eval_observations(desk_op, 0, 3)
-    c = draw_eval_observations(desk_op, 1, 3)
-    assert len(a) == 3
-    for x, y in zip(a, b):
-        assert np.array_equal(x.y, y.y)
-        assert np.array_equal(x.h, y.h)
-    assert not np.array_equal(a[0].y, c[0].y)
-    assert not np.array_equal(a[0].y, a[1].y)
+    (ha, ya), (hb, yb) = draw_eval_observations(desk_op, 0, 3), draw_eval_observations(desk_op, 0, 3)
+    hc, yc = draw_eval_observations(desk_op, 1, 3)
+    assert ha.shape == (3, desk_cfg.n_antennas, desk_cfg.n_subcarriers)
+    assert ya.shape == (3, desk_op.shape[0])
+    # each channel keeps build_channel's K-major layout, the memory order nmse's sums, and the scores, round by
+    assert ha.transpose(0, 2, 1).flags.c_contiguous
+    assert np.array_equal(ya, yb)
+    assert np.array_equal(ha, hb)
+    assert not np.array_equal(ya[0], yc[0])
+    assert not np.array_equal(ya[0], ya[1])
 
 
 def test_score_algorithm_finite(desk_cfg, desk_op):
-    obs = draw_eval_observations(desk_op, 0, 4)
-    db, fail = score_algorithm("sbl", desk_op, obs, 5)
+    hs, ys = draw_eval_observations(desk_op, 0, 4)
+    db, fail = score_algorithm("sbl", desk_op, hs, ys, 5)
     assert np.isfinite(db)
     assert fail == 0.0
 
 
 def test_score_algorithm_counts_divergence(desk_cfg, desk_op):
     """Sample index 5 at this geometry diverges under the classic recursion."""
-    obs = draw_eval_observations(desk_op, 0, 6)
-    db, fail = score_algorithm("amp-sbl", desk_op, obs, 100)
+    hs, ys = draw_eval_observations(desk_op, 0, 6)
+    db, fail = score_algorithm("amp-sbl", desk_op, hs, ys, 100)
     assert fail > 0.0
     # surviving samples still produce a finite average
     assert np.isfinite(db) or fail == 1.0
@@ -178,8 +178,8 @@ def test_score_algorithm_counts_posterior_failure(desk_cfg, desk_op, monkeypatch
     """A failed Cholesky fails its sample only; the others are still scored."""
     from squintsbl import sbl
 
-    obs = draw_eval_observations(desk_op, 0, 3)
-    expected, _ = score_algorithm("sbl", desk_op, [obs[0], obs[2]], 2)
+    hs, ys = draw_eval_observations(desk_op, 0, 3)
+    expected, _ = score_algorithm("sbl", desk_op, hs[[0, 2]], ys[[0, 2]], 2)
     original, calls = sbl.cho_factor, []
 
     def fail_third_call(a, **kwargs):
@@ -189,19 +189,18 @@ def test_score_algorithm_counts_posterior_failure(desk_cfg, desk_op, monkeypatch
         return original(a, **kwargs)
 
     monkeypatch.setattr(sbl, "cho_factor", fail_third_call)
-    db, fail = score_algorithm("sbl", desk_op, obs, 2)
+    db, fail = score_algorithm("sbl", desk_op, hs, ys, 2)
     assert fail == pytest.approx(1 / 3)
     assert db == expected
 
 
 def test_phase_rotation_invariance(desk_cfg, desk_op):
     """Rotating truth and measurement together leaves the error ratio alone."""
-    obs = draw_eval_observations(desk_op, 0, 1)[0]
+    hs, ys = draw_eval_observations(desk_op, 0, 1)
     phase = np.exp(1j * 1.1)
-    rotated = Observation(y=obs.y * phase, h=obs.h * phase)
     for algo in ("sbl", "amp-sbl"):
-        a, _ = score_algorithm(algo, desk_op, [obs], 5)
-        b, _ = score_algorithm(algo, desk_op, [rotated], 5)
+        a, _ = score_algorithm(algo, desk_op, hs, ys, 5)
+        b, _ = score_algorithm(algo, desk_op, hs * phase, ys * phase, 5)
         assert b == pytest.approx(a, abs=1e-9), algo
 
 

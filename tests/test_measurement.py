@@ -247,10 +247,9 @@ def test_assemble_operator_config_mismatch():
 def test_simulate_observation_fields(desk_cfg, desk_op):
     cfg = desk_cfg
     h = build_channel(cfg, draw_paths(cfg, spawn_rng(cfg.rng_seed, "channel", 0, 0)))
-    obs = observe_and_transform(desk_op, h, spawn_rng(cfg.rng_seed, "noise", 0, 0))
+    y = observe_and_transform(desk_op, h, spawn_rng(cfg.rng_seed, "noise", 0, 0))
     m_tone = cfg.n_uses * cfg.n_rf
-    assert obs.y.shape == (m_tone * cfg.n_subcarriers,)
-    assert np.array_equal(obs.h, h)
+    assert y.shape == (m_tone * cfg.n_subcarriers,) and y.dtype == complex
 
 
 def test_observation_noise_level(desk_cfg, desk_op):
@@ -260,8 +259,8 @@ def test_observation_noise_level(desk_cfg, desk_op):
     clean = (desk_op.combiner.w_bar @ h).ravel(order="F")
     resid = []
     for i in range(500):
-        obs = observe_and_transform(desk_op, h, spawn_rng(cfg.rng_seed, "noise", 1, i))
-        resid.append(obs.y - clean)
+        y = observe_and_transform(desk_op, h, spawn_rng(cfg.rng_seed, "noise", 1, i))
+        resid.append(y - clean)
     v = np.mean(np.abs(np.concatenate(resid)) ** 2)
     assert v == pytest.approx(cfg.noise_var, rel=0.05)
 
@@ -271,7 +270,7 @@ def test_observation_determinism(desk_cfg, desk_op):
     h = build_channel(cfg, draw_paths(cfg, spawn_rng(cfg.rng_seed, "channel", 0, 3)))
     a = observe_and_transform(desk_op, h, spawn_rng(cfg.rng_seed, "noise", 3, 0))
     b = observe_and_transform(desk_op, h, spawn_rng(cfg.rng_seed, "noise", 3, 0))
-    assert np.array_equal(a.y, b.y)
+    assert np.array_equal(a, b)
 
 
 

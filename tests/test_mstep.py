@@ -395,7 +395,7 @@ def test_build_features_vector_is_batch_column(rng):
     tau = rng.uniform(0, 1, (cfg.grid_total, 3))
     batch = build_features(mu, tau, ga, gd)
     for i in range(3):
-        single = build_features(mu[:, i], tau[:, i], ga, gd)
+        single = build_features(mu[:, i:i + 1], tau[:, i:i + 1], ga, gd)
         assert single.shape == (1, 2, ga, gd)
         assert np.array_equal(single[0], batch[i])
 
@@ -428,7 +428,7 @@ def test_batch_features_backward_finite_difference(rng):
 def test_mstep_forward_matches_stage(rng):
     """The learned update is features, then the iteration's stage, then gamma in its input shape.
 
-    A vector call equals column 0 of a batch call bit for bit.
+    A one-column call equals column 0 of a three-column call bit for bit.
     """
     cfg = desk_config()
     ga, gd = cfg.grid_angular, cfg.grid_delay
@@ -443,9 +443,9 @@ def test_mstep_forward_matches_stage(rng):
         assert out.shape == gamma.shape
         assert np.array_equal(out, image_to_vec(ref))
         assert all(np.array_equal(a, b) for a, b in zip(cache, ref_cache))
-        single, _ = mstep_forward(net, it, mu[:, 0], tau[:, 0], gamma[:, 0], ga, gd)
-        assert single.shape == (cfg.grid_total,)
-        assert np.array_equal(single, out[:, 0])
+        single, _ = mstep_forward(net, it, mu[:, :1], tau[:, :1], gamma[:, :1], ga, gd)
+        assert single.shape == (cfg.grid_total, 1)
+        assert np.array_equal(single, out[:, :1])
     with pytest.raises(ValueError):
         mstep_forward(net, 3, mu, tau, gamma, ga, gd)
 
@@ -480,6 +480,22 @@ def test_checkpoint_rejects_bad_stage_shapes(tmp_path, rng, name, shape, message
     save_checkpoint(net, path)
     with pytest.raises(ValueError, match=message):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name,dtype", [
+    ("w1", "<U1"), ("w2", np.complex128), ("b1", np.bool_), ("b2", np.int64),
+], ids=["str-weights", "complex-weights", "bool-bias", "int-bias"])
+def test_checkpoint_rejects_arrays_that_are_not_real_floating(tmp_path, rng, name, dtype):
+    """A weight of the right shape but not a real float would fail inside a convolution, or run a
+    complex or integer refiner; it is refused with the path, stage, array and dtype."""
+    net = MStepNet.create(2, rng)
+    setattr(net.stages[1], name, np.zeros(getattr(net.stages[1], name).shape, dtype=dtype))
+    path = tmp_path / "net.npz"
+    save_checkpoint(net, path)
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == (f"{path}: checkpoint stage 1: {name} has dtype {np.dtype(dtype)}, "
+                               "expected a real floating type")
 
 
 def test_checkpoint_rejects_even_kernel(tmp_path, rng):

@@ -42,14 +42,25 @@ def exact_posterior_oracle(phi, y, sigma2, gamma):
 
 def test_init_state(desk_cfg):
     g, m = desk_cfg.grid_total, desk_cfg.n_measurements
-    for batch in ((), (3,)):
-        gamma = np.full((g,) + batch, 0.5)
+    for b in (1, 3):
+        gamma = np.full((g, b), 0.5)
         st0 = init_state(gamma, m)
         assert st0.iteration == 0
-        assert st0.mu.shape == (g,) + batch and st0.mu.dtype == complex and np.all(st0.mu == 0)
+        assert st0.mu.shape == (g, b) and st0.mu.dtype == complex and np.all(st0.mu == 0)
         assert st0.gamma is gamma
         assert np.array_equal(st0.tau_x, gamma) and st0.tau_x is not gamma
-        assert st0.s.shape == (m,) + batch and st0.s.dtype == complex and np.all(st0.s == 0)
+        assert st0.s.shape == (m, b) and st0.s.dtype == complex and np.all(st0.s == 0)
+
+
+@pytest.mark.parametrize("shape", [(32,), (31, 1), (32, 1, 1)], ids=["vector", "short", "three-d"])
+def test_start_state_refuses_anything_but_an_m_by_b_batch(desk_op, shape):
+    """The estimator takes (M, B) batches only; the error says how to pass one vector."""
+    assert desk_op.shape[0] == 32
+    y = np.zeros(shape, dtype=complex)
+    with pytest.raises(ValueError, match=r"\(M, B\) = \(32, B\) batch.*y\[:, None\]"):
+        start_state(desk_op, y)
+    with pytest.raises(ValueError, match=r"y\[:, None\]"):
+        run_estimator(EstimatorSpec(n_iterations=1), desk_op, y, 0.1)
 
 
 def test_exact_e_step_matches_dense_oracle(rng):
@@ -59,14 +70,14 @@ def test_exact_e_step_matches_dense_oracle(rng):
         m = int(rng.integers(3, 20))
         g = int(rng.integers(m, 40))
         phi = crandn(rng, m, g) / np.sqrt(m)
-        y = crandn(rng, m)
+        y = crandn(rng, m, 1)
         gamma = np.exp(rng.uniform(-3, 2, g))
         sigma2 = float(np.exp(rng.uniform(-4, 0)))
         op = operator_from_matrix(phi)
         mu, tau, _ = exact_e_step(op, y, sigma2, _state_with(gamma))
-        mu0, tau0 = exact_posterior_oracle(phi, y, sigma2, gamma)
+        mu0, tau0 = exact_posterior_oracle(phi, y[:, 0], sigma2, gamma)
         denom = np.linalg.norm(np.concatenate([mu0, tau0]))
-        err = np.linalg.norm(np.concatenate([mu - mu0, tau - tau0])) / denom
+        err = np.linalg.norm(np.concatenate([mu[:, 0] - mu0, tau[:, 0] - tau0])) / denom
         assert err < 1e-10
 
 
@@ -75,7 +86,7 @@ def test_exact_e_step_desk_operator_matches_dense_oracle(desk_cfg, desk_op, rng)
     posterior of y = Phi x + n; the cross-tone delay mixing is exercised."""
     phi = dense_phi(desk_op)
     g = desk_cfg.grid_total
-    y = np.stack([o.y for o in draw_eval_observations(desk_op, 0, 2)], axis=1)
+    y = draw_eval_observations(desk_op, 0, 2)[1].T
     gamma = np.exp(rng.uniform(-3, 1, (g, 2)))
     state = SblState(iteration=0, mu=np.zeros((g, 2), dtype=complex), tau_x=gamma.copy(),
                      gamma=gamma, s=np.zeros_like(y))
@@ -90,24 +101,25 @@ def test_exact_e_step_desk_operator_matches_dense_oracle(desk_cfg, desk_op, rng)
 def test_exact_e_step_thin_rotation_matches_dense_oracle(rng):
     """With M > G the rotation U is M x G; the rotated solve is still exact."""
     phi = crandn(rng, 20, 12) / np.sqrt(20)
-    y = crandn(rng, 20)
+    y = crandn(rng, 20, 1)
     gamma = np.exp(rng.uniform(-3, 1, 12))
     op = operator_from_matrix(phi, rotate=True)
     assert op.shape == (12, 12)
     mu, tau, _ = exact_e_step(op, op.rotate(y), 0.2, _state_with(gamma))
-    mu0, tau0 = exact_posterior_oracle(phi, y, 0.2, gamma)
-    assert np.linalg.norm(mu - mu0) <= 1e-10 * np.linalg.norm(mu0)
-    assert np.max(np.abs(tau - tau0)) <= 1e-10 * np.max(tau0)
+    mu0, tau0 = exact_posterior_oracle(phi, y[:, 0], 0.2, gamma)
+    assert np.linalg.norm(mu[:, 0] - mu0) <= 1e-10 * np.linalg.norm(mu0)
+    assert np.max(np.abs(tau[:, 0] - tau0)) <= 1e-10 * np.max(tau0)
 
 
 def _state_with(gamma, m=None):
+    """One-column start state under the prior ``gamma`` (G,)."""
     g = gamma.shape[0]
     return SblState(
         iteration=0,
-        mu=np.zeros(g, dtype=complex),
-        tau_x=gamma.astype(float).copy(),
-        gamma=gamma.astype(float).copy(),
-        s=np.zeros(g if m is None else m, dtype=complex),
+        mu=np.zeros((g, 1), dtype=complex),
+        tau_x=gamma.astype(float)[:, None].copy(),
+        gamma=gamma.astype(float)[:, None].copy(),
+        s=np.zeros((g if m is None else m, 1), dtype=complex),
     )
 
 
@@ -116,13 +128,13 @@ def test_exact_e_step_prior_collapse(rng):
     from squintsbl.sbl import exact_e_step
 
     phi = crandn(rng, 8, 16) / np.sqrt(8)
-    y = crandn(rng, 8)
+    y = crandn(rng, 8, 1)
     gamma = np.ones(16)
     gamma[3] = 1e-14
     op = operator_from_matrix(phi)
     mu, tau, _ = exact_e_step(op, y, 0.1, _state_with(gamma))
-    assert abs(mu[3]) < 1e-12
-    assert tau[3] < 1e-12
+    assert abs(mu[3, 0]) < 1e-12
+    assert tau[3, 0] < 1e-12
 
 
 @settings(max_examples=20, deadline=None)
@@ -134,12 +146,12 @@ def test_exact_posterior_variance_bounded_by_prior(seed):
     r = np.random.default_rng(seed)
     m, g = 6, 14
     phi = (r.standard_normal((m, g)) + 1j * r.standard_normal((m, g))) / np.sqrt(m)
-    y = r.standard_normal(m) + 1j * r.standard_normal(m)
+    y = (r.standard_normal(m) + 1j * r.standard_normal(m))[:, None]
     gamma = np.exp(r.uniform(-2, 2, g))
     op = operator_from_matrix(phi)
     _, tau, _ = exact_e_step(op, y, 0.3, _state_with(gamma))
-    assert np.all(tau >= 0)
-    assert np.all(tau <= gamma + 1e-12)
+    assert np.all(tau[:, 0] >= 0)
+    assert np.all(tau[:, 0] <= gamma + 1e-12)
 
 
 def test_amp_e_step_nonfinite_guard(rng):
@@ -148,10 +160,10 @@ def test_amp_e_step_nonfinite_guard(rng):
     phi[:, 2] = 0.0
     op = operator_from_matrix(phi)
     state = _state_with(np.ones(6), m=4)
-    with pytest.raises(DivergenceError) as exc:
-        amp_e_step(op, crandn(rng, 4), 0.1, state)
+    with pytest.raises(DivergenceError, match=r"in columns \[0\]$") as exc:
+        amp_e_step(op, crandn(rng, 4, 1), 0.1, state)
     assert exc.value.iteration == 1
-    assert exc.value.columns == []
+    assert exc.value.columns == [0]
 
 
 def test_amp_e_step_nonfinite_guard_names_columns(rng):
@@ -171,7 +183,7 @@ def test_amp_e_step_magnitude_guard(rng):
     op = operator_from_matrix(phi)
     state = _state_with(np.ones(6), m=4)
     state.mu[:] = 1e12  # absurd running estimate, tiny data
-    r = crandn(rng, 4) * 1e-6
+    r = crandn(rng, 4, 1) * 1e-6
     with pytest.raises(DivergenceError):
         amp_e_step(op, r, 0.1, state)
 
@@ -191,13 +203,13 @@ def test_amp_e_step_norm_guard_per_column(rng):
     assert exc.value.iteration == 3
     assert exc.value.columns == [0]
     # the same column alone fails, the other alone passes
-    one = SblState(iteration=2, mu=mu[:, 1], tau_x=np.ones(6), gamma=np.ones(6),
-                   s=np.zeros(4, dtype=complex))
-    amp_e_step(op, r[:, 1], 0.1, one)
-    one.mu = mu[:, 0]
+    one = SblState(iteration=2, mu=mu[:, 1:], tau_x=np.ones((6, 1)), gamma=np.ones((6, 1)),
+                   s=np.zeros((4, 1), dtype=complex))
+    amp_e_step(op, r[:, 1:], 0.1, one)
+    one.mu = mu[:, :1]
     with pytest.raises(DivergenceError, match="blew up") as exc:
-        amp_e_step(op, r[:, 0], 0.1, one)
-    assert exc.value.columns == []
+        amp_e_step(op, r[:, :1], 0.1, one)
+    assert exc.value.columns == [0]
 
 
 _CHECKED = ("p", "s", "q", "mu", "tau_x")
@@ -222,13 +234,13 @@ def test_check_step_names_nonfinite_array_and_columns(rng, name, bad):
         _check_step(7, data, **arrays)
     assert str(exc.value) == f"non-finite {name} at iteration 7 in columns [1, 3]"
     assert exc.value.columns == [1, 3] and exc.value.iteration == 7
-    # a vector names no columns
-    vec = {k: v[:, 0].copy() for k, v in _checked_arrays(rng, 4).items()}
-    vec[name][4] = bad
+    # a one-column batch names its column too
+    one = _checked_arrays(rng, 1)
+    one[name][4, 0] = bad
     with pytest.raises(DivergenceError) as exc:
-        _check_step(2, data[:, 0], **vec)
-    assert str(exc.value) == f"non-finite {name} at iteration 2"
-    assert exc.value.columns == []
+        _check_step(2, data[:, :1], **one)
+    assert str(exc.value) == f"non-finite {name} at iteration 2 in columns [0]"
+    assert exc.value.columns == [0]
 
 
 def test_check_step_passes_finite_entries_whose_sum_overflows(rng):
@@ -250,44 +262,42 @@ def _batch_and_column_states(rng, g, m, b):
     gamma = rng.uniform(0.5, 2.0, (g, b))
     s = crandn(rng, m, b)
     batch = SblState(iteration=0, mu=mu, tau_x=tau, gamma=gamma, s=s)
-    cols = [SblState(iteration=0, mu=mu[:, i].copy(), tau_x=tau[:, i].copy(),
-                     gamma=gamma[:, i].copy(), s=s[:, i].copy()) for i in range(b)]
+    cols = [SblState(iteration=0, mu=mu[:, i:i + 1].copy(), tau_x=tau[:, i:i + 1].copy(),
+                     gamma=gamma[:, i:i + 1].copy(), s=s[:, i:i + 1].copy()) for i in range(b)]
     return batch, cols
 
 
 def test_amp_e_step_batch_matches_columns(tiny_cfg, tiny_op, rng):
-    """Column i of a batched AMP step is the single-vector step on column i."""
+    """Column i of a three-column AMP step is the one-column step on column i."""
     g, m = tiny_cfg.grid_total, tiny_cfg.n_measurements
     batch, cols = _batch_and_column_states(rng, g, m, 3)
     r = crandn(rng, m, 3)
     mu_b, tau_b, s_b, _ = amp_e_step(tiny_op, r, 0.1, batch)
     for i, state in enumerate(cols):
-        mu, tau, s, _ = amp_e_step(tiny_op, r[:, i], 0.1, state)
-        assert np.allclose(mu_b[:, i], mu, atol=1e-13)
-        assert np.allclose(tau_b[:, i], tau, atol=1e-13)
-        assert np.allclose(s_b[:, i], s, atol=1e-13)
+        mu, tau, s, _ = amp_e_step(tiny_op, r[:, i:i + 1], 0.1, state)
+        assert np.allclose(mu_b[:, i], mu[:, 0], atol=1e-13)
+        assert np.allclose(tau_b[:, i], tau[:, 0], atol=1e-13)
+        assert np.allclose(s_b[:, i], s[:, 0], atol=1e-13)
 
 
 def test_exact_e_step_batch_matches_columns(tiny_cfg, tiny_op, rng):
-    """Column i of a batched exact step is the single-vector step on column i."""
+    """Column i of a three-column exact step is the one-column step on column i."""
     g, m = tiny_cfg.grid_total, tiny_cfg.n_measurements
     batch, cols = _batch_and_column_states(rng, g, m, 3)
     y = crandn(rng, m, 3)
     mu_b, tau_b, _ = exact_e_step(tiny_op, y, 0.1, batch)
     for i, state in enumerate(cols):
-        mu, tau, _ = exact_e_step(tiny_op, y[:, i], 0.1, state)
-        assert np.allclose(mu_b[:, i], mu, atol=1e-10)
-        assert np.allclose(tau_b[:, i], tau, atol=1e-10)
+        mu, tau, _ = exact_e_step(tiny_op, y[:, i:i + 1], 0.1, state)
+        assert np.allclose(mu_b[:, i], mu[:, 0], atol=1e-10)
+        assert np.allclose(tau_b[:, i], tau[:, 0], atol=1e-10)
 
 
-@pytest.mark.parametrize("batch", [None, 3])
+@pytest.mark.parametrize("batch", [1, 3])
 def test_exact_e_step_leaves_inputs_alone(tiny_cfg, tiny_op, rng, batch):
     """The in-place Cholesky and inverse write to buffers of their own, never to r, gamma or mu."""
     g, m = tiny_cfg.grid_total, tiny_cfg.n_measurements
-    state, _ = _batch_and_column_states(rng, g, m, batch or 1)
-    r = crandn(rng, m, batch or 1)
-    if batch is None:
-        r, state.mu, state.gamma = r[:, 0], state.mu[:, 0], state.gamma[:, 0]
+    state, _ = _batch_and_column_states(rng, g, m, batch)
+    r = crandn(rng, m, batch)
     given = [r.copy(), state.gamma.copy(), state.mu.copy()]
     mu, _, cache = exact_e_step(tiny_op, r, 0.1, state)
     for before, after in zip(given, (r, state.gamma, state.mu)):
@@ -302,7 +312,7 @@ def test_exact_backward_skips_the_variance_term_where_g_tau_is_zero(desk_cfg, de
     The full formula builds the d term for every column, a zero one where
     g_tau is zero; ``==`` counts its signed zeros as equal.
     """
-    y = np.stack([obs.y for obs in draw_eval_observations(desk_op, 0, 2)], axis=1)
+    y = draw_eval_observations(desk_op, 0, 2)[1].T
     r, state = start_state(desk_op, y)
     state.gamma = rng.uniform(0.1, 1.0, state.gamma.shape)
     sigma2 = desk_cfg.noise_var
@@ -336,15 +346,15 @@ def test_exact_e_step_cholesky_failure_is_divergence(rng):
     state = _state_with(gamma)
     state.iteration = 4
     with pytest.raises(DivergenceError, match="posterior solve failed") as exc:
-        exact_e_step(operator_from_matrix(phi), crandn(rng, 8), 0.0, state)
+        exact_e_step(operator_from_matrix(phi), crandn(rng, 8, 1), 0.0, state)
     assert exc.value.iteration == 5
-    assert exc.value.columns == []
+    assert exc.value.columns == [0]
 
 
 def test_exact_e_step_nonfinite_data_is_divergence(rng):
     """NaN data reaches mu and fails as a divergence, not as an error from the solver."""
-    r = crandn(rng, 8)
-    r[2] = np.nan
+    r = crandn(rng, 8, 1)
+    r[2, 0] = np.nan
     with pytest.raises(DivergenceError, match="non-finite mu at iteration 1"):
         exact_e_step(operator_from_matrix(crandn(rng, 8, 16)), r, 0.1, _state_with(np.ones(16)))
 
@@ -388,48 +398,49 @@ def test_estimator_spec_validation():
 
 
 def _desk_obs(desk_cfg, desk_op, i=0):
+    """One channel (N, K) and its whitened measurements as a one-column batch (M, 1)."""
     h = build_channel(desk_cfg, draw_paths(desk_cfg, spawn_rng(desk_cfg.rng_seed, "channel", 0, i)))
-    return observe_and_transform(desk_op, h, spawn_rng(desk_cfg.rng_seed, "noise", 0, i))
+    return h, observe_and_transform(desk_op, h, spawn_rng(desk_cfg.rng_seed, "noise", 0, i))[:, None]
 
 
 def test_run_estimator_exact_classic(desk_cfg, desk_op):
-    obs = _desk_obs(desk_cfg, desk_op)
+    h, y = _desk_obs(desk_cfg, desk_op)
     spec = EstimatorSpec(e_step="exact", m_step="classic", n_iterations=5)
-    x_hat, trace = run_estimator(spec, desk_op, obs.y, desk_cfg.noise_var, h_true=obs.h)
-    assert x_hat.shape == (desk_cfg.grid_total,)
+    x_hat, trace = run_estimator(spec, desk_op, y, desk_cfg.noise_var, h_true=h[..., None])
+    assert x_hat.shape == (desk_cfg.grid_total, 1)
     assert len(trace) == 5
     assert [t["iteration"] for t in trace] == list(range(1, 6))
     for t in trace:
         assert np.isfinite(t["nmse_db"])
         assert t["gamma_l1"] > 0
     # estimate explains some of the measurement
-    h_hat = reconstruct_channel(desk_op.dicts, x_hat)
-    assert np.linalg.norm(h_hat - obs.h) < np.linalg.norm(obs.h)
+    h_hat = reconstruct_channel(desk_op.dicts, x_hat)[..., 0]
+    assert np.linalg.norm(h_hat - h) < np.linalg.norm(h)
 
 
 def test_run_estimator_amp_runs(desk_cfg, desk_op):
-    obs = _desk_obs(desk_cfg, desk_op, 1)
+    _, y = _desk_obs(desk_cfg, desk_op, 1)
     spec = EstimatorSpec(e_step="amp", m_step="classic", n_iterations=3)
-    x_hat, trace = run_estimator(spec, desk_op, obs.y, desk_cfg.noise_var)
+    x_hat, trace = run_estimator(spec, desk_op, y, desk_cfg.noise_var)
     assert np.all(np.isfinite(x_hat))
     assert len(trace) == 3
     assert np.isnan(trace[0]["nmse_db"])  # no truth supplied
 
 
 def test_run_estimator_deterministic(desk_cfg, desk_op):
-    obs = _desk_obs(desk_cfg, desk_op, 2)
+    _, y = _desk_obs(desk_cfg, desk_op, 2)
     spec = EstimatorSpec(e_step="exact", m_step="classic", n_iterations=4)
-    a, _ = run_estimator(spec, desk_op, obs.y, desk_cfg.noise_var)
-    b, _ = run_estimator(spec, desk_op, obs.y, desk_cfg.noise_var)
+    a, _ = run_estimator(spec, desk_op, y, desk_cfg.noise_var)
+    b, _ = run_estimator(spec, desk_op, y, desk_cfg.noise_var)
     assert np.array_equal(a, b)
 
 
 def test_divergence_carries_partial_trace(desk_cfg, desk_op):
     """A known diverging draw: the exception reports where and keeps the trace."""
-    obs = _desk_obs(desk_cfg, desk_op, 5)
+    _, y = _desk_obs(desk_cfg, desk_op, 5)
     spec = EstimatorSpec(e_step="amp", m_step="classic", n_iterations=100)
     with pytest.raises(DivergenceError) as exc:
-        run_estimator(spec, desk_op, obs.y, desk_cfg.noise_var)
+        run_estimator(spec, desk_op, y, desk_cfg.noise_var)
     assert exc.value.iteration == 50
     assert len(exc.value.trace) == 49
 
@@ -445,30 +456,32 @@ def _scaled_net(n_stages: int) -> MStepNet:
 
 @pytest.mark.parametrize("algo", list(ALGORITHMS))
 def test_run_estimator_batch_columns_match_vector_calls(desk_cfg, desk_op, algo):
-    """Column j of an (M, 3) run is the vector run on y[:, j].
+    """Column j of an (M, 3) run is the run on one measurement vector, y_j[:, None].
 
-    A one-column batch runs the same products as a vector and matches it
-    bit for bit.  A wider batch gives BLAS a matrix where a vector run
-    gives it a vector, and the two sum in different orders, so its
-    columns match to rounding.
+    The one-vector call is the one scoring makes.  Taken as a column of
+    the batch's array instead, the same one-column batch gives the same
+    bits.  A wider batch gives BLAS a matrix where a one-column run gives
+    it a vector, and the two sum in different orders, so its columns
+    match to rounding.
     """
     entry = ALGORITHMS[algo]
     net = _scaled_net(4) if entry.learned else None
     spec = EstimatorSpec(e_step=entry.e_step, m_step=entry.m_step, n_iterations=5, net=net)
-    y = np.stack([obs.y for obs in draw_eval_observations(desk_op, 0, 3)], axis=1)
+    ys = draw_eval_observations(desk_op, 0, 3)[1]
+    y = ys.T
     x_batch, trace = run_estimator(spec, desk_op, y, desk_cfg.noise_var)
     assert x_batch.shape == (desk_cfg.grid_total, 3)
     assert len(trace) == 5
     for j in range(3):
-        x_vec, _ = run_estimator(spec, desk_op, y[:, j], desk_cfg.noise_var)
+        x_vec, _ = run_estimator(spec, desk_op, ys[j][:, None], desk_cfg.noise_var)
         x_one, _ = run_estimator(spec, desk_op, y[:, j:j + 1], desk_cfg.noise_var)
-        assert np.array_equal(x_one[:, 0], x_vec)
-        assert np.linalg.norm(x_batch[:, j] - x_vec) <= 1e-12 * np.linalg.norm(x_vec)
+        assert np.array_equal(x_one, x_vec)
+        assert np.linalg.norm(x_batch[:, j] - x_vec[:, 0]) <= 1e-12 * np.linalg.norm(x_vec)
 
 
 def test_step_runs_one_iteration(desk_cfg, desk_op):
     """One E-step, then the variance update except on the last iteration; the cache says which."""
-    y = draw_eval_observations(desk_op, 0, 1)[0].y
+    y = draw_eval_observations(desk_op, 0, 1)[1].T
     for m_step, net in (("classic", None), ("learned", _scaled_net(1))):
         spec = EstimatorSpec(e_step="amp", m_step=m_step, n_iterations=2, net=net)
         r, state = start_state(desk_op, y)

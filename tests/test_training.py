@@ -52,8 +52,8 @@ def test_unroll_matches_run_estimator(tiny_cfg, tiny_op, rng):
     for e_step in ("amp", "exact"):
         x_unroll, _ = unroll_forward(tiny_op, y[:, None], 0.1, net, 3, e_step)
         spec = EstimatorSpec(e_step=e_step, m_step="learned", n_iterations=3, net=net)
-        x_run, _ = run_estimator(spec, tiny_op, y, 0.1)
-        assert np.array_equal(x_unroll[:, 0], x_run), e_step
+        x_run, _ = run_estimator(spec, tiny_op, y[:, None], 0.1)
+        assert np.array_equal(x_unroll, x_run), e_step
 
 
 def test_one_step_calls_e_step_and_update_through_module_attributes(tiny_cfg, tiny_op, rng, monkeypatch):
@@ -70,7 +70,7 @@ def test_one_step_calls_e_step_and_update_through_module_attributes(tiny_cfg, ti
     net = MStepNet.create(2, np.random.default_rng(5))
     y = crandn(rng, tiny_cfg.n_measurements, 2)
     expected = ["amp_e_step", "mstep_forward"] * 2 + ["amp_e_step"]
-    run_estimator(EstimatorSpec(e_step="amp", m_step="learned", n_iterations=3, net=net), tiny_op, y[:, 0], 0.1)
+    run_estimator(EstimatorSpec(e_step="amp", m_step="learned", n_iterations=3, net=net), tiny_op, y[:, :1], 0.1)
     assert calls == expected
     calls.clear()
     unroll_forward(tiny_op, y, 0.1, net, 3, "amp")
@@ -131,7 +131,7 @@ def test_unrolled_gradients_finite_difference(tiny_cfg, tiny_op, e_step, rng):
     depth, b = 3, 2
     net = MStepNet.create(depth - 1, np.random.default_rng(11))
     _, va, _ = generate_splits(tiny_cfg, (2, b, 2))
-    split = _prepare_split(va, tiny_op, True, tiny_cfg.noise_var)
+    split = _prepare_split(va, "val", tiny_op, tiny_cfg.noise_var)
     obs = _batch_obs(split, np.arange(b), tiny_cfg.noise_var, None)
     t = _linear_loss_grad(np.random.default_rng(12), (tiny_cfg.grid_total, b))
 
@@ -247,7 +247,7 @@ def test_validate_keeps_no_exact_caches(desk_cfg, desk_op):
     """
     b = 64
     _, va, _ = generate_splits(desk_cfg, (1, b, 1))
-    split = _prepare_split(va, desk_op, True, desk_cfg.noise_var)
+    split = _prepare_split(va, "val", desk_op, desk_cfg.noise_var)
     s_inv_bytes = desk_cfg.n_measurements ** 2 * np.dtype(complex).itemsize
     peaks = {}
     for depth in (4, 8):
@@ -271,33 +271,36 @@ def test_validate_keeps_no_exact_caches(desk_cfg, desk_op):
 def test_generate_splits(tiny_cfg):
     tr, va, te = generate_splits(tiny_cfg, (5, 3, 2))
     assert (len(tr), len(va), len(te)) == (5, 3, 2)
-    assert (tr.split, va.split, te.split) == ("train", "val", "test")
-    assert not np.array_equal(tr.h[0], va.h[0])
+    assert tr.shape[1:] == (tiny_cfg.n_antennas, tiny_cfg.n_subcarriers) and tr.dtype == np.complex64
+    assert not np.array_equal(tr[0], va[0])
     tr2, _, _ = generate_splits(tiny_cfg, (5, 3, 2))
-    assert np.array_equal(tr.h[4], tr2.h[4])
+    assert np.array_equal(tr[4], tr2[4])
     with pytest.raises(ValueError, match="test split: n_samples must be positive, got 0"):
         generate_splits(tiny_cfg, (5, 3, 0))
 
 
 def test_prepare_split_contents(tiny_cfg, tiny_op):
     _, va, _ = generate_splits(tiny_cfg, (2, 3, 2))
-    split = _prepare_split(va, tiny_op, True, tiny_cfg.noise_var)
+    split = _prepare_split(va, "val", tiny_op, tiny_cfg.noise_var)
     assert split.h.shape == (tiny_cfg.n_antennas, tiny_cfg.n_subcarriers, 3)
-    assert split.h.dtype == np.complex128 and np.array_equal(split.h[:, :, 2], va.h[2])
+    assert split.h.dtype == np.complex128 and np.array_equal(split.h[:, :, 2], va[2])
     # K-major in memory: the layout hnorm2's pairwise sums and the reference train score rest on
     assert split.h.transpose(1, 0, 2).flags.c_contiguous
     assert split.noise is not None and split.noise.shape == split.y_clean.shape
     # clean measurements: whitened combiner applied per tone, stacked tone-major
-    direct = (tiny_op.combiner.w_bar @ va.h[0]).ravel(order="F")
+    direct = (tiny_op.combiner.w_bar @ va[0]).ravel(order="F")
     assert np.allclose(split.y_clean[:, 0], direct, atol=1e-12)
     # fixed noise is reproducible
-    split2 = _prepare_split(va, tiny_op, True, tiny_cfg.noise_var)
+    split2 = _prepare_split(va, "val", tiny_op, tiny_cfg.noise_var)
     assert np.array_equal(split.noise, split2.noise)
+    # the split name picks the noise: none fixed for train, a stream of its own for test
+    assert _prepare_split(va, "train", tiny_op, tiny_cfg.noise_var).noise is None
+    assert not np.array_equal(_prepare_split(va, "test", tiny_op, tiny_cfg.noise_var).noise, split.noise)
 
 
 def test_batch_obs_noise_modes(tiny_cfg, tiny_op):
     _, va, _ = generate_splits(tiny_cfg, (2, 4, 2))
-    split = _prepare_split(va, tiny_op, True, tiny_cfg.noise_var)
+    split = _prepare_split(va, "val", tiny_op, tiny_cfg.noise_var)
     idx = np.arange(3)
     fixed1 = _batch_obs(split, idx, tiny_cfg.noise_var, None)
     fixed2 = _batch_obs(split, idx, tiny_cfg.noise_var, None)
@@ -309,7 +312,7 @@ def test_batch_obs_noise_modes(tiny_cfg, tiny_op):
 
 def test_loss_and_grad_channel_domain(tiny_cfg, tiny_op, rng):
     _, va, _ = generate_splits(tiny_cfg, (2, 3, 2))
-    split = _prepare_split(va, tiny_op, True, tiny_cfg.noise_var)
+    split = _prepare_split(va, "val", tiny_op, tiny_cfg.noise_var)
     idx = np.arange(3)
     x = crandn(rng, tiny_cfg.grid_total, 3)
     loss, g_x = _loss_and_grad(x, split, idx, tiny_op.dicts)
@@ -380,7 +383,7 @@ def test_resume_appends_stages(tiny_cfg, tiny_op, tiny_training):
 
 def test_validate_and_nmse_consistency(tiny_cfg, tiny_op, tiny_training):
     datasets, tc, net, report = tiny_training
-    test_split = _prepare_split(datasets[2], tiny_op, True, tiny_cfg.noise_var)
+    test_split = _prepare_split(datasets[2], "test", tiny_op, tiny_cfg.noise_var)
     again = nmse_of_net(net, test_split, tiny_op, tiny_cfg.noise_var, tc, tc.depth)
     assert again == pytest.approx(report.final_test_nmse_db, abs=1e-9)
     v = validate(net, test_split, tiny_op, tiny_cfg.noise_var, tc, tc.depth)
@@ -392,12 +395,12 @@ def test_evaluator_matches_inference_path(tiny_cfg, tiny_op, tiny_training):
     """Training's test score equals the per-sample path that `evaluate` scores."""
     datasets, tc, net, _ = tiny_training
     sigma2 = tiny_cfg.noise_var
-    split = _prepare_split(datasets[2], tiny_op, True, sigma2)
+    split = _prepare_split(datasets[2], "test", tiny_op, sigma2)
     spec = EstimatorSpec(e_step=tc.e_step, m_step="learned", n_iterations=tc.depth, net=net)
     ratios = []
     for i in range(split.h.shape[-1]):
-        x, _ = run_estimator(spec, tiny_op, split.y_clean[:, i] + split.noise[:, i], sigma2)
-        ratios.append(nmse(split.h[:, :, i], reconstruct_channel(tiny_op.dicts, x))[0])
+        x, _ = run_estimator(spec, tiny_op, (split.y_clean[:, i] + split.noise[:, i])[:, None], sigma2)
+        ratios.append(nmse(split.h[:, :, i], reconstruct_channel(tiny_op.dicts, x)[..., 0])[0])
     expected = 10 * np.log10(np.mean(ratios))
     assert nmse_of_net(net, split, tiny_op, sigma2, tc, tc.depth) == pytest.approx(expected, abs=1e-9)
 
