@@ -153,11 +153,25 @@ def _load_nets(entries, cfg) -> dict:
         if algo in nets:
             raise ValueError(f"--net gives a network for {algo!r} twice")
         net = load_checkpoint(path)
-        if net.config_hash != cfg.config_hash():
+        if not _trained_under(net, cfg):
             print(f"note: network for {algo!r} was trained under config {net.config_hash}, "
                   f"evaluating under {cfg.config_hash()}", file=sys.stderr)
         nets[algo] = net
     return nets
+
+
+def _trained_under(net, cfg) -> bool:
+    """Whether ``net`` was trained under ``cfg``, leaving ``n_iterations`` out.
+
+    That field is the depth of the classic estimators; a learned net runs
+    its stage count plus one iterations whatever it says.  A checkpoint
+    that stored no config is compared by its hash, which covers every field.
+    """
+    if net.config is None:
+        return net.config_hash == cfg.config_hash()
+    ours = cfg.to_dict()
+    return ({k: v for k, v in net.config.items() if k != "n_iterations"}
+            == {k: v for k, v in ours.items() if k != "n_iterations"})
 
 
 def _echo(text: str) -> None:

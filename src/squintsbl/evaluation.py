@@ -50,9 +50,13 @@ def ratio_to_db(ratio: float) -> float:
 
 
 def nmse(h_true: np.ndarray, h_hat: np.ndarray) -> tuple[float, float]:
-    """Squared-error ratio of one estimate, as (linear, dB)."""
-    h_true = np.asarray(h_true)
-    h_hat = np.asarray(h_hat)
+    """Squared-error ratio of one estimate, as (linear, dB).
+
+    The norms sum over C-ordered copies, so the ratio rounds the same
+    whatever the memory layout of either input.
+    """
+    h_true = np.ascontiguousarray(h_true)
+    h_hat = np.ascontiguousarray(h_hat)
     if h_true.shape != h_hat.shape:
         raise ValueError(f"shape mismatch: truth {h_true.shape} vs estimate {h_hat.shape}")
     ref = float(np.linalg.norm(h_true) ** 2)
@@ -119,8 +123,12 @@ class Algorithm:
 # by the full M x G sensing matrix; it is not this implementation's cost.
 # The per-tone operator runs an exact E-step in about M^2 G_A + M^3 and
 # an AMP E-step in about 20 K G_A (G_D + m) per column (see the E-step
-# docstrings in the solver module).  The values stay as the paper's so
-# that tradeoff plots place every row on the same scale.
+# docstrings in the solver module).  Of an exact run's L E-steps, the
+# first, at the flat start prior, costs two operator products, half an
+# AMP step, and the last, whose variances no update reads, about
+# M^2 G_A / 2 + M^3 / 3.
+# The values stay as the paper's so that tradeoff plots place every row
+# on the same scale.
 ALGORITHMS: Mapping[str, Algorithm] = {
     "sbl": Algorithm("exact", "classic", lambda d: 16 * (d.k * d.m) ** 2 * d.g),
     "sbl-unfolding": Algorithm("exact", "learned", lambda d: (16 * (d.k * d.m) ** 2 + 432) * d.g),
@@ -167,13 +175,12 @@ def draw_eval_observations(
     but all algorithms at the point consume byte-identical observations.
     """
     cfg = op.config
-    # (n, N, K) but K-major in memory, as build_channel returns each channel: nmse's norms sum in
-    # memory order, so the scores round by it
-    hs = np.empty((n_samples, cfg.n_subcarriers, cfg.n_antennas), dtype=complex).transpose(0, 2, 1)
+    hs = np.empty((n_samples, cfg.n_antennas, cfg.n_subcarriers), dtype=complex)
     ys = np.empty((n_samples, op.shape[0]), dtype=complex)
     for i in range(n_samples):
-        hs[i] = build_channel(cfg, draw_paths(cfg, spawn_rng(cfg.rng_seed, "eval-channel", point_index, i)))
-        ys[i] = observe_and_transform(op, hs[i], spawn_rng(cfg.rng_seed, "sweep-noise", point_index, i))
+        h = build_channel(cfg, draw_paths(cfg, spawn_rng(cfg.rng_seed, "eval-channel", point_index, i)))
+        hs[i] = h
+        ys[i] = observe_and_transform(op, h, spawn_rng(cfg.rng_seed, "sweep-noise", point_index, i))
     return hs, ys
 
 

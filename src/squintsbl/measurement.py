@@ -17,7 +17,12 @@ orthogonal unless G_D divides k - k'.  With G_D >= K every pair of tones
 is orthogonal, and Phi Phi^H is block-diagonal with blocks
 ||d_k||^2 C_k C_k^H.  Up to the order of its singular values, Phi's SVD
 therefore splits into K small SVDs C_k = U_k S_k V_k^H, U = blkdiag(U_k),
-and A keeps the per-tone form kron(d_k, U_k^H C_k).  The operator stores
+and A keeps the per-tone form kron(d_k, U_k^H C_k).  Its rows are then
+orthogonal too: A A^H = diag(lambda^2), with row (k, i) of squared norm
+lambda^2 = ||d_k||^2 S_k[i]^2, which |A|^2 applied to a vector of ones
+gives.  An operator records whether its rows are orthogonal in
+``orthogonal_rows``, which its constructor sets; the exact posterior
+reads it to solve a flat prior in closed form.  The operator stores
 only those factors, never Phi or A themselves.  It applies A, A^H, |A|^2
 and their transposes as one delay GEMM plus one batched per-tone
 product.  For the exact posterior it builds the lower triangle of the
@@ -124,6 +129,7 @@ class MeasurementOperator:
     abs2_a: np.ndarray       # (K, m, G_A) |a|^2
     delay: np.ndarray        # (K, G_D) delay dictionary rows d_k
     abs2_delay: np.ndarray   # (K, G_D) |d_k|^2
+    orthogonal_rows: bool = False   # A A^H is diagonal; set by the SVD-rotating constructors
     config: SystemConfig | None = None
     combiner: PilotCombiner | None = None
     dicts: DictionarySet | None = None
@@ -155,6 +161,12 @@ class MeasurementOperator:
     def adjoint_abs2(self, t: np.ndarray) -> np.ndarray:
         """(|A|^2)^T t."""
         return _analyze(self.abs2_delay, np.swapaxes(self.abs2_a, 1, 2), t)
+
+    @cached_property
+    def row_norms2(self) -> np.ndarray:
+        """Squared row norms of A (M,), |A|^2 applied to ones; the diagonal
+        of A A^H, and all of it when ``orthogonal_rows``.  Built on first use."""
+        return self.forward_abs2(np.ones(self.shape[1]))
 
     @cached_property
     def _delay_shifts(self) -> np.ndarray:
@@ -232,7 +244,8 @@ def _analyze(delay: np.ndarray, blocks_t: np.ndarray, s: np.ndarray) -> np.ndarr
     return out.reshape((-1,) + s.shape[1:])
 
 
-def _tone_operator(blocks: np.ndarray, delay: np.ndarray, u: np.ndarray) -> MeasurementOperator:
+def _tone_operator(blocks: np.ndarray, delay: np.ndarray, u: np.ndarray,
+                   orthogonal_rows: bool) -> MeasurementOperator:
     """Operator whose tone-k rows are kron(delay[k], blocks[k]), rotated tone by tone by u[k]."""
     a = np.swapaxes(u, 1, 2).conj() @ blocks
     return MeasurementOperator(
@@ -241,18 +254,20 @@ def _tone_operator(blocks: np.ndarray, delay: np.ndarray, u: np.ndarray) -> Meas
         abs2_a=np.abs(a) ** 2,
         delay=delay,
         abs2_delay=np.abs(delay) ** 2,
+        orthogonal_rows=orthogonal_rows,
     )
 
 
 def operator_from_matrix(phi: np.ndarray, rotate: bool = False) -> MeasurementOperator:
     """Wrap a dense matrix as an operator with one tone and one delay bin.
 
-    With ``rotate`` false the rotation is the identity (A = phi); with
-    true U holds the left singular vectors of phi's thin SVD.
+    With ``rotate`` false the rotation is the identity (A = phi), and the
+    rows of A are not taken to be orthogonal; with true U holds the left
+    singular vectors of phi's thin SVD, and A A^H is diagonal.
     """
     phi = np.asarray(phi, dtype=complex)
     u = np.linalg.svd(phi, full_matrices=False)[0] if rotate else np.eye(phi.shape[0], dtype=complex)
-    return _tone_operator(phi[None], np.ones((1, 1), dtype=complex), u[None])
+    return _tone_operator(phi[None], np.ones((1, 1), dtype=complex), u[None], orthogonal_rows=rotate)
 
 
 def assemble_operator(cfg: SystemConfig, comb: PilotCombiner, dicts: DictionarySet) -> MeasurementOperator:
@@ -272,7 +287,9 @@ def assemble_operator(cfg: SystemConfig, comb: PilotCombiner, dicts: DictionaryS
         )
     tones = np.stack([comb.w_bar @ dicts.angular_dicts[k] for k in range(cfg.n_subcarriers)])
     # full U_k: square even when m > G_A, so the rotated system keeps all M rows
-    op = _tone_operator(tones, dicts.delay_dict, np.linalg.svd(tones, full_matrices=True)[0])
+    # grid_delay >= n_subcarriers makes the delay rows orthogonal, so A A^H is diagonal
+    op = _tone_operator(tones, dicts.delay_dict, np.linalg.svd(tones, full_matrices=True)[0],
+                        orthogonal_rows=True)
     op.config, op.combiner, op.dicts = cfg, comb, dicts
     return op
 

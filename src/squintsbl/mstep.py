@@ -242,12 +242,16 @@ class MStepNet:
     """Per-iteration refiner weights plus optimizer slots.
 
     A depth-L unfolded estimator holds L-1 stages: the variance update
-    after the final iteration would never be consumed.
+    after the final iteration would never be consumed.  ``config_hash``
+    names the system config the net was trained under; ``config``, that
+    config as a dict, is known only for a net loaded from a checkpoint
+    that stored it, and is None otherwise.
     """
 
-    def __init__(self, stages: list[ConvStage], config_hash: str = ""):
+    def __init__(self, stages: list[ConvStage], config_hash: str = "", config: dict | None = None):
         self.stages = stages
         self.config_hash = config_hash
+        self.config = config
         self.reset_optimizer()
 
     @property
@@ -423,8 +427,9 @@ def load_checkpoint(path) -> MStepNet:
     """Read a network that :func:`save_checkpoint` wrote.
 
     Raises ``ValueError`` naming ``path`` unless the metadata is an
-    object with a ``config_hash`` and an ``n_stages`` that is a
-    non-negative int (not a bool), and the arrays are exactly
+    object with a ``config_hash``, an ``n_stages`` that is a
+    non-negative int (not a bool) and, if present, a ``config`` that is an
+    object, and the arrays are exactly
     ``stage{i}/{w1,b1,w2,b2}`` for ``i < n_stages``, each real floating
     and of a refiner's shape.  A file that is not a readable checkpoint
     container raises :class:`ContainerError`.
@@ -438,6 +443,9 @@ def load_checkpoint(path) -> MStepNet:
     n_stages = meta["n_stages"]
     if type(n_stages) is not int or n_stages < 0:
         raise ValueError(f"{path}: checkpoint n_stages must be a non-negative int, got {n_stages!r}")
+    config = meta.get("config")
+    if config is not None and not isinstance(config, dict):
+        raise ValueError(f"{path}: checkpoint config is a {type(config).__name__}, not an object")
     stages = []
     for i in range(n_stages):
         missing = [f"stage{i}/{name}" for name in _PARAM_NAMES if f"stage{i}/{name}" not in arrays]
@@ -448,4 +456,4 @@ def load_checkpoint(path) -> MStepNet:
         stages.append(ConvStage(**params))
     if arrays:
         raise ValueError(f"{path}: checkpoint of {n_stages} stages also holds {', '.join(sorted(arrays))}")
-    return MStepNet(stages, meta["config_hash"])
+    return MStepNet(stages, meta["config_hash"], config)

@@ -10,7 +10,10 @@ implementation, shared by inference and training:
   sigma^2 I of the SVD-rotated system (r, A), built block by block from
   the operator's per-tone factors, and is the reference posterior at any
   operator.  The rotation has orthonormal columns, so this is exactly
-  the posterior of the whitened system (y, Phi).
+  the posterior of the whitened system (y, Phi).  At the flat start
+  prior S is diagonal, since the rotated rows are orthogonal, and is
+  solved without a factor; on the last iteration only the mean is
+  computed.
 * ``amp_e_step`` is the low-cost message-passing recursion on the same
   rotated system, with every product by A, A^H, |A|^2 or its transpose
   taken from the operator's per-tone factors.  Its final shrinkage
@@ -70,7 +73,7 @@ class SblState:
 
     iteration: int
     mu: np.ndarray      # posterior mean, (G, batch)
-    tau_x: np.ndarray   # posterior marginal variances, same shape
+    tau_x: np.ndarray   # posterior marginal variances, same shape; None after a mean-only exact E-step
     gamma: np.ndarray   # prior variances, same shape
     s: np.ndarray       # measurement-domain residual message, (M, batch)
 
@@ -90,6 +93,7 @@ def init_state(gamma: np.ndarray, n_meas: int) -> SblState:
 def _check_step(it: int, data: np.ndarray, **arrays) -> None:
     """Raise :class:`DivergenceError` if any of ``arrays`` is non-finite
     or a column of ``arrays["mu"]`` runs away from its column of ``data``.
+    An array given as None is not checked.
 
     A sum is finite only if every entry is, so each array is first summed
     in one pass; the per-column scan that names the failing columns runs
@@ -98,7 +102,7 @@ def _check_step(it: int, data: np.ndarray, **arrays) -> None:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         for name, arr in arrays.items():
-            if np.isfinite(arr.sum()):
+            if arr is None or np.isfinite(arr.sum()):
                 continue
             bad = ~np.all(np.isfinite(arr), axis=0)
             if np.any(bad):
@@ -119,7 +123,8 @@ def _columns(failed) -> tuple[list[int], str]:
     return columns, f" in columns {columns}"
 
 
-def exact_e_step(op: MeasurementOperator, r: np.ndarray, sigma2: float, state: SblState):
+def exact_e_step(op: MeasurementOperator, r: np.ndarray, sigma2: float, state: SblState,
+                 mean_only: bool = False):
     """Posterior mean and marginal variances by direct solve, in the rotated basis.
 
     With C = diag(gamma) and S = A C A^H + sigma^2 I on the rotated data
@@ -134,31 +139,63 @@ def exact_e_step(op: MeasurementOperator, r: np.ndarray, sigma2: float, state: S
     S^{-1}.  No upper half is mirrored.  Per column of ``r`` and iteration
     the cost is about M^2 G_A + M^3: M^2 G_A for S and for d, M^3 for the
     Cholesky factor of S and its explicit inverse.  No M x G matrix is
-    formed.  Returns (mu, tau, cache for :func:`_exact_backward`); the
-    cache holds gamma and sigma^2 but no S^{-1}, which the backward
-    rebuilds per column (an M x M matrix per column would be 4.2 MB at
-    the default size).
+    formed.
+
+    Two cases cost less.  A flat column, gamma = c 1 as every run starts
+    from, on an operator with ``orthogonal_rows`` has the diagonal
+    S = c diag(lambda^2) + sigma^2 I, lambda^2 = ``op.row_norms2``, so
+    mu = c A^H (r / s) and d = (|A|^2)^T (1 / s): two of the four
+    operator products of an AMP step, and no M x M matrix.  With
+    ``mean_only``, for an iteration whose variances no M-step reads, d
+    and tau are skipped: Gram, Cholesky factor, one solve and A^H, about
+    M^2 G_A / 2 + M^3 / 3, with no inverse and no ``diag_quad``.
+
+    Returns (mu, tau, cache for :func:`_exact_backward`), with tau and
+    the cache's d None under ``mean_only``.  The cache holds gamma and
+    sigma^2 but no S^{-1}, which the backward rebuilds per column (an
+    M x M matrix per column would be 4.2 MB at the default size).  A
+    flat column whose diagonal S has an entry that is not positive and
+    finite fails as a failed Cholesky does.
     """
     it = state.iteration + 1
     gamma = state.gamma
     u = np.empty(gamma.shape, dtype=complex)
-    d = np.empty(gamma.shape)
+    d = None if mean_only else np.empty(gamma.shape)
     for j in range(r.shape[1]):
         try:
-            factor = _cho_s(op, gamma[:, j], sigma2)
-            # solve before potri overwrites the factor; cho_factor checked finiteness
-            solved = cho_solve(factor, r[:, j], check_finite=False)
-            s_inv = _cho_inverse(factor[0])
+            u[:, j], d_j = _column_moments(op, gamma[:, j], r[:, j], sigma2, mean_only)
         except (np.linalg.LinAlgError, ValueError) as exc:
             columns, where = _columns([j])
             raise DivergenceError(f"posterior solve failed at iteration {it}{where}: {exc}",
                                   iteration=it, columns=columns) from exc
-        u[:, j] = op.adjoint(solved)
-        d[:, j] = op.diag_quad(s_inv)
+        if d is not None:
+            d[:, j] = d_j
     mu = gamma * u
-    tau = np.maximum(gamma * (1.0 - gamma * d), 0.0)
+    tau = None if d is None else np.maximum(gamma * (1.0 - gamma * d), 0.0)
     _check_step(it, r, mu=mu, tau_x=tau)
     return mu, tau, {"gamma": gamma, "sigma2": sigma2, "u": u, "d": d}
+
+
+def _column_moments(op: MeasurementOperator, gamma: np.ndarray, r: np.ndarray, sigma2: float,
+                    mean_only: bool):
+    """A^H S^{-1} r and, unless ``mean_only`` (then None), d = diag(A^H S^{-1} A) for one column.
+
+    A flat ``gamma`` on an operator with orthogonal rows takes the
+    diagonal S in closed form; every other column factors S.  Raises
+    ``LinAlgError`` or ``ValueError`` where S is not positive definite
+    or not finite.
+    """
+    if op.orthogonal_rows and np.all(gamma == gamma[0]):
+        s = gamma[0] * op.row_norms2 + sigma2
+        if not np.all((s > 0.0) & (s < np.inf)):
+            raise np.linalg.LinAlgError("the flat-prior covariance has a diagonal entry that is "
+                                        "not positive and finite")
+        return op.adjoint(r / s), None if mean_only else op.adjoint_abs2(1.0 / s)
+    factor = _cho_s(op, gamma, sigma2)
+    # solve before potri overwrites the factor; cho_factor checked finiteness
+    solved = cho_solve(factor, r, check_finite=False)
+    d = None if mean_only else op.diag_quad(_cho_inverse(factor[0]))
+    return op.adjoint(solved), d
 
 
 def _cho_s(op: MeasurementOperator, gamma: np.ndarray, sigma2: float):
@@ -216,10 +253,15 @@ def _exact_backward(op: MeasurementOperator, cache, g_mu, g_tau) -> np.ndarray:
     column, to be their general operand.  A column whose g_tau weights
     w = g_tau gamma^2 are all zero, as every column's are at the last
     iteration, skips the d term, which is zero there: its Gram and its
-    two M x M x M products.
+    two M x M x M products.  A mean-only step caches no d; its g_tau must
+    be zero, as it is at the last iteration, or ``ValueError`` is raised.
     """
     u, d, gamma = cache["u"], cache["d"], cache["gamma"]
-    g_gamma = np.real(np.conj(g_mu) * u) + g_tau * (1.0 - 2.0 * gamma * d)
+    g_gamma = np.real(np.conj(g_mu) * u)
+    if d is not None:
+        g_gamma += g_tau * (1.0 - 2.0 * gamma * d)
+    elif np.any(g_tau):
+        raise ValueError("a mean-only exact E-step has no variances to take a gradient through")
     a_vecs, ws = gamma * g_mu, g_tau * gamma * gamma
     extra = np.empty(u.shape)
     for j in range(u.shape[1]):
@@ -368,7 +410,9 @@ def step(spec: EstimatorSpec, op: MeasurementOperator, r: np.ndarray, sigma2: fl
     """Advance ``state`` by one unfolded iteration on ``r``, (M, B); return its backward cache.
 
     The E-step runs first, then, except on the last iteration, the
-    variance update.  The cache holds ``"e_step"``, ``"it"`` (1-based)
+    variance update.  The last iteration's exact E-step is mean-only:
+    no update reads its variances, so ``state.tau_x`` becomes None
+    there.  The cache holds ``"e_step"``, ``"it"`` (1-based)
     and ``"e"``, the E-step's cache; a learned update adds ``"mu"``, its
     features' posterior mean, and ``"stage"``, the refiner's cache.
     Dropping the cache frees the iteration's intermediates.
@@ -377,7 +421,8 @@ def step(spec: EstimatorSpec, op: MeasurementOperator, r: np.ndarray, sigma2: fl
     if spec.e_step == "amp":
         state.mu, state.tau_x, state.s, e_cache = amp_e_step(op, r, sigma2, state)
     else:
-        state.mu, state.tau_x, e_cache = exact_e_step(op, r, sigma2, state)
+        state.mu, state.tau_x, e_cache = exact_e_step(op, r, sigma2, state,
+                                                      mean_only=it == spec.n_iterations)
     state.iteration = it
     cache = {"e_step": spec.e_step, "e": e_cache, "it": it}
     if it < spec.n_iterations:

@@ -77,6 +77,9 @@ def check_exact_posterior() -> str:
     The dense instances have one tone and one delay bin; the desk
     operator's instances also exercise the cross-tone delay mixing of
     the block-form covariance and the per-tone rotation of the data.
+    Two flat priors, gamma = c 1, run on operators with orthogonal rows,
+    the desk operator and the SVD-rotated dense matrix of the same Phi,
+    where the E-step solves the diagonal covariance in closed form.
     """
     rng = np.random.default_rng(7)
     worst = 0.0
@@ -94,8 +97,13 @@ def check_exact_posterior() -> str:
         gamma = np.exp(rng.uniform(-3.0, 1.0, g))
         sigma2 = float(rng.uniform(0.05, 1.0))
         worst = max(worst, _posterior_error(op, phi, _crandn(rng, (m,)), sigma2, gamma))
+    for flat_op in (op, operator_from_matrix(phi, rotate=True)):
+        np.testing.assert_(flat_op.orthogonal_rows, "an SVD-rotated operator records no orthogonal rows")
+        gamma = np.full(g, rng.uniform(0.05, 2.0))
+        sigma2 = float(rng.uniform(0.05, 1.0))
+        worst = max(worst, _posterior_error(flat_op, phi, _crandn(rng, (m,)), sigma2, gamma))
     np.testing.assert_(worst < 1e-10, f"worst relative error {worst:.2e}")
-    return f"20 dense and 5 desk-operator instances, worst relative error {worst:.1e}"
+    return f"20 dense, 5 desk-operator and 2 flat-prior instances, worst relative error {worst:.1e}"
 
 
 def check_amp_fixed_point() -> str:
@@ -113,6 +121,7 @@ def check_amp_fixed_point() -> str:
         state = init_state(gamma[:, None], m)
         for _ in range(60):
             state.mu, state.tau_x, state.s, _ = amp_e_step(op, y, sigma2, state)
+        # op is unrotated, so this flat prior takes the factored path, not the closed form
         mu_ref, _, _ = exact_e_step(op, y, sigma2, init_state(gamma[:, None], m))
         err = float(np.linalg.norm(state.mu - mu_ref) / np.linalg.norm(mu_ref))
         errs.append(err)

@@ -285,6 +285,21 @@ def test_net_for_a_classic_algorithm_is_an_error(command, tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("flags, noted", [(["--n-iterations", "3"], False), (["--noise-var", "0.5"], True)],
+                         ids=["depth", "noise"])
+def test_net_config_note_leaves_the_classic_depth_out(flags, noted, tmp_path, capsys):
+    """A net trained under the desk config fits it at any --n-iterations, which it never reads;
+    another noise level still gets the note."""
+    cfg = desk_config()
+    ck = tmp_path / "ck.npz"
+    save_checkpoint(MStepNet.create(1, np.random.default_rng(0), cfg.config_hash()), ck, cfg)
+    capsys.readouterr()
+    assert main(["evaluate", "--scale", "desk", "--net", f"amp-sbl-unfolding={ck}", "--algos",
+                 "amp-sbl-unfolding", "--n-samples", "1", *flags]) == 0
+    err = capsys.readouterr().err
+    assert ("note: network for 'amp-sbl-unfolding' was trained under config" in err) == noted
+
+
 def test_malformed_checkpoint_is_an_error(tmp_path, capsys):
     """A checkpoint whose n_stages is a string ends evaluate with error: and exit 1, not a traceback."""
     ck = tmp_path / "ck.npz"

@@ -57,6 +57,16 @@ def test_nmse_rejects_bad_inputs(rng):
         nmse(np.zeros((3, 5), dtype=complex), h)
 
 
+def test_nmse_is_independent_of_memory_layout(desk_cfg, rng):
+    """A C-ordered and a K-major (N fastest) channel give bit-identical ratios, in either argument."""
+    shape = (desk_cfg.n_antennas, desk_cfg.n_subcarriers)
+    layouts = (np.ascontiguousarray, np.asfortranarray)
+    for _ in range(4):
+        h, err = crandn(rng, *shape), 0.3 * crandn(rng, *shape)
+        ratios = {nmse(lay_h(h), lay_e(h + err)) for lay_h in layouts for lay_e in layouts}
+        assert len(ratios) == 1
+
+
 def test_average_is_mean_of_ratios_then_db():
     # averaging in dB would give -15; the contract averages linear ratios
     ratios = [1e-1, 1e-2]
@@ -150,8 +160,8 @@ def test_draw_eval_observations_paired(desk_cfg, desk_op):
     hc, yc = draw_eval_observations(desk_op, 1, 3)
     assert ha.shape == (3, desk_cfg.n_antennas, desk_cfg.n_subcarriers)
     assert ya.shape == (3, desk_op.shape[0])
-    # each channel keeps build_channel's K-major layout, the memory order nmse's sums, and the scores, round by
-    assert ha.transpose(0, 2, 1).flags.c_contiguous
+    # a plain C-ordered stack: nmse's sums round the same in any layout
+    assert ha.flags.c_contiguous
     assert np.array_equal(ya, yb)
     assert np.array_equal(ha, hb)
     assert not np.array_equal(ya[0], yc[0])
@@ -165,13 +175,29 @@ def test_score_algorithm_finite(desk_cfg, desk_op):
     assert fail == 0.0
 
 
-def test_score_algorithm_counts_divergence(desk_cfg, desk_op):
-    """Sample index 5 at this geometry diverges under the classic recursion."""
+def test_score_algorithm_counts_divergence(desk_cfg, desk_op, monkeypatch):
+    """A sample whose recursion diverges is a failure; the others are still scored.
+
+    The E-step is made to return a non-finite mean for sample index 5 at
+    iteration 2, so its iteration 3 fails.
+    """
+    from squintsbl import sbl
+
     hs, ys = draw_eval_observations(desk_op, 0, 6)
-    db, fail = score_algorithm("amp-sbl", desk_op, hs, ys, 100)
-    assert fail > 0.0
+    expected, _ = score_algorithm("sbl", desk_op, hs[:5], ys[:5], 4)
+    real, calls = sbl.exact_e_step, []
+
+    def poisoned(op, r, sigma2, state, **kwargs):
+        mu, tau, cache = real(op, r, sigma2, state, **kwargs)
+        calls.append(None)
+        return (np.full_like(mu, np.nan) if len(calls) == 5 * 4 + 2 else mu), tau, cache
+
+    monkeypatch.setattr(sbl, "exact_e_step", poisoned)
+    db, fail = score_algorithm("sbl", desk_op, hs, ys, 4)
+    assert len(calls) == 5 * 4 + 2  # the failing sample's third E-step raised instead of returning
+    assert fail == pytest.approx(1 / 6)
     # surviving samples still produce a finite average
-    assert np.isfinite(db) or fail == 1.0
+    assert np.isfinite(db) and db == expected
 
 
 def test_score_algorithm_counts_posterior_failure(desk_cfg, desk_op, monkeypatch):
@@ -182,13 +208,15 @@ def test_score_algorithm_counts_posterior_failure(desk_cfg, desk_op, monkeypatch
     expected, _ = score_algorithm("sbl", desk_op, hs[[0, 2]], ys[[0, 2]], 2)
     original, calls = sbl.cho_factor, []
 
-    def fail_third_call(a, **kwargs):
+    def fail_second_call(a, **kwargs):
+        # one factor per sample: iteration 1's flat prior is solved without one, so this is
+        # sample 1, iteration 2
         calls.append(None)
-        if len(calls) == 3:  # two iterations per sample: sample 1, iteration 1
+        if len(calls) == 2:
             raise np.linalg.LinAlgError("not positive definite")
         return original(a, **kwargs)
 
-    monkeypatch.setattr(sbl, "cho_factor", fail_third_call)
+    monkeypatch.setattr(sbl, "cho_factor", fail_second_call)
     db, fail = score_algorithm("sbl", desk_op, hs, ys, 2)
     assert fail == pytest.approx(1 / 3)
     assert db == expected

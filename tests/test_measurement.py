@@ -158,6 +158,22 @@ def test_products_match_dense_oracle(any_op, batch):
         assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref), name
 
 
+def test_orthogonal_rows_record_and_row_norms(any_op):
+    """The SVD-rotating constructors record orthogonal rows, and A A^H is then diag(row_norms2).
+
+    An unrotated matrix records none, though its squared row norms are
+    still the diagonal of A A^H.
+    """
+    op, phi = any_op
+    u, _ = dense_rotation(op)
+    a = u.conj().T @ phi
+    gram = a @ a.conj().T
+    scale = np.max(np.abs(gram))
+    assert np.max(np.abs(op.row_norms2 - np.diag(gram).real)) <= 1e-12 * scale
+    off_diagonal = np.max(np.abs(gram - np.diag(np.diag(gram))))
+    assert op.orthogonal_rows == (off_diagonal <= 1e-12 * scale)
+
+
 def test_gram_and_diag_quad_match_dense_oracle(any_op):
     """A diag(w) A^H and diag(A^H X A) from the factors equal the dense products.
 

@@ -460,6 +460,9 @@ def test_checkpoint_roundtrip(tmp_path, rng):
     back = load_checkpoint(path)
     assert back.n_stages == 3
     assert back.config_hash == cfg.config_hash()
+    assert back.config == cfg.to_dict()
+    save_checkpoint(net, path)
+    assert load_checkpoint(path).config is None
     for a, b in zip(net.stages, back.stages):
         assert np.array_equal(a.w1, b.w1)
         assert np.array_equal(a.b1, b.b1)
@@ -542,8 +545,9 @@ def test_checkpoint_missing_stage_count_is_a_value_error(tmp_path, rng):
     ({"n_stages": 0}, {}, "checkpoint of 0 stages also holds stage0/b1, stage0/b2, stage0/w1, stage0/w2, stage1/b1"),
     ({}, {"notes": np.zeros(1)}, "checkpoint of 2 stages also holds notes"),
     (["n_stages", "config_hash"], {}, "checkpoint metadata is a list, not an object"),
+    ({"config": [1]}, {}, "checkpoint config is a list, not an object"),
 ], ids=["str-count", "float-count", "bool-count", "negative-count", "fewer-stages", "zero-stages", "stray-array",
-        "list-meta"])
+        "list-meta", "list-config"])
 def test_checkpoint_rejects_malformed_metadata(tmp_path, rng, meta, extra, message):
     """The metadata must be an object whose n_stages is a non-negative int naming exactly the stored stages."""
     path = tmp_path / "net.npz"

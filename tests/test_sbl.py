@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +9,7 @@ from scipy.linalg import get_blas_funcs
 from squintsbl.config import desk_config
 from squintsbl.dictionaries import reconstruct_channel
 from squintsbl.mstep import MStepNet
+from squintsbl import sbl
 from squintsbl.sbl import (
     DivergenceError,
     EstimatorSpec,
@@ -109,6 +113,128 @@ def test_exact_e_step_thin_rotation_matches_dense_oracle(rng):
     mu0, tau0 = exact_posterior_oracle(phi, y[:, 0], 0.2, gamma)
     assert np.linalg.norm(mu[:, 0] - mu0) <= 1e-10 * np.linalg.norm(mu0)
     assert np.max(np.abs(tau[:, 0] - tau0)) <= 1e-10 * np.max(tau0)
+
+
+@pytest.fixture(params=["desk", "rotated"])
+def flat_case(request, desk_cfg, desk_op):
+    """(operator with orthogonal rows, its dense Phi, whitened data (M, 2), sigma^2)."""
+    if request.param == "desk":
+        return desk_op, dense_phi(desk_op), draw_eval_observations(desk_op, 0, 2)[1].T, desk_cfg.noise_var
+    rng = np.random.default_rng(5)
+    phi = crandn(rng, 12, 30) / np.sqrt(12)
+    return operator_from_matrix(phi, rotate=True), phi, crandn(rng, 12, 2), 0.2
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    """Patch ``owner.name`` with a pass-through that records each call; returns the record."""
+    calls, real = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("c", [1.0, 0.37])
+def test_exact_e_step_flat_prior_matches_general_path_and_oracle(flat_case, c, monkeypatch):
+    """A flat gamma = c 1 on orthogonal rows is solved in closed form, with no Cholesky factor,
+    to 1e-12 of the factored path and of the dense information-form posterior."""
+    op, phi, y, sigma2 = flat_case
+    assert op.orthogonal_rows
+    r = op.rotate(y)
+    gamma = np.full((op.shape[1], 2), c)
+    general = exact_e_step(dataclasses.replace(op, orthogonal_rows=False), r, sigma2, init_state(gamma, len(r)))
+    factors = _count_calls(monkeypatch, sbl, "cho_factor")
+    mu, tau, cache = exact_e_step(op, r, sigma2, init_state(gamma, len(r)))
+    assert factors == []
+    assert np.linalg.norm(mu - general[0]) <= 1e-12 * np.linalg.norm(general[0])
+    assert np.max(np.abs(tau - general[1])) <= 1e-12 * np.max(general[1])
+    assert np.max(np.abs(cache["d"] - general[2]["d"])) <= 1e-12 * np.max(general[2]["d"])
+    for j in range(2):
+        mu0, tau0 = exact_posterior_oracle(phi, y[:, j], sigma2, gamma[:, j])
+        assert np.linalg.norm(mu[:, j] - mu0) <= 1e-12 * np.linalg.norm(mu0)
+        assert np.max(np.abs(tau[:, j] - tau0)) <= 1e-12 * np.max(tau0)
+
+
+def test_exact_e_step_flat_prior_without_orthogonal_rows_is_factored(rng, monkeypatch):
+    """An unrotated operator records no orthogonal rows, so gamma = 1 takes the factored path."""
+    phi = crandn(rng, 8, 16) / np.sqrt(8)
+    op = operator_from_matrix(phi)
+    assert not op.orthogonal_rows
+    factors = _count_calls(monkeypatch, sbl, "cho_factor")
+    y = crandn(rng, 8, 1)
+    mu, tau, _ = exact_e_step(op, y, 0.1, _state_with(np.ones(16)))
+    assert len(factors) == 1
+    mu0, tau0 = exact_posterior_oracle(phi, y[:, 0], 0.1, np.ones(16))
+    assert np.linalg.norm(mu[:, 0] - mu0) <= 1e-10 * np.linalg.norm(mu0)
+    assert np.max(np.abs(tau[:, 0] - tau0)) <= 1e-10 * np.max(tau0)
+
+
+@pytest.mark.parametrize("c, sigma2", [(0.0, 0.0), (-1.0, 0.0)], ids=["zero", "negative"])
+def test_exact_e_step_flat_prior_nonpositive_covariance_names_column(desk_op, rng, c, sigma2):
+    """A flat column whose diagonal S has an entry s <= 0 fails as a failed Cholesky does,
+    naming its column, and the closed form divides by no such entry."""
+    m, g = desk_op.shape
+    gamma = np.ones((g, 3))
+    gamma[:, 1] = c
+    state = SblState(iteration=3, mu=np.zeros((g, 3), dtype=complex), tau_x=gamma.copy(), gamma=gamma,
+                     s=np.zeros((m, 3), dtype=complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match=r"posterior solve failed at iteration 4 in columns \[1\]: "
+                           r"the flat-prior covariance") as exc:
+            exact_e_step(desk_op, crandn(rng, m, 3), sigma2, state)
+    assert exc.value.iteration == 4
+    assert exc.value.columns == [1]
+
+
+def test_exact_step_skips_the_variances_no_update_reads(desk_cfg, desk_op, monkeypatch):
+    """Iteration 1 (flat) factors nothing, iteration 2 factors and inverts, and the last iteration
+    solves for the mean alone: no inverse, no diag_quad, and no tau or d."""
+    spec = EstimatorSpec(e_step="exact", m_step="classic", n_iterations=3)
+    r, state = start_state(desk_op, draw_eval_observations(desk_op, 0, 2)[1].T)
+    spies = {name: _count_calls(monkeypatch, sbl, name) for name in ("cho_factor", "_cho_inverse")}
+    spies["diag_quad"] = _count_calls(monkeypatch, desk_op, "diag_quad")
+    counts, caches = [], []
+    for _ in range(3):
+        caches.append(step(spec, desk_op, r, desk_cfg.noise_var, state))
+        counts.append({name: len(calls) for name, calls in spies.items()})
+        for calls in spies.values():
+            calls.clear()
+    none = {"cho_factor": 0, "_cho_inverse": 0, "diag_quad": 0}
+    assert counts == [none, {"cho_factor": 2, "_cho_inverse": 2, "diag_quad": 2}, {**none, "cho_factor": 2}]
+    assert state.tau_x is None and caches[-1]["e"]["d"] is None
+    assert all(cache["e"]["d"] is not None for cache in caches[:-1])
+
+
+@pytest.mark.parametrize("flat", [True, False], ids=["flat", "general"])
+def test_mean_only_exact_e_step_gives_the_same_mean(desk_op, rng, flat):
+    """Skipping the variances leaves the mean's arithmetic alone: the same bits."""
+    m, g = desk_op.shape
+    gamma = np.full((g, 2), 0.8) if flat else rng.uniform(0.1, 1.0, (g, 2))
+    r = crandn(rng, m, 2)
+    mu, tau, cache = exact_e_step(desk_op, r, 0.1, init_state(gamma, m))
+    mu_only, tau_only, cache_only = exact_e_step(desk_op, r, 0.1, init_state(gamma, m), mean_only=True)
+    assert np.array_equal(mu_only, mu) and np.array_equal(cache_only["u"], cache["u"])
+    assert tau_only is None and cache_only["d"] is None and tau is not None
+
+
+def test_exact_backward_of_a_mean_only_step(desk_cfg, desk_op, rng):
+    """With zero g_tau, the mean-only cache gives the full cache's gradient; a nonzero g_tau,
+    which it has no variances for, is an error."""
+    r, state = start_state(desk_op, draw_eval_observations(desk_op, 0, 2)[1].T)
+    state.gamma = rng.uniform(0.1, 1.0, state.gamma.shape)
+    _, _, full = exact_e_step(desk_op, r, desk_cfg.noise_var, state)
+    _, _, mean_only = exact_e_step(desk_op, r, desk_cfg.noise_var, state, mean_only=True)
+    g_mu = crandn(rng, *state.gamma.shape)
+    g_tau = np.zeros(state.gamma.shape)
+    assert np.array_equal(_exact_backward(desk_op, mean_only, g_mu, g_tau),
+                          _exact_backward(desk_op, full, g_mu, g_tau))
+    g_tau[3, 1] = 1.0
+    with pytest.raises(ValueError, match="mean-only"):
+        _exact_backward(desk_op, mean_only, g_mu, g_tau)
 
 
 def _state_with(gamma, m=None):
@@ -435,10 +561,21 @@ def test_run_estimator_deterministic(desk_cfg, desk_op):
     assert np.array_equal(a, b)
 
 
-def test_divergence_carries_partial_trace(desk_cfg, desk_op):
-    """A known diverging draw: the exception reports where and keeps the trace."""
+def test_divergence_carries_partial_trace(desk_cfg, desk_op, monkeypatch):
+    """A divergence reports where it happened and keeps the trace of the iterations before it.
+
+    The E-step is made to return a non-finite mean at iteration 49; the
+    variance update carries it into gamma, and iteration 50's E-step fails.
+    """
     _, y = _desk_obs(desk_cfg, desk_op, 5)
-    spec = EstimatorSpec(e_step="amp", m_step="classic", n_iterations=100)
+    real = sbl.exact_e_step
+
+    def poisoned(op, r, sigma2, state, **kwargs):
+        mu, tau, cache = real(op, r, sigma2, state, **kwargs)
+        return (np.full_like(mu, np.nan) if state.iteration == 48 else mu), tau, cache
+
+    monkeypatch.setattr(sbl, "exact_e_step", poisoned)
+    spec = EstimatorSpec(e_step="exact", m_step="classic", n_iterations=100)
     with pytest.raises(DivergenceError) as exc:
         run_estimator(spec, desk_op, y, desk_cfg.noise_var)
     assert exc.value.iteration == 50
