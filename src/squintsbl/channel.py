@@ -125,9 +125,7 @@ def build_channel(cfg: SystemConfig, paths: PathSet) -> np.ndarray:
     are the only array-response exponentials; a_N's entries z^n come
     from :func:`_powers`, N*K*P products in log2 N passes.  Against the
     direct N*K*P exponentials the largest entry differs by ~1.4e-14 of
-    the largest |H| at N = 32; both round at O(N eps) in phase.  Stored
-    as complex64, 12 of the 10.24 million entries of the default
-    training splits move by one ulp in one component.
+    the largest |H| at N = 32; both round at O(N eps) in phase.
     """
     n = cfg.n_antennas
     f = subcarrier_freqs(cfg)                                    # (K,)
@@ -144,16 +142,14 @@ def generate_dataset(cfg: SystemConfig, n_samples: int, split: str = "train") ->
     Each sample gets an independent child stream keyed by (split, index),
     so a split is a pure function of (config, seed, split, size),
     reproducible regardless of generation order, and the three
-    canonical splits never overlap.  The array is complex64: the stored
-    reference scores of the ``train`` benchmark were recorded on
-    complex64 channels, so widening it would move them.
+    canonical splits never overlap.
     """
     split_id = SPLIT_IDS.get(split)
     if split_id is None:
         raise ValueError(f"unknown split {split!r}; expected one of {sorted(SPLIT_IDS)}")
     if n_samples < 1:
         raise ValueError(f"{split} split: n_samples must be positive, got {n_samples}")
-    h = np.empty((n_samples, cfg.n_antennas, cfg.n_subcarriers), dtype=np.complex64)
+    h = np.empty((n_samples, cfg.n_antennas, cfg.n_subcarriers), dtype=complex)
     for i in range(n_samples):
         h[i] = build_channel(cfg, draw_paths(cfg, spawn_rng(cfg.rng_seed, "channel", split_id, i)))
     return h

@@ -115,10 +115,11 @@ def _parse_points(text: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
         if step <= 0:
             raise ValueError("point step must be positive")
-        vals, v = [], start
-        while v <= stop + 1e-9 * max(1.0, step):
-            vals.append(v)
-            v += step
+        # start + i * step rounds once per point; a running sum drifts (0 came out as -2e-15)
+        vals, i = [], 0
+        while start + i * step <= stop + 1e-9 * max(1.0, step):
+            vals.append(start + i * step)
+            i += 1
         if not vals:
             raise ValueError("no sweep points given")
         return vals

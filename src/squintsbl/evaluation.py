@@ -28,7 +28,7 @@ import numpy as np
 
 from .channel import build_channel, draw_paths
 from .config import SystemConfig, noise_var_from_snr_db, provenance_line, spawn_rng
-from .dictionaries import build_dictionaries, reconstruct_channel
+from .dictionaries import build_dictionaries, error_ratios, reconstruct_channel
 from .measurement import MeasurementOperator, assemble_operator, draw_combiner, observe_and_transform
 from .sbl import DivergenceError, EstimatorSpec, run_estimator
 
@@ -50,19 +50,12 @@ def ratio_to_db(ratio: float) -> float:
 
 
 def nmse(h_true: np.ndarray, h_hat: np.ndarray) -> tuple[float, float]:
-    """Squared-error ratio of one estimate, as (linear, dB).
-
-    The norms sum over C-ordered copies, so the ratio rounds the same
-    whatever the memory layout of either input.
-    """
-    h_true = np.ascontiguousarray(h_true)
-    h_hat = np.ascontiguousarray(h_hat)
+    """Squared-error ratio of one estimate, as (linear, dB): the one-sample case of
+    :func:`~squintsbl.dictionaries.error_ratios`, so it rounds the same whatever the
+    memory layout of either input."""
     if h_true.shape != h_hat.shape:
         raise ValueError(f"shape mismatch: truth {h_true.shape} vs estimate {h_hat.shape}")
-    ref = float(np.linalg.norm(h_true) ** 2)
-    if ref <= 0.0:
-        raise ValueError("reference channel has zero norm; the ratio is undefined")
-    ratio = float(np.linalg.norm(h_hat - h_true) ** 2) / ref
+    ratio = float(error_ratios((h_hat - h_true)[..., None], h_true[..., None])[0][0])
     return ratio, ratio_to_db(ratio)
 
 

@@ -25,7 +25,9 @@ gives.  An operator records whether its rows are orthogonal in
 reads it to solve a flat prior in closed form.  The operator stores
 only those factors, never Phi or A themselves.  It applies A, A^H, |A|^2
 and their transposes as one delay GEMM plus one batched per-tone
-product.  For the exact posterior it builds the lower triangle of the
+product: :func:`~squintsbl.dictionaries.synthesize` and its transpose
+``analyze``, which also synthesize the channel from its coefficients.
+For the exact posterior it builds the lower triangle of the
 Hermitian M x M Gram A diag(w) A^H, and reads only the lower triangle of
 a Hermitian X for the diagonal of A^H X A, both block by block.  A
 layout with G_D < K is rejected.  Operators are rebuilt from the config.
@@ -40,7 +42,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .config import SystemConfig
-from .dictionaries import DictionarySet
+from .dictionaries import DictionarySet, analyze, synthesize
 
 
 @dataclass
@@ -148,19 +150,19 @@ class MeasurementOperator:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """A x: coefficients (G, .) to rotated measurements (M, .)."""
-        return _synthesize(self.delay, self.a, x)
+        return synthesize(self.delay, self.a, x)
 
     def adjoint(self, s: np.ndarray) -> np.ndarray:
         """A^H s: rotated measurements (M, .) to coefficients (G, .)."""
-        return _analyze(self.delay.conj(), self.a_h, s)
+        return analyze(self.delay.conj(), self.a_h, s)
 
     def forward_abs2(self, t: np.ndarray) -> np.ndarray:
         """|A|^2 t, elementwise squared magnitudes of A applied to t."""
-        return _synthesize(self.abs2_delay, self.abs2_a, t)
+        return synthesize(self.abs2_delay, self.abs2_a, t)
 
     def adjoint_abs2(self, t: np.ndarray) -> np.ndarray:
         """(|A|^2)^T t."""
-        return _analyze(self.abs2_delay, np.swapaxes(self.abs2_a, 1, 2), t)
+        return analyze(self.abs2_delay, np.swapaxes(self.abs2_a, 1, 2), t)
 
     @cached_property
     def row_norms2(self) -> np.ndarray:
@@ -226,22 +228,6 @@ class MeasurementOperator:
             q[1:k - i] += y.sum(axis=1)
         q[1:] *= 2.0
         return (self._delay_shifts.conj().T @ q).real.reshape(-1)
-
-
-def _synthesize(delay: np.ndarray, blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Apply the rows kron(delay[k], blocks[k]), k = 0..K-1, to x (G, .)."""
-    k, n_delay = delay.shape
-    t = delay @ x.reshape(n_delay, -1)                       # (K, G_A * B)
-    out = blocks @ t.reshape(k, blocks.shape[2], -1)         # (K, m, B)
-    return out.reshape((-1,) + x.shape[1:])
-
-
-def _analyze(delay: np.ndarray, blocks_t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Transpose of :func:`_synthesize`, given blocks_t[k] = blocks[k]^T."""
-    k = delay.shape[0]
-    z = blocks_t @ s.reshape(k, blocks_t.shape[2], -1)       # (K, G_A, B)
-    out = delay.T @ z.reshape(k, -1)                         # (G_D, G_A * B)
-    return out.reshape((-1,) + s.shape[1:])
 
 
 def _tone_operator(blocks: np.ndarray, delay: np.ndarray, u: np.ndarray,

@@ -406,21 +406,18 @@ def save_checkpoint(net: MStepNet, path, cfg: SystemConfig | None = None) -> Non
 
 
 def _check_stage(path, i: int, params: dict) -> None:
-    """Each stage must be a (2 -> hidden -> 1) refiner of real floating arrays with one odd
-    square kernel size."""
+    """Each stage must be the refiner :func:`init_stage` builds: real floating arrays of a
+    (2 -> HIDDEN_CHANNELS -> 1) net with KERNEL x KERNEL filters."""
     for name, arr in params.items():
         if not np.issubdtype(arr.dtype, np.floating):
             raise ValueError(f"{path}: checkpoint stage {i}: {name} has dtype {arr.dtype}, "
                              "expected a real floating type")
-    w1 = params["w1"]
-    hidden, k = (w1.shape[0], w1.shape[2]) if w1.ndim == 4 else (HIDDEN_CHANNELS, KERNEL)
+    hidden, k = HIDDEN_CHANNELS, KERNEL
     expected = {"w1": (hidden, 2, k, k), "b1": (hidden,), "w2": (1, hidden, k, k), "b2": (1,)}
     for name, shape in expected.items():
         if params[name].shape != shape:
             raise ValueError(f"{path}: checkpoint stage {i}: {name} has shape {params[name].shape}, "
                              f"expected {shape}")
-    if k % 2 == 0:
-        raise ValueError(f"{path}: checkpoint stage {i}: kernel size {k} is even, the refiner needs an odd one")
 
 
 def load_checkpoint(path) -> MStepNet:
@@ -431,8 +428,8 @@ def load_checkpoint(path) -> MStepNet:
     non-negative int (not a bool) and, if present, a ``config`` that is an
     object, and the arrays are exactly
     ``stage{i}/{w1,b1,w2,b2}`` for ``i < n_stages``, each real floating
-    and of a refiner's shape.  A file that is not a readable checkpoint
-    container raises :class:`ContainerError`.
+    and of the shape :func:`init_stage` builds.  A file that is not a
+    readable checkpoint container raises :class:`ContainerError`.
     """
     _, meta, arrays = load_container(path, expect_kind=_NET_KIND)
     if not isinstance(meta, dict):

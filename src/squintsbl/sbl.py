@@ -44,7 +44,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, get_blas_funcs, get_lapack_funcs
 
 from . import mstep
-from .dictionaries import reconstruct_channel
+from .dictionaries import error_ratios, reconstruct_channel
 from .measurement import MeasurementOperator
 
 E_STEPS = ("exact", "amp")
@@ -431,7 +431,7 @@ def step(spec: EstimatorSpec, op: MeasurementOperator, r: np.ndarray, sigma2: fl
         else:
             # through the module attribute, so that a wrapper set on it sees every call
             state.gamma, cache["stage"] = mstep.mstep_forward(
-                spec.net, it, state.mu, state.tau_x, state.gamma, op.config.grid_angular, op.config.grid_delay)
+                spec.net, it, state.mu, state.tau_x, state.gamma, op.a.shape[2], op.delay.shape[1])
             cache["mu"] = state.mu
     return cache
 
@@ -439,11 +439,9 @@ def step(spec: EstimatorSpec, op: MeasurementOperator, r: np.ndarray, sigma2: fl
 def start_state(op: MeasurementOperator, y: np.ndarray) -> tuple[np.ndarray, SblState]:
     """The rotated data ``op.rotate(y)`` and the flat-prior start state, for y (M, B).
 
-    Raises ``ValueError`` for an operator assembled without a config, or
-    a ``y`` that is not an (M, B) batch; one vector is the batch ``y[:, None]``.
+    Raises ``ValueError`` for a ``y`` that is not an (M, B) batch; one
+    vector is the batch ``y[:, None]``.
     """
-    if op.config is None:
-        raise ValueError("the estimator needs an operator assembled from a config")
     m, g = op.shape
     if y.ndim != 2 or y.shape[0] != m:
         raise ValueError(f"y must be an (M, B) = ({m}, B) batch, got shape {y.shape}; "
@@ -463,8 +461,9 @@ def run_estimator(
     ``y`` is whitened; ``x_hat``, (G, B), is the last posterior mean.
     Each iteration is one :func:`step`, whose cache is dropped.  The
     trace has one dict per iteration: the NMSE in dB against ``h_true``,
-    (N, K, B) (NaN without it), and the l1 norm of gamma, both over the
-    whole batch.  A divergence error carries the partial trace.
+    (N, K, B), as the mean of the per-sample ratios (NaN without it or
+    without the operator's dictionaries), and the l1 norm of gamma over
+    the whole batch.  A divergence error carries the partial trace.
     """
     r, state = start_state(op, y)
     trace: list[dict] = []
@@ -476,9 +475,8 @@ def run_estimator(
             raise
         nmse_db = np.nan
         if h_true is not None and op.dicts is not None:
-            h_hat = reconstruct_channel(op.dicts, state.mu)
-            err_power = np.linalg.norm(h_hat - h_true) ** 2
-            nmse_db = 10.0 * np.log10(max(err_power / np.linalg.norm(h_true) ** 2, 1e-12))
+            ratios = error_ratios(reconstruct_channel(op.dicts, state.mu) - h_true, h_true)[0]
+            nmse_db = 10.0 * np.log10(max(np.mean(ratios), 1e-12))
         trace.append(
             {"iteration": it, "nmse_db": float(nmse_db), "gamma_l1": float(np.sum(np.abs(state.gamma)))}
         )

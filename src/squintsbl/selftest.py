@@ -175,7 +175,6 @@ def check_per_tone_rotation() -> str:
     fwd_gap = float(np.linalg.norm(op.forward(x) - ref) / np.linalg.norm(ref))
     np.testing.assert_(fwd_gap < 1e-12, f"forward off U^H Phi x by {fwd_gap:.2e}")
     dense = operator_from_matrix(phi, rotate=True)
-    dense.config = cfg
     spec = EstimatorSpec(e_step="amp", m_step="classic", n_iterations=10)
     amp_gap = 0.0
     for y in draw_eval_observations(op, 0, 3)[1]:

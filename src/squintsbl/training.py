@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import generate_dataset
 from .config import SPLIT_IDS, SystemConfig, provenance_line, spawn_rng
-from .dictionaries import DictionarySet, reconstruct_adjoint, reconstruct_channel
+from .dictionaries import DictionarySet, error_ratios, reconstruct_adjoint, reconstruct_channel
 from .measurement import MeasurementOperator
 from .mstep import (
     ConvStage,
@@ -128,7 +128,7 @@ def write_report_csv(report: TrainReport, path, cfg: SystemConfig, train_cfg: Tr
 # ---- dataset plumbing -------------------------------------------------------
 
 def generate_splits(cfg: SystemConfig, sizes: tuple[int, int, int] = (8000, 1000, 1000)):
-    """Draw disjoint train/val/test channel sets, each (n, N, K) complex64 (noise is drawn later)."""
+    """Draw disjoint train/val/test channel sets, each (n, N, K) (noise is drawn later)."""
     return (
         generate_dataset(cfg, sizes[0], "train"),
         generate_dataset(cfg, sizes[1], "val"),
@@ -140,8 +140,7 @@ def generate_splits(cfg: SystemConfig, sizes: tuple[int, int, int] = (8000, 1000
 class _Split:
     """Precomputed per-split arrays: channels and clean measurements."""
 
-    h: np.ndarray            # (N, K, B) complex128
-    hnorm2: np.ndarray       # (B,)
+    h: np.ndarray            # (N, K, B), a transposed view of the drawn (n, N, K) channels
     y_clean: np.ndarray      # (M, B)
     noise: np.ndarray | None  # fixed noise for val/test, None for train
 
@@ -149,9 +148,7 @@ class _Split:
 def _prepare_split(channels: np.ndarray, split: str, op: MeasurementOperator, sigma2: float) -> _Split:
     """The split's arrays from its (n, N, K) channels; val and test also get their fixed noise."""
     cfg = op.config
-    # (N, K, B) but K-major in memory: hnorm2's pairwise sums, and so train's scores, round by it
-    h = channels.transpose(2, 1, 0).astype(np.complex128, order="C").transpose(1, 0, 2)
-    hnorm2 = np.sum(np.abs(h) ** 2, axis=(0, 1))
+    h = channels.transpose(1, 2, 0)
     m = cfg.n_uses * cfg.n_rf
     yc = np.einsum("mn,nkb->mkb", op.combiner.w_bar, h, optimize=True)
     y_clean = yc.reshape(m * cfg.n_subcarriers, -1, order="F")
@@ -164,7 +161,7 @@ def _prepare_split(channels: np.ndarray, split: str, op: MeasurementOperator, si
             rng = spawn_rng(cfg.rng_seed, "eval-noise", split_id, i)
             cols.append(_complex_noise(rng, y_clean.shape[0], sigma2))
         noise = np.stack(cols, axis=-1)
-    return _Split(h=h, hnorm2=hnorm2, y_clean=y_clean, noise=noise)
+    return _Split(h=h, y_clean=y_clean, noise=noise)
 
 
 def _complex_noise(rng: np.random.Generator, n: int, sigma2: float) -> np.ndarray:
@@ -176,10 +173,11 @@ def _complex_noise(rng: np.random.Generator, n: int, sigma2: float) -> np.ndarra
 
 def _loss_and_grad(x_hat: np.ndarray, split: _Split, idx: np.ndarray, dicts: DictionarySet):
     """Mean of ||H_hat - H||^2 / ||H||^2 over the batch, and its gradient in x_hat."""
-    resid = reconstruct_channel(dicts, x_hat) - split.h[:, :, idx]
-    loss = float(np.mean(np.sum(np.abs(resid) ** 2, axis=(0, 1)) / split.hnorm2[idx]))
-    g_h = resid * (2.0 / (len(idx) * split.hnorm2[idx]))[None, None, :]
-    return loss, reconstruct_adjoint(dicts, g_h)
+    h = split.h[:, :, idx]
+    resid = reconstruct_channel(dicts, x_hat) - h
+    ratios, hnorm2 = error_ratios(resid, h)
+    resid *= 2.0 / (len(idx) * hnorm2)                       # the gradient in H_hat
+    return float(np.mean(ratios)), reconstruct_adjoint(dicts, resid)
 
 
 def unroll_forward(op: MeasurementOperator, y: np.ndarray, sigma2: float,
@@ -213,8 +211,7 @@ def unroll_backward(op: MeasurementOperator, caches: list, g_x: np.ndarray,
     has no weights, so their backward, and that stage's feature gradient,
     are never computed.
     """
-    cfg = op.config
-    ga, gd = cfg.grid_angular, cfg.grid_delay
+    ga, gd = op.a.shape[2], op.delay.shape[1]
     depth = len(caches)
     g_mu = g_x
     g_tau = np.zeros_like(g_x, dtype=float)
@@ -274,8 +271,8 @@ def _eval_ratios(net: MStepNet, split: _Split, op: MeasurementOperator,
     for lo in range(0, n, train_cfg.batch_size):
         idx = np.arange(lo, min(lo + train_cfg.batch_size, n))
         x_hat, _ = run_estimator(spec, op, _batch_obs(split, idx, sigma2, None), sigma2)
-        err = np.sum(np.abs(reconstruct_channel(op.dicts, x_hat) - split.h[:, :, idx]) ** 2, axis=(0, 1))
-        ratios.append(err / split.hnorm2[idx])
+        h = split.h[:, :, idx]
+        ratios.append(error_ratios(reconstruct_channel(op.dicts, x_hat) - h, h)[0])
     return np.concatenate(ratios)
 
 

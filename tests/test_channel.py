@@ -208,10 +208,10 @@ def test_generate_dataset_split_streams():
 
 @pytest.mark.parametrize("split", sorted(SPLIT_IDS))
 def test_generate_dataset_is_sample_major(split):
-    """Row i is the i-th channel drawn on its own, cast to complex64."""
+    """Row i is the i-th channel drawn on its own, as drawn (complex128)."""
     cfg = desk_config()
     h = generate_dataset(cfg, 3, split)
-    assert h.shape == (3, cfg.n_antennas, cfg.n_subcarriers) and h.dtype == np.complex64
+    assert h.shape == (3, cfg.n_antennas, cfg.n_subcarriers) and h.dtype == np.complex128
     for i in range(3):
         paths = draw_paths(cfg, spawn_rng(cfg.rng_seed, "channel", SPLIT_IDS[split], i))
-        assert np.array_equal(h[i], build_channel(cfg, paths).astype(np.complex64))
+        assert np.array_equal(h[i], build_channel(cfg, paths))

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import dataclasses
 import json
 import os
@@ -23,6 +24,18 @@ from squintsbl.training import TrainConfig, generate_splits, train_layerwise
 def test_parse_points_range_and_list():
     assert _parse_points("0:20:5") == [0.0, 5.0, 10.0, 15.0, 20.0]
     assert _parse_points("1, 2,4") == [1.0, 2.0, 4.0]
+
+
+def test_parse_points_range_does_not_drift(tmp_path):
+    """Each point is start + i * step: a running sum gave -2.05e-15 for 0 and 29.999999999999925 for 30."""
+    points = _parse_points("-10:30:0.2")
+    assert len(points) == 201
+    assert points[50] == 0.0 and points[-1] == 30.0
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--scale", "desk", "--axis", "snr", "--points=-10:0:0.2", "--algos", "sbl",
+                 "--n-samples", "1", "--n-iterations", "1", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+    assert len(rows) == 51 and rows[-1]["value"] == "0"
 
 
 @pytest.mark.parametrize("spec", ["20:0:5", ",", "0:10:0", "1:2"])
@@ -399,8 +412,8 @@ def test_sweep_into_a_closed_pipe_exits_cleanly(tmp_path):
 
 def test_selftest_into_a_closed_pipe_exits_cleanly(tmp_path):
     """selftest prints through the same guard as sweep: exit 0 and nothing on stderr once stdout's reader has gone."""
-    # one fast check: what is tested is the printing, not the checks
+    # a stub check: what is tested is the printing, not the checks
     code = ("import sys; from squintsbl import cli, selftest; "
-            "selftest.CHECKS = (('hand instance', selftest.check_hand_instance),); sys.exit(cli.main(['selftest']))")
+            "selftest.CHECKS = (('stub', lambda: 'passes'),); sys.exit(cli.main(['selftest']))")
     proc = _run_into_closed_pipe(["-c", code], tmp_path)
     assert (proc.returncode, proc.stderr) == (0, "")

@@ -93,6 +93,24 @@ def test_reconstruct_matches_synthesis_matrix(rng):
         assert np.allclose(h.ravel(order="F"), s @ x, atol=1e-12)
 
 
+@pytest.mark.parametrize("b", [1, 3])
+def test_reconstruct_batches_match_synthesis_matrix(rng, b):
+    """(G, B) -> (N, K, B) is S x and (N, K, B) -> (G, B) is S^H h, column by column."""
+    cfg = desk_config()
+    n_k = cfg.n_antennas * cfg.n_subcarriers
+    for mode in (FREQUENCY_DEPENDENT, FREQUENCY_INDEPENDENT):
+        d = build_dictionaries(cfg, mode)
+        s = synthesis_matrix(d)
+        x = crandn(rng, cfg.grid_total, b)
+        h = reconstruct_channel(d, x)
+        assert h.shape == (cfg.n_antennas, cfg.n_subcarriers, b)
+        assert np.allclose(h.reshape(n_k, b, order="F"), s @ x, rtol=0, atol=1e-13)
+        r = crandn(rng, cfg.n_antennas, cfg.n_subcarriers, b)
+        back = reconstruct_adjoint(d, r)
+        assert back.shape == (cfg.grid_total, b)
+        assert np.allclose(back, s.conj().T @ r.reshape(n_k, b, order="F"), rtol=0, atol=1e-13)
+
+
 def test_reconstruct_linear(rng):
     cfg = desk_config()
     d = build_dictionaries(cfg)

@@ -507,7 +507,18 @@ def test_checkpoint_rejects_even_kernel(tmp_path, rng):
     net.stages[0].w2 = np.zeros((1, 8, 4, 4))
     path = tmp_path / "net.npz"
     save_checkpoint(net, path)
-    with pytest.raises(ValueError, match="stage 0: kernel size 4 is even"):
+    with pytest.raises(ValueError, match=r"stage 0: w1 has shape \(8, 2, 4, 4\), expected \(8, 2, 3, 3\)"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_another_hidden_width(tmp_path, rng):
+    """Only the refiner that init_stage builds loads; a 4-channel hidden layer is refused."""
+    net = MStepNet.create(1, rng)
+    net.stages[0].w1, net.stages[0].b1 = np.zeros((4, 2, 3, 3)), np.zeros(4)
+    net.stages[0].w2 = np.zeros((1, 4, 3, 3))
+    path = tmp_path / "net.npz"
+    save_checkpoint(net, path)
+    with pytest.raises(ValueError, match=r"stage 0: w1 has shape \(4, 2, 3, 3\), expected \(8, 2, 3, 3\)"):
         load_checkpoint(path)
 
 

@@ -11,6 +11,7 @@ from squintsbl.dictionaries import reconstruct_channel
 from squintsbl.mstep import MStepNet
 from squintsbl import sbl
 from squintsbl.sbl import (
+    E_STEPS,
     DivergenceError,
     EstimatorSpec,
     SblState,
@@ -542,6 +543,33 @@ def test_run_estimator_exact_classic(desk_cfg, desk_op):
     # estimate explains some of the measurement
     h_hat = reconstruct_channel(desk_op.dicts, x_hat)[..., 0]
     assert np.linalg.norm(h_hat - h) < np.linalg.norm(h)
+
+
+def test_trace_nmse_is_the_mean_of_per_sample_ratios(desk_cfg, desk_op):
+    """On a 2-column batch the trace's NMSE is 10 log10 of the mean per-sample ratio, not of
+    the error energy pooled over the batch."""
+    hs, ys = draw_eval_observations(desk_op, 0, 2)
+    hs[1] *= 3.0  # unequal channel energies, so pooling would weigh the samples unequally
+    ys[1] *= 3.0
+    spec = EstimatorSpec(e_step="exact", m_step="classic", n_iterations=3)
+    x_hat, trace = run_estimator(spec, desk_op, ys.T, desk_cfg.noise_var, h_true=hs.transpose(1, 2, 0))
+    err = [np.linalg.norm(reconstruct_channel(desk_op.dicts, x_hat[:, j]) - hs[j]) ** 2 for j in range(2)]
+    ref = [np.linalg.norm(hs[j]) ** 2 for j in range(2)]
+    mean_db = 10 * np.log10(np.mean(np.divide(err, ref)))
+    pooled_db = 10 * np.log10(sum(err) / sum(ref))
+    assert trace[-1]["nmse_db"] == pytest.approx(mean_db, abs=1e-10)
+    assert abs(mean_db - pooled_db) > 0.01
+
+
+@pytest.mark.parametrize("e_step", E_STEPS)
+def test_run_estimator_on_a_dense_operator_without_config(rng, e_step):
+    """A wrapped matrix carries no config; the estimator needs none."""
+    op = operator_from_matrix(crandn(rng, 24, 40) / np.sqrt(24), rotate=True)
+    assert op.config is None
+    spec = EstimatorSpec(e_step=e_step, m_step="classic", n_iterations=4)
+    x_hat, trace = run_estimator(spec, op, crandn(rng, 24, 2), 0.1)
+    assert x_hat.shape == (40, 2) and np.all(np.isfinite(x_hat))
+    assert len(trace) == 4 and np.isnan(trace[-1]["nmse_db"])
 
 
 def test_run_estimator_amp_runs(desk_cfg, desk_op):
