@@ -20,40 +20,21 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 import time
 import typing
 from pathlib import Path
 
-# one help line per SystemConfig field; each field becomes a flag of its name and type
-_KEY_HELP = {
-    "n_antennas": "receive array size",
-    "n_rf": "RF chains per use",
-    "n_uses": "pilot time uses",
-    "n_subcarriers": "OFDM tones",
-    "grid_angular": "angular grid points",
-    "grid_delay": "delay grid points",
-    "n_clusters": "scattering clusters",
-    "n_subpaths": "subpaths per cluster",
-    "n_iterations": "depth of the classic estimators that evaluate and sweep score",
-    "rng_seed": "root seed for all streams",
-    "center_freq": "carrier frequency, Hz",
-    "bandwidth": "sampling rate, Hz",
-    "noise_var": "per-antenna noise variance",
-    "angle_spread": "intra-cluster angle std, radians",
-    "delay_spread": "intra-cluster delay std, seconds",
-    "max_mean_delay": "cluster mean delay bound, seconds",
-}
-
-# help lines of the TrainConfig fields that have one; each field becomes a train flag
-_TRAIN_HELP = {
-    "depth": "unrolled iteration count (>= 2)",
-    "lr_decay": "divide the learning rate by this (>= 1) after --lr-patience flat epochs",
-}
-
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage failures exit with code 1."""
+    """Argument parser whose usage failures exit with code 1, and that reads any word starting
+    with a minus and a digit, such as ``-10:30:0.2`` or ``-10,0,10``, as a value, not an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern takes only plain negative numbers such as -10 or -0.5 as values
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -68,9 +49,11 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument("--config", metavar="FILE", help="JSON file of config keys")
     g.add_argument("--scale", choices=("default", "desk"), default="default",
                    help="baseline geometry before overrides")
-    for name, kind in typing.get_type_hints(SystemConfig).items():
-        g.add_argument(f"--{name.replace('_', '-')}", type=kind, default=None,
-                       metavar="N" if kind is int else "X", help=_KEY_HELP[name])
+    kinds = typing.get_type_hints(SystemConfig)
+    for f in dataclasses.fields(SystemConfig):
+        kind = kinds[f.name]
+        g.add_argument(f"--{f.name.replace('_', '-')}", type=kind, default=None,
+                       metavar="N" if kind is int else "X", help=f.metadata.get("help"))
     g.add_argument("--snr-db", type=float, default=None, metavar="DB",
                    help="sets noise-var to 10^(-snr/10)")
 
@@ -260,13 +243,13 @@ def _cmd_score(args) -> int:
 
 def _cmd_flops(args) -> int:
     from .config import provenance_line
-    from .evaluation import ALGORITHMS, FlopsDims, flops_per_iteration, reconstruction_flops
+    from .evaluation import ALGORITHMS, flops_per_iteration, reconstruction_flops
 
     cfg = _build_config(args)
-    d = FlopsDims.from_config(cfg)
     _echo(provenance_line(cfg))
     _echo(f"per-iteration FLOPs of the paper's dense-product model (not this implementation's cost) "
-          f"at K={d.k}, m={d.m} per tone, G={d.g}, G_A={d.g_a}, N={d.n}")
+          f"at K={cfg.n_subcarriers}, m={cfg.n_uses * cfg.n_rf} per tone, G={cfg.grid_total}, "
+          f"G_A={cfg.grid_angular}, N={cfg.n_antennas}")
     for algo in ALGORITHMS:
         _echo(f"  {algo:<20} {flops_per_iteration(algo, cfg):>16,}")
     _echo(f"reconstruction FLOPs per estimate: {reconstruction_flops(cfg):,}")
@@ -304,7 +287,7 @@ def build_parser() -> _Parser:
         required = f.default is dataclasses.MISSING
         p.add_argument(f"--{f.name.replace('_', '-')}", type=train_types[f.name], required=required,
                        default=None if required else f.default,
-                       choices=E_STEPS if f.name == "e_step" else None, help=_TRAIN_HELP.get(f.name))
+                       choices=E_STEPS if f.name == "e_step" else None, help=f.metadata.get("help"))
     p.add_argument("--resume", metavar="CKPT", help="existing checkpoint to append stages to")
     p.set_defaults(func=_cmd_train)
 
@@ -328,7 +311,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="score estimators along an SNR or pilot-use axis")
     _add_config_flags(p)
     p.add_argument("--axis", choices=SWEEP_AXES, required=True)
-    p.add_argument("--points", required=True, metavar="SPEC", help="comma list or start:stop:step")
+    p.add_argument("--points", required=True, metavar="SPEC",
+                   help="comma list (-10,0,10) or start:stop:step (-10:30:5)")
     add_scoring_flags(p, 50, "output file (default sweep_<axis>.csv)")
 
     p = sub.add_parser("flops", help="print the complexity table at the configured sizes")

@@ -48,32 +48,38 @@ def spawn_rng(root_seed: int, stream: str, *indices: int) -> np.random.Generator
     return np.random.default_rng(np.random.SeedSequence(root_seed, spawn_key=key))
 
 
+def _key(default, text: str):
+    """A config field with its default and ``text``, the help line of the flag it becomes."""
+    return dataclasses.field(default=default, metadata={"help": text})
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """All experiment scalars.  Defaults give the reference setup.
 
     Angles are radians and times are seconds everywhere in the library;
-    unit conversion is a front-end concern.
+    unit conversion is a front-end concern.  Each field becomes a flag
+    of the command line, with the help line in its metadata.
     """
 
-    n_antennas: int = 32          # receive array size N
-    n_rf: int = 4                 # RF chains per time use
-    n_uses: int = 4               # pilot time uses Q
-    n_subcarriers: int = 32       # OFDM tones K
-    center_freq: float = 28e9     # carrier, Hz
-    bandwidth: float = 4e9        # sampling rate f_s, Hz
-    grid_angular: int = 64        # angular grid points per subcarrier
-    grid_delay: int = 64          # delay grid points
-    # per-antenna noise variance; its SNR label is -10 log10(noise_var), but E||H||_F^2 = K, so the
-    # whitened measurement SNR is about the label minus 10 log10(N) (-5.3 dB at 10 dB with N = 32)
-    noise_var: float = 0.1
-    n_clusters: int = 3           # scattering clusters
-    n_subpaths: int = 10          # subpaths per cluster
-    angle_spread: float = math.radians(4.0)   # intra-cluster angle std, rad
-    delay_spread: float = 0.06e-9             # intra-cluster delay std, s
-    max_mean_delay: float = 25e-9             # cluster mean delay upper bound, s
-    n_iterations: int = 30        # default estimator depth L
-    rng_seed: int = 2024
+    n_antennas: int = _key(32, "receive array size")                      # N
+    n_rf: int = _key(4, "RF chains per use")
+    n_uses: int = _key(4, "pilot time uses")                              # Q
+    n_subcarriers: int = _key(32, "OFDM tones")                           # K
+    center_freq: float = _key(28e9, "carrier frequency, Hz")
+    bandwidth: float = _key(4e9, "sampling rate, Hz")                     # f_s
+    grid_angular: int = _key(64, "angular grid points")                   # per subcarrier, G_A
+    grid_delay: int = _key(64, "delay grid points")                       # G_D
+    # its SNR label is -10 log10(noise_var), but E||H||_F^2 = K, so the whitened measurement
+    # SNR is about the label minus 10 log10(N) (-5.3 dB at 10 dB with N = 32)
+    noise_var: float = _key(0.1, "per-antenna noise variance")
+    n_clusters: int = _key(3, "scattering clusters")
+    n_subpaths: int = _key(10, "subpaths per cluster")
+    angle_spread: float = _key(math.radians(4.0), "intra-cluster angle std, radians")
+    delay_spread: float = _key(0.06e-9, "intra-cluster delay std, seconds")
+    max_mean_delay: float = _key(25e-9, "cluster mean delay bound, seconds")
+    n_iterations: int = _key(30, "depth of the classic estimators that evaluate and sweep score")  # L
+    rng_seed: int = _key(2024, "root seed for all streams")
 
     def __post_init__(self):
         for name, kind in _FIELD_TYPES.items():

@@ -75,33 +75,13 @@ def average_nmse_db(ratios) -> float:
 
 
 @dataclass(frozen=True)
-class FlopsDims:
-    """The five integers every complexity expression is written over."""
-
-    k: int       # subcarriers
-    m: int       # stacked measurements per tone, n_uses * n_rf
-    g: int       # angular-delay grid size, grid_angular * grid_delay
-    g_a: int     # angular grid size alone
-    n: int       # antennas
-
-    @classmethod
-    def from_config(cls, cfg: SystemConfig) -> "FlopsDims":
-        return cls(
-            k=cfg.n_subcarriers,
-            m=cfg.n_uses * cfg.n_rf,
-            g=cfg.grid_total,
-            g_a=cfg.grid_angular,
-            n=cfg.n_antennas,
-        )
-
-
-@dataclass(frozen=True)
 class Algorithm:
-    """One estimator: the E-step and M-step the solver module runs, and its real FLOPs per iteration."""
+    """One estimator: the E-step and M-step the solver module runs, and its real FLOPs per iteration
+    at a config's sizes."""
 
     e_step: str
     m_step: str
-    flops: Callable[[FlopsDims], int]
+    flops: Callable[[SystemConfig], int]
 
     @property
     def learned(self) -> bool:
@@ -123,10 +103,10 @@ class Algorithm:
 # The values stay as the paper's so that tradeoff plots place every row
 # on the same scale.
 ALGORITHMS: Mapping[str, Algorithm] = {
-    "sbl": Algorithm("exact", "classic", lambda d: 16 * (d.k * d.m) ** 2 * d.g),
-    "sbl-unfolding": Algorithm("exact", "learned", lambda d: (16 * (d.k * d.m) ** 2 + 432) * d.g),
-    "amp-sbl": Algorithm("amp", "classic", lambda d: (20 * d.k * d.m + 4) * d.g),
-    "amp-sbl-unfolding": Algorithm("amp", "learned", lambda d: (20 * d.k * d.m + 432) * d.g),
+    "sbl": Algorithm("exact", "classic", lambda c: 16 * c.n_measurements ** 2 * c.grid_total),
+    "sbl-unfolding": Algorithm("exact", "learned", lambda c: (16 * c.n_measurements ** 2 + 432) * c.grid_total),
+    "amp-sbl": Algorithm("amp", "classic", lambda c: (20 * c.n_measurements + 4) * c.grid_total),
+    "amp-sbl-unfolding": Algorithm("amp", "learned", lambda c: (20 * c.n_measurements + 432) * c.grid_total),
 }
 
 
@@ -134,14 +114,14 @@ def flops_per_iteration(algo: str, cfg: SystemConfig) -> int:
     """Per-iteration real-FLOP count of ``algo`` at the configured sizes."""
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}; known: {sorted(ALGORITHMS)}")
-    return int(ALGORITHMS[algo].flops(FlopsDims.from_config(cfg)))
+    return int(ALGORITHMS[algo].flops(cfg))
 
 
 def reconstruction_flops(cfg: SystemConfig) -> int:
     """Cost of mapping the sparse estimate back to the channel: per-tone
     angular synthesis plus the delay-grid mixing."""
-    d = FlopsDims.from_config(cfg)
-    return 8 * d.k * d.g_a * d.n + 8 * d.k * d.g
+    k = cfg.n_subcarriers
+    return 8 * k * cfg.grid_angular * cfg.n_antennas + 8 * k * cfg.grid_total
 
 
 # ---- sweep harness ----------------------------------------------------------

@@ -134,12 +134,12 @@ def exact_e_step(op: MeasurementOperator, r: np.ndarray, sigma2: float, state: S
     thin U too.  S and S^{-1} are Hermitian, and only their lower
     triangles are built, factored and read: :meth:`~MeasurementOperator.gram`
     writes S's lower triangle into a Fortran-ordered buffer, the Cholesky
-    factor and :func:`_cho_inverse` overwrite that buffer in place, and
-    :meth:`~MeasurementOperator.diag_quad` reads the lower triangle of
-    S^{-1}.  No upper half is mirrored.  Per column of ``r`` and iteration
-    the cost is about M^2 G_A + M^3: M^2 G_A for S and for d, M^3 for the
-    Cholesky factor of S and its explicit inverse.  No M x G matrix is
-    formed.
+    factor and S^{-1} of :func:`_posterior_solve` overwrite that buffer in
+    place, and :meth:`~MeasurementOperator.diag_quad` reads the lower
+    triangle of S^{-1}.  No upper half is mirrored.  Per column of ``r``
+    and iteration the cost is about M^2 G_A + M^3: M^2 G_A for S and for
+    d, M^3 for the Cholesky factor of S and its explicit inverse.  No
+    M x G matrix is formed.
 
     Two cases cost less.  A flat column, gamma = c 1 as every run starts
     from, on an operator with ``orthogonal_rows`` has the diagonal
@@ -152,10 +152,10 @@ def exact_e_step(op: MeasurementOperator, r: np.ndarray, sigma2: float, state: S
 
     Returns (mu, tau, cache for :func:`_exact_backward`), with tau and
     the cache's d None under ``mean_only``.  The cache holds gamma and
-    sigma^2 but no S^{-1}, which the backward rebuilds per column (an
-    M x M matrix per column would be 4.2 MB at the default size).  A
-    flat column whose diagonal S has an entry that is not positive and
-    finite fails as a failed Cholesky does.
+    sigma^2 but no S^{-1}, which the backward forms again only for the
+    columns that need it (an M x M matrix per column would be 4.2 MB at
+    the default size).  A flat column whose diagonal S has an entry that
+    is not positive and finite fails as a failed Cholesky does.
     """
     it = state.iteration + 1
     gamma = state.gamma
@@ -181,9 +181,9 @@ def _column_moments(op: MeasurementOperator, gamma: np.ndarray, r: np.ndarray, s
     """A^H S^{-1} r and, unless ``mean_only`` (then None), d = diag(A^H S^{-1} A) for one column.
 
     A flat ``gamma`` on an operator with orthogonal rows takes the
-    diagonal S in closed form; every other column factors S.  Raises
-    ``LinAlgError`` or ``ValueError`` where S is not positive definite
-    or not finite.
+    diagonal S in closed form; every other column goes through
+    :func:`_posterior_solve`.  Raises ``LinAlgError`` or ``ValueError``
+    where S is not positive definite or not finite.
     """
     if op.orthogonal_rows and np.all(gamma == gamma[0]):
         s = gamma[0] * op.row_norms2 + sigma2
@@ -191,37 +191,36 @@ def _column_moments(op: MeasurementOperator, gamma: np.ndarray, r: np.ndarray, s
             raise np.linalg.LinAlgError("the flat-prior covariance has a diagonal entry that is "
                                         "not positive and finite")
         return op.adjoint(r / s), None if mean_only else op.adjoint_abs2(1.0 / s)
-    factor = _cho_s(op, gamma, sigma2)
-    # solve before potri overwrites the factor; cho_factor checked finiteness
-    solved = cho_solve(factor, r, check_finite=False)
-    d = None if mean_only else op.diag_quad(_cho_inverse(factor[0]))
-    return op.adjoint(solved), d
+    solved, s_inv = _posterior_solve(op, gamma, sigma2, r, inverse=not mean_only)
+    return solved, None if s_inv is None else op.diag_quad(s_inv)
 
 
-def _cho_s(op: MeasurementOperator, gamma: np.ndarray, sigma2: float):
-    """Lower Cholesky factor of S = A diag(gamma) A^H + sigma^2 I, as ``cho_factor`` returns it.
+def _posterior_solve(op: MeasurementOperator, gamma: np.ndarray, sigma2: float, v: np.ndarray,
+                     inverse: bool):
+    """A^H S^{-1} v for one column, S = A diag(gamma) A^H + sigma^2 I, and with ``inverse`` S^{-1}.
 
     ``gram`` writes S's lower triangle into a Fortran-ordered buffer of
-    its own, which the factor overwrites in place.
+    its own; ``cho_factor`` (potrf) overwrites it with the lower factor,
+    ``cho_solve`` (potrs) solves for v, and only then, with ``inverse``,
+    LAPACK's potri overwrites the factor with S^{-1}'s lower triangle,
+    leaving the strict upper one as ``gram`` left it.  Returns
+    (A^H S^{-1} v, that lower triangle or None).  Cost is about
+    M^2 G_A / 2 + M^3 / 3, and 2 M^3 / 3 more for the inverse.  Raises
+    ``LinAlgError`` or ``ValueError`` where S is not positive definite
+    or not finite.
     """
     s_mat = op.gram(gamma)
     s_mat[np.diag_indices(len(s_mat))] += sigma2
-    return cho_factor(s_mat, lower=True, overwrite_a=True)
-
-
-def _cho_inverse(low: np.ndarray) -> np.ndarray:
-    """Lower triangle of S^{-1} from the lower Cholesky factor of S.
-
-    LAPACK's potri fills only the lower triangle and leaves the strict
-    upper one as it found it; no mirror is built.  A Fortran-ordered
-    ``low``, as ``cho_factor`` returns for a Fortran-ordered S, is
-    overwritten in place.  Cost is about M^3.
-    """
-    potri, = get_lapack_funcs(("potri",), (low,))
-    inv, info = potri(low, lower=True, overwrite_c=True)
+    factor = cho_factor(s_mat, lower=True, overwrite_a=True)
+    # cho_factor checked finiteness
+    solved = op.adjoint(cho_solve(factor, v, check_finite=False))
+    if not inverse:
+        return solved, None
+    potri, = get_lapack_funcs(("potri",), (factor[0],))
+    s_inv, info = potri(factor[0], lower=True, overwrite_c=True)
     if info != 0:
         raise np.linalg.LinAlgError(f"potri failed with info {info}")
-    return inv
+    return solved, s_inv
 
 
 def _hermitian(low: np.ndarray) -> np.ndarray:
@@ -243,18 +242,22 @@ def _exact_backward(op: MeasurementOperator, cache, g_mu, g_tau) -> np.ndarray:
     Per column, with K = A^H S^-1 A: the gradient reaches gamma through
     K gamma g_mu (``ta`` = A^H S^-1 A (gamma g_mu)) and through
     d = diag(K), whose derivative in direction w is
-    diag(A^H S^-1 (A diag(w) A^H) S^-1 A).  Both use S^-1 and the
-    operator's block products, never an M x G matrix.  S^-1 is rebuilt
-    per column from the cached gamma and sigma^2 by the forward's own
-    Gram, Cholesky and potri calls, so it is the forward's bit for bit,
-    at about M^2 G_A + M^3 more per column; one column's is alive at a
-    time.  It is a lower triangle, which BLAS hemv and hemm read as the
-    Hermitian matrix it stands for; only the Gram is completed, once per
-    column, to be their general operand.  A column whose g_tau weights
-    w = g_tau gamma^2 are all zero, as every column's are at the last
-    iteration, skips the d term, which is zero there: its Gram and its
-    two M x M x M products.  A mean-only step caches no d; its g_tau must
-    be zero, as it is at the last iteration, or ``ValueError`` is raised.
+    diag(A^H S^-1 (A diag(w) A^H) S^-1 A).  Both use the operator's block
+    products, never an M x G matrix.  Each column's S is rebuilt from the
+    cached gamma and sigma^2 by the forward's own :func:`_posterior_solve`,
+    which gives ``ta`` from the Cholesky factor alone.  Only a column
+    whose g_tau weights w = g_tau gamma^2 are not all zero forms S^-1,
+    bit for bit the forward's, as a lower triangle that BLAS hemm reads
+    as the Hermitian matrix it stands for; the Gram of w is completed to
+    be hemm's general operand.  Per column that costs about
+    M^2 G_A / 2 + M^3 / 3 for the solve, and where w is not zero about
+    M^2 G_A more for the Gram of w and the diagonal and 3 M^3 for the
+    inverse and the two M x M x M products: 8-11 and 65-82 ms at the
+    default size (M = 512, G = 4096) on one BLAS thread of a 2-core x86
+    host.  Every column's w is zero at the last iteration.  One column's
+    S^-1 is alive at a time.  A mean-only step caches no d; its g_tau
+    must be zero, as it is at the last iteration, or ``ValueError`` is
+    raised.
     """
     u, d, gamma = cache["u"], cache["d"], cache["gamma"]
     g_gamma = np.real(np.conj(g_mu) * u)
@@ -265,11 +268,11 @@ def _exact_backward(op: MeasurementOperator, cache, g_mu, g_tau) -> np.ndarray:
     a_vecs, ws = gamma * g_mu, g_tau * gamma * gamma
     extra = np.empty(u.shape)
     for j in range(u.shape[1]):
-        s_inv = _cho_inverse(_cho_s(op, gamma[:, j], cache["sigma2"])[0])
-        hemv, hemm = get_blas_funcs(("hemv", "hemm"), (s_inv,))
-        ta = op.adjoint(hemv(1.0, s_inv, op.forward(a_vecs[:, j]), lower=True))
+        ta, s_inv = _posterior_solve(op, gamma[:, j], cache["sigma2"], op.forward(a_vecs[:, j]),
+                                     inverse=bool(np.any(ws[:, j])))
         extra[:, j] = -np.real(u[:, j] * np.conj(ta))
-        if np.any(ws[:, j]):
+        if s_inv is not None:
+            hemm, = get_blas_funcs(("hemm",), (s_inv,))
             s_gram = hemm(1.0, s_inv, _hermitian(op.gram(ws[:, j])), lower=True)
             k_w = hemm(1.0, s_inv, s_gram, side=1, lower=True)
             extra[:, j] += op.diag_quad(k_w)

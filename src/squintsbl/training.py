@@ -60,11 +60,15 @@ TrainingDivergence = DivergenceError
 
 @dataclass
 class TrainConfig:
-    depth: int
+    """Training settings; each field becomes a ``train`` flag, with the help line in its metadata
+    where it has one."""
+
+    depth: int = field(metadata={"help": "unrolled iteration count (>= 2)"})
     e_step: str = "amp"
     batch_size: int = 128
     learning_rate: float = 1e-3
-    lr_decay: float = 10.0
+    lr_decay: float = field(default=10.0, metadata={
+        "help": "divide the learning rate by this (>= 1) after --lr-patience flat epochs"})
     lr_patience: int = 4
     stop_patience: int = 10
     max_epochs: int = 200

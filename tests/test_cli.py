@@ -12,7 +12,7 @@ import pytest
 
 import squintsbl
 from squintsbl import evaluation
-from squintsbl.cli import _KEY_HELP, _parse_points, build_parser, main
+from squintsbl.cli import _parse_points, build_parser, main
 from squintsbl.config import SystemConfig, desk_config, provenance_line
 from squintsbl.data_io import load_container, save_container
 from squintsbl.evaluation import ALGORITHMS, SWEEP_AXES, Algorithm, flops_per_iteration, standard_operator
@@ -36,6 +36,23 @@ def test_parse_points_range_does_not_drift(tmp_path):
                  "--n-samples", "1", "--n-iterations", "1", "--out", str(out)]) == 0
     rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
     assert len(rows) == 51 and rows[-1]["value"] == "0"
+
+
+@pytest.mark.parametrize("spec", ["-10:0:10", "-10,0"], ids=["range", "list"])
+def test_points_with_a_negative_start_as_a_separate_word(spec, tmp_path):
+    """``--points -10:0:10`` and ``--points -10,0`` are values, as with ``--points=``, not options."""
+    rows = {}
+    for points in (["--points", spec], [f"--points={spec}"]):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--scale", "desk", "--axis", "snr", *points, "--algos", "sbl",
+                     "--n-samples", "1", "--n-iterations", "1", "--out", str(out)]) == 0
+        rows[points[0]] = out.read_text()
+    assert rows["--points"] == rows[f"--points={spec}"]
+    assert [row["value"] for row in csv.DictReader(rows["--points"].splitlines()[1:])][:2] == ["-10", "0"]
+
+
+def test_points_help_names_both_forms():
+    assert _actions("sweep")["points"].help == "comma list (-10,0,10) or start:stop:step (-10:30:5)"
 
 
 @pytest.mark.parametrize("spec", ["20:0:5", ",", "0:10:0", "1:2"])
@@ -89,18 +106,32 @@ def _choices(command: str) -> dict:
 
 def test_every_config_field_has_a_flag():
     fields = dataclasses.fields(SystemConfig)
-    assert set(_KEY_HELP) == {f.name for f in fields}
     for command in ("train", "evaluate", "sweep", "flops"):
         actions = _actions(command)
         for f in fields:
             flag = actions[f.name]
-            assert flag.help == _KEY_HELP[f.name] and flag.default is None, (command, f.name)
+            assert flag.help == f.metadata["help"] and flag.default is None, (command, f.name)
             assert flag.type is type(f.default), (command, f.name)
     # one flag per key; --snr-db is the only second spelling
     config_flags = {f.name for f in fields} | {"help", "config", "scale", "snr_db"}
     assert set(_actions("flops")) == config_flags
     train_flags = {f.name for f in dataclasses.fields(TrainConfig)} | {"sizes", "out", "resume"}
     assert set(_actions("train")) == config_flags | train_flags
+
+
+def test_config_fields_carry_their_flag_help():
+    """Each flag's help is the metadata of its field: every SystemConfig field has one, and of the
+    TrainConfig fields depth and lr_decay do."""
+    for f in dataclasses.fields(SystemConfig):
+        assert f.metadata["help"], f.name
+    train = _actions("train")
+    helped = {f.name: f.metadata["help"] for f in dataclasses.fields(TrainConfig) if "help" in f.metadata}
+    assert helped == {
+        "depth": "unrolled iteration count (>= 2)",
+        "lr_decay": "divide the learning rate by this (>= 1) after --lr-patience flat epochs",
+    }
+    for f in dataclasses.fields(TrainConfig):
+        assert train[f.name].help == helped.get(f.name), f.name
 
 
 def _flops_rows(out: str) -> list[list[str]]:
@@ -114,6 +145,7 @@ def test_flops_prints_every_table_row_once(capsys):
     assert main(["flops", "--scale", "desk"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0] == provenance_line(desk_config())
+    assert out.splitlines()[1].endswith(" at K=8, m=4 per tone, G=256, G_A=16, N=16")
     *rows, reconstruction = _flops_rows(out)
     assert [row[0] for row in rows] == ["sbl", "sbl-unfolding", "amp-sbl", "amp-sbl-unfolding"]
     for algo, count in rows:
@@ -123,7 +155,7 @@ def test_flops_prints_every_table_row_once(capsys):
 
 def test_algorithm_names_come_from_the_table(capsys, monkeypatch):
     """A new ALGORITHMS entry is a flops row, part of evaluate's default list, and accepted by the harness."""
-    table = {**ALGORITHMS, "sbl-copy": Algorithm("exact", "classic", lambda d: 7)}
+    table = {**ALGORITHMS, "sbl-copy": Algorithm("exact", "classic", lambda cfg: 7)}
     monkeypatch.setattr(evaluation, "ALGORITHMS", table)
     assert main(["flops", "--scale", "desk"]) == 0
     *rows, _ = _flops_rows(capsys.readouterr().out)

@@ -10,7 +10,6 @@ from squintsbl.config import default_config, desk_config, noise_var_from_snr_db
 from squintsbl.evaluation import (
     ALGORITHMS,
     NMSE_FLOOR_DB,
-    FlopsDims,
     SweepRow,
     SweepResult,
     average_nmse_db,
@@ -85,18 +84,19 @@ def test_ratio_to_db_floor():
 # ---- per-iteration cost model -----------------------------------------------
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(2, 64), st.integers(2, 64), st.integers(4, 4096),
-       st.integers(2, 64), st.integers(2, 128))
-def test_flops_expressions_symbolic(k, m, g, g_a, n):
-    """The table rows, written out independently from the dims."""
-    dims = FlopsDims(k=k, m=m, g=g, g_a=g_a, n=n)
-    km = k * m
-    assert {algo: entry.flops(dims) for algo, entry in ALGORITHMS.items()} == {
+@given(st.integers(1, 64), st.integers(1, 8), st.integers(1, 8), st.integers(1, 64),
+       st.integers(1, 64), st.integers(1, 128))
+def test_flops_expressions_symbolic(k, q, n_rf, g_a, g_d, n):
+    """The table rows and reconstruction, written out independently from the config's sizes."""
+    cfg = default_config(n_subcarriers=k, n_uses=q, n_rf=n_rf, grid_angular=g_a, grid_delay=g_d, n_antennas=n)
+    km, g = k * q * n_rf, g_a * g_d
+    assert {algo: entry.flops(cfg) for algo, entry in ALGORITHMS.items()} == {
         "sbl": 16 * km**2 * g,
         "sbl-unfolding": (16 * km**2 + 432) * g,
         "amp-sbl": (20 * km + 4) * g,
         "amp-sbl-unfolding": (20 * km + 432) * g,
     }
+    assert reconstruction_flops(cfg) == 8 * k * g_a * n + 8 * k * g
 
 
 def test_algorithm_table_steps():
@@ -113,12 +113,6 @@ def test_flops_unknown_names(desk_cfg):
     for name in ("who", "sbl-af", "lista-reference"):
         with pytest.raises(ValueError, match=f"unknown algorithm '{name}'"):
             flops_per_iteration(name, desk_cfg)
-
-
-def test_flops_dims_from_config():
-    cfg = default_config()
-    d = FlopsDims.from_config(cfg)
-    assert d.k == 32 and d.m == 16 and d.g == 4096 and d.g_a == 64 and d.n == 32
 
 
 def test_flops_worked_values_default_config():

@@ -16,10 +16,9 @@ from squintsbl.sbl import (
     EstimatorSpec,
     SblState,
     _check_step,
-    _cho_inverse,
-    _cho_s,
     _exact_backward,
     _hermitian,
+    _posterior_solve,
     amp_e_step,
     classic_m_step,
     exact_e_step,
@@ -191,21 +190,36 @@ def test_exact_e_step_flat_prior_nonpositive_covariance_names_column(desk_op, rn
     assert exc.value.columns == [1]
 
 
+def _record_inverses(monkeypatch) -> list:
+    """Patch ``sbl._posterior_solve`` with a pass-through that records, per call, whether it
+    formed S^-1; returns the record."""
+    formed, real = [], sbl._posterior_solve
+
+    def recorded(*args, **kwargs):
+        solved, s_inv = real(*args, **kwargs)
+        formed.append(s_inv is not None)
+        return solved, s_inv
+
+    monkeypatch.setattr(sbl, "_posterior_solve", recorded)
+    return formed
+
+
 def test_exact_step_skips_the_variances_no_update_reads(desk_cfg, desk_op, monkeypatch):
     """Iteration 1 (flat) factors nothing, iteration 2 factors and inverts, and the last iteration
     solves for the mean alone: no inverse, no diag_quad, and no tau or d."""
     spec = EstimatorSpec(e_step="exact", m_step="classic", n_iterations=3)
     r, state = start_state(desk_op, draw_eval_observations(desk_op, 0, 2)[1].T)
-    spies = {name: _count_calls(monkeypatch, sbl, name) for name in ("cho_factor", "_cho_inverse")}
-    spies["diag_quad"] = _count_calls(monkeypatch, desk_op, "diag_quad")
+    factors = _count_calls(monkeypatch, sbl, "cho_factor")
+    inverses = _record_inverses(monkeypatch)
+    quads = _count_calls(monkeypatch, desk_op, "diag_quad")
     counts, caches = [], []
     for _ in range(3):
         caches.append(step(spec, desk_op, r, desk_cfg.noise_var, state))
-        counts.append({name: len(calls) for name, calls in spies.items()})
-        for calls in spies.values():
+        counts.append({"cho_factor": len(factors), "inverses": sum(inverses), "diag_quad": len(quads)})
+        for calls in (factors, inverses, quads):
             calls.clear()
-    none = {"cho_factor": 0, "_cho_inverse": 0, "diag_quad": 0}
-    assert counts == [none, {"cho_factor": 2, "_cho_inverse": 2, "diag_quad": 2}, {**none, "cho_factor": 2}]
+    none = {"cho_factor": 0, "inverses": 0, "diag_quad": 0}
+    assert counts == [none, {"cho_factor": 2, "inverses": 2, "diag_quad": 2}, {**none, "cho_factor": 2}]
     assert state.tau_x is None and caches[-1]["e"]["d"] is None
     assert all(cache["e"]["d"] is not None for cache in caches[:-1])
 
@@ -433,19 +447,22 @@ def test_exact_e_step_leaves_inputs_alone(tiny_cfg, tiny_op, rng, batch):
     assert not any(np.shape(x)[-2:] == (m, m) for x in cache.values())
 
 
+def _general_exact_cache(desk_cfg, desk_op, rng):
+    """The cache of a full exact E-step on two desk columns under a random (non-flat) prior."""
+    r, state = start_state(desk_op, draw_eval_observations(desk_op, 0, 2)[1].T)
+    state.gamma = rng.uniform(0.1, 1.0, state.gamma.shape)
+    return exact_e_step(desk_op, r, desk_cfg.noise_var, state)[2]
+
+
 def test_exact_backward_skips_the_variance_term_where_g_tau_is_zero(desk_cfg, desk_op, rng, monkeypatch):
     """A column with zero g_tau skips the d term and gets the full formula's gradient.
 
-    The full formula builds the d term for every column, a zero one where
-    g_tau is zero; ``==`` counts its signed zeros as equal.
+    The full formula forms S^-1 and the d term for every column, a zero
+    one where g_tau is zero; ``==`` counts its signed zeros as equal.
     """
-    y = draw_eval_observations(desk_op, 0, 2)[1].T
-    r, state = start_state(desk_op, y)
-    state.gamma = rng.uniform(0.1, 1.0, state.gamma.shape)
-    sigma2 = desk_cfg.noise_var
-    _, _, cache = exact_e_step(desk_op, r, sigma2, state)
-    g_mu = crandn(rng, *state.gamma.shape)
-    g_tau = rng.standard_normal(state.gamma.shape)
+    cache = _general_exact_cache(desk_cfg, desk_op, rng)
+    g_mu = crandn(rng, *cache["gamma"].shape)
+    g_tau = rng.standard_normal(cache["gamma"].shape)
     g_tau[:, 0] = 0.0
     quads = []
     real_quad = desk_op.diag_quad
@@ -456,13 +473,25 @@ def test_exact_backward_skips_the_variance_term_where_g_tau_is_zero(desk_cfg, de
     want = np.real(np.conj(g_mu) * u) + g_tau * (1.0 - 2.0 * gamma * d)
     a_vecs, ws = gamma * g_mu, g_tau * gamma * gamma
     for j in range(2):
-        s_inv = _cho_inverse(_cho_s(desk_op, gamma[:, j], sigma2)[0])
-        hemv, hemm = get_blas_funcs(("hemv", "hemm"), (s_inv,))
-        ta = desk_op.adjoint(hemv(1.0, s_inv, desk_op.forward(a_vecs[:, j]), lower=True))
+        ta, s_inv = _posterior_solve(desk_op, gamma[:, j], cache["sigma2"], desk_op.forward(a_vecs[:, j]),
+                                     inverse=True)
+        hemm, = get_blas_funcs(("hemm",), (s_inv,))
         s_gram = hemm(1.0, s_inv, _hermitian(desk_op.gram(ws[:, j])), lower=True)
         k_w = hemm(1.0, s_inv, s_gram, side=1, lower=True)
         want[:, j] += real_quad(k_w) - np.real(u[:, j] * np.conj(ta))
     assert np.array_equal(got, want)
+
+
+def test_exact_backward_inverts_s_only_where_g_tau_is_not_zero(desk_cfg, desk_op, rng, monkeypatch):
+    """Every column is solved once; only the column with a nonzero g_tau forms S^-1, and the other
+    reads A^H S^-1 A (gamma g_mu) from the Cholesky factor alone."""
+    cache = _general_exact_cache(desk_cfg, desk_op, rng)
+    g_mu = crandn(rng, *cache["gamma"].shape)
+    g_tau = np.zeros(cache["gamma"].shape)
+    g_tau[5, 1] = 1.0
+    inverses = _record_inverses(monkeypatch)
+    _exact_backward(desk_op, cache, g_mu, g_tau)
+    assert inverses == [False, True]
 
 
 def test_exact_e_step_cholesky_failure_is_divergence(rng):
