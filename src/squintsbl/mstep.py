@@ -29,6 +29,12 @@ these buffers once at block size and reuses them for every block, so
 its memory beyond the arrays it returns does not grow with the batch.
 The backward pass uses the same two forms, recomputing the slices
 instead of keeping them from the forward pass.
+
+A whole refiner stage is blocked the same way, one level up: its
+forward and backward walk the batch in blocks of as many images as keep
+one block's hidden layer within ``_BLOCK_BYTES``, four at 64x64 with 8
+hidden channels, and call each convolution per block.  So the hidden
+layer and its gradient never exist at batch size.
 """
 
 from __future__ import annotations
@@ -71,9 +77,11 @@ def _check_conv_shapes(x: np.ndarray, w: np.ndarray) -> None:
         raise ValueError(f"input has {x.shape[1]} channels, the kernel expects {w.shape[1]}")
 
 
-# Budget for the block-sized temporaries of one convolution call.  A block
-# is as many images as fit in it, at least one: at 64x64 with 8 channels,
-# one image.  The buffers are allocated per call, never kept here.
+# Budget for the block-sized temporaries of one convolution call, and for
+# the hidden layer of one block of a refiner stage.  A block is as many
+# images as fit in it, at least one: at 64x64 with 8 channels, one image
+# per convolution block and four per stage block.  The buffers are
+# allocated per call, never kept here.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -333,22 +341,36 @@ def _hidden(stage: ConvStage, feats: np.ndarray) -> np.ndarray:
     return h1
 
 
+def _stage_blocks(stage: ConvStage, feats: np.ndarray):
+    """Slices of the batch in blocks of as many images as keep one block's hidden layer within
+    ``_BLOCK_BYTES``: four at 64x64 with 8 hidden channels."""
+    n, _, h, wd = feats.shape
+    nb = _block_images(n, stage.w1.shape[0] * h * wd * np.result_type(feats, stage.w1).itemsize)
+    return [slice(lo, lo + nb) for lo in range(0, n, nb)]
+
+
 def stage_forward(stage: ConvStage, feats: np.ndarray, gamma_img: np.ndarray):
     """Apply one stage to (B, 2, G_A, G_D) features and (B, G_A, G_D) gamma.
 
     Returns the new gamma image and the cache needed for backprop:
-    (feats, gamma_new).  The hidden layer h1 is freed once conv2 has read
-    it, and :func:`stage_backward` rebuilds it from feats: at B = 128 and
-    the default size it is 32 MiB, four times the features.  Both ReLUs
-    and the residual are applied in place on the conv outputs, whose
-    pre-activation values are never read again: the backward takes each
-    ReLU's mask from its output, since relu(z) > 0 exactly where z > 0.
-    The cached gamma_new is the returned array itself, so the cache holds
-    no extra copy of it; callers must not write into it.
+    (feats, gamma_new).  The batch runs in blocks of images (see
+    :func:`_stage_blocks`), each block's conv1, ReLU, conv2, residual
+    and ReLU in turn, written into one output array, so the hidden layer
+    h1 exists only at block size (1 MiB), never at batch size (32 MiB at
+    B = 128 and the default size).  It is freed once conv2 has read it,
+    and :func:`stage_backward` rebuilds it from feats.  Every operation
+    is per image, so the result does not depend on the blocking.  Both
+    ReLUs and the residual are applied in place on the conv outputs,
+    whose pre-activation values are never read again: the backward takes
+    each ReLU's mask from its output, since relu(z) > 0 exactly where
+    z > 0.  The cached gamma_new is the returned array itself, so the
+    cache holds no extra copy of it; callers must not write into it.
     """
-    out = conv2d_same(_hidden(stage, feats), stage.w2, stage.b2)[:, 0]
-    out += gamma_img
-    np.maximum(out, 0.0, out=out)
+    out = np.empty(gamma_img.shape, dtype=np.result_type(feats, stage.w1, stage.w2))
+    for blk in _stage_blocks(stage, feats):
+        ob = out[blk]
+        np.add(conv2d_same(_hidden(stage, feats[blk]), stage.w2, stage.b2)[:, 0], gamma_img[blk], out=ob)
+        np.maximum(ob, 0.0, out=ob)
     return out, (feats, out)
 
 
@@ -356,22 +378,32 @@ def stage_backward(stage: ConvStage, cache, g_gamma_new: np.ndarray, grad_input:
     """Backprop one stage; returns (g_feats, g_gamma_prev, weight gradients as a ConvStage).
 
     ``g_gamma_new`` is not written to.  The cache (feats, gamma_new) is
-    read, not written.  The hidden layer h1 is rebuilt from feats, one
-    conv more than the forward, and the hidden gradient is written over
-    it once its ReLU mask is taken, so the backward allocates one hidden
-    array (32 MiB at B = 128 and the default size), not two.  With
-    ``grad_input=False`` g_feats, one conv of the hidden gradient, is not
-    computed and is None: the first stage's features lead only to the
-    start state.
+    read, not written.  The batch runs in the forward's blocks: per
+    block, the hidden layer h1 is rebuilt from feats, one conv more than
+    the forward, and the hidden gradient is written over it once its
+    ReLU mask is taken, so the backward allocates one hidden array of
+    block size (1 MiB), never one of batch size (32 MiB at B = 128 and
+    the default size).  Each block's g_feats is written into its slice
+    of one array, and the weight gradients are added up block by block:
+    g_feats and g_gamma_prev do not depend on the blocking, the weight
+    gradients only to rounding.  With ``grad_input=False`` g_feats, one
+    conv of the hidden gradient, is not computed and is None: the first
+    stage's features lead only to the start state.
     """
     feats, out = cache
     g_pre2 = g_gamma_new * (out > 0)
-    h1 = _hidden(stage, feats)
-    mask = h1 > 0
-    g_h1, g_w2, g_b2 = conv2d_same_backward(h1, stage.w2, g_pre2[:, None], out=h1)
-    g_h1 *= mask
-    g_feats, g_w1, g_b1 = conv2d_same_backward(feats, stage.w1, g_h1, grad_input=grad_input)
-    return g_feats, g_pre2, ConvStage(w1=g_w1, b1=g_b1, w2=g_w2, b2=g_b2)
+    g_feats = np.empty(feats.shape, dtype=np.result_type(feats, stage.w1)) if grad_input else None
+    grads = {name: np.zeros_like(getattr(stage, name)) for name in _PARAM_NAMES}
+    for blk in _stage_blocks(stage, feats):
+        h1 = _hidden(stage, feats[blk])
+        mask = h1 > 0
+        g_h1, g_w2, g_b2 = conv2d_same_backward(h1, stage.w2, g_pre2[blk, None], out=h1)
+        g_h1 *= mask
+        _, g_w1, g_b1 = conv2d_same_backward(feats[blk], stage.w1, g_h1, grad_input=grad_input,
+                                             out=None if g_feats is None else g_feats[blk])
+        for name, g in zip(_PARAM_NAMES, (g_w1, g_b1, g_w2, g_b2)):
+            grads[name] += g
+    return g_feats, g_pre2, ConvStage(**grads)
 
 
 def mstep_forward(net: MStepNet, iteration: int, mu: np.ndarray, tau_x: np.ndarray,

@@ -191,14 +191,21 @@ def unroll_forward(op: MeasurementOperator, y: np.ndarray, sigma2: float,
     ``y`` is whitened, as :func:`run_estimator` takes it, and every
     iteration is the same :func:`~squintsbl.sbl.step`.  Returns the final
     posterior mean (G, B) and the steps' caches for :func:`unroll_backward`.
-    At the default size and B = 128 an AMP iteration with a refiner stage
-    holds about 54 MB (515 MB at depth 10); the stage keeps no hidden
-    layer, which its backward rebuilds.  An exact iteration keeps only
-    gamma, sigma^2, u and d, and the backward rebuilds each column's S^-1.
+    Iteration 1 keeps only its stage's cache: the backward ends at that
+    stage's weight gradients, so its E-step cache ``"e"`` and features'
+    mean ``"mu"`` are dropped as soon as the step returns.  At the
+    default size and B = 128 every later AMP iteration holds about 54 MB,
+    so the graph is about (depth - 1) x 54 MB (482 MB at depth 10); the
+    stage keeps no hidden layer, which its backward rebuilds.  An exact
+    iteration keeps only gamma, sigma^2, u and d, and the backward
+    rebuilds each column's S^-1.
     """
     spec = EstimatorSpec(e_step=e_step, m_step="learned", n_iterations=depth, net=net)
     r, state = start_state(op, y)
-    caches = [step(spec, op, r, sigma2, state) for _ in range(depth)]
+    caches = [step(spec, op, r, sigma2, state)]
+    if depth > 1:
+        del caches[0]["e"], caches[0]["mu"]
+    caches += [step(spec, op, r, sigma2, state) for _ in range(depth - 1)]
     return state.mu, caches
 
 
@@ -213,7 +220,7 @@ def unroll_backward(op: MeasurementOperator, caches: list, g_x: np.ndarray,
     The backward ends at the first stage's weight gradients: iteration 1's
     features and E-step lead only to the flat-prior start state, which
     has no weights, so their backward, and that stage's feature gradient,
-    are never computed.
+    are never computed, and :func:`unroll_forward` keeps no cache for them.
     """
     ga, gd = op.a.shape[2], op.delay.shape[1]
     depth = len(caches)

@@ -226,21 +226,65 @@ def test_conv2d_backward_into_its_input(rng, cin, cout):
         assert np.array_equal(a, b)
 
 
-def test_stage_backward_allocates_no_hidden_gradient(rng):
-    """The cache holds no hidden layer, and the backward's traced peak stays below two
-    (B, hidden, 64, 64) arrays: g_h1 is written over the rebuilt h1."""
-    stage = init_stage(rng)
-    feats = rng.standard_normal((32, 2, 64, 64))
-    out, cache = stage_forward(stage, feats, rng.uniform(0.1, 1.0, (32, 64, 64)))
-    hidden_bytes = 32 * HIDDEN_CHANNELS * 64 * 64 * feats.itemsize
-    assert all(a.nbytes < hidden_bytes for a in cache)
+def _traced_peak(run):
+    """Traced peak bytes of ``run()`` and its result."""
     tracemalloc.start()
     try:
-        stage_backward(stage, cache, rng.standard_normal((32, 64, 64)))
-        _, peak = tracemalloc.get_traced_memory()
+        result = run()
+        return tracemalloc.get_traced_memory()[1], result
     finally:
         tracemalloc.stop()
-    assert peak < 2 * hidden_bytes
+
+
+def test_stage_forward_allocates_no_hidden_layer(rng):
+    """The forward's traced peak stays below one (B, hidden, 64, 64) array: h1 exists only at
+    block size, and the cache holds none."""
+    stage = init_stage(rng)
+    feats = rng.standard_normal((32, 2, 64, 64))
+    gamma = rng.uniform(0.1, 1.0, (32, 64, 64))
+    hidden_bytes = 32 * HIDDEN_CHANNELS * 64 * 64 * feats.itemsize
+    peak, (_, cache) = _traced_peak(lambda: stage_forward(stage, feats, gamma))
+    assert all(a.nbytes < hidden_bytes for a in cache)
+    assert peak < hidden_bytes
+
+
+def test_stage_backward_allocates_no_hidden_gradient(rng):
+    """The backward's traced peak stays below one (B, hidden, 64, 64) array: per block of images,
+    g_h1 is written over the rebuilt h1."""
+    stage = init_stage(rng)
+    feats = rng.standard_normal((32, 2, 64, 64))
+    _, cache = stage_forward(stage, feats, rng.uniform(0.1, 1.0, (32, 64, 64)))
+    g_out = rng.standard_normal((32, 64, 64))
+    hidden_bytes = 32 * HIDDEN_CHANNELS * 64 * 64 * feats.itemsize
+    peak, _ = _traced_peak(lambda: stage_backward(stage, cache, g_out))
+    assert peak < hidden_bytes
+
+
+def test_stage_blocks_match_one_block(rng, monkeypatch):
+    """Five images in ragged blocks of two give the one-block output, g_feats and g_gamma bit for bit;
+    the weight gradients, added up block by block, agree to 1e-12 relative."""
+    stage = init_stage(rng)
+    feats = rng.standard_normal((5, 2, 16, 16))
+    gamma = rng.uniform(0.1, 1.0, (5, 16, 16))
+    g_out = rng.standard_normal((5, 16, 16))
+
+    def run():
+        out, cache = stage_forward(stage, feats, gamma)
+        return (out,) + stage_backward(stage, cache, g_out)
+
+    def sizes():
+        return [len(range(5)[blk]) for blk in mstep._stage_blocks(stage, feats)]
+
+    assert sizes() == [5]
+    whole = run()
+    monkeypatch.setattr(mstep, "_BLOCK_BYTES", 2 * HIDDEN_CHANNELS * 16 * 16 * feats.itemsize)
+    assert sizes() == [2, 2, 1]
+    blocked = run()
+    for got, want in zip(blocked[:3], whole[:3]):
+        assert np.array_equal(got, want)
+    for name in ("w1", "b1", "w2", "b2"):
+        got, want = getattr(blocked[3], name), getattr(whole[3], name)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
 
 
 def test_stage_threads_match_serial(rng):

@@ -216,6 +216,35 @@ def test_unroll_backward_skips_the_first_e_step(tiny_cfg, tiny_op, rng, monkeypa
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
+@pytest.mark.parametrize("e_step", ["amp", "exact"])
+def test_unroll_forward_keeps_only_the_first_stage_cache(desk_cfg, desk_op, rng, e_step):
+    """Iteration 1's cache holds no E-step cache and no features' mean, which no backward reads:
+    the weight gradients equal those of a forward that kept every entry, bit for bit."""
+    depth, b = 3, 4
+    net = MStepNet.create(depth - 1, np.random.default_rng(3))
+    for stage in net.stages:
+        stage.w1 *= 1e-3
+        stage.w2 *= 1e-3
+    _, va, _ = generate_splits(desk_cfg, (1, b, 1))
+    y = _batch_obs(_prepare_split(va, "val", desk_op, desk_cfg.noise_var), np.arange(b), desk_cfg.noise_var, None)
+    sigma2 = desk_cfg.noise_var
+    x, caches = unroll_forward(desk_op, y, sigma2, net, depth, e_step)
+    assert "e" not in caches[0] and "mu" not in caches[0] and "stage" in caches[0]
+    assert all("e" in cache for cache in caches[1:])
+
+    spec = EstimatorSpec(e_step=e_step, m_step="learned", n_iterations=depth, net=net)
+    r, state = sbl.start_state(desk_op, y)
+    full = [sbl.step(spec, desk_op, r, sigma2, state) for _ in range(depth)]
+    assert "e" in full[0] and "mu" in full[0]
+    assert np.array_equal(state.mu, x)
+    g_x = crandn(rng, *x.shape)
+    got = unroll_backward(desk_op, caches, g_x, net)
+    want = unroll_backward(desk_op, full, g_x, net)
+    for g, w in zip(got, want):
+        for name in ("w1", "b1", "w2", "b2"):
+            assert np.array_equal(getattr(g, name), getattr(w, name)), name
+
+
 def test_training_holds_one_graph(tiny_cfg, tiny_op, monkeypatch):
     """No array of a batch's caches is alive when the next unrolled forward starts."""
     real = training.unroll_forward
