@@ -14,27 +14,24 @@ backward passes, so gradients are exact up to floating point and
 verifiable by finite differences.
 
 Convolutions use zero padding and keep the image size.  Each is one
-matrix product on the side of the layer with fewer channels.  When the
-input has no more channels than the output (C <= O, the 2->8 layer), the
-kh*kw shifted slices of the padded input are copied into a
+batched matrix product on the side of the layer with fewer channels.
+When the input has no more channels than the output (C <= O, the 2->8
+layer), the kh*kw shifted slices of the padded input are copied into a
 (C*kh*kw, H*W) array per image and multiplied by the (O, C*kh*kw)
 kernel.  Otherwise (the 8->1 layer) the (O*kh*kw, C) kernel multiplies
 the padded input, and the kh*kw shifted slices of that product are
 summed.  Either way a layer costs about O*C*kh*kw multiply-adds per
-pixel.  The batch is taken in blocks of images: as many as keep the
-call's temporaries (the zero-bordered input plus the windows,
-projection or canvas) within ``_BLOCK_BYTES`` (1 MiB), and at least
-one; at 64x64 with 8 channels that is one image.  Each call allocates
-these buffers once at block size and reuses them for every block, so
-its memory beyond the arrays it returns does not grow with the batch.
-The backward pass uses the same two forms, recomputing the slices
+pixel.  The backward pass uses the same two forms, recomputing the slices
 instead of keeping them from the forward pass.
 
-A whole refiner stage is blocked the same way, one level up: its
-forward and backward walk the batch in blocks of as many images as keep
-one block's hidden layer within ``_BLOCK_BYTES``, four at 64x64 with 8
-hidden channels, and call each convolution per block.  So the hidden
-layer and its gradient never exist at batch size.
+A convolution takes every image it is given in one pass, so its
+temporaries grow with its batch.  The refiner stage is the one place
+that blocks the batch: its forward and backward walk it in blocks of as
+many images as keep one block's hidden layer and convolution
+temporaries within ``_BLOCK_BYTES`` (1 MiB), at least one: one image at
+64x64 with 8 hidden channels, 15 at 16x16.  Each convolution runs per
+block, so neither the hidden layer nor a convolution temporary ever
+exists at batch size.
 """
 
 from __future__ import annotations
@@ -77,11 +74,9 @@ def _check_conv_shapes(x: np.ndarray, w: np.ndarray) -> None:
         raise ValueError(f"input has {x.shape[1]} channels, the kernel expects {w.shape[1]}")
 
 
-# Budget for the block-sized temporaries of one convolution call, and for
-# the hidden layer of one block of a refiner stage.  A block is as many
-# images as fit in it, at least one: at 64x64 with 8 channels, one image
-# per convolution block and four per stage block.  The buffers are
-# allocated per call, never kept here.
+# Budget for one block of a refiner stage: its hidden layer and the
+# temporaries of the convolutions it runs (see _stage_blocks).  A block
+# is as many images as fit in it, at least one.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -90,67 +85,50 @@ def _block_images(n: int, per_image: int) -> int:
     return max(1, min(n, _BLOCK_BYTES // per_image))
 
 
-def _pad_into(xp: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Write images x into the interior of the zero-bordered buffer xp; return xp[:len(x)]."""
-    m, _, h, wd = x.shape
-    ph, pw = (xp.shape[2] - h) // 2, (xp.shape[3] - wd) // 2
-    xp[:m, :, ph:ph + h, pw:pw + wd] = x
-    return xp[:m]
+def _padded(x: np.ndarray, kh: int, kw: int, dtype) -> np.ndarray:
+    """Images x, as ``dtype``, with a zero border of kh // 2 rows and kw // 2 columns on each side."""
+    n, c, h, wd = x.shape
+    xp = np.zeros((n, c, h + kh - 1, wd + kw - 1), dtype=dtype)
+    xp[:, :, kh // 2:kh // 2 + h, kw // 2:kw // 2 + wd] = x
+    return xp
 
 
-def _windows_into(cols: np.ndarray, xp: np.ndarray) -> np.ndarray:
-    """Copy the kh*kw shifted h x w slices of padded images xp into cols (nb, C, kh, kw, h, w).
-
-    Returns the first len(xp) images as (m, C*kh*kw, h*w).
-    """
-    m = xp.shape[0]
-    kh, kw, h, wd = cols.shape[2:]
+def _windows(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """The kh*kw shifted h x w slices of padded images xp, copied out as (B, C*kh*kw, h*w)."""
+    n, c, hp, wp = xp.shape
+    h, wd = hp - kh + 1, wp - kw + 1
+    cols = np.empty((n, c, kh, kw, h, wd), dtype=xp.dtype)
     for i in range(kh):
         for j in range(kw):
-            cols[:m, :, i, j] = xp[:, :, i:i + h, j:j + wd]
-    return cols[:m].reshape(m, -1, h * wd)
+            cols[:, :, i, j] = xp[:, :, i:i + h, j:j + wd]
+    return cols.reshape(n, -1, h * wd)
 
 
 def _correlate(x: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Zero-padded same-size correlation without bias; x (B,C,H,W), w (O,C,kh,kw).
 
-    Works on the side with fewer channels: for C <= O one GEMM of the
-    (O, C*kh*kw) kernel with the shifted input slices, for C > O one GEMM
-    of the (O*kh*kw, C) kernel with the padded input, then a sum of the
-    shifted slices of that product.  The batch is taken in blocks of as
-    many images as keep the padded buffer plus the windows (C <= O) or
-    projection (C > O) buffer within ``_BLOCK_BYTES``.  Both are allocated
-    once per call at block size and reused for every block: only the
-    padded buffer's interior is rewritten, so its border stays zero.
-    Each block's GEMM writes straight into its slice of ``out``.
+    One batched GEMM over all B images, on the side with fewer channels:
+    for C <= O the (O, C*kh*kw) kernel times the shifted input slices,
+    written into ``out``; for C > O the (O*kh*kw, C) kernel times the
+    padded input, whose shifted slices are then summed into ``out``.
+    The padded input and the windows or projection are temporaries of
+    batch size: callers that need them small pass few images.
     """
     n, c, h, wd = x.shape
     o, _, kh, kw = w.shape
-    hp, wp = h + kh - 1, wd + kw - 1
     dtype = np.result_type(x, w)
-    work = c * kh * kw * h * wd if c <= o else o * kh * kw * hp * wp
-    nb = _block_images(n, dtype.itemsize * (c * hp * wp + work))
-    xp = np.zeros((nb, c, hp, wp), dtype=dtype)
+    xp = _padded(x, kh, kw, dtype)
     if out is None:
         out = np.empty((n, o, h, wd), dtype=dtype)
     if c <= o:
-        kernel = w.reshape(o, -1)
-        cols = np.empty((nb, c, kh, kw, h, wd), dtype=dtype)
-    else:
-        kernel = w.transpose(0, 2, 3, 1).reshape(-1, c)
-        proj = np.empty((nb, o * kh * kw, hp * wp), dtype=dtype)
-        out[...] = 0.0
-    for lo in range(0, n, nb):
-        xb = _pad_into(xp, x[lo:lo + nb])
-        m = xb.shape[0]
-        ob = out[lo:lo + m]
-        if c <= o:
-            np.matmul(kernel, _windows_into(cols, xb), out=ob.reshape(m, o, -1))
-        else:
-            pb = np.matmul(kernel, xb.reshape(m, c, -1), out=proj[:m]).reshape(m, o, kh, kw, hp, wp)
-            for i in range(kh):
-                for j in range(kw):
-                    ob += pb[:, :, i, j, i:i + h, j:j + wd]
+        np.matmul(w.reshape(o, -1), _windows(xp, kh, kw), out=out.reshape(n, o, -1))
+        return out
+    proj = np.matmul(w.transpose(0, 2, 3, 1).reshape(-1, c), xp.reshape(n, c, -1))
+    proj = proj.reshape((n, o, kh, kw) + xp.shape[2:])
+    out[...] = 0.0
+    for i in range(kh):
+        for j in range(kw):
+            out += proj[:, :, i, j, i:i + h, j:j + wd]
     return out
 
 
@@ -166,48 +144,28 @@ def conv2d_same_backward(x: np.ndarray, w: np.ndarray, grad_out: np.ndarray,
                          out: np.ndarray | None = None, grad_input: bool = True):
     """Gradients of a same-size correlation: returns (g_x, g_w, g_b).
 
-    g_x is the correlation of ``grad_out`` with the flipped, transposed
-    kernel, written into ``out`` if given; it comes after every read of
-    ``x``, so ``out`` may be ``x``; with ``grad_input=False`` it is not
-    computed and None is returned in its place.  g_w contracts
-    ``grad_out`` with the input windows when C <= O; when C > O it
-    contracts the padded input with a padded canvas holding ``grad_out``
-    at each of the kh*kw offsets.  Like the forward pass, g_w works through the batch in blocks
-    of images, sized so that the padded input, the windows (C <= O) or
-    canvas (C > O) and the per-image products stay within
-    ``_BLOCK_BYTES``.  These buffers are allocated once per call and
-    reused for every block, and the per-image products are added to g_w
-    one image at a time, in batch order.
+    g_w is one batched GEMM over all B images, whose per-image products
+    are summed over the images in batch order: ``grad_out`` times the
+    input windows when C <= O, or, when C > O, a padded canvas holding
+    ``grad_out`` at each of the kh*kw offsets times the padded input.  g_x is :func:`_correlate` of ``grad_out`` with the flipped,
+    transposed kernel, written into ``out`` if given; it comes after
+    every read of ``x``, so ``out`` may be ``x``.  With
+    ``grad_input=False`` it is not computed and None is returned in its
+    place.
     """
     _check_conv_shapes(x, w)
     n, c, h, wd = x.shape
     o, _, kh, kw = w.shape
-    hp, wp = h + kh - 1, wd + kw - 1
-    dtype = np.result_type(x, grad_out)
-    work = c * kh * kw * h * wd if c <= o else o * kh * kw * hp * wp
-    nb = _block_images(n, dtype.itemsize * (c * hp * wp + work + o * c * kh * kw))
-    xp = np.zeros((nb, c, hp, wp), dtype=dtype)
+    xp = _padded(x, kh, kw, np.result_type(x, grad_out))
     if c <= o:
-        cols = np.empty((nb, c, kh, kw, h, wd), dtype=dtype)
-        prod = np.empty((nb, o, c * kh * kw), dtype=dtype)
+        prod = np.matmul(grad_out.reshape(n, o, -1), _windows(xp, kh, kw).transpose(0, 2, 1))
     else:
-        canvas = np.zeros((nb, o, kh, kw, hp, wp), dtype=dtype)
-        prod = np.empty((nb, o * kh * kw, c), dtype=dtype)
-    grad_w = np.zeros(prod.shape[1:], dtype=dtype)
-    for lo in range(0, n, nb):
-        xb = _pad_into(xp, x[lo:lo + nb])
-        m = xb.shape[0]
-        gb = grad_out[lo:lo + m]
-        if c <= o:
-            np.matmul(gb.reshape(m, o, -1), _windows_into(cols, xb).transpose(0, 2, 1), out=prod[:m])
-        else:
-            for i in range(kh):
-                for j in range(kw):
-                    canvas[:m, :, i, j, i:i + h, j:j + wd] = gb
-            np.matmul(canvas[:m].reshape(m, o * kh * kw, -1), xb.reshape(m, c, -1).transpose(0, 2, 1),
-                      out=prod[:m])
-        for k in range(m):
-            grad_w += prod[k]
+        canvas = np.zeros((n, o, kh, kw) + xp.shape[2:], dtype=xp.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                canvas[:, :, i, j, i:i + h, j:j + wd] = grad_out
+        prod = np.matmul(canvas.reshape(n, o * kh * kw, -1), xp.reshape(n, c, -1).transpose(0, 2, 1))
+    grad_w = prod.sum(axis=0)
     if c <= o:
         grad_w = grad_w.reshape(w.shape)
     else:
@@ -342,10 +300,21 @@ def _hidden(stage: ConvStage, feats: np.ndarray) -> np.ndarray:
 
 
 def _stage_blocks(stage: ConvStage, feats: np.ndarray):
-    """Slices of the batch in blocks of as many images as keep one block's hidden layer within
-    ``_BLOCK_BYTES``: four at 64x64 with 8 hidden channels."""
-    n, _, h, wd = feats.shape
-    nb = _block_images(n, stage.w1.shape[0] * h * wd * np.result_type(feats, stage.w1).itemsize)
+    """Slices of the batch in blocks of as many images as fit in ``_BLOCK_BYTES``, at least one.
+
+    An image of H x W pixels is charged (2*hidden + C_in*kh*kw)*H*W
+    values: its hidden layer (hidden channels), plus the largest
+    temporaries of the stage's convolutions, those of g_feats in the
+    backward: the zero-bordered hidden gradient (hidden channels) and
+    its projection onto the C_in input channels at each of the kh*kw
+    offsets.  At 8 hidden channels, 2 inputs and a 3x3 kernel that is
+    34 values per pixel: one float64 image per block at 64x64, 15 at
+    16x16.
+    """
+    n, c_in, h, wd = feats.shape
+    hidden, _, kh, kw = stage.w1.shape
+    itemsize = np.result_type(feats, stage.w1).itemsize
+    nb = _block_images(n, (2 * hidden + c_in * kh * kw) * h * wd * itemsize)
     return [slice(lo, lo + nb) for lo in range(0, n, nb)]
 
 
@@ -353,13 +322,14 @@ def stage_forward(stage: ConvStage, feats: np.ndarray, gamma_img: np.ndarray):
     """Apply one stage to (B, 2, G_A, G_D) features and (B, G_A, G_D) gamma.
 
     Returns the new gamma image and the cache needed for backprop:
-    (feats, gamma_new).  The batch runs in blocks of images (see
-    :func:`_stage_blocks`), each block's conv1, ReLU, conv2, residual
-    and ReLU in turn, written into one output array, so the hidden layer
-    h1 exists only at block size (1 MiB), never at batch size (32 MiB at
-    B = 128 and the default size).  It is freed once conv2 has read it,
-    and :func:`stage_backward` rebuilds it from feats.  Every operation
-    is per image, so the result does not depend on the blocking.  Both
+    (feats, gamma_new).  The batch runs in the blocks of
+    :func:`_stage_blocks`, each block's conv1, ReLU, conv2, residual and
+    ReLU in turn, written into one output array.  So the hidden layer h1
+    and the convolutions' temporaries exist only at block size (1 MiB),
+    never at batch size (h1 alone is 32 MiB at B = 128 and the default
+    size).  h1 is freed once conv2 has read it, and
+    :func:`stage_backward` rebuilds it from feats.  Every operation is
+    per image, so the result does not depend on the blocking.  Both
     ReLUs and the residual are applied in place on the conv outputs,
     whose pre-activation values are never read again: the backward takes
     each ReLU's mask from its output, since relu(z) > 0 exactly where
@@ -381,14 +351,14 @@ def stage_backward(stage: ConvStage, cache, g_gamma_new: np.ndarray, grad_input:
     read, not written.  The batch runs in the forward's blocks: per
     block, the hidden layer h1 is rebuilt from feats, one conv more than
     the forward, and the hidden gradient is written over it once its
-    ReLU mask is taken, so the backward allocates one hidden array of
-    block size (1 MiB), never one of batch size (32 MiB at B = 128 and
-    the default size).  Each block's g_feats is written into its slice
-    of one array, and the weight gradients are added up block by block:
-    g_feats and g_gamma_prev do not depend on the blocking, the weight
-    gradients only to rounding.  With ``grad_input=False`` g_feats, one
-    conv of the hidden gradient, is not computed and is None: the first
-    stage's features lead only to the start state.
+    ReLU mask is taken.  So the backward's hidden arrays and convolution
+    temporaries are of block size (1 MiB), never of batch size.  Each
+    block's g_feats is written into its slice of one array, and the
+    weight gradients are added up block by block: g_feats and
+    g_gamma_prev do not depend on the blocking, the weight gradients
+    only to rounding.  With ``grad_input=False`` g_feats, one conv of
+    the hidden gradient, is not computed and is None: the first stage's
+    features lead only to the start state.
     """
     feats, out = cache
     g_pre2 = g_gamma_new * (out > 0)
@@ -438,12 +408,14 @@ def save_checkpoint(net: MStepNet, path, cfg: SystemConfig | None = None) -> Non
 
 
 def _check_stage(path, i: int, params: dict) -> None:
-    """Each stage must be the refiner :func:`init_stage` builds: real floating arrays of a
+    """Each stage must be the refiner :func:`init_stage` builds: real floating, finite arrays of a
     (2 -> HIDDEN_CHANNELS -> 1) net with KERNEL x KERNEL filters."""
     for name, arr in params.items():
         if not np.issubdtype(arr.dtype, np.floating):
             raise ValueError(f"{path}: checkpoint stage {i}: {name} has dtype {arr.dtype}, "
                              "expected a real floating type")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: checkpoint stage {i}: {name} has a non-finite entry")
     hidden, k = HIDDEN_CHANNELS, KERNEL
     expected = {"w1": (hidden, 2, k, k), "b1": (hidden,), "w2": (1, hidden, k, k), "b2": (1,)}
     for name, shape in expected.items():
@@ -459,8 +431,8 @@ def load_checkpoint(path) -> MStepNet:
     object with a ``config_hash``, an ``n_stages`` that is a
     non-negative int (not a bool) and, if present, a ``config`` that is an
     object, and the arrays are exactly
-    ``stage{i}/{w1,b1,w2,b2}`` for ``i < n_stages``, each real floating
-    and of the shape :func:`init_stage` builds.  A file that is not a
+    ``stage{i}/{w1,b1,w2,b2}`` for ``i < n_stages``, each real floating,
+    finite and of the shape :func:`init_stage` builds.  A file that is not a
     readable checkpoint container raises :class:`ContainerError`.
     """
     _, meta, arrays = load_container(path, expect_kind=_NET_KIND)

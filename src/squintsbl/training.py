@@ -84,8 +84,8 @@ class TrainConfig:
             raise ValueError("patiences must be at least 1")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be positive")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < float("inf"):
+            raise ValueError("learning_rate must be positive and finite")
         if not self.lr_decay >= 1.0:
             raise ValueError("lr_decay must be at least 1 (the learning rate is divided by it)")
 
