@@ -147,7 +147,8 @@ def conv2d_same_backward(x: np.ndarray, w: np.ndarray, grad_out: np.ndarray,
     g_w is one batched GEMM over all B images, whose per-image products
     are summed over the images in batch order: ``grad_out`` times the
     input windows when C <= O, or, when C > O, a padded canvas holding
-    ``grad_out`` at each of the kh*kw offsets times the padded input.  g_x is :func:`_correlate` of ``grad_out`` with the flipped,
+    ``grad_out`` at each of the kh*kw offsets times the padded input.
+    g_x is :func:`_correlate` of ``grad_out`` with the flipped,
     transposed kernel, written into ``out`` if given; it comes after
     every read of ``x``, so ``out`` may be ``x``.  With
     ``grad_input=False`` it is not computed and None is returned in its
@@ -325,8 +326,8 @@ def stage_forward(stage: ConvStage, feats: np.ndarray, gamma_img: np.ndarray):
     (feats, gamma_new).  The batch runs in the blocks of
     :func:`_stage_blocks`, each block's conv1, ReLU, conv2, residual and
     ReLU in turn, written into one output array.  So the hidden layer h1
-    and the convolutions' temporaries exist only at block size (1 MiB),
-    never at batch size (h1 alone is 32 MiB at B = 128 and the default
+    and the convolutions' temporaries exist only at block size (about
+    1 MiB), never at batch size (h1 alone is 32 MiB at B = 128 and the default
     size).  h1 is freed once conv2 has read it, and
     :func:`stage_backward` rebuilds it from feats.  Every operation is
     per image, so the result does not depend on the blocking.  Both
@@ -352,7 +353,7 @@ def stage_backward(stage: ConvStage, cache, g_gamma_new: np.ndarray, grad_input:
     block, the hidden layer h1 is rebuilt from feats, one conv more than
     the forward, and the hidden gradient is written over it once its
     ReLU mask is taken.  So the backward's hidden arrays and convolution
-    temporaries are of block size (1 MiB), never of batch size.  Each
+    temporaries are of block size (about 1 MiB), never of batch size.  Each
     block's g_feats is written into its slice of one array, and the
     weight gradients are added up block by block: g_feats and
     g_gamma_prev do not depend on the blocking, the weight gradients
