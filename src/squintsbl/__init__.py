@@ -20,7 +20,6 @@ from .channel import (
     build_channel,
     draw_paths,
     generate_dataset,
-    steering_vector,
 )
 from .dictionaries import (
     FREQUENCY_DEPENDENT,

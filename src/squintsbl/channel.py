@@ -12,6 +12,9 @@ response's entries z^n, n = 0..N-1, by repeated doubling instead of N
 exponentials; then each tone's column is one (N x P) @ (P,) product with
 the per-path delay coefficients.  The tests check it against the direct
 N-exponential form and an independent outer-product-per-path form.
+:func:`phasor_powers`, the doubling, also builds the dictionaries' array
+responses from one exponential per grid point and tone; its phase error
+grows as O(n eps) with the power n, as the direct exponential's does.
 """
 
 from __future__ import annotations
@@ -21,22 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SPLIT_IDS, SystemConfig, spawn_rng, subcarrier_freqs
-
-
-def steering_vector(n: int, z) -> np.ndarray:
-    """Array response [e^{-j pi m z} / n for m = 0..n-1].
-
-    ``z`` may be a scalar (returns shape ``(n,)``) or a 1-D grid of
-    arguments (returns shape ``(n, len(z))``).  The 1/n scaling gives
-    each vector Euclidean norm 1/sqrt(n).
-    """
-    z = np.asarray(z, dtype=float)
-    m = np.arange(n)
-    if z.ndim == 0:
-        return np.exp(-1j * np.pi * m * z) / n
-    if z.ndim == 1:
-        return np.exp(-1j * np.pi * np.outer(m, z)) / n
-    raise ValueError(f"steering argument must be scalar or 1-D, got shape {z.shape}")
 
 
 @dataclass
@@ -92,7 +79,7 @@ def draw_paths(cfg: SystemConfig, rng: np.random.Generator) -> PathSet:
     )
 
 
-def _powers(z: np.ndarray, n: int) -> np.ndarray:
+def phasor_powers(z: np.ndarray, n: int) -> np.ndarray:
     """z^m for m = 0..n-1, stacked on a new leading axis, by repeated doubling.
 
     Row 0 is 1; each pass multiplies the filled block of rows by
@@ -123,15 +110,15 @@ def build_channel(cfg: SystemConfig, paths: PathSet) -> np.ndarray:
 
     The K*P squint phasors z[k, p] = e^{-j pi (f_k / f_c) sin(theta_p)}
     are the only array-response exponentials; a_N's entries z^n come
-    from :func:`_powers`, N*K*P products in log2 N passes.  Against the
-    direct N*K*P exponentials the largest entry differs by ~1.4e-14 of
-    the largest |H| at N = 32; both round at O(N eps) in phase.
+    from :func:`phasor_powers`, N*K*P products in log2 N passes.  Against
+    the direct N*K*P exponentials the largest entry differs by ~1.4e-14
+    of the largest |H| at N = 32; both round at O(N eps) in phase.
     """
     n = cfg.n_antennas
     f = subcarrier_freqs(cfg)                                    # (K,)
     coeff = paths.gain[:, None] * np.exp(-2j * np.pi * np.outer(paths.delay, f))  # (P, K)
     z = np.exp(-1j * np.pi * np.outer(f / cfg.center_freq, np.sin(paths.angle)))  # (K, P)
-    responses = _powers(z, n).transpose(1, 0, 2)                 # (K, N, P), unscaled
+    responses = phasor_powers(z, n).transpose(1, 0, 2)           # (K, N, P), unscaled
     h = np.matmul(responses, coeff.T[:, :, None])[:, :, 0].T     # (N, K)
     return np.sqrt(n / cfg.n_paths) / n * h
 

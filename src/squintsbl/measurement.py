@@ -17,12 +17,14 @@ orthogonal unless G_D divides k - k'.  With G_D >= K every pair of tones
 is orthogonal, and Phi Phi^H is block-diagonal with blocks
 ||d_k||^2 C_k C_k^H.  Up to the order of its singular values, Phi's SVD
 therefore splits into K small SVDs C_k = U_k S_k V_k^H, U = blkdiag(U_k),
-and A keeps the per-tone form kron(d_k, U_k^H C_k).  Its rows are then
-orthogonal too: A A^H = diag(lambda^2), with row (k, i) of squared norm
-lambda^2 = ||d_k||^2 S_k[i]^2, which |A|^2 applied to a vector of ones
-gives.  An operator records whether its rows are orthogonal in
-``orthogonal_rows``, which its constructor sets; the exact posterior
-reads it to solve a flat prior in closed form.  The operator stores
+and A keeps the per-tone form kron(d_k, U_k^H C_k).  Only U_k is needed,
+so it is taken as the eigenvectors of the m x m Gram C_k C_k^H: the left
+singular vectors up to order and phase.  V_k^H is never formed.  The rows
+of A are then orthogonal too: A A^H = diag(lambda^2), with row (k, i) of
+squared norm lambda^2 = ||d_k||^2 S_k[i]^2, which |A|^2 applied to a
+vector of ones gives.  An operator records whether its rows are
+orthogonal in ``orthogonal_rows``, which its constructor sets; the exact
+posterior reads it to solve a flat prior in closed form.  The operator stores
 only those factors, never Phi or A themselves.  It applies A, A^H, |A|^2
 and their transposes as one delay GEMM plus one batched per-tone
 product: :func:`~squintsbl.dictionaries.synthesize` and its transpose
@@ -125,13 +127,13 @@ class MeasurementOperator:
     K = 1 with one delay bin, delay = [[1]].
     """
 
-    u: np.ndarray            # (K, m, m) per-tone left singular vectors
+    u: np.ndarray            # (K, m, m) per-tone unitaries: eigenvectors of C_k C_k^H
     a: np.ndarray            # (K, m, G_A) rotated tone blocks u[k]^H C_k
     a_h: np.ndarray          # (K, G_A, m) their conjugate transposes
     abs2_a: np.ndarray       # (K, m, G_A) |a|^2
     delay: np.ndarray        # (K, G_D) delay dictionary rows d_k
     abs2_delay: np.ndarray   # (K, G_D) |d_k|^2
-    orthogonal_rows: bool = False   # A A^H is diagonal; set by the SVD-rotating constructors
+    orthogonal_rows: bool = False   # A A^H is diagonal; set by the rotating constructors
     config: SystemConfig | None = None
     combiner: PilotCombiner | None = None
     dicts: DictionarySet | None = None
@@ -257,10 +259,16 @@ def operator_from_matrix(phi: np.ndarray, rotate: bool = False) -> MeasurementOp
 
 
 def assemble_operator(cfg: SystemConfig, comb: PilotCombiner, dicts: DictionarySet) -> MeasurementOperator:
-    """Build the whitened operator and its per-tone SVD rotation.
+    """Build the whitened operator and its per-tone rotation.
 
-    Raises ``ValueError`` when ``grid_delay < n_subcarriers``: the delay
-    rows are then not orthogonal and the per-tone SVD is not Phi's.
+    The tone blocks C_k = W_bar Psi_k are one batched product.  U_k are
+    the eigenvectors of the m x m Grams C_k C_k^H, one batched ``eigh``:
+    C_k's left singular vectors up to order and phase, and a full m x m
+    unitary even when m > G_A, so the rotated system keeps all M rows.
+    Neither V_k^H nor the singular values are formed; A = U^H Phi has
+    orthogonal rows all the same.  Raises ``ValueError`` when
+    ``grid_delay < n_subcarriers``: the delay rows are then not
+    orthogonal and the per-tone rotation does not diagonalize Phi Phi^H.
     """
     if dicts.config.n_subcarriers != cfg.n_subcarriers or dicts.config.n_antennas != cfg.n_antennas:
         raise ValueError("dictionary geometry does not match the config")
@@ -271,11 +279,10 @@ def assemble_operator(cfg: SystemConfig, comb: PilotCombiner, dicts: DictionaryS
             f"grid_delay={cfg.grid_delay} is below n_subcarriers={cfg.n_subcarriers}; the per-tone "
             "rotation needs orthogonal delay rows, so grid_delay must be at least n_subcarriers"
         )
-    tones = np.stack([comb.w_bar @ dicts.angular_dicts[k] for k in range(cfg.n_subcarriers)])
-    # full U_k: square even when m > G_A, so the rotated system keeps all M rows
+    tones = comb.w_bar @ dicts.angular_dicts                                 # (K, m, G_A)
+    u = np.linalg.eigh(tones @ np.swapaxes(tones, 1, 2).conj())[1]          # (K, m, m)
     # grid_delay >= n_subcarriers makes the delay rows orthogonal, so A A^H is diagonal
-    op = _tone_operator(tones, dicts.delay_dict, np.linalg.svd(tones, full_matrices=True)[0],
-                        orthogonal_rows=True)
+    op = _tone_operator(tones, dicts.delay_dict, u, orthogonal_rows=True)
     op.config, op.combiner, op.dicts = cfg, comb, dicts
     return op
 

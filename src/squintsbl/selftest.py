@@ -163,7 +163,13 @@ def check_operator_assembly() -> str:
 
 
 def check_per_tone_rotation() -> str:
-    """Per-tone SVD rotation against the dense SVD of the stacked operator."""
+    """Per-tone rotation against the dense SVD of the stacked operator.
+
+    The assembled U_k are eigenvectors of the Grams C_k C_k^H; the oracle
+    is ``operator_from_matrix(rotate=True)``, whose U comes from a dense
+    SVD of the whole Phi.  The two may differ in row order and phase;
+    the AMP-SBL mean depends on neither.
+    """
     cfg = desk_config()
     op = standard_operator(cfg)
     u = block_diag(*op.u)

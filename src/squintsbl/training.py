@@ -86,8 +86,8 @@ class TrainConfig:
             raise ValueError("max_epochs must be positive")
         if not 0.0 < self.learning_rate < float("inf"):
             raise ValueError("learning_rate must be positive and finite")
-        if not self.lr_decay >= 1.0:
-            raise ValueError("lr_decay must be at least 1 (the learning rate is divided by it)")
+        if not 1.0 <= self.lr_decay < float("inf"):
+            raise ValueError("lr_decay must be finite and at least 1 (the learning rate is divided by it)")
 
 
 @dataclass

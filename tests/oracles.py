@@ -3,9 +3,25 @@
 import numpy as np
 from scipy.linalg import block_diag
 
-from squintsbl.channel import PathSet, steering_vector
+from squintsbl.channel import PathSet
 from squintsbl.config import SystemConfig, subcarrier_freqs
 from squintsbl.selftest import _dense_phi as dense_phi  # noqa: F401  (re-exported for the tests)
+
+
+def steering_vector(n: int, z) -> np.ndarray:
+    """Array response [e^{-j pi m z} / n for m = 0..n-1], one exponential per entry.
+
+    ``z`` may be a scalar (returns shape ``(n,)``) or a 1-D grid of
+    arguments (returns shape ``(n, len(z))``).  The 1/n scaling gives
+    each vector Euclidean norm 1/sqrt(n).
+    """
+    z = np.asarray(z, dtype=float)
+    m = np.arange(n)
+    if z.ndim == 0:
+        return np.exp(-1j * np.pi * m * z) / n
+    if z.ndim == 1:
+        return np.exp(-1j * np.pi * np.outer(m, z)) / n
+    raise ValueError(f"steering argument must be scalar or 1-D, got shape {z.shape}")
 
 
 def channel_direct_form(cfg: SystemConfig, paths: PathSet) -> np.ndarray:

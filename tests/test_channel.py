@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from squintsbl.channel import PathSet, build_channel, draw_paths, generate_dataset, steering_vector
+from squintsbl.channel import PathSet, build_channel, draw_paths, generate_dataset
 from squintsbl.config import SPLIT_IDS, default_config, desk_config, spawn_rng, subcarrier_freqs
 
-from oracles import channel_direct_form, channel_matrix_form
+from oracles import channel_direct_form, channel_matrix_form, steering_vector
 
 
 def test_steering_vector_normalization():

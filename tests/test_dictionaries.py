@@ -9,8 +9,7 @@ from hypothesis import given, strategies as st
 
 import squintsbl
 from squintsbl import selftest
-from squintsbl.channel import steering_vector
-from squintsbl.config import desk_config, subcarrier_freqs
+from squintsbl.config import default_config, desk_config, subcarrier_freqs
 from squintsbl.dictionaries import (
     FREQUENCY_DEPENDENT,
     FREQUENCY_INDEPENDENT,
@@ -22,6 +21,7 @@ from squintsbl.dictionaries import (
 )
 
 from conftest import crandn
+from oracles import steering_vector
 
 
 @given(st.integers(min_value=2, max_value=256))
@@ -45,6 +45,18 @@ def test_frequency_dependent_grids_scale_with_tone():
         assert np.allclose(d.angular_dicts[k], expect)
     # edge tones use different grids
     assert not np.allclose(d.angular_grids[0], d.angular_grids[-1])
+
+
+@pytest.mark.parametrize("mode", [FREQUENCY_DEPENDENT, FREQUENCY_INDEPENDENT])
+def test_dictionaries_match_direct_exponentials_at_default_size(mode):
+    """Atoms raised by phasor doubling equal one exponential per entry to 1e-13 of the largest entry."""
+    cfg = default_config()
+    d = build_dictionaries(cfg, mode)
+    angular = np.stack([steering_vector(cfg.n_antennas, grid) for grid in d.angular_grids])
+    assert d.angular_dicts.shape == angular.shape and d.angular_dicts.flags.c_contiguous
+    assert np.max(np.abs(d.angular_dicts - angular)) <= 1e-13 * np.max(np.abs(angular))
+    delay = steering_vector(cfg.n_subcarriers, d.delay_grid)
+    assert np.max(np.abs(d.delay_dict - delay)) <= 1e-13 * np.max(np.abs(delay))
 
 
 def test_frequency_independent_grids_constant():

@@ -106,7 +106,7 @@ def test_assemble_operator_shape_and_blocks():
 
 
 def test_assemble_operator_is_rotated_matrix_operator(desk_op):
-    """The per-tone rotation is an SVD rotation of phi, as operator_from_matrix's is."""
+    """The per-tone rotation diagonalizes phi phi^H, as operator_from_matrix's SVD rotation does."""
     cfg = desk_op.config
     k, m = cfg.n_subcarriers, cfg.n_uses * cfg.n_rf
     # only per-tone factors: no M x M rotation, no M x G rotated matrix
@@ -121,6 +121,33 @@ def test_assemble_operator_is_rotated_matrix_operator(desk_op):
     sv2 = np.linalg.svd(phi, compute_uv=False) ** 2
     assert np.allclose(gram, np.diag(np.diag(gram)), atol=1e-12 * sv2[0])
     assert np.allclose(np.sort(np.diag(gram).real)[::-1], sv2, rtol=1e-12)
+
+
+@pytest.mark.parametrize("cfg", [default_config(), desk_config(n_rf=4, n_uses=4, grid_angular=8)],
+                         ids=["default", "m>G_A"])
+def test_assemble_operator_rotation_precision(cfg):
+    """blkdiag(U_k) is unitary, A A^H diagonal, and its diagonal ||d_k||^2 S_k^2 to 1e-12.
+
+    The singular values S_k of each tone block C_k come from an SVD, the
+    oracle for the eigenvalues the rotation never returns.  The second
+    layout has m = 16 rows per tone over 8 angles, so each U_k spans a
+    null space of C_k^H as well.
+    """
+    op = assemble_operator(cfg, _comb(cfg), build_dictionaries(cfg))
+    k, m, g_a = op.a.shape
+    assert op.u.shape == (k, m, m)
+    assert np.max(np.abs(np.swapaxes(op.u, 1, 2).conj() @ op.u - np.eye(m))) <= 1e-12
+    # block (k, l) of A A^H is (d_k . conj(d_l)) a_k a_l^H
+    rows = op.a.reshape(k * m, g_a)
+    gram = np.kron(op.delay @ op.delay.conj().T, np.ones((m, m))) * (rows @ rows.conj().T)
+    lam_max = np.max(gram.diagonal().real)
+    assert np.max(np.abs(gram - np.diag(gram.diagonal()))) <= 1e-12 * lam_max
+    tones = np.stack([op.combiner.w_bar @ psi for psi in op.dicts.angular_dicts])
+    sv2 = np.zeros((k, m))
+    sv2[:, :min(m, g_a)] = np.linalg.svd(tones, compute_uv=False) ** 2
+    sv2 *= np.sum(np.abs(op.delay) ** 2, axis=1)[:, None]
+    norms = np.sort(op.row_norms2.reshape(k, m), axis=1)[:, ::-1]
+    assert np.max(np.abs(norms - sv2)) <= 1e-12 * lam_max
 
 
 def _dense_products(op, phi):
@@ -216,15 +243,16 @@ def test_diag_quad_reads_lower_triangle_only(any_op):
 
 
 def test_assemble_operator_rejects_short_delay_grid(monkeypatch):
-    """G_D < K breaks delay-row orthogonality; rejected before any SVD."""
+    """G_D < K breaks delay-row orthogonality; rejected before any decomposition."""
     cfg = desk_config(grid_delay=4)
     comb = _comb(cfg)
     dicts = build_dictionaries(cfg)
 
-    def no_svd(*args, **kwargs):
-        raise AssertionError("SVD ran before the layout check")
+    def no_decomposition(*args, **kwargs):
+        raise AssertionError("a decomposition ran before the layout check")
 
-    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for name in ("eigh", "svd"):
+        monkeypatch.setattr(np.linalg, name, no_decomposition)
     with pytest.raises(ValueError, match=r"grid_delay=4.*n_subcarriers=8"):
         assemble_operator(cfg, comb, dicts)
     monkeypatch.undo()

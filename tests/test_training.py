@@ -38,7 +38,8 @@ def test_train_config_validation():
                 dict(depth=6, batch_size=0), dict(depth=6, max_epochs=0),
                 dict(depth=6, learning_rate=0.0), dict(depth=6, lr_decay=0.0),
                 dict(depth=6, lr_decay=-2.0), dict(depth=6, lr_decay=0.5),
-                dict(depth=6, lr_decay=float("nan")), dict(depth=6, learning_rate=float("nan")),
+                dict(depth=6, lr_decay=float("nan")), dict(depth=6, lr_decay=float("inf")),
+                dict(depth=6, learning_rate=float("nan")),
                 dict(depth=6, learning_rate=float("inf"))):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
