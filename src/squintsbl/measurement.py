@@ -2,9 +2,12 @@
 
 Each of Q pilot uses applies a random one-bit analog combiner W_q
 (n_rf x N, entries +-1/sqrt(N)) to every tone.  Combined noise has
-per-use covariance sigma^2 W_q W_q^H, so measurements are pre-whitened
-with the block Cholesky factor D: after scaling by D^{-1} the noise is
-white again and every estimator can assume sigma^2 I.
+per-use covariance sigma^2 W_q W_q^H = sigma^2 D_q D_q^H, with D_q its
+Cholesky factor, so measurements are taken through the whitened
+combiner W_bar_q = D_q^{-1} W_q: W_bar_q (h + n_q) = D_q^{-1} (W_q (h + n_q)),
+whose noise is white again, and every estimator can assume sigma^2 I.
+W_bar is formed once per combiner draw, so no measurement solves a
+triangular system, and this module needs no scipy.
 
 The whitened sensing operator Phi maps angular-delay coefficients to the
 stacked measurement vector.  Its row block for tone k is
@@ -41,7 +44,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .config import SystemConfig
 from .dictionaries import DictionarySet, analyze, synthesize
@@ -52,19 +54,16 @@ class PilotCombiner:
     """Stacked one-bit combiner and its whitening factor.
 
     ``w`` is (Q*n_rf, N) with the per-use blocks stacked top to bottom.
-    ``d`` is the lower-triangular block Cholesky factor of the noise
-    Gram blkdiag(W_q W_q^H); ``w_bar = d^{-1} w`` is the whitened
-    combiner actually used downstream.
+    ``w_bar = d^{-1} w`` is the whitened combiner that every measurement
+    is taken through, as W_bar (h + n).  ``d``, the lower-triangular
+    block Cholesky factor of the noise Gram blkdiag(W_q W_q^H), is kept
+    as the factor that checks ``w_bar``; nothing downstream solves with it.
     """
 
     w: np.ndarray
     d: np.ndarray
     w_bar: np.ndarray
     n_uses: int
-
-    def block(self, q: int) -> np.ndarray:
-        n_rf = self.w.shape[0] // self.n_uses
-        return self.w[q * n_rf : (q + 1) * n_rf]
 
 
 # Redraws allowed per pilot use before a combiner draw is a hard error.
@@ -76,10 +75,11 @@ def draw_combiner(cfg: SystemConfig, rng: np.random.Generator) -> PilotCombiner:
 
     A use whose Gram W_q W_q^H fails Cholesky (possible when rows
     coincide up to sign, certain when n_rf > N) is redrawn up to
-    ``_MAX_REDRAWS`` times before a hard error.
+    ``_MAX_REDRAWS`` times before a hard error.  Each W_bar_q is solved
+    from the n_rf x n_rf factor D_q just computed.
     """
     n, n_rf, q_uses = cfg.n_antennas, cfg.n_rf, cfg.n_uses
-    blocks_w, blocks_d = [], []
+    blocks_w, blocks_d, blocks_w_bar = [], [], []
     for _ in range(q_uses):
         for _ in range(_MAX_REDRAWS + 1):
             w_q = (2.0 * rng.integers(0, 2, (n_rf, n)) - 1.0) / np.sqrt(n)
@@ -98,12 +98,11 @@ def draw_combiner(cfg: SystemConfig, rng: np.random.Generator) -> PilotCombiner:
             )
         blocks_w.append(w_q)
         blocks_d.append(d_q)
-    w = np.vstack(blocks_w)
+        blocks_w_bar.append(np.linalg.solve(d_q, w_q))
     d = np.zeros((q_uses * n_rf, q_uses * n_rf))
     for q in range(q_uses):
         d[q * n_rf : (q + 1) * n_rf, q * n_rf : (q + 1) * n_rf] = blocks_d[q]
-    w_bar = solve_triangular(d, w, lower=True)
-    return PilotCombiner(w=w, d=d, w_bar=w_bar, n_uses=q_uses)
+    return PilotCombiner(w=np.vstack(blocks_w), d=d, w_bar=np.vstack(blocks_w_bar), n_uses=q_uses)
 
 
 @dataclass
@@ -290,14 +289,14 @@ def assemble_operator(cfg: SystemConfig, comb: PilotCombiner, dicts: DictionaryS
 def observe_and_transform(op: MeasurementOperator, h: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """The whitened stacked measurements y (M,) of channel matrix ``h`` (N x K) through ``op``'s combiner.
 
-    Noise is drawn per use and antenna with variance ``noise_var`` of
-    ``op``'s config; the combined vector per tone is whitened by the
-    block factor so its covariance is sigma^2 I exactly.
+    Noise n_q is drawn per use and antenna with variance ``noise_var`` of
+    ``op``'s config, and each use measures W_bar_q (h + n_q), which is
+    D_q^{-1} (W_q (h + n_q)): whitened combined noise whose covariance is
+    sigma^2 I exactly, with no solve per sample.
     """
     cfg, comb = op.config, op.combiner
     n, q_uses, k = cfg.n_antennas, cfg.n_uses, cfg.n_subcarriers
     sigma = np.sqrt(cfg.noise_var / 2.0)
     noise = sigma * (rng.standard_normal((q_uses, n, k)) + 1j * rng.standard_normal((q_uses, n, k)))
-    rows = [comb.block(q) @ (h + noise[q]) for q in range(q_uses)]
-    y_tone = solve_triangular(comb.d, np.vstack(rows), lower=True)   # (Q*n_rf, K)
-    return y_tone.ravel(order="F")
+    y_tone = comb.w_bar.reshape(q_uses, -1, n) @ (h + noise)         # (Q, n_rf, K)
+    return y_tone.reshape(-1, k).ravel(order="F")

@@ -38,7 +38,7 @@ from .evaluation import (
     reconstruction_flops,
     standard_operator,
 )
-from .measurement import assemble_operator, draw_combiner, operator_from_matrix
+from .measurement import assemble_operator, draw_combiner, observe_and_transform, operator_from_matrix
 from .mstep import _PARAM_NAMES, init_stage, stage_backward, stage_forward
 from .sbl import EstimatorSpec, SblState, _amp_backward, amp_e_step, exact_e_step, init_state, run_estimator
 
@@ -193,20 +193,22 @@ def check_per_tone_rotation() -> str:
 
 
 def check_whitening() -> str:
-    """Empirical covariance of whitened combined noise is sigma^2 I."""
-    cfg = desk_config()
-    comb = draw_combiner(cfg, spawn_rng(cfg.rng_seed, "pilot", cfg.n_uses))
-    rng = np.random.default_rng(17)
-    n_draws = 20000
-    sigma = math.sqrt(cfg.noise_var / 2.0)
-    noise = sigma * (rng.standard_normal((cfg.n_uses, cfg.n_antennas, n_draws))
-                     + 1j * rng.standard_normal((cfg.n_uses, cfg.n_antennas, n_draws)))
-    stacked = np.vstack([comb.block(q) @ noise[q] for q in range(cfg.n_uses)])
-    from scipy.linalg import solve_triangular
+    """Empirical covariance of ``observe_and_transform``'s output at h = 0 is sigma^2 I.
 
-    white = solve_triangular(comb.d, stacked, lower=True)
+    With a zero channel the library's whitened measurements are its
+    whitened noise alone, one m-vector per tone.  Their whole m x m
+    covariance is checked: each pilot use's n_rf x n_rf block, its
+    off-diagonal entries included, and the zero blocks across uses.
+    """
+    cfg = desk_config()
+    op = standard_operator(cfg)
+    m, k = cfg.n_uses * cfg.n_rf, cfg.n_subcarriers
+    rng = np.random.default_rng(17)
+    zero = np.zeros((cfg.n_antennas, k))
+    white = np.hstack([observe_and_transform(op, zero, rng).reshape(k, m).T for _ in range(2500)])
+    n_draws = white.shape[1]
     cov = white @ white.conj().T / n_draws
-    target = cfg.noise_var * np.eye(cov.shape[0])
+    target = cfg.noise_var * np.eye(m)
     gap = float(np.max(np.abs(cov - target)) / cfg.noise_var)
     np.testing.assert_(gap < 0.05, f"worst entrywise gap {gap:.3f} of sigma^2")
     return f"{n_draws} draws, worst entrywise gap {100 * gap:.1f}% of sigma^2"

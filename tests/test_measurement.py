@@ -309,6 +309,24 @@ def test_observation_noise_level(desk_cfg, desk_op):
     assert v == pytest.approx(cfg.noise_var, rel=0.05)
 
 
+def test_observation_matches_dense_factor_solve(desk_cfg, desk_op):
+    """y is D^{-1} (W (h + n)), solved with the dense block factor D for the noise the stream draws.
+
+    Each W_q row has unit norm, so the noise level alone cannot tell
+    whitened noise from W n; this oracle can.
+    """
+    cfg, comb = desk_cfg, desk_op.combiner
+    n, q_uses, k = cfg.n_antennas, cfg.n_uses, cfg.n_subcarriers
+    h = build_channel(cfg, draw_paths(cfg, spawn_rng(cfg.rng_seed, "channel", 0, 2)))
+    y = observe_and_transform(desk_op, h, spawn_rng(cfg.rng_seed, "noise", 2, 0))
+    rng = spawn_rng(cfg.rng_seed, "noise", 2, 0)
+    sigma = np.sqrt(cfg.noise_var / 2.0)
+    noise = sigma * (rng.standard_normal((q_uses, n, k)) + 1j * rng.standard_normal((q_uses, n, k)))
+    combined = np.vstack([w_q @ (h + noise[q]) for q, w_q in enumerate(np.split(comb.w, q_uses))])
+    ref = solve_triangular(comb.d, combined, lower=True).ravel(order="F")
+    assert np.abs(y - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_observation_determinism(desk_cfg, desk_op):
     cfg = desk_cfg
     h = build_channel(cfg, draw_paths(cfg, spawn_rng(cfg.rng_seed, "channel", 0, 3)))

@@ -1,11 +1,16 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import get_blas_funcs
 
+import squintsbl
 from squintsbl.config import desk_config
 from squintsbl.dictionaries import reconstruct_channel
 from squintsbl.mstep import MStepNet
@@ -693,3 +698,47 @@ def test_step_runs_one_iteration(desk_cfg, desk_op):
         last = step(spec, desk_op, r, desk_cfg.noise_var, state)
         assert last["it"] == 2 and "stage" not in last
         assert state.gamma is gamma1
+
+
+_AMP_ONLY_RUN = """
+import sys
+
+import numpy as np
+
+import squintsbl
+from squintsbl.config import desk_config
+from squintsbl.evaluation import ALGORITHMS, draw_eval_observations, standard_operator
+from squintsbl.mstep import MStepNet
+from squintsbl.sbl import EstimatorSpec, exact_e_step, run_estimator, start_state
+from squintsbl.training import TrainConfig, generate_splits, train_layerwise
+
+cfg = desk_config()
+op = standard_operator(cfg)
+y = draw_eval_observations(op, 0, 1)[1].T
+net = MStepNet.create(2, np.random.default_rng(1))
+for stage in net.stages:
+    stage.w1 *= 1e-3
+    stage.w2 *= 1e-3
+algo = ALGORITHMS["amp-sbl-unfolding"]
+run_estimator(EstimatorSpec(algo.e_step, algo.m_step, 3, net), op, y, cfg.noise_var)
+train_layerwise(TrainConfig(depth=2, e_step="amp", max_epochs=1, batch_size=4), cfg, op,
+                generate_splits(cfg, (8, 4, 4)))
+print("scipy.linalg" in sys.modules)
+r, state = start_state(op, y)
+state.gamma = np.linspace(0.5, 1.5, op.shape[1])[:, None]
+exact_e_step(op, r, cfg.noise_var, state)
+print("scipy.linalg" in sys.modules)
+"""
+
+
+def test_amp_only_runs_never_import_scipy_linalg():
+    """An AMP estimate and an AMP training epoch leave scipy.linalg unloaded; an exact solve loads it.
+
+    A fresh interpreter, since the suite itself has long since imported it.
+    """
+    src = Path(squintsbl.__file__).resolve().parents[1]
+    env = {"PATH": os.environ.get("PATH", ""), "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", _AMP_ONLY_RUN], env=env, capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False", "True"]
