@@ -13,18 +13,23 @@ Inference and training both run it as :func:`mstep_forward`, on a batch
 backward passes, so gradients are exact up to floating point and
 verifiable by finite differences.
 
-Convolutions use zero padding and keep the image size.  Each is one
+Convolutions use zero padding and keep the image size.  Each call pads
+its images once into a flat buffer: every image is its rows of
+W + kw - 1 values, row-major, with a zero border and kw - 1 zeros of
+slack at the end, so the window of each kernel tap over all H output
+rows is one contiguous slice (the padding columns of one row run on into
+the next and are cut off at the end).  Each convolution is then one
 batched matrix product on the side of the layer with fewer channels.
 When the input has no more channels than the output (C <= O, the 2->8
-layer), the kh*kw shifted slices of the padded input are copied into a
+layer), the kh*kw windows are copied out in one strided pass into a
 (C*kh*kw, H*W) array per image and multiplied by the (O, C*kh*kw)
 kernel.  Otherwise (the 8->1 layer) the (O*kh*kw, C) kernel multiplies
-the padded input, and the kh*kw shifted slices of that product are
-summed.  Either way a layer costs about O*C*kh*kw multiply-adds per
-pixel.  The backward pass uses the same two forms, recomputing the slices
-instead of keeping them from the forward pass.
-
-A convolution takes every image it is given in one pass, so its
+the flat buffer, and the kh*kw shifted contiguous slices of that
+product are summed.  Either way a layer costs about O*C*kh*kw
+multiply-adds per pixel, and its terms are taken in the kernel's
+(c, i, j) order.  The backward pass uses the same two forms, recomputing
+the windows instead of keeping them from the forward pass.  A
+convolution takes every image it is given in one pass, so its
 temporaries grow with its batch.  The refiner stage is the one place
 that blocks the batch: its forward and backward walk it in blocks of as
 many images as keep one block's hidden layer and convolution
@@ -32,6 +37,12 @@ temporaries within ``_BLOCK_BYTES`` (1 MiB), at least one: one image at
 64x64 with 8 hidden channels, 15 at 16x16.  Each convolution runs per
 block, so neither the hidden layer nor a convolution temporary ever
 exists at batch size.
+
+The stage writes its output gamma image (B, G_A, G_D) through a
+transposed view of a (B, G_D, G_A) buffer, the coefficient vectors' own
+order, so :func:`image_to_vec` of it is a view: the training graph holds
+each refined gamma once, in the stage's cache, and the next E-step's
+cache keeps that same memory.
 """
 
 from __future__ import annotations
@@ -85,50 +96,92 @@ def _block_images(n: int, per_image: int) -> int:
     return max(1, min(n, _BLOCK_BYTES // per_image))
 
 
-def _padded(x: np.ndarray, kh: int, kw: int, dtype) -> np.ndarray:
-    """Images x, as ``dtype``, with a zero border of kh // 2 rows and kw // 2 columns on each side."""
+def _flat_padded(x: np.ndarray, kh: int, kw: int, dtype, full: bool = False) -> np.ndarray:
+    """Images x, as ``dtype``, in one zero-bordered flat buffer (B, C, rows * Wp + kw - 1).
+
+    Each image is ``rows`` rows of Wp = W + kw - 1 values, row-major,
+    followed by kw - 1 zeros of slack.  For a same-size correlation
+    (``full`` False) it sits kh // 2 rows and kw // 2 columns in, with
+    rows = H + kh - 1; for the canvas of a full one, kh - 1 rows and
+    kw - 1 columns in, with rows = H + 2 (kh - 1).  Row-major, the
+    zeros right of one row run on into the left border of the next, so
+    the window of tap (i, j) over the output rows, H rows of Wp values
+    that start at i * Wp + j, is one contiguous slice, the slack keeping
+    the last in bounds (see :func:`_taps`).
+    """
     n, c, h, wd = x.shape
-    xp = np.zeros((n, c, h + kh - 1, wd + kw - 1), dtype=dtype)
-    xp[:, :, kh // 2:kh // 2 + h, kw // 2:kw // 2 + wd] = x
+    wp = wd + kw - 1
+    top, left = (kh - 1, kw - 1) if full else (kh // 2, kw // 2)
+    rows = h + 2 * top
+    xp = np.zeros((n, c, rows * wp + kw - 1), dtype=dtype)
+    xp[:, :, :rows * wp].reshape(n, c, rows, wp)[:, :, top:top + h, left:left + wd] = x
     return xp
 
 
-def _windows(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """The kh*kw shifted h x w slices of padded images xp, copied out as (B, C*kh*kw, h*w)."""
-    n, c, hp, wp = xp.shape
-    h, wd = hp - kh + 1, wp - kw + 1
-    cols = np.empty((n, c, kh, kw, h, wd), dtype=xp.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i:i + h, j:j + wd]
-    return cols.reshape(n, -1, h * wd)
+def _taps(xp: np.ndarray, kh: int, kw: int, wp: int, length: int) -> np.ndarray:
+    """All kh*kw taps of flat buffers xp (B, C, L) as one read-only strided view (B, C, kh, kw, length).
+
+    Entry p of tap (i, j) is ``xp[:, :, i * Wp + j + p]``: no copy is made.
+    The view is built on xp's buffer, which numpy checks it stays within.
+    (``as_strided`` leaves a ~1 MB block allocated for good after its first
+    ten thousand or so calls, which stops the heap from shrinking.)
+    """
+    sb, sc, s = xp.strides
+    taps = np.ndarray(xp.shape[:2] + (kh, kw, length), xp.dtype, xp, 0, (sb, sc, wp * s, s, s))
+    taps.flags.writeable = False
+    return taps
+
+
+def _windows(xp: np.ndarray, kh: int, kw: int, h: int, wd: int) -> np.ndarray:
+    """The kh*kw shifted h x w windows of flat padded images xp, copied out in one pass as (B, C*kh*kw, h*w).
+
+    The rows of (c, i, j) are in the kernel's own order, so one GEMM
+    with the (O, C*kh*kw) kernel, or its transpose, contracts them.
+    """
+    n, c, _ = xp.shape
+    wp = wd + kw - 1
+    cols = np.empty((n, c * kh * kw, h * wd), dtype=xp.dtype)
+    taps = _taps(xp, kh, kw, wp, h * wp).reshape(n, c, kh, kw, h, wp)[..., :wd]
+    cols.reshape(taps.shape)[...] = taps
+    return cols
 
 
 def _correlate(x: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Zero-padded same-size correlation without bias; x (B,C,H,W), w (O,C,kh,kw).
 
-    One batched GEMM over all B images, on the side with fewer channels:
-    for C <= O the (O, C*kh*kw) kernel times the shifted input slices,
-    written into ``out``; for C > O the (O*kh*kw, C) kernel times the
-    padded input, whose shifted slices are then summed into ``out``.
-    The padded input and the windows or projection are temporaries of
-    batch size: callers that need them small pass few images.
+    x is padded once into the flat buffer of :func:`_flat_padded`.  Then
+    one batched GEMM covers all B images, on the side with fewer
+    channels.  For C <= O the (O, C*kh*kw) kernel multiplies the
+    windows, copied out of the buffer in one strided pass, and writes
+    into ``out``.  For C > O the (O*kh*kw, C) kernel multiplies the
+    buffer itself; the kh*kw shifted slices of that projection, each
+    one contiguous slice of H rows of W + kw - 1 values, are added in
+    (i, j) order into one zeroed accumulator, whose first W columns are
+    copied into ``out``.  Either way the terms of each output value are
+    taken in the kernel's (c, i, j) order, so the result does not depend
+    on the padding layout.  The buffer, the windows or the projection,
+    and the accumulator are temporaries of batch size: callers that need
+    them small pass few images.  The buffer is freed before the
+    accumulator is made.
     """
     n, c, h, wd = x.shape
     o, _, kh, kw = w.shape
     dtype = np.result_type(x, w)
-    xp = _padded(x, kh, kw, dtype)
+    wp = wd + kw - 1
+    xp = _flat_padded(x, kh, kw, dtype)
     if out is None:
         out = np.empty((n, o, h, wd), dtype=dtype)
     if c <= o:
-        np.matmul(w.reshape(o, -1), _windows(xp, kh, kw), out=out.reshape(n, o, -1))
+        np.matmul(w.reshape(o, -1), _windows(xp, kh, kw, h, wd), out=out.reshape(n, o, -1))
         return out
-    proj = np.matmul(w.transpose(0, 2, 3, 1).reshape(-1, c), xp.reshape(n, c, -1))
-    proj = proj.reshape((n, o, kh, kw) + xp.shape[2:])
-    out[...] = 0.0
+    proj = np.matmul(w.transpose(0, 2, 3, 1).reshape(-1, c), xp).reshape(n, o, kh, kw, -1)
+    del xp
+    acc = np.zeros((n, o, h * wp), dtype=dtype)
     for i in range(kh):
         for j in range(kw):
-            out += proj[:, :, i, j, i:i + h, j:j + wd]
+            acc += proj[:, :, i, j, i * wp + j:i * wp + j + h * wp]
+    del proj
+    out[...] = acc.reshape(n, o, h, wp)[..., :wd]
     return out
 
 
@@ -144,28 +197,42 @@ def conv2d_same_backward(x: np.ndarray, w: np.ndarray, grad_out: np.ndarray,
                          out: np.ndarray | None = None, grad_input: bool = True):
     """Gradients of a same-size correlation: returns (g_x, g_w, g_b).
 
+    x is padded once into the flat buffer of :func:`_flat_padded`, and
     g_w is one batched GEMM over all B images, whose per-image products
-    are summed over the images in batch order: ``grad_out`` times the
-    input windows when C <= O, or, when C > O, a padded canvas holding
-    ``grad_out`` at each of the kh*kw offsets times the padded input.
-    g_x is :func:`_correlate` of ``grad_out`` with the flipped,
-    transposed kernel, written into ``out`` if given; it comes after
-    every read of ``x``, so ``out`` may be ``x``.  With
-    ``grad_input=False`` it is not computed and None is returned in its
-    place.
+    are summed over the images in batch order.  When C <= O it is
+    ``grad_out`` times the windows that :func:`_correlate` builds.  When
+    C > O it is a canvas holding ``grad_out`` at each of the kh*kw
+    offsets of the padded image times that buffer: ``grad_out`` is
+    padded once for a full correlation and the canvas is copied out of
+    it in one strided pass, its taps read in reverse.  Either way the
+    GEMM's rows are in the kernel's (c, i, j) order and its columns run
+    over the pixels of the padded image row by row.  g_x is
+    :func:`_correlate` of ``grad_out`` with the flipped, transposed
+    kernel, written into ``out`` if given; it comes after every read of
+    ``x``, so ``out`` may be ``x``.  With ``grad_input=False`` it is not
+    computed and None is returned in its place.  Every temporary is of
+    batch size, as in :func:`_correlate`, and is freed as soon as it has
+    been read: the buffer and the canvas before g_x's own temporaries
+    are made.
     """
     _check_conv_shapes(x, w)
     n, c, h, wd = x.shape
     o, _, kh, kw = w.shape
-    xp = _padded(x, kh, kw, np.result_type(x, grad_out))
+    dtype = np.result_type(x, grad_out)
+    wp = wd + kw - 1
+    xp = _flat_padded(x, kh, kw, dtype)
     if c <= o:
-        prod = np.matmul(grad_out.reshape(n, o, -1), _windows(xp, kh, kw).transpose(0, 2, 1))
+        prod = np.matmul(grad_out.reshape(n, o, -1), _windows(xp, kh, kw, h, wd).transpose(0, 2, 1))
     else:
-        canvas = np.zeros((n, o, kh, kw) + xp.shape[2:], dtype=xp.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                canvas[:, :, i, j, i:i + h, j:j + wd] = grad_out
-        prod = np.matmul(canvas.reshape(n, o * kh * kw, -1), xp.reshape(n, c, -1).transpose(0, 2, 1))
+        size = (h + kh - 1) * wp
+        # canvas tap (i, j) holds grad_out i rows and j columns down: that is the full-padded
+        # grad_out's tap (kh - 1 - i, kw - 1 - j)
+        taps = _taps(_flat_padded(grad_out, kh, kw, dtype, full=True), kh, kw, wp, size)
+        canvas = taps[:, :, ::-1, ::-1].reshape(n, o * kh * kw, size)
+        del taps
+        prod = np.matmul(canvas, xp[:, :, :size].transpose(0, 2, 1))
+        del canvas
+    del xp
     grad_w = prod.sum(axis=0)
     if c <= o:
         grad_w = grad_w.reshape(w.shape)
@@ -306,11 +373,15 @@ def _stage_blocks(stage: ConvStage, feats: np.ndarray):
     An image of H x W pixels is charged (2*hidden + C_in*kh*kw)*H*W
     values: its hidden layer (hidden channels), plus the largest
     temporaries of the stage's convolutions, those of g_feats in the
-    backward: the zero-bordered hidden gradient (hidden channels) and
-    its projection onto the C_in input channels at each of the kh*kw
-    offsets.  At 8 hidden channels, 2 inputs and a 3x3 kernel that is
-    34 values per pixel: one float64 image per block at 64x64, 15 at
-    16x16.
+    backward: the flat zero-bordered hidden gradient (hidden channels)
+    and its projection onto the C_in input channels at each of the kh*kw
+    offsets, which exist together during that GEMM.  The buffer is freed
+    before the C_in-channel accumulator of the shifted sums is made, so
+    that accumulator never adds to this peak.  The borders and slack,
+    (H + kh - 1)(W + kw - 1) + kw - 1 values per channel in place of
+    H*W, are not charged.  At 8 hidden channels, 2 inputs and a 3x3
+    kernel that is 34 values per pixel: one float64 image per block at
+    64x64, 15 at 16x16.
     """
     n, c_in, h, wd = feats.shape
     hidden, _, kh, kw = stage.w1.shape
@@ -334,10 +405,14 @@ def stage_forward(stage: ConvStage, feats: np.ndarray, gamma_img: np.ndarray):
     ReLUs and the residual are applied in place on the conv outputs,
     whose pre-activation values are never read again: the backward takes
     each ReLU's mask from its output, since relu(z) > 0 exactly where
-    z > 0.  The cached gamma_new is the returned array itself, so the
-    cache holds no extra copy of it; callers must not write into it.
+    z > 0.  The output is a transposed view of a (B, G_D, G_A) buffer,
+    so :func:`image_to_vec` of it is a view, not a copy.  The cached
+    gamma_new is the returned array itself, so the cache, the (G, B)
+    gamma that :func:`mstep_forward` returns and whatever keeps that
+    share one buffer; callers must not write into it.
     """
-    out = np.empty(gamma_img.shape, dtype=np.result_type(feats, stage.w1, stage.w2))
+    n, ga, gd = gamma_img.shape
+    out = np.empty((n, gd, ga), dtype=np.result_type(feats, stage.w1, stage.w2)).transpose(0, 2, 1)
     for blk in _stage_blocks(stage, feats):
         ob = out[blk]
         np.add(conv2d_same(_hidden(stage, feats[blk]), stage.w2, stage.b2)[:, 0], gamma_img[blk], out=ob)
@@ -359,10 +434,15 @@ def stage_backward(stage: ConvStage, cache, g_gamma_new: np.ndarray, grad_input:
     g_gamma_prev do not depend on the blocking, the weight gradients
     only to rounding.  With ``grad_input=False`` g_feats, one conv of
     the hidden gradient, is not computed and is None: the first stage's
-    features lead only to the start state.
+    features lead only to the start state.  The returned g_gamma_prev is
+    the C-order gradient of conv2's output, which each block passes on
+    as its ``grad_out``; :func:`~squintsbl.training.unroll_backward`
+    frees it and g_feats as soon as it has read them.
     """
     feats, out = cache
-    g_pre2 = g_gamma_new * (out > 0)
+    # C order, whatever out's layout: g_b2 sums it in memory order, so the bias gradient does not
+    # depend on how the stage stores gamma
+    g_pre2 = np.multiply(g_gamma_new, out > 0, order="C")
     g_feats = np.empty(feats.shape, dtype=np.result_type(feats, stage.w1)) if grad_input else None
     grads = {name: np.zeros_like(getattr(stage, name)) for name in _PARAM_NAMES}
     for blk in _stage_blocks(stage, feats):

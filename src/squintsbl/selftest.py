@@ -228,12 +228,12 @@ def check_channel_normalization() -> str:
 
 
 def check_stage_gradients() -> str:
-    """Convolutional refiner backward against central differences."""
+    """Convolutional refiner backward against central differences, on a non-square 8x6 image."""
     rng = np.random.default_rng(23)
     stage = init_stage(rng)
-    feats = rng.standard_normal((2, 2, 8, 8))
-    gimg = rng.uniform(0.1, 1.0, (2, 8, 8))
-    target = rng.standard_normal((2, 8, 8))
+    feats = rng.standard_normal((2, 2, 8, 6))
+    gimg = rng.uniform(0.1, 1.0, (2, 8, 6))
+    target = rng.standard_normal((2, 8, 6))
 
     def loss() -> float:
         out, _ = stage_forward(stage, feats, gimg)

@@ -194,9 +194,11 @@ def unroll_forward(op: MeasurementOperator, y: np.ndarray, sigma2: float,
     Iteration 1 keeps only its stage's cache: the backward ends at that
     stage's weight gradients, so its E-step cache ``"e"`` and features'
     mean ``"mu"`` are dropped as soon as the step returns.  At the
-    default size and B = 128 every later AMP iteration holds about 54 MB,
-    so the graph is about (depth - 1) x 54 MB (482 MB at depth 10); the
-    stage keeps no hidden layer, which its backward rebuilds.  An exact
+    default size and B = 128 every later AMP iteration holds about 49 MB,
+    so the graph is about (depth - 1) x 49 MB (445 MB at depth 10); the
+    stage keeps no hidden layer, which its backward rebuilds, and its
+    cached output is the memory of the refined gamma that the next
+    E-step's cache keeps, not a copy of it.  An exact
     iteration keeps only gamma, sigma^2, u and d, and the backward
     rebuilds each column's S^-1.
     """
@@ -221,6 +223,12 @@ def unroll_backward(op: MeasurementOperator, caches: list, g_x: np.ndarray,
     features and E-step lead only to the flat-prior start state, which
     has no weights, so their backward, and that stage's feature gradient,
     are never computed, and :func:`unroll_forward` keeps no cache for them.
+    Within an iteration, each gradient is freed once read: the incoming
+    gamma gradient once the stage backward has taken it, the stage's
+    g_feats once the features backward has, that backward's g_mu and
+    g_tau once added in, and the stage's gamma-gradient image once
+    flattened, all before the same iteration's E-step backward, which
+    sets the backward's peak.
     """
     ga, gd = op.a.shape[2], op.delay.shape[1]
     depth = len(caches)
@@ -233,16 +241,19 @@ def unroll_backward(op: MeasurementOperator, caches: list, g_x: np.ndarray,
         cache = caches.pop()
         it = cache["it"]
         if it < depth:
-            g_img = vec_to_image(g_gamma, ga, gd)
-            g_feats, g_prev_img, grads[it - 1] = stage_backward(net.stages[it - 1], cache["stage"], g_img,
-                                                                grad_input=it > 1)
+            g_feats, g_prev_img, grads[it - 1] = stage_backward(
+                net.stages[it - 1], cache["stage"], vec_to_image(g_gamma, ga, gd), grad_input=it > 1)
+            del g_gamma
             if it == 1:
                 break
             gm, gt = batch_features_backward(g_feats, cache["mu"])
+            del g_feats
             # after the last E-step's backward, g_mu and g_tau are this loop's own arrays
             g_mu += gm
             g_tau += gt
+            del gm, gt
             g_gamma_res = image_to_vec(g_prev_img)
+            del g_prev_img
         else:
             g_gamma_res = 0.0
         amp, ec = cache["e_step"] == "amp", cache["e"]

@@ -120,6 +120,29 @@ def test_conv2d_shift_kernel_interior(rng):
     assert np.allclose(out[0, 0, 0, :], 0.0)
 
 
+@pytest.mark.parametrize("cin", [1, 2], ids=["windows", "projection"])
+@pytest.mark.parametrize("axis,step", [(0, 1), (0, -1), (1, 1), (1, -1)],
+                         ids=["angular+1", "angular-1", "delay+1", "delay-1"])
+def test_conv2d_one_hot_tap_moves_vector_entries(cin, axis, step):
+    """On a G_A x G_D image of a coefficient vector, a one-hot angular tap moves entry m to m + step
+    within its delay column, and a one-hot delay tap moves it to m + step * G_A; zeros come in at
+    the grid's edge.  Both sides of the channel rule, on a non-square grid."""
+    ga, gd = 5, 7
+    v = np.arange(1.0, ga * gd + 1.0)[:, None]
+    x = np.zeros((1, cin, ga, gd))
+    x[:, 0] = vec_to_image(v, ga, gd)
+    w = np.zeros((1, cin, 3, 3))
+    tap = [1, 1]
+    tap[axis] += step
+    w[(0, 0) + tuple(tap)] = 1.0
+    got = image_to_vec(conv2d_same(x, w, np.zeros(1))[:, 0])[:, 0]
+    m = np.arange(ga * gd)
+    index = (m % ga, m // ga)[axis] + step
+    inside = (0 <= index) & (index < (ga, gd)[axis])
+    want = np.where(inside, v[np.clip(m + step * (1, ga)[axis], 0, ga * gd - 1), 0], 0.0)
+    assert np.array_equal(got, want)
+
+
 @conv_channels
 @conv_batches
 @conv_shapes
@@ -288,30 +311,32 @@ def test_stage_forward_relu_clamps(rng):
 
 
 def test_stage_backward_finite_difference(rng):
-    st0 = init_stage(rng)
-    feats = rng.standard_normal((2, 2, 6, 6))
-    gamma = rng.uniform(0.5, 1.5, (2, 6, 6))
-    g_out = rng.standard_normal((2, 6, 6))
-    out, cache = stage_forward(st0, feats, gamma)
-    g_feats, g_gamma, grads = stage_backward(st0, cache, g_out)
-    h = 1e-6
+    """Against central differences, on a square and on a non-square image."""
+    for shape in ((6, 6), (6, 5)):
+        st0 = init_stage(rng)
+        feats = rng.standard_normal((2, 2) + shape)
+        gamma = rng.uniform(0.5, 1.5, (2,) + shape)
+        g_out = rng.standard_normal((2,) + shape)
+        out, cache = stage_forward(st0, feats, gamma)
+        g_feats, g_gamma, grads = stage_backward(st0, cache, g_out)
+        h = 1e-6
 
-    def loss():
-        return float(np.sum(stage_forward(st0, feats, gamma)[0] * g_out))
+        def loss():
+            return float(np.sum(stage_forward(st0, feats, gamma)[0] * g_out))
 
-    for arr, grad in ((st0.w1, grads.w1), (st0.b1, grads.b1),
-                      (st0.w2, grads.w2), (st0.b2, grads.b2),
-                      (feats, g_feats), (gamma, g_gamma)):
-        flat, gflat = arr.ravel(), np.asarray(grad).ravel()
-        for t in range(0, flat.size, max(1, flat.size // 8)):
-            orig = flat[t]
-            flat[t] = orig + h
-            up = loss()
-            flat[t] = orig - h
-            dn = loss()
-            flat[t] = orig
-            fd = (up - dn) / (2 * h)
-            assert abs(fd - gflat[t]) < 1e-5 * max(1.0, abs(fd))
+        for arr, grad in ((st0.w1, grads.w1), (st0.b1, grads.b1),
+                          (st0.w2, grads.w2), (st0.b2, grads.b2),
+                          (feats, g_feats), (gamma, g_gamma)):
+            flat, gflat = arr.ravel(), np.asarray(grad).ravel()
+            for t in range(0, flat.size, max(1, flat.size // 8)):
+                orig = flat[t]
+                flat[t] = orig + h
+                up = loss()
+                flat[t] = orig - h
+                dn = loss()
+                flat[t] = orig
+                fd = (up - dn) / (2 * h)
+                assert abs(fd - gflat[t]) < 1e-5 * max(1.0, abs(fd)), shape
 
 
 def test_network_create_and_append(rng):
@@ -424,26 +449,32 @@ def test_batch_features_backward_finite_difference(rng):
 def test_mstep_forward_matches_stage(rng):
     """The learned update is features, then the iteration's stage, then gamma in its input shape.
 
-    A one-column call equals column 0 of a three-column call bit for bit.
+    It equals the direct convolutions on the statistics' images, also on a
+    grid with G_A != G_D.  A one-column call equals column 0 of a
+    three-column call bit for bit.
     """
-    cfg = desk_config()
-    ga, gd = cfg.grid_angular, cfg.grid_delay
-    net = MStepNet.create(2, rng)
-    mu = crandn(rng, cfg.grid_total, 3)
-    tau = rng.uniform(0, 1, (cfg.grid_total, 3))
-    gamma = rng.uniform(0.1, 1.0, (cfg.grid_total, 3))
-    for it in (1, 2):
-        out, cache = mstep_forward(net, it, mu, tau, gamma, ga, gd)
-        ref, ref_cache = stage_forward(net.stages[it - 1], build_features(mu, tau, ga, gd),
-                                       vec_to_image(gamma, ga, gd))
-        assert out.shape == gamma.shape
-        assert np.array_equal(out, image_to_vec(ref))
-        assert all(np.array_equal(a, b) for a, b in zip(cache, ref_cache))
-        single, _ = mstep_forward(net, it, mu[:, :1], tau[:, :1], gamma[:, :1], ga, gd)
-        assert single.shape == (cfg.grid_total, 1)
-        assert np.array_equal(single, out[:, :1])
-    with pytest.raises(ValueError):
-        mstep_forward(net, 3, mu, tau, gamma, ga, gd)
+    for cfg in (desk_config(), desk_config(grid_angular=8)):
+        ga, gd = cfg.grid_angular, cfg.grid_delay
+        net = MStepNet.create(2, rng)
+        mu = crandn(rng, cfg.grid_total, 3)
+        tau = rng.uniform(0, 1, (cfg.grid_total, 3))
+        gamma = rng.uniform(0.1, 1.0, (cfg.grid_total, 3))
+        feats = np.stack([vec_to_image(np.abs(mu) ** 2, ga, gd), vec_to_image(tau, ga, gd)], axis=1)
+        for it in (1, 2):
+            stage = net.stages[it - 1]
+            out, cache = mstep_forward(net, it, mu, tau, gamma, ga, gd)
+            ref, ref_cache = stage_forward(stage, build_features(mu, tau, ga, gd), vec_to_image(gamma, ga, gd))
+            assert out.shape == gamma.shape
+            assert np.array_equal(out, image_to_vec(ref))
+            assert all(np.array_equal(a, b) for a, b in zip(cache, ref_cache))
+            hidden = np.maximum(naive_conv2d_same(feats, stage.w1, stage.b1), 0.0)
+            direct = np.maximum(vec_to_image(gamma, ga, gd) + naive_conv2d_same(hidden, stage.w2, stage.b2)[:, 0], 0.0)
+            assert np.allclose(vec_to_image(out, ga, gd), direct, rtol=1e-12, atol=1e-12), (ga, gd)
+            single, _ = mstep_forward(net, it, mu[:, :1], tau[:, :1], gamma[:, :1], ga, gd)
+            assert single.shape == (cfg.grid_total, 1)
+            assert np.array_equal(single, out[:, :1])
+        with pytest.raises(ValueError):
+            mstep_forward(net, 3, mu, tau, gamma, ga, gd)
 
 
 # ---- persistence ------------------------------------------------------------

@@ -182,6 +182,51 @@ def test_unroll_backward_consumes_caches(tiny_cfg, tiny_op, rng, e_step):
 
 
 @pytest.mark.parametrize("e_step", ["amp", "exact"])
+def test_unroll_forward_holds_each_refined_gamma_once(tiny_cfg, tiny_op, rng, e_step):
+    """The stage's cached output and the next E-step's cached gamma are one array's memory."""
+    net = MStepNet.create(2, np.random.default_rng(3))
+    _, caches = unroll_forward(tiny_op, crandn(rng, tiny_cfg.n_measurements, 3), 0.1, net, 3, e_step)
+    for i in (0, 1):
+        assert np.shares_memory(caches[i]["stage"][1], caches[i + 1]["e"]["gamma"]), i
+
+
+@pytest.mark.parametrize("e_step", ["amp", "exact"])
+def test_unroll_backward_frees_stage_gradients_before_the_e_step(tiny_cfg, tiny_op, rng, monkeypatch, e_step):
+    """When an iteration's E-step backward starts, its stage's g_feats and gamma-gradient image, and the
+    features backward's g_mu and g_tau, are already freed."""
+    refs, checked = [], []
+
+    def keep_refs(name, part):
+        real = getattr(training, name)
+
+        def wrapped(*args, **kwargs):
+            result = real(*args, **kwargs)
+            refs.extend(_array_refs(result[part]))
+            return result
+
+        monkeypatch.setattr(training, name, wrapped)
+
+    keep_refs("stage_backward", slice(2))  # g_feats and the gamma-gradient image; the weights' stay
+    keep_refs("batch_features_backward", slice(None))
+    for name in ("_amp_backward", "_exact_backward"):
+        real = getattr(training, name)
+
+        def e_backward(*a, real=real):
+            checked.append(len(refs))
+            assert not [r for r in refs if r() is not None]
+            return real(*a)
+
+        monkeypatch.setattr(training, name, e_backward)
+    depth = 4
+    net = MStepNet.create(depth - 1, np.random.default_rng(3))
+    x, caches = unroll_forward(tiny_op, crandn(rng, tiny_cfg.n_measurements, 2), 0.1, net, depth, e_step)
+    unroll_backward(tiny_op, caches, crandn(rng, *x.shape), net)
+    # the last iteration has no stage, so its E-step backward comes first; iterations depth - 1 .. 2
+    # each add two stage and two feature gradients before theirs
+    assert checked == [0, 4, 8]
+
+
+@pytest.mark.parametrize("e_step", ["amp", "exact"])
 def test_unroll_backward_skips_the_first_e_step(tiny_cfg, tiny_op, rng, monkeypatch, e_step):
     """The E-step backward runs depth - 1 times, and stage 1 builds no feature gradient: both lead only to
     the start state.  The weight gradients are those of a backward that builds every stage's."""
