@@ -59,9 +59,10 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _build_config(args):
-    from .config import SystemConfig, default_config, desk_config, noise_var_from_snr_db
+    """Flags over the --config file over the --scale baseline; ``SystemConfig.from_dict`` checks every key."""
+    from .config import SystemConfig, desk_config, noise_var_from_snr_db
 
-    overrides: dict = {}
+    values = desk_config().to_dict() if args.scale == "desk" else {}
     if args.config:
         try:
             file_vals = json.loads(Path(args.config).read_text())
@@ -69,24 +70,17 @@ def _build_config(args):
             raise ValueError(f"config file {args.config}: {exc}") from exc
         if not isinstance(file_vals, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
-        known = {f.name for f in dataclasses.fields(SystemConfig)}
-        unknown = set(file_vals) - known
-        if unknown:
-            raise ValueError(f"unknown config keys in {args.config}: {sorted(unknown)}")
-        overrides.update(file_vals)
+        values.update(file_vals)
 
     for f in dataclasses.fields(SystemConfig):
         value = getattr(args, f.name)
         if value is not None:
-            overrides[f.name] = value
+            values[f.name] = value
     if args.snr_db is not None:
         if args.noise_var is not None:
             raise ValueError("--snr-db and --noise-var are two spellings of the same key; give one")
-        overrides["noise_var"] = noise_var_from_snr_db(args.snr_db)
-
-    if args.scale == "desk":
-        return desk_config(**overrides)
-    return default_config(**overrides)
+        values["noise_var"] = noise_var_from_snr_db(args.snr_db)
+    return SystemConfig.from_dict(values)
 
 
 def _parse_points(text: str) -> list[float]:
@@ -195,11 +189,12 @@ def _cmd_train(args) -> int:
     sizes = _parse_sizes(args.sizes, args.scale)
     train_cfg = TrainConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)})
     initial = load_checkpoint(args.resume) if args.resume else None
+    # the operator rejects a bad geometry before any channel is drawn
+    op = standard_operator(cfg)
     start = time.perf_counter()
     datasets = generate_splits(cfg, sizes)
     _echo(f"drew {'/'.join(map(str, sizes))} train/val/test channels in {time.perf_counter() - start:.2f} s "
           f"(config {cfg.config_hash()} seed {cfg.rng_seed})")
-    op = standard_operator(cfg)
     net, report = train_layerwise(train_cfg, cfg, op, datasets, initial_net=initial)
 
     out = Path(args.out)

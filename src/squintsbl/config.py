@@ -48,6 +48,11 @@ def spawn_rng(root_seed: int, stream: str, *indices: int) -> np.random.Generator
     return np.random.default_rng(np.random.SeedSequence(root_seed, spawn_key=key))
 
 
+def complex_normal(rng: np.random.Generator, shape, var: float) -> np.ndarray:
+    """Circular complex Gaussian entries of variance ``var``, the real parts of all drawn first."""
+    return np.sqrt(var / 2.0) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
 def _key(default, text: str):
     """A config field with its default and ``text``, the help line of the flag it becomes."""
     return dataclasses.field(default=default, metadata={"help": text})

@@ -45,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import SystemConfig
+from .config import SystemConfig, complex_normal
 from .dictionaries import DictionarySet, analyze, synthesize
 
 
@@ -296,7 +296,6 @@ def observe_and_transform(op: MeasurementOperator, h: np.ndarray, rng: np.random
     """
     cfg, comb = op.config, op.combiner
     n, q_uses, k = cfg.n_antennas, cfg.n_uses, cfg.n_subcarriers
-    sigma = np.sqrt(cfg.noise_var / 2.0)
-    noise = sigma * (rng.standard_normal((q_uses, n, k)) + 1j * rng.standard_normal((q_uses, n, k)))
+    noise = complex_normal(rng, (q_uses, n, k), cfg.noise_var)
     y_tone = comb.w_bar.reshape(q_uses, -1, n) @ (h + noise)         # (Q, n_rf, K)
     return y_tone.reshape(-1, k).ravel(order="F")

@@ -13,9 +13,10 @@ implementation, shared by inference and training:
   the posterior of the whitened system (y, Phi).  At the flat start
   prior S is diagonal, since the rotated rows are orthogonal, and is
   solved without a factor; on the last iteration only the mean is
-  computed.  Its LAPACK and BLAS calls come from scipy.linalg, which is
-  imported at the first factored solve, not with this module, so an
-  AMP-only process never loads it.
+  computed.  Its Gram and ``diag_quad`` products are numpy matmuls; only
+  the Cholesky factor, the solve and the inverse (potrf, potrs, potri)
+  come from scipy.linalg, which is imported at the first factored solve,
+  not with this module, so an AMP-only process never loads it.
 * ``amp_e_step`` is the low-cost message-passing recursion on the same
   rotated system, with every product by A, A^H, |A|^2 or its transpose
   taken from the operator's per-tone factors.  Its final shrinkage

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import generate_dataset
-from .config import SPLIT_IDS, SystemConfig, provenance_line, spawn_rng
+from .config import SPLIT_IDS, SystemConfig, complex_normal, provenance_line, spawn_rng
 from .dictionaries import DictionarySet, error_ratios, reconstruct_adjoint, reconstruct_channel
 from .measurement import MeasurementOperator
 from .mstep import (
@@ -131,7 +131,7 @@ def write_report_csv(report: TrainReport, path, cfg: SystemConfig, train_cfg: Tr
 
 # ---- dataset plumbing -------------------------------------------------------
 
-def generate_splits(cfg: SystemConfig, sizes: tuple[int, int, int] = (8000, 1000, 1000)):
+def generate_splits(cfg: SystemConfig, sizes: tuple[int, int, int]):
     """Draw disjoint train/val/test channel sets, each (n, N, K) (noise is drawn later)."""
     return (
         generate_dataset(cfg, sizes[0], "train"),
@@ -163,14 +163,9 @@ def _prepare_split(channels: np.ndarray, split: str, op: MeasurementOperator, si
         cols = []
         for i in range(h.shape[-1]):
             rng = spawn_rng(cfg.rng_seed, "eval-noise", split_id, i)
-            cols.append(_complex_noise(rng, y_clean.shape[0], sigma2))
+            cols.append(complex_normal(rng, y_clean.shape[0], sigma2))
         noise = np.stack(cols, axis=-1)
     return _Split(h=h, y_clean=y_clean, noise=noise)
-
-
-def _complex_noise(rng: np.random.Generator, n: int, sigma2: float) -> np.ndarray:
-    scale = np.sqrt(sigma2 / 2.0)
-    return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
 # ---- unrolled forward/backward ----------------------------------------------
@@ -277,7 +272,7 @@ def _batch_obs(split: _Split, idx, sigma2, rng: np.random.Generator | None) -> n
     """Whitened measurements (M, len(idx)): fresh noise from ``rng``, else the split's fixed noise."""
     y = split.y_clean[:, idx]
     if rng is not None:
-        return y + _complex_noise(rng, y.size, sigma2).reshape(y.shape, order="F")
+        return y + complex_normal(rng, y.size, sigma2).reshape(y.shape, order="F")
     return y + split.noise[:, idx]
 
 

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import squintsbl
-from squintsbl import evaluation
-from squintsbl.cli import _parse_points, build_parser, main
+from squintsbl import evaluation, training
+from squintsbl.cli import _build_config, _parse_points, build_parser, main
 from squintsbl.config import SystemConfig, desk_config, provenance_line
 from squintsbl.data_io import load_container, save_container
 from squintsbl.evaluation import ALGORITHMS, SWEEP_AXES, Algorithm, flops_per_iteration, standard_operator
@@ -91,6 +91,22 @@ def test_config_file_with_bad_value_is_an_error(tmp_path, capsys):
     assert main(["flops", "--config", str(cfg_file)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "bandwidth" in err
+
+
+def test_config_file_with_unknown_key_is_an_error(tmp_path, capsys):
+    cfg_file = tmp_path / "f.json"
+    cfg_file.write_text(json.dumps({"n_antennas": 8, "n_antenas": 8}))
+    assert main(["flops", "--config", str(cfg_file)]) == 1
+    assert capsys.readouterr().err == "error: unknown config keys: ['n_antenas']\n"
+
+
+@pytest.mark.parametrize("scale, base", [("default", SystemConfig), ("desk", desk_config)])
+def test_flag_over_file_over_scale(scale, base, tmp_path):
+    cfg_file = tmp_path / "f.json"
+    cfg_file.write_text(json.dumps({"n_antennas": 8, "grid_angular": 8, "noise_var": 1}))
+    args = build_parser().parse_args(["flops", "--scale", scale, "--config", str(cfg_file),
+                                      "--grid-angular", "12", "--snr-db", "20"])
+    assert _build_config(args) == base(n_antennas=8, grid_angular=12, noise_var=0.01)
 
 
 def _actions(command: str) -> dict:
@@ -196,6 +212,18 @@ def test_train_rejects_bad_sizes(sizes, expected, tmp_path, capsys):
     """A malformed --sizes ends train with error: and exit 1, before any split is drawn or file written."""
     assert main(["train", "--scale", "desk", "--sizes", sizes, "--depth", "2", "--out", str(tmp_path / "run")]) == 1
     assert capsys.readouterr().err == f"error: {expected}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_rejects_a_short_delay_grid_before_drawing_splits(tmp_path, monkeypatch, capsys):
+    """The operator checks the geometry first, so no channel is drawn for a run that cannot train."""
+    def draw(*args):
+        raise AssertionError("generate_splits ran before the operator checked the geometry")
+
+    monkeypatch.setattr(training, "generate_splits", draw)
+    assert main(["train", "--scale", "desk", "--grid-delay", "4", "--depth", "2", "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "grid_delay=4" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -400,6 +428,16 @@ def test_package_import_defaults_to_one_blas_thread(preset, expected):
     code = "import os, squintsbl; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == str(expected)
+
+
+def test_package_import_loads_no_module():
+    """The package sets the thread default only: no submodule, no numpy; names come from their modules."""
+    src = Path(squintsbl.__file__).resolve().parents[1]
+    env = {"PATH": os.environ.get("PATH", ""), "PYTHONPATH": str(src)}
+    code = ("import sys, squintsbl; "
+            "print(sorted(m for m in sys.modules if m.startswith(('squintsbl', 'numpy', 'scipy'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "['squintsbl']"
 
 
 @pytest.mark.parametrize("command", [["evaluate", "--algos", "sbl,amp-sbl"],

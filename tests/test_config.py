@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from squintsbl.config import (
     SystemConfig,
+    complex_normal,
     default_config,
     desk_config,
     noise_var_from_snr_db,
@@ -138,3 +139,11 @@ def test_spawn_rng_streams_independent():
 def test_spawn_rng_rejects_unknown_stream():
     with pytest.raises(ValueError):
         spawn_rng(2024, "not-a-stream", 0)
+
+
+def test_complex_normal_draws_real_parts_first():
+    """All real parts, then all imaginary parts, scaled by sqrt(var / 2): the noise streams keep their bits."""
+    z = complex_normal(np.random.default_rng(5), (3, 4), 0.3)
+    rng = np.random.default_rng(5)
+    re, im = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+    assert np.array_equal(z, np.sqrt(0.15) * (re + 1j * im))

@@ -300,6 +300,29 @@ def test_exact_posterior_variance_bounded_by_prior(seed):
     assert np.all(tau[:, 0] <= gamma + 1e-12)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="amp_e_step shrinks with q / (1 + tau_q gamma), taking gamma as a precision")
+def test_amp_e_step_fixed_point_is_the_exact_posterior_mean(rng):
+    """Under a fixed non-unit gamma, iterated AMP reaches the exact posterior mean.
+
+    With a Gaussian prior every AMP fixed point has the exact mean; the
+    variance form gamma q / (gamma + tau_q) lands within ~1e-15 here, and
+    today's precision form misses by more than half.  tau is not compared:
+    on a finite Gaussian Phi, AMP's tau is not the exact marginal variance.
+    """
+    m, g, sigma2 = 64, 128, 0.1
+    phi = crandn(rng, m, g)
+    phi /= np.linalg.norm(phi, axis=0)
+    gamma = rng.uniform(0.2, 3.0, (g, 1))
+    y = phi @ (np.sqrt(gamma / 2) * crandn(rng, g, 1)) + np.sqrt(sigma2 / 2) * crandn(rng, m, 1)
+    op = operator_from_matrix(phi)
+    mu_exact = exact_e_step(op, y, sigma2, init_state(gamma, m))[0]
+    state = init_state(gamma, m)
+    for _ in range(200):
+        state.mu, state.tau_x, state.s, _ = amp_e_step(op, y, sigma2, state)
+    assert np.max(np.abs(state.mu - mu_exact)) <= 1e-10 * np.max(np.abs(mu_exact))
+
+
 def test_amp_e_step_nonfinite_guard(rng):
     """A zero dictionary column makes the variance line blow up: flagged."""
     phi = crandn(rng, 4, 6)
