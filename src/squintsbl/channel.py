@@ -1,10 +1,10 @@
 """Clustered wideband channel simulation for a half-wavelength ULA.
 
 The frequency-selective channel is a sum of N_c * N_p subpaths grouped
-in clusters.  Each subpath has a complex gain, a delay, and an angle;
-the array response at tone frequency f uses the squinted argument
-(f / f_c) * sin(theta), so the spatial signature drifts across the
-band instead of staying fixed at the carrier value.
+in clusters.  A draw (:class:`PathSet`) is each subpath's complex gain,
+delay and angle; the array response at tone frequency f uses the
+squinted argument (f / f_c) * sin(theta), so the spatial signature
+drifts across the band instead of staying fixed at the carrier value.
 
 ``build_channel`` takes one complex exponential per path and tone, the
 squint phasor z = e^{-j pi (f / f_c) sin(theta)}, and forms the array
@@ -28,20 +28,16 @@ from .config import SPLIT_IDS, SystemConfig, spawn_rng, subcarrier_freqs
 
 @dataclass
 class PathSet:
-    """All random parameters of one channel draw.
+    """The per-subpath parameters of one channel draw, all that ``build_channel`` reads.
 
-    Per-subpath arrays have length N_c * N_p with subpath p belonging to
-    cluster p // N_p.  ``delay`` is clamped at zero; the raw Laplacian
-    offsets are kept so the configured spreads remain observable.
+    Each array has length N_c * N_p, with subpath p in cluster p // N_p.
+    ``delay`` is clamped at zero.  The cluster means and offsets are not
+    kept: the spreads show in each cluster's scatter about its sample mean.
     """
 
     gain: np.ndarray          # complex, standard circular Gaussian
     delay: np.ndarray         # seconds, >= 0
     angle: np.ndarray         # radians
-    mean_angle: np.ndarray    # per cluster
-    mean_delay: np.ndarray    # per cluster
-    delta_angle: np.ndarray   # per subpath, before adding the cluster mean
-    delta_delay: np.ndarray   # per subpath, before clamping
 
 
 def _laplace(rng: np.random.Generator, scale: float, size) -> np.ndarray:
@@ -68,15 +64,7 @@ def draw_paths(cfg: SystemConfig, rng: np.random.Generator) -> PathSet:
     delay = np.maximum(mean_delay[:, None] + delta_delay, 0.0).ravel()
     p = cfg.n_paths
     gain = (rng.standard_normal(p) + 1j * rng.standard_normal(p)) / np.sqrt(2.0)
-    return PathSet(
-        gain=gain,
-        delay=delay,
-        angle=angle,
-        mean_angle=mean_angle,
-        mean_delay=mean_delay,
-        delta_angle=delta_angle.ravel(),
-        delta_delay=delta_delay.ravel(),
-    )
+    return PathSet(gain=gain, delay=delay, angle=angle)
 
 
 def phasor_powers(z: np.ndarray, n: int) -> np.ndarray:

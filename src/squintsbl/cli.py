@@ -183,13 +183,14 @@ def _parse_sizes(text: str | None, scale: str) -> tuple[int, int, int]:
 def _cmd_train(args) -> int:
     from .evaluation import standard_operator
     from .mstep import load_checkpoint, save_checkpoint
-    from .training import TrainConfig, generate_splits, train_layerwise, write_report_csv
+    from .training import TrainConfig, first_depth, generate_splits, train_layerwise, write_report_csv
 
     cfg = _build_config(args)
     sizes = _parse_sizes(args.sizes, args.scale)
     train_cfg = TrainConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)})
     initial = load_checkpoint(args.resume) if args.resume else None
-    # the operator rejects a bad geometry before any channel is drawn
+    # a checkpoint with no stage to add, and a bad geometry, are rejected before any channel is drawn
+    first_depth(initial, train_cfg.depth)
     op = standard_operator(cfg)
     start = time.perf_counter()
     datasets = generate_splits(cfg, sizes)

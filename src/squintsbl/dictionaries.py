@@ -5,7 +5,8 @@ angular grid that can either track each tone's frequency (scaled by
 f_k / f_c, so squinted far-field responses stay on-grid across the
 band) or stay fixed at the carrier value.  A coefficient matrix X of
 shape (G_A, G_D) is vectorized column by column: entry m of the vector
-is pixel (m mod G_A, m div G_A).
+is pixel (m mod G_A, m div G_A).  A :class:`DictionarySet` holds only
+the two dictionaries, whose shapes give K, N, G_A and G_D.
 
 The map from coefficients to a tone-stacked vector whose tone-k rows are
 kron(delay[k], blocks[k]) is written once, as :func:`synthesize` and its
@@ -38,16 +39,12 @@ def grid_points(g: int) -> np.ndarray:
 
 @dataclass
 class DictionarySet:
-    """Delay and per-tone angular dictionaries under one grid mode.
+    """Delay and per-tone angular dictionaries; their shapes give K, N, G_A and G_D.
 
-    Immutable after construction.
+    Immutable after construction; the grids and the mode are not kept.
     """
 
-    mode: str
-    config: SystemConfig
-    delay_grid: np.ndarray      # (G_D,)
     delay_dict: np.ndarray      # (K, G_D), column d is the response e^{-j pi k z_d} / K
-    angular_grids: np.ndarray   # (K, G_A), row k is tone k's grid
     angular_dicts: np.ndarray   # (K, N, G_A), slab k is tone k's dictionary
 
 
@@ -65,7 +62,6 @@ def build_dictionaries(cfg: SystemConfig, mode: str = FREQUENCY_DEPENDENT) -> Di
     if mode not in _MODES:
         raise ValueError(f"unknown dictionary mode {mode!r}; expected one of {_MODES}")
     base_a = grid_points(cfg.grid_angular)
-    base_d = grid_points(cfg.grid_delay)
     f = subcarrier_freqs(cfg)
     if mode == FREQUENCY_DEPENDENT:
         angular_grids = np.outer(f / cfg.center_freq, base_a)
@@ -74,11 +70,7 @@ def build_dictionaries(cfg: SystemConfig, mode: str = FREQUENCY_DEPENDENT) -> Di
     n, k = cfg.n_antennas, cfg.n_subcarriers
     angular = phasor_powers(np.exp(-1j * np.pi * angular_grids), n)   # (N, K, G_A), unscaled
     return DictionarySet(
-        mode=mode,
-        config=cfg,
-        delay_grid=base_d,
-        delay_dict=phasor_powers(np.exp(-1j * np.pi * base_d), k) / k,
-        angular_grids=angular_grids,
+        delay_dict=phasor_powers(np.exp(-1j * np.pi * grid_points(cfg.grid_delay)), k) / k,
         # tone-major slabs, scaled and laid out in one pass
         angular_dicts=np.multiply(angular.transpose(1, 0, 2), 1.0 / n, order="C"),
     )
@@ -151,9 +143,4 @@ def synthesis_matrix(dicts: DictionarySet) -> np.ndarray:
     angular_dicts[k]), consistent with column-stacked vectorization on
     both sides.
     """
-    cfg = dicts.config
-    blocks = [
-        np.kron(dicts.delay_dict[k, :], dicts.angular_dicts[k])
-        for k in range(cfg.n_subcarriers)
-    ]
-    return np.vstack(blocks)
+    return np.vstack([np.kron(d, psi) for d, psi in zip(dicts.delay_dict, dicts.angular_dicts)])

@@ -7,7 +7,7 @@ Cholesky factor, so measurements are taken through the whitened
 combiner W_bar_q = D_q^{-1} W_q: W_bar_q (h + n_q) = D_q^{-1} (W_q (h + n_q)),
 whose noise is white again, and every estimator can assume sigma^2 I.
 W_bar is formed once per combiner draw, so no measurement solves a
-triangular system, and this module needs no scipy.
+triangular system, D_q is not kept, and this module needs no scipy.
 
 The whitened sensing operator Phi maps angular-delay coefficients to the
 stacked measurement vector.  Its row block for tone k is
@@ -51,19 +51,16 @@ from .dictionaries import DictionarySet, analyze, synthesize
 
 @dataclass
 class PilotCombiner:
-    """Stacked one-bit combiner and its whitening factor.
+    """Stacked one-bit combiner and its whitened form.
 
     ``w`` is (Q*n_rf, N) with the per-use blocks stacked top to bottom.
-    ``w_bar = d^{-1} w`` is the whitened combiner that every measurement
-    is taken through, as W_bar (h + n).  ``d``, the lower-triangular
-    block Cholesky factor of the noise Gram blkdiag(W_q W_q^H), is kept
-    as the factor that checks ``w_bar``; nothing downstream solves with it.
+    ``w_bar`` stacks W_bar_q = D_q^{-1} W_q in the same order, with D_q
+    the Cholesky factor of W_q W_q^H: the whitened combiner that every
+    measurement is taken through, as W_bar (h + n).
     """
 
     w: np.ndarray
-    d: np.ndarray
     w_bar: np.ndarray
-    n_uses: int
 
 
 # Redraws allowed per pilot use before a combiner draw is a hard error.
@@ -71,16 +68,16 @@ _MAX_REDRAWS = 100
 
 
 def draw_combiner(cfg: SystemConfig, rng: np.random.Generator) -> PilotCombiner:
-    """Draw Q sign combiners and their whitening factor.
+    """Draw Q sign combiners and whiten each through its Cholesky factor.
 
     A use whose Gram W_q W_q^H fails Cholesky (possible when rows
     coincide up to sign, certain when n_rf > N) is redrawn up to
     ``_MAX_REDRAWS`` times before a hard error.  Each W_bar_q is solved
     from the n_rf x n_rf factor D_q just computed.
     """
-    n, n_rf, q_uses = cfg.n_antennas, cfg.n_rf, cfg.n_uses
-    blocks_w, blocks_d, blocks_w_bar = [], [], []
-    for _ in range(q_uses):
+    n, n_rf = cfg.n_antennas, cfg.n_rf
+    blocks_w, blocks_w_bar = [], []
+    for _ in range(cfg.n_uses):
         for _ in range(_MAX_REDRAWS + 1):
             w_q = (2.0 * rng.integers(0, 2, (n_rf, n)) - 1.0) / np.sqrt(n)
             gram = w_q @ w_q.T
@@ -97,12 +94,8 @@ def draw_combiner(cfg: SystemConfig, rng: np.random.Generator) -> PilotCombiner:
                 f"combiner redraw failed {_MAX_REDRAWS} times; n_rf={n_rf} may exceed n_antennas={n}"
             )
         blocks_w.append(w_q)
-        blocks_d.append(d_q)
         blocks_w_bar.append(np.linalg.solve(d_q, w_q))
-    d = np.zeros((q_uses * n_rf, q_uses * n_rf))
-    for q in range(q_uses):
-        d[q * n_rf : (q + 1) * n_rf, q * n_rf : (q + 1) * n_rf] = blocks_d[q]
-    return PilotCombiner(w=np.vstack(blocks_w), d=d, w_bar=np.vstack(blocks_w_bar), n_uses=q_uses)
+    return PilotCombiner(w=np.vstack(blocks_w), w_bar=np.vstack(blocks_w_bar))
 
 
 @dataclass
@@ -265,14 +258,17 @@ def assemble_operator(cfg: SystemConfig, comb: PilotCombiner, dicts: DictionaryS
     C_k's left singular vectors up to order and phase, and a full m x m
     unitary even when m > G_A, so the rotated system keeps all M rows.
     Neither V_k^H nor the singular values are formed; A = U^H Phi has
-    orthogonal rows all the same.  Raises ``ValueError`` when
+    orthogonal rows all the same.  Raises ``ValueError`` when an array's
+    shape is not the one ``cfg`` lays out, and when
     ``grid_delay < n_subcarriers``: the delay rows are then not
     orthogonal and the per-tone rotation does not diagonalize Phi Phi^H.
     """
-    if dicts.config.n_subcarriers != cfg.n_subcarriers or dicts.config.n_antennas != cfg.n_antennas:
-        raise ValueError("dictionary geometry does not match the config")
-    if comb.w.shape[1] != cfg.n_antennas:
-        raise ValueError("combiner width does not match n_antennas")
+    k, n = cfg.n_subcarriers, cfg.n_antennas
+    for name, got, want in (("combiner w_bar", comb.w_bar.shape, (cfg.n_uses * cfg.n_rf, n)),
+                            ("delay dictionary", dicts.delay_dict.shape, (k, cfg.grid_delay)),
+                            ("angular dictionaries", dicts.angular_dicts.shape, (k, n, cfg.grid_angular))):
+        if got != want:
+            raise ValueError(f"{name} has shape {got}; the config gives {want}")
     if cfg.grid_delay < cfg.n_subcarriers:
         raise ValueError(
             f"grid_delay={cfg.grid_delay} is below n_subcarriers={cfg.n_subcarriers}; the per-tone "

@@ -322,6 +322,14 @@ def _batch_gradients(net: MStepNet, split: _Split, idx: np.ndarray, op: Measurem
     return loss, unroll_backward(op, caches, g_x, net)
 
 
+def first_depth(initial_net: MStepNet | None, depth: int) -> int:
+    """First depth that growing ``initial_net`` (None: a new net) to ``depth`` trains; ValueError if none."""
+    first = 2 if initial_net is None else initial_net.n_stages + 2
+    if first > depth:
+        raise ValueError(f"checkpoint already serves depth {first - 1}; target depth {depth} adds no stages")
+    return first
+
+
 def train_layerwise(train_cfg: TrainConfig, sys_cfg: SystemConfig,
                     op: MeasurementOperator, datasets,
                     initial_net: MStepNet | None = None) -> tuple[MStepNet, TrainReport]:
@@ -335,6 +343,7 @@ def train_layerwise(train_cfg: TrainConfig, sys_cfg: SystemConfig,
     returned net carries the hash of ``sys_cfg``.
     """
     t0 = time.perf_counter()
+    start_depth = first_depth(initial_net, train_cfg.depth)
     sigma2 = sys_cfg.noise_var
     train_h, val_h, test_h = datasets
     train = _prepare_split(train_h, "train", op, sigma2)
@@ -343,18 +352,12 @@ def train_layerwise(train_cfg: TrainConfig, sys_cfg: SystemConfig,
 
     if initial_net is None:
         net = MStepNet.create(1, spawn_rng(sys_cfg.rng_seed, "net-init", 0), sys_cfg.config_hash())
-        first_depth = 2
     else:
         net = initial_net
-        first_depth = net.n_stages + 2
-        if first_depth > train_cfg.depth:
-            raise ValueError(
-                f"checkpoint already serves depth {net.n_stages + 1}; target depth {train_cfg.depth} adds no stages"
-            )
         net.config_hash = sys_cfg.config_hash()
     report = TrainReport()
     n_train = train.h.shape[-1]
-    for depth in range(first_depth, train_cfg.depth + 1):
+    for depth in range(start_depth, train_cfg.depth + 1):
         while net.n_stages < depth - 1:
             net.append_stage()
         net.reset_optimizer()

@@ -41,12 +41,11 @@ def test_draw_paths_shapes_and_ranges():
     cfg = default_config()
     p = _paths(cfg)
     n = cfg.n_paths
-    for arr in (p.angle, p.delay, p.gain, p.delta_angle, p.delta_delay):
+    for arr in (p.angle, p.delay, p.gain):
         assert arr.shape == (n,)
-    assert p.mean_angle.shape == (cfg.n_clusters,)
-    assert p.mean_delay.shape == (cfg.n_clusters,)
     assert np.all(p.delay >= 0)
-    assert np.all(p.mean_delay <= cfg.max_mean_delay)
+    # cluster means lie in [0, max_mean_delay]; a subpath strays ~delay_spread from its mean
+    assert np.all(p.delay <= cfg.max_mean_delay + 20 * cfg.delay_spread)
 
 
 def test_draw_paths_reproducible():
@@ -59,37 +58,50 @@ def test_draw_paths_reproducible():
     assert not np.array_equal(a.angle, c.angle)
 
 
+def _cluster_std(x, cfg):
+    """Pooled std (ddof = 1) of the subpaths about their cluster's sample mean; x is (draws, N_c * N_p)."""
+    x = x.reshape(len(x), cfg.n_clusters, cfg.n_subpaths)
+    dev = x - x.mean(axis=2, keepdims=True)
+    return np.sqrt(np.sum(dev ** 2) / (dev.size - x.shape[0] * cfg.n_clusters))
+
+
 def test_cluster_spread_statistics():
-    # raw subpath offsets should match the configured spreads within 10%
+    """Each cluster's scatter about its own sample mean matches the configured spreads within 10%.
+
+    The default mean delays sit far above the spread, so clamping at zero
+    almost never trims a cluster; 400 draws read 0.996 and 0.993 of the
+    angle and delay spreads.
+    """
     cfg = default_config()
-    d_ang, d_del = [], []
-    for i in range(400):
-        p = _paths(cfg, i)
-        d_ang.append(p.delta_angle)
-        d_del.append(p.delta_delay)
-    assert np.std(np.concatenate(d_ang)) == pytest.approx(cfg.angle_spread, rel=0.10)
-    assert np.std(np.concatenate(d_del)) == pytest.approx(cfg.delay_spread, rel=0.10)
+    draws = [_paths(cfg, i) for i in range(400)]
+    assert _cluster_std(np.stack([p.angle for p in draws]), cfg) == pytest.approx(cfg.angle_spread, rel=0.10)
+    assert _cluster_std(np.stack([p.delay for p in draws]), cfg) == pytest.approx(cfg.delay_spread, rel=0.10)
 
 
 def test_cluster_structure():
-    cfg = default_config()
+    """Subpath p is cluster p // N_p's mean plus its Laplacian offset, delays clamped at zero.
+
+    The draw order is replayed by hand on the same stream: means of
+    angle and delay, then the offsets, then the gains.
+    """
+    cfg = default_config(max_mean_delay=0.1e-9, delay_spread=0.5e-9)
     p = _paths(cfg, 9)
-    ang = p.angle.reshape(cfg.n_clusters, cfg.n_subpaths)
-    dl = p.delay.reshape(cfg.n_clusters, cfg.n_subpaths)
-    assert np.allclose(ang, p.mean_angle[:, None] + p.delta_angle.reshape(ang.shape))
-    # delays are the clamped sums
-    raw = p.mean_delay[:, None] + p.delta_delay.reshape(dl.shape)
-    assert np.allclose(dl, np.maximum(raw, 0.0))
+    rng = spawn_rng(cfg.rng_seed, "channel", 0, 9)
+    nc, npth = cfg.n_clusters, cfg.n_subpaths
+    mean_angle = rng.uniform(0.0, 2.0 * np.pi, nc)
+    mean_delay = rng.uniform(0.0, cfg.max_mean_delay, nc)
+    raw_angle = mean_angle[:, None] + rng.laplace(0.0, cfg.angle_spread / np.sqrt(2.0), (nc, npth))
+    raw_delay = mean_delay[:, None] + rng.laplace(0.0, cfg.delay_spread / np.sqrt(2.0), (nc, npth))
+    gain = (rng.standard_normal(cfg.n_paths) + 1j * rng.standard_normal(cfg.n_paths)) / np.sqrt(2.0)
+    assert np.array_equal(p.angle, raw_angle.ravel())
+    # a spread wider than the mean range makes some raw delays negative, and those are clamped
+    assert np.any(raw_delay < 0.0)
+    assert np.array_equal(p.delay, np.maximum(raw_delay, 0.0).ravel())
+    assert np.array_equal(p.gain, gain)
 
 
 def _single_path(theta, tau):
-    g = np.array([1.0 + 0.0j])
-    return PathSet(
-        gain=g, delay=np.array([tau]),
-        angle=np.array([theta]), mean_angle=np.array([theta]),
-        mean_delay=np.array([tau]), delta_angle=np.zeros(1),
-        delta_delay=np.zeros(1),
-    )
+    return PathSet(gain=np.array([1.0 + 0.0j]), delay=np.array([tau]), angle=np.array([theta]))
 
 
 def test_build_channel_single_path_geometry():
@@ -125,9 +137,7 @@ def test_build_channel_linear_in_gains():
     cfg = desk_config()
     p = _paths(cfg, 3)
     h1 = build_channel(cfg, p)
-    p2 = PathSet(gain=2.5 * p.gain, delay=p.delay,
-                 angle=p.angle, mean_angle=p.mean_angle, mean_delay=p.mean_delay,
-                 delta_angle=p.delta_angle, delta_delay=p.delta_delay)
+    p2 = PathSet(gain=2.5 * p.gain, delay=p.delay, angle=p.angle)
     h2 = build_channel(cfg, p2)
     assert np.allclose(h2, 2.5 * h1, atol=1e-12)
 

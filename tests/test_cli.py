@@ -227,6 +227,25 @@ def test_train_rejects_a_short_delay_grid_before_drawing_splits(tmp_path, monkey
     assert list(tmp_path.iterdir()) == []
 
 
+def test_train_rejects_a_resume_with_no_stage_to_add_before_drawing_splits(tmp_path, monkeypatch, capsys):
+    """A checkpoint that already serves --depth ends train with error: and exit 1, and no channel is drawn."""
+    run = tmp_path / "run"
+    train = ["train", "--scale", "desk", "--sizes", "8,4,4", "--max-epochs", "1", "--batch-size", "4"]
+    assert main([*train, "--out", str(run), "--depth", "3"]) == 0
+
+    def draw(*args):
+        raise AssertionError("generate_splits ran for a checkpoint with no stage to add")
+
+    monkeypatch.setattr(training, "generate_splits", draw)
+    capsys.readouterr()
+    for depth in ("2", "3"):
+        assert main([*train, "--out", str(tmp_path / "resumed"), "--depth", depth,
+                     "--resume", str(run / "checkpoint.npz")]) == 1
+        assert capsys.readouterr() == ("", f"error: checkpoint already serves depth 3; target depth {depth} "
+                                           "adds no stages\n")
+    assert not (tmp_path / "resumed").exists()
+
+
 def test_train_writes_the_checkpoint_of_train_layerwise(tmp_path):
     """The command draws its splits from the config, as generate_splits does, and trains them
     unchanged, with either E-step."""

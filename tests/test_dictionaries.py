@@ -40,11 +40,10 @@ def test_frequency_dependent_grids_scale_with_tone():
     f = subcarrier_freqs(cfg)
     base = grid_points(cfg.grid_angular)
     for k in (0, cfg.n_subcarriers - 1):
-        assert np.allclose(d.angular_grids[k], (f[k] / cfg.center_freq) * base)
-        expect = steering_vector(cfg.n_antennas, d.angular_grids[k])
+        expect = steering_vector(cfg.n_antennas, (f[k] / cfg.center_freq) * base)
         assert np.allclose(d.angular_dicts[k], expect)
     # edge tones use different grids
-    assert not np.allclose(d.angular_grids[0], d.angular_grids[-1])
+    assert not np.allclose(d.angular_dicts[0], d.angular_dicts[-1])
 
 
 @pytest.mark.parametrize("mode", [FREQUENCY_DEPENDENT, FREQUENCY_INDEPENDENT])
@@ -52,19 +51,23 @@ def test_dictionaries_match_direct_exponentials_at_default_size(mode):
     """Atoms raised by phasor doubling equal one exponential per entry to 1e-13 of the largest entry."""
     cfg = default_config()
     d = build_dictionaries(cfg, mode)
-    angular = np.stack([steering_vector(cfg.n_antennas, grid) for grid in d.angular_grids])
+    # tone k's grid is the base grid scaled by f_k / f_c, or the base grid itself
+    scale = subcarrier_freqs(cfg) / cfg.center_freq if mode == FREQUENCY_DEPENDENT else np.ones(cfg.n_subcarriers)
+    base = grid_points(cfg.grid_angular)
+    angular = np.stack([steering_vector(cfg.n_antennas, s * base) for s in scale])
     assert d.angular_dicts.shape == angular.shape and d.angular_dicts.flags.c_contiguous
     assert np.max(np.abs(d.angular_dicts - angular)) <= 1e-13 * np.max(np.abs(angular))
-    delay = steering_vector(cfg.n_subcarriers, d.delay_grid)
+    delay = steering_vector(cfg.n_subcarriers, grid_points(cfg.grid_delay))
     assert np.max(np.abs(d.delay_dict - delay)) <= 1e-13 * np.max(np.abs(delay))
 
 
 def test_frequency_independent_grids_constant():
+    """Every tone's angular dictionary is the carrier dictionary, the same bits on each tone."""
     cfg = desk_config()
     d = build_dictionaries(cfg, FREQUENCY_INDEPENDENT)
-    base = grid_points(cfg.grid_angular)
-    for k in range(cfg.n_subcarriers):
-        assert np.allclose(d.angular_grids[k], base)
+    assert np.allclose(d.angular_dicts[0], steering_vector(cfg.n_antennas, grid_points(cfg.grid_angular)))
+    for k in range(1, cfg.n_subcarriers):
+        assert np.array_equal(d.angular_dicts[k], d.angular_dicts[0])
 
 
 def test_unknown_mode_rejected():
@@ -76,9 +79,8 @@ def test_delay_dictionary_shape():
     cfg = desk_config()
     d = build_dictionaries(cfg)
     assert d.delay_dict.shape == (cfg.n_subcarriers, cfg.grid_delay)
-    assert d.delay_grid.shape == (cfg.grid_delay,)
     # rows follow the steering convention on the delay grid
-    expect = steering_vector(cfg.n_subcarriers, d.delay_grid)
+    expect = steering_vector(cfg.n_subcarriers, grid_points(cfg.grid_delay))
     assert np.allclose(d.delay_dict, expect)
 
 

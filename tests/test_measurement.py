@@ -26,38 +26,23 @@ def test_combiner_entries_and_shapes():
     m = cfg.n_uses * cfg.n_rf
     assert c.w.shape == (m, cfg.n_antennas)
     assert c.w_bar.shape == (m, cfg.n_antennas)
-    assert c.n_uses == cfg.n_uses
     # one-bit phases scaled by 1/sqrt(N)
     assert np.allclose(np.abs(c.w), 1.0 / np.sqrt(cfg.n_antennas))
     assert np.all(np.isin(c.w * np.sqrt(cfg.n_antennas), [-1.0, 1.0]))
 
 
 def test_combiner_whitening_identity():
-    """Within each pilot use the whitened rows have identity covariance.
+    """Within each pilot use the whitened rows have identity covariance, and W_bar_q = D_q^{-1} W_q.
 
     Noise across uses is independent, so block-wise whitening is all the
     noise model needs; rows of different uses are not orthogonalized.
     """
     cfg = default_config()
     c = _comb(cfg)
-    nrf = cfg.n_rf
-    for q in range(cfg.n_uses):
-        rows = c.w_bar[q * nrf:(q + 1) * nrf]
-        gram = rows @ rows.conj().T
-        assert np.allclose(gram, np.eye(nrf), atol=1e-10)
-    # d reproduces w_bar from w
-    assert np.allclose(solve_triangular(c.d, c.w, lower=True), c.w_bar, atol=1e-12)
-
-
-def test_combiner_block_structure():
-    """Whitening is per pilot use: d is block-diagonal over uses."""
-    cfg = default_config()
-    c = _comb(cfg)
-    nrf = cfg.n_rf
-    d = c.d.copy()
-    for q in range(cfg.n_uses):
-        d[q * nrf:(q + 1) * nrf, q * nrf:(q + 1) * nrf] = 0.0
-    assert np.allclose(d, 0.0)
+    for w_q, w_bar_q in zip(np.split(c.w, cfg.n_uses), np.split(c.w_bar, cfg.n_uses)):
+        assert np.allclose(w_bar_q @ w_bar_q.conj().T, np.eye(cfg.n_rf), atol=1e-10)
+        d_q = np.linalg.cholesky(w_q @ w_q.T)
+        assert np.allclose(solve_triangular(d_q, w_q, lower=True), w_bar_q, atol=1e-12)
 
 
 def test_combiner_reproducible_per_stream():
@@ -284,8 +269,28 @@ def test_assemble_operator_config_mismatch():
     comb = _comb(cfg)
     other = desk_config(n_subcarriers=4)
     dicts = build_dictionaries(other)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"delay dictionary has shape \(4, 16\); the config gives \(8, 16\)"):
         assemble_operator(cfg, comb, dicts)
+
+
+def test_assemble_operator_rejects_dictionaries_of_another_grid():
+    """A 32 x 24 grid's dictionaries under the desk config would give 768 columns against G = 256."""
+    cfg = desk_config()
+    other = cfg.replace(grid_angular=32, grid_delay=24)
+    with pytest.raises(ValueError, match=r"delay dictionary has shape \(8, 24\); the config gives \(8, 16\)"):
+        assemble_operator(cfg, _comb(cfg), build_dictionaries(other))
+    with pytest.raises(ValueError, match=r"angular dictionaries has shape \(8, 16, 32\)"):
+        assemble_operator(cfg, _comb(cfg), build_dictionaries(cfg.replace(grid_angular=32)))
+
+
+def test_assemble_operator_rejects_a_combiner_of_another_use_count():
+    """A Q = 4 combiner under Q = 2 would give 64 rows against 32 measurements, and observe_and_transform
+    would then group W_bar's rows into the wrong pilot uses."""
+    cfg = desk_config()
+    assert cfg.n_uses == 2
+    comb = _comb(cfg.replace(n_uses=4))
+    with pytest.raises(ValueError, match=r"combiner w_bar has shape \(8, 16\); the config gives \(4, 16\)"):
+        assemble_operator(cfg, comb, build_dictionaries(cfg))
 
 
 def test_simulate_observation_fields(desk_cfg, desk_op):
@@ -310,7 +315,7 @@ def test_observation_noise_level(desk_cfg, desk_op):
 
 
 def test_observation_matches_dense_factor_solve(desk_cfg, desk_op):
-    """y is D^{-1} (W (h + n)), solved with the dense block factor D for the noise the stream draws.
+    """y is D_q^{-1} (W_q (h + n_q)) per use, with D_q = chol(W_q W_q^T), for the noise the stream draws.
 
     Each W_q row has unit norm, so the noise level alone cannot tell
     whitened noise from W n; this oracle can.
@@ -322,8 +327,8 @@ def test_observation_matches_dense_factor_solve(desk_cfg, desk_op):
     rng = spawn_rng(cfg.rng_seed, "noise", 2, 0)
     sigma = np.sqrt(cfg.noise_var / 2.0)
     noise = sigma * (rng.standard_normal((q_uses, n, k)) + 1j * rng.standard_normal((q_uses, n, k)))
-    combined = np.vstack([w_q @ (h + noise[q]) for q, w_q in enumerate(np.split(comb.w, q_uses))])
-    ref = solve_triangular(comb.d, combined, lower=True).ravel(order="F")
+    ref = np.vstack([solve_triangular(np.linalg.cholesky(w_q @ w_q.T), w_q @ (h + noise[q]), lower=True)
+                     for q, w_q in enumerate(np.split(comb.w, q_uses))]).ravel(order="F")
     assert np.abs(y - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
